@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the CPU front end: per-core gap
 // retirement (naive vs closed-form run_until), the synthetic-trace record
-// ring, and the LLC MRU fast path. Gated numbers live in
-// BENCH_corefront.json (ci_baseline_ns).
+// ring, and the LLC (MRU hit, non-MRU hit, streaming dirty miss). Gated
+// numbers live in BENCH_corefront.json (ci_baseline_ns).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -127,5 +127,40 @@ void BM_LlcMruHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LlcMruHit);
+
+void BM_LlcStreamingMiss(benchmark::State& state) {
+  // The functional backbone's pattern: a full 2 MiB/16-way cache taking
+  // sequential-line write misses, so every access evicts the set's LRU way
+  // and that victim is dirty.
+  cache::LlcConfig cfg;
+  cfg.size_bytes = 2ull << 20;
+  cache::Llc llc(cfg);
+  Address addr = 0;
+  for (; addr < cfg.size_bytes; addr += kLineBytes) llc.access(addr, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(llc.access(addr, true));
+    addr += kLineBytes;
+  }
+}
+BENCHMARK(BM_LlcStreamingMiss);
+
+void BM_LlcSetScanHit(benchmark::State& state) {
+  // Round-robin over the 16 lines of one full set: every access hits the
+  // set's least-recent way, never the MRU one, so it pays the set scan and
+  // the longest recency-list update.
+  cache::LlcConfig cfg;
+  cfg.size_bytes = 2ull << 20;
+  cache::Llc llc(cfg);
+  const Address set_stride = Address{llc.num_sets()} * kLineBytes;
+  for (std::uint32_t w = 0; w < cfg.associativity; ++w) {
+    llc.access(w * set_stride, false);
+  }
+  std::uint32_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(llc.access(next * set_stride, false));
+    next = (next + 1) % cfg.associativity;
+  }
+}
+BENCHMARK(BM_LlcSetScanHit);
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include "cache/llc.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <numeric>
 
 namespace rop::cache {
 
@@ -8,10 +11,18 @@ namespace {
 
 bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 
+/// Move `way`, found at position `pos` of a recency list, to the front.
+void move_to_front(std::uint8_t* order, std::uint32_t pos, std::uint8_t way) {
+  std::memmove(order + 1, order, pos);
+  order[0] = way;
+}
+
 }  // namespace
 
 Llc::Llc(const LlcConfig& cfg) : cfg_(cfg) {
   ROP_ASSERT(cfg.associativity > 0);
+  // Way indices and fill counts are stored as u8.
+  ROP_ASSERT(cfg.associativity <= 255);
   ROP_ASSERT(cfg.size_bytes % (static_cast<std::uint64_t>(cfg.associativity) *
                                kLineBytes) ==
              0);
@@ -20,8 +31,14 @@ Llc::Llc(const LlcConfig& cfg) : cfg_(cfg) {
                         kLineBytes);
   ROP_ASSERT(is_pow2(sets));
   num_sets_ = static_cast<std::uint32_t>(sets);
-  ways_.resize(static_cast<std::size_t>(num_sets_) * cfg.associativity);
-  mru_.assign(num_sets_, 0);
+  set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets));
+  const std::size_t ways = static_cast<std::size_t>(num_sets_) *
+                           cfg.associativity;
+  tags_.resize(ways);
+  order_.resize(ways);
+  dirty_.resize(ways);
+  fill_.resize(num_sets_);
+  reset();
 }
 
 std::uint32_t Llc::set_index(Address addr) const {
@@ -29,17 +46,15 @@ std::uint32_t Llc::set_index(Address addr) const {
 }
 
 std::uint64_t Llc::tag_of(Address addr) const {
-  return (addr >> kLineShift) / num_sets_;
+  return (addr >> kLineShift) >> set_shift_;
 }
 
 bool Llc::contains(Address addr) const {
-  const std::uint32_t set = set_index(addr);
   const std::uint64_t tag = tag_of(addr);
-  const Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.associativity];
-  for (std::uint32_t w = 0; w < cfg_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
-  }
-  return false;
+  const std::uint64_t* tags =
+      &tags_[static_cast<std::size_t>(set_index(addr)) * cfg_.associativity];
+  return std::find(tags, tags + cfg_.associativity, tag) !=
+         tags + cfg_.associativity;
 }
 
 void Llc::bind_stats(StatRegistry& registry, const std::string& prefix) {
@@ -52,73 +67,68 @@ void Llc::bind_stats(StatRegistry& registry, const std::string& prefix) {
 LlcAccessResult Llc::access(Address addr, bool is_write) {
   ++stats_.accesses;
   if (h_.accesses != nullptr) h_.accesses->inc();
-  ++clock_;
   const std::uint32_t set = set_index(addr);
   const std::uint64_t tag = tag_of(addr);
-  Way* base = &ways_[static_cast<std::size_t>(set) * cfg_.associativity];
+  const std::uint32_t assoc = cfg_.associativity;
+  const std::size_t base = static_cast<std::size_t>(set) * assoc;
+  std::uint64_t* tags = &tags_[base];
+  std::uint8_t* order = &order_[base];
+  std::uint8_t* dirty = &dirty_[base];
 
   // MRU fast path: repeated touches to the hottest line in a set resolve
-  // with a single tag compare. The set scan below is the slow path.
-  {
-    Way& mru = base[mru_[set]];
-    if (mru.valid && mru.tag == tag) {
-      ++stats_.hits;
-      if (h_.hits != nullptr) h_.hits->inc();
-      mru.lru = clock_;
-      if (is_write) mru.dirty = true;
-      return LlcAccessResult{true, std::nullopt};
-    }
+  // with a single tag compare and leave the recency list as it is. An
+  // empty set's list head points at an invalid way, which never matches.
+  if (tags[order[0]] == tag) {
+    ++stats_.hits;
+    if (h_.hits != nullptr) h_.hits->inc();
+    if (is_write) dirty[order[0]] = 1;
+    return LlcAccessResult{true, std::nullopt};
   }
 
-  // Single pass over the set: probe for the tag while tracking the victim
-  // a miss would need — the first invalid way, else the strictly-least-lru
-  // valid way (lowest index wins ties). Hit/miss/victim decisions are
-  // identical to a separate probe loop followed by a victim loop; a miss
-  // just stops paying for the second scan.
-  constexpr std::uint32_t kNone = ~0u;
-  std::uint32_t first_invalid = kNone;
-  std::uint32_t lru_way = kNone;
-  for (std::uint32_t w = 0; w < cfg_.associativity; ++w) {
-    Way& way = base[w];
-    if (!way.valid) {
-      if (first_invalid == kNone) first_invalid = w;
-      continue;
-    }
-    if (way.tag == tag) {
-      ++stats_.hits;
-      if (h_.hits != nullptr) h_.hits->inc();
-      way.lru = clock_;
-      if (is_write) way.dirty = true;
-      mru_[set] = w;
-      return LlcAccessResult{true, std::nullopt};
-    }
-    if (lru_way == kNone || way.lru < base[lru_way].lru) lru_way = w;
+  // Tag scan over the valid ways, then the way's position in the recency
+  // list (a hit on a non-MRU way is the rare case).
+  const std::uint32_t fill = fill_[set];
+  const std::uint64_t* hit = std::find(tags, tags + fill, tag);
+  if (hit != tags + fill) {
+    ++stats_.hits;
+    if (h_.hits != nullptr) h_.hits->inc();
+    const auto way = static_cast<std::uint8_t>(hit - tags);
+    if (is_write) dirty[way] = 1;
+    const auto pos = static_cast<std::uint32_t>(
+        std::find(order, order + fill, way) - order);
+    move_to_front(order, pos, way);
+    return LlcAccessResult{true, std::nullopt};
   }
 
   ++stats_.misses;
   if (h_.misses != nullptr) h_.misses->inc();
-  Way* victim = first_invalid != kNone ? &base[first_invalid] : &base[lru_way];
-
   LlcAccessResult result{false, std::nullopt};
-  if (victim->valid && victim->dirty) {
+  std::uint32_t pos = fill;  // an unfilled way sits at its own position
+  if (fill < assoc) {
+    fill_[set] = static_cast<std::uint8_t>(fill + 1);
+  } else {
+    pos = assoc - 1;  // the least-recent way
+  }
+  const std::uint8_t victim = order[pos];
+  if (dirty[victim] != 0) {  // invalid ways are always clean
     ++stats_.writebacks;
     if (h_.writebacks != nullptr) h_.writebacks->inc();
-    const Address victim_line =
-        (victim->tag * num_sets_ + set) << kLineShift;
-    result.writeback = victim_line;
+    result.writeback = ((tags[victim] << set_shift_) | set) << kLineShift;
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = clock_;
-  victim->dirty = is_write;
-  mru_[set] = static_cast<std::uint32_t>(victim - base);
+  tags[victim] = tag;
+  dirty[victim] = static_cast<std::uint8_t>(is_write);
+  move_to_front(order, pos, victim);
   return result;
 }
 
 void Llc::reset() {
-  std::fill(ways_.begin(), ways_.end(), Way{});
-  std::fill(mru_.begin(), mru_.end(), 0u);
-  clock_ = 0;
+  std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+  std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
+  std::fill(fill_.begin(), fill_.end(), std::uint8_t{0});
+  const auto assoc = static_cast<std::ptrdiff_t>(cfg_.associativity);
+  for (auto it = order_.begin(); it != order_.end(); it += assoc) {
+    std::iota(it, it + assoc, std::uint8_t{0});
+  }
   stats_ = LlcStats{};
 }
 

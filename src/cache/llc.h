@@ -5,6 +5,16 @@
 // filtering changes refresh exposure. Timing is not modeled here (hits are
 // folded into the core's compute stream); only the miss/writeback traffic
 // matters to the memory system.
+//
+// Layout: four flat arrays (tags, recency order, dirty bits per way; fill
+// count per set). Ways fill in index order and are only invalidated all at
+// once (reset), so a set's valid ways are exactly [0, fill) and "first
+// invalid way" is the fill count. Each set keeps a recency list of its way
+// indices, MRU first: the least-recent valid way of a full set is the list's
+// last entry, and the MRU probe is its first. The list is always a
+// permutation of the set's ways (positions at or past the fill count hold
+// their own index), so a fill of way `fill` is the same move-to-front as a
+// hit.
 #pragma once
 
 #include <cstdint>
@@ -63,26 +73,19 @@ class Llc {
 
   void reset();
 
-  /// Snapshot serialization: the full tag/LRU array and the stat mirror.
-  /// Config-derived geometry and the bound stat handles do not ride.
+  /// Snapshot serialization: the four flat arrays (each one bulk copy) and
+  /// the stat mirror. Config-derived geometry and the bound stat handles do
+  /// not ride.
   template <class Ar>
   void io(Ar& ar) {
-    ar(ways_, mru_, clock_, stats_.accesses, stats_.hits, stats_.misses,
-       stats_.writebacks);
+    ar(tags_, order_, dirty_, fill_, stats_.accesses, stats_.hits,
+       stats_.misses, stats_.writebacks);
   }
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  // larger = more recently used
-    bool valid = false;
-    bool dirty = false;
-
-    template <class Ar>
-    void io(Ar& ar) {
-      ar(tag, lru, valid, dirty);
-    }
-  };
+  /// Tag of an invalid way. No address maps to it: a tag is a line number
+  /// shifted right, so its top bits are always clear.
+  static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
   [[nodiscard]] std::uint32_t set_index(Address addr) const;
   [[nodiscard]] std::uint64_t tag_of(Address addr) const;
@@ -96,12 +99,13 @@ class Llc {
 
   LlcConfig cfg_;
   std::uint32_t num_sets_;
-  std::vector<Way> ways_;  // num_sets_ * associativity, row-major by set
-  /// Per-set most-recently-touched way: access() probes it with a single
-  /// tag compare before falling back to the set scan. Purely an access
-  /// accelerator — hit/miss/victim decisions are unchanged by it.
-  std::vector<std::uint32_t> mru_;
-  std::uint64_t clock_ = 0;
+  std::uint32_t set_shift_;  // log2(num_sets_)
+  // Per way, num_sets_ * associativity entries, row-major by set.
+  std::vector<std::uint64_t> tags_;  // kInvalidTag when invalid
+  std::vector<std::uint8_t> order_;  // recency list: [0] MRU .. [n-1] LRU
+  std::vector<std::uint8_t> dirty_;
+  // Per set: number of valid ways, which are ways [0, fill).
+  std::vector<std::uint8_t> fill_;
   LlcStats stats_;
   StatHandles h_;  // null until bind_stats
 };

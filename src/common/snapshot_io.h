@@ -111,8 +111,11 @@ class Writer {
     } else if constexpr (detail::IsStdVector<T>::value) {
       raw_uint(static_cast<std::uint64_t>(v.size()));
       if constexpr (detail::kBulkCopyable<typename T::value_type>) {
-        buf_.append(reinterpret_cast<const char*>(v.data()),
-                    v.size() * sizeof(typename T::value_type));
+        // An empty vector's data() may be null, which memcpy must not see.
+        if (!v.empty()) {
+          buf_.append(reinterpret_cast<const char*>(v.data()),
+                      v.size() * sizeof(typename T::value_type));
+        }
       } else {
         for (const auto& e : v) field(e);
       }
@@ -159,6 +162,8 @@ class Reader {
         end_(pos_ + size) {}
   explicit Reader(const std::string& bytes) : Reader(bytes.data(),
                                                      bytes.size()) {}
+  // The reader views the bytes, so a temporary string would dangle.
+  explicit Reader(std::string&&) = delete;
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool at_end() const { return ok_ && pos_ == end_; }
@@ -223,8 +228,10 @@ class Reader {
           return;
         }
         v.resize(static_cast<std::size_t>(n));
-        std::memcpy(v.data(), pos_, static_cast<std::size_t>(bytes));
-        pos_ += bytes;
+        if (bytes != 0) {  // an empty vector's data() may be null
+          std::memcpy(v.data(), pos_, static_cast<std::size_t>(bytes));
+          pos_ += bytes;
+        }
       } else {
         const std::uint64_t n = length();
         v.clear();

@@ -21,9 +21,6 @@ namespace {
 
 // "ROPSNAP1" read as a little-endian u64.
 constexpr std::uint64_t kMagic = 0x3150414E53504F52ULL;
-// v2: Request lifecycle stamps + per-cause blocked fields, CoreStats CPI
-// ledger, Core critical_since_, CoreResult CPI stack.
-constexpr std::uint32_t kFormatVersion = 2;
 
 template <class Ar>
 void serialize_sections(Ar& ar, const SnapshotContext& ctx) {
@@ -100,7 +97,7 @@ std::string save_snapshot_buffer(const SnapshotContext& ctx,
                                  std::uint64_t fingerprint) {
   snap::Writer w;
   std::uint64_t magic = kMagic;
-  std::uint32_t version = kFormatVersion;
+  std::uint32_t version = kSnapshotFormatVersion;
   std::uint64_t fp = fingerprint;
   w(magic, version, fp);
   serialize_sections(w, ctx);
@@ -118,7 +115,7 @@ bool load_snapshot_buffer(const std::string& buf, const SnapshotContext& ctx,
     if (error != nullptr) *error = "not a ROPSNAP1 snapshot";
     return false;
   }
-  if (version != kFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     if (error != nullptr) *error = "unsupported snapshot format version";
     return false;
   }
@@ -150,7 +147,7 @@ bool snapshot_compatible(const std::string& path, std::uint64_t fingerprint) {
   std::uint32_t version = 0;
   std::uint64_t fp = 0;
   r(magic, version, fp);
-  return r.ok() && magic == kMagic && version == kFormatVersion &&
+  return r.ok() && magic == kMagic && version == kSnapshotFormatVersion &&
          fp == fingerprint;
 }
 

@@ -53,6 +53,13 @@ namespace rop::sim {
 
 struct ExperimentSpec;
 
+/// Snapshot format version, written after the magic. A file of any other
+/// version is rejected (load fails, snapshot_compatible is false).
+///   v2: Request lifecycle stamps + per-cause blocked fields, CoreStats CPI
+///       ledger, Core critical_since_, CoreResult CPI stack.
+///   v3: LLC as flat tag/recency/dirty/fill arrays.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+
 /// Everything a snapshot touches. Engine/trace vectors follow channel /
 /// core order; sampler and trace may be null (their presence is
 /// config-derived, so both sides of a save/restore agree).

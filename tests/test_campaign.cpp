@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/json.h"
+#include "common/snapshot_io.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/snapshot.h"
@@ -288,6 +289,63 @@ TEST(CampaignRun, MidCellKillResumesFromIntraCellSnapshot) {
   EXPECT_EQ(stale->ran_cells, 2u);
   EXPECT_EQ(slurp(stale_dir + "/merged.json"), slurp(full->merged_path));
   EXPECT_FALSE(fs::exists(stale_dir + "/cell_000000.snap"));
+
+  fs::remove_all(base);
+}
+
+TEST(CampaignRun, PreviousFormatSnapshotIsDiscardedAndRecomputed) {
+  // A checkpoint left by an older binary: right magic and fingerprint, but
+  // the previous format version. The resume must not restore it (or
+  // abort on it): the cell is recomputed from scratch and the stale file
+  // is deleted.
+  const std::string base = ::testing::TempDir() + "rop_campaign_oldsnap";
+  fs::remove_all(base);
+  const std::string spec_text = R"({
+    "name": "oldsnap",
+    "instructions_per_core": 150000,
+    "snapshot_every": 15000,
+    "axes": {"benchmark": ["lbm"], "mode": ["rop"]}
+  })";
+  const std::string spec_path = write_spec(base, spec_text);
+  std::string err;
+  const auto spec_doc = json::parse(spec_text, &err);
+  ASSERT_TRUE(spec_doc.has_value()) << err;
+  const auto cells = expand_campaign(*spec_doc, &err);
+  ASSERT_TRUE(cells.has_value()) << err;
+  ASSERT_EQ(cells->size(), 1u);
+
+  const auto full =
+      run_campaign(quiet_options(spec_path, base + "/full"), &err);
+  ASSERT_TRUE(full.has_value()) << err;
+
+  // A real mid-cell checkpoint, then its header's version word (after the
+  // u64 magic) rewritten to the previous format.
+  const std::string out_dir = base + "/resumed";
+  fs::create_directories(out_dir);
+  const std::string snap_path = out_dir + "/cell_000000.snap";
+  ExperimentSpec mid = (*cells)[0].spec;
+  mid.snapshot.out = snap_path;
+  mid.snapshot.stop_at = 25'001;
+  ASSERT_TRUE(run_experiment(mid).interrupted);
+  const std::uint64_t fp = config_fingerprint(spec_canonical(mid));
+  ASSERT_TRUE(snapshot_compatible(snap_path, fp));
+  {
+    snap::Writer w;
+    std::uint32_t old_version = kSnapshotFormatVersion - 1;
+    w(old_version);
+    std::fstream f(snap_path, std::ios::binary | std::ios::in | std::ios::out);
+    f.seekp(8);
+    f.write(w.buffer().data(),
+            static_cast<std::streamsize>(w.buffer().size()));
+  }
+  EXPECT_FALSE(snapshot_compatible(snap_path, fp));
+
+  const auto resumed = run_campaign(quiet_options(spec_path, out_dir), &err);
+  ASSERT_TRUE(resumed.has_value()) << err;
+  EXPECT_TRUE(resumed->complete);
+  EXPECT_EQ(resumed->ran_cells, 1u);
+  EXPECT_EQ(slurp(out_dir + "/merged.json"), slurp(full->merged_path));
+  EXPECT_FALSE(fs::exists(snap_path));
 
   fs::remove_all(base);
 }

@@ -1,12 +1,14 @@
 // LLC tests: hits/misses, LRU, write-back behaviour, against a reference
-// model for randomized sequences.
+// model for randomized sequences (partially filled sets, reset and a
+// snapshot round trip mid-stream, associativity up to the 255-way limit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
-#include <map>
 
 #include "cache/llc.h"
 #include "common/rng.h"
+#include "common/snapshot_io.h"
 
 namespace rop::cache {
 namespace {
@@ -77,7 +79,8 @@ TEST(Llc, ResetClearsContents) {
   EXPECT_EQ(llc.stats().accesses, 0u);
 }
 
-/// Reference model: per-set list of {tag, dirty}, front = LRU.
+/// Reference model: per-set list of {tag, dirty}, front = LRU. Shares
+/// nothing with the Llc's layout.
 class ReferenceCache {
  public:
   ReferenceCache(std::uint32_t assoc, std::uint32_t sets)
@@ -108,6 +111,18 @@ class ReferenceCache {
     return res;
   }
 
+  [[nodiscard]] bool contains(Address addr) const {
+    const std::uint64_t line = addr >> kLineShift;
+    const auto& ways = data_[static_cast<std::size_t>(line % sets_)];
+    return std::any_of(ways.begin(), ways.end(), [&](const Entry& e) {
+      return e.tag == line / sets_;
+    });
+  }
+
+  void reset() {
+    for (auto& ways : data_) ways.clear();
+  }
+
  private:
   struct Entry {
     std::uint64_t tag;
@@ -124,32 +139,73 @@ struct LlcSweepParams {
   double write_fraction;
 };
 
+/// Sweep traffic: the lower half of the sets sees 4x its ways in distinct
+/// lines (evictions), the upper half at most half its ways, so those sets
+/// stay partially filled for the whole stream.
+Address sweep_address(Rng& rng, const LlcSweepParams& p) {
+  const std::uint64_t set = rng.next_below(p.sets);
+  const std::uint64_t tags =
+      set < p.sets / 2 ? 4ull * p.assoc : std::max(1u, p.assoc / 2);
+  const std::uint64_t line = rng.next_below(tags) * p.sets + set;
+  return (line << kLineShift) | rng.next_below(kLineBytes);
+}
+
 class LlcPropertyTest : public ::testing::TestWithParam<LlcSweepParams> {};
 
 TEST_P(LlcPropertyTest, MatchesReferenceModelOnRandomTraffic) {
+  // Per access: hit, writeback and contains() (on the line just touched
+  // and on an untouched probe) match the oracle. A third of the way in,
+  // the cache moves through a snapshot archive into a fresh Llc; two
+  // thirds in, both sides reset. Stats since the reset match at the end.
   const auto p = GetParam();
-  Llc llc(tiny(p.assoc, p.sets));
+  const LlcConfig cfg = tiny(p.assoc, p.sets);
+  Llc llc(cfg);
   ReferenceCache ref(p.assoc, p.sets);
   Rng rng(p.assoc * 1000 + p.sets);
-  const std::uint64_t footprint = p.assoc * p.sets * 4;  // 4x capacity
-  for (int i = 0; i < 20000; ++i) {
-    const Address addr = rng.next_below(footprint) << kLineShift;
+  constexpr int kAccesses = 20000;
+  LlcStats want_stats;
+  for (int i = 0; i < kAccesses; ++i) {
+    if (i == kAccesses / 3) {
+      snap::Writer w;
+      w.field(llc);
+      Llc fresh(cfg);
+      snap::Reader r(w.buffer());
+      r.field(fresh);
+      ASSERT_TRUE(r.ok());
+      ASSERT_TRUE(r.at_end());
+      llc = std::move(fresh);
+    }
+    if (i == 2 * kAccesses / 3) {
+      llc.reset();
+      ref.reset();
+      want_stats = LlcStats{};
+    }
+    const Address addr = sweep_address(rng, p);
     const bool is_write = rng.next_bool(p.write_fraction);
     const auto got = llc.access(addr, is_write);
     const auto want = ref.access(addr, is_write);
     ASSERT_EQ(got.hit, want.hit) << "iteration " << i;
-    ASSERT_EQ(got.writeback.has_value(), want.writeback.has_value());
-    if (got.writeback) {
-      ASSERT_EQ(*got.writeback, *want.writeback);
-    }
+    ASSERT_EQ(got.writeback, want.writeback) << "iteration " << i;
+    ++want_stats.accesses;
+    ++(want.hit ? want_stats.hits : want_stats.misses);
+    want_stats.writebacks += want.writeback.has_value() ? 1 : 0;
+    ASSERT_TRUE(llc.contains(addr)) << "iteration " << i;
+    const Address probe = sweep_address(rng, p);
+    ASSERT_EQ(llc.contains(probe), ref.contains(probe)) << "iteration " << i;
   }
+  EXPECT_EQ(llc.stats().accesses, want_stats.accesses);
+  EXPECT_EQ(llc.stats().hits, want_stats.hits);
+  EXPECT_EQ(llc.stats().misses, want_stats.misses);
+  EXPECT_EQ(llc.stats().writebacks, want_stats.writebacks);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LlcPropertyTest,
     ::testing::Values(LlcSweepParams{1, 8, 0.3}, LlcSweepParams{2, 4, 0.3},
                       LlcSweepParams{4, 16, 0.5}, LlcSweepParams{8, 64, 0.2},
-                      LlcSweepParams{16, 128, 0.4}));
+                      LlcSweepParams{16, 128, 0.4},
+                      LlcSweepParams{32, 16, 0.3},
+                      LlcSweepParams{255, 4, 0.4}));
 
 TEST(Llc, MruFastPathStatsUnchangedOnReplayTrace) {
   // Replay a locality-heavy trace (60% repeat-last-line, the traffic the

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -130,6 +132,36 @@ TEST(SnapshotArchive, RoundTripsEveryFieldShape) {
   }
 }
 
+TEST(SnapshotArchive, EmptyBulkVectorsRoundTrip) {
+  // Empty arithmetic vectors take the bulk-copy path with a null data();
+  // they must cost only their length word and restore as empty, leaving
+  // the fields around them intact.
+  std::uint32_t before = 0xA5A5A5A5u;
+  std::vector<std::uint64_t> u64s;
+  std::vector<std::uint8_t> u8s;
+  std::vector<double> doubles;
+  std::uint32_t after = 0x5A5A5A5Au;
+  snap::Writer w;
+  w(before, u64s, u8s, doubles, after);
+  const std::string bytes = w.take();
+  EXPECT_EQ(bytes.size(), 4u + 3 * 8u + 4u);
+
+  std::uint32_t before2 = 0;
+  std::vector<std::uint64_t> u64s2 = {1, 2, 3};
+  std::vector<std::uint8_t> u8s2 = {4};
+  std::vector<double> doubles2;
+  std::uint32_t after2 = 0;
+  snap::Reader r(bytes);
+  r(before2, u64s2, u8s2, doubles2, after2);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(before2, before);
+  EXPECT_TRUE(u64s2.empty());
+  EXPECT_TRUE(u8s2.empty());
+  EXPECT_TRUE(doubles2.empty());
+  EXPECT_EQ(after2, after);
+}
+
 TEST(SnapshotArchive, TruncatedBufferPoisonsReader) {
   snap::Writer w;
   std::uint64_t big = 0x1122334455667788ull;
@@ -137,7 +169,8 @@ TEST(SnapshotArchive, TruncatedBufferPoisonsReader) {
   w(big, s);
   const std::string bytes = w.take();
 
-  snap::Reader r(bytes.substr(0, bytes.size() - 3));
+  const std::string truncated = bytes.substr(0, bytes.size() - 3);
+  snap::Reader r(truncated);
   std::uint64_t big2 = 0;
   std::string s2;
   r(big2, s2);
@@ -158,11 +191,36 @@ TEST(SnapshotHeader, RejectsGarbageAndWrongFingerprint) {
   // Correct magic + version, mismatched fingerprint.
   snap::Writer w;
   std::uint64_t magic = 0x3150414E53504F52ULL;
-  std::uint32_t version = 2;
+  std::uint32_t version = kSnapshotFormatVersion;
   std::uint64_t fp = 1234;
   w(magic, version, fp);
   EXPECT_FALSE(load_snapshot_buffer(w.take(), ctx, 5678, &err));
   EXPECT_EQ(err, "snapshot was taken under a different experiment spec");
+}
+
+TEST(SnapshotHeader, RejectsPreviousFormatVersion) {
+  // A file of the previous version (v2 stored the LLC as way structs) with
+  // the right magic and fingerprint: load reports the version, and the
+  // header probe a resuming campaign uses says "not compatible".
+  SnapshotContext ctx;  // all null: load must fail before sections
+  snap::Writer w;
+  std::uint64_t magic = 0x3150414E53504F52ULL;
+  std::uint32_t version = kSnapshotFormatVersion - 1;
+  std::uint64_t fp = 1234;
+  w(magic, version, fp);
+  const std::string header = w.take();
+
+  std::string err;
+  EXPECT_FALSE(load_snapshot_buffer(header, ctx, fp, &err));
+  EXPECT_EQ(err, "unsupported snapshot format version");
+
+  const std::string path = tmp_path("v2_header");
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << header;
+  }
+  EXPECT_FALSE(snapshot_compatible(path, fp));
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotHeader, FingerprintCoversBehaviorShapingFields) {
