@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the CPU front end: per-core gap
 // retirement (naive vs closed-form run_until), the synthetic-trace record
-// ring, and the LLC (MRU hit, non-MRU hit, streaming dirty miss). Gated
-// numbers live in BENCH_corefront.json (ci_baseline_ns).
+// ring and its gap sampler, and the LLC (MRU hit, non-MRU hit, streaming
+// dirty miss). Gated numbers live in BENCH_corefront.json (ci_baseline_ns).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -10,6 +10,8 @@
 #include "cache/llc.h"
 #include "common/rng.h"
 #include "cpu/core.h"
+#include "workload/geometric_gap.h"
+#include "workload/spec_profiles.h"
 #include "workload/synthetic.h"
 
 namespace {
@@ -114,6 +116,34 @@ void BM_SyntheticTraceNext(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SyntheticTraceNext)->Arg(0)->Arg(32);
+
+void BM_SyntheticTraceNextLbm(benchmark::State& state) {
+  // The lbm profile as the sampled headline generates it (ring on): two
+  // unit streams, mean gap 180, 1% random accesses, never idle.
+  workload::SyntheticTrace trace(workload::spec_profile("lbm", 1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trace.next());
+  }
+}
+BENCHMARK(BM_SyntheticTraceNextLbm);
+
+void BM_GeometricGap(benchmark::State& state) {
+  // One gap draw at mean 180: arg 1 = threshold table, arg 0 = the libm
+  // reference (Rng::gap_from_bits) it replaces.
+  const workload::GeometricGap gap(180.0);
+  Rng rng(11);
+  if (state.range(0) != 0) {
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(gap.draw(rng));
+    }
+  } else {
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(
+          Rng::gap_from_bits(rng.next_u64() >> 11, gap.denom()));
+    }
+  }
+}
+BENCHMARK(BM_GeometricGap)->Arg(0)->Arg(1);
 
 void BM_LlcMruHit(benchmark::State& state) {
   // Repeated touches to the hottest line in a set: the MRU probe resolves

@@ -75,25 +75,27 @@ class Rng {
   }
 
   /// Geometric-ish gap: returns k >= 1 with mean approximately `mean`.
+  /// A mean <= 1 draws nothing and returns 1.
   std::uint64_t next_gap(double mean) {
     if (mean <= 1.0) return 1;
-    return next_gap_with_denom(gap_denom(mean));
+    return gap_from_bits(next_u64() >> 11, gap_denom(mean));
   }
 
-  /// The denominator next_gap_with_denom expects for a given mean
+  /// The denominator gap_from_bits expects for a given mean
   /// (log1p(-1/mean)). Only valid for mean > 1.
   [[nodiscard]] static double gap_denom(double mean) {
     return __builtin_log1p(-1.0 / mean);
   }
 
-  /// next_gap with a caller-precomputed denominator: a hot caller drawing
-  /// many gaps from one distribution pays one libm call per draw instead
-  /// of two. Keeps the division (not a multiply by the reciprocal) so the
-  /// gaps are bit-identical to next_gap(mean).
-  std::uint64_t next_gap_with_denom(double denom) {
-    // Inverse-CDF sampling of a geometric distribution with success
-    // probability 1/mean, shifted to be >= 1.
-    double u = next_double();
+  /// The gap next_gap draws from the 53 uniform bits `x` (the top bits of
+  /// one next_u64(), u = x * 2^-53), given gap_denom(mean): inverse-CDF
+  /// sampling of a geometric distribution with success probability
+  /// 1/mean, shifted to be >= 1. This is the reference definition of every
+  /// gap; a table-driven sampler (workload::GeometricGap) must agree with
+  /// it bit for bit.
+  [[nodiscard]] static std::uint64_t gap_from_bits(std::uint64_t x,
+                                                   double denom) {
+    double u = static_cast<double>(x) * 0x1.0p-53;
     if (u >= 1.0) u = 0.9999999999999999;
     const double g = __builtin_log1p(-u) / denom;
     const auto out = static_cast<std::uint64_t>(g) + 1;

@@ -5,10 +5,14 @@
 namespace rop::cpu {
 
 Core::Core(CoreId id, const CoreConfig& cfg, const cache::LlcConfig& llc_cfg,
-           workload::TraceSource& trace, MemoryPort& port)
+           workload::TraceSource& trace, MemoryPort& port,
+           cache::Llc* shared_llc)
     : id_(id),
       cfg_(cfg),
-      private_llc_(llc_cfg),
+      private_llc_(shared_llc == nullptr
+                       ? std::make_unique<cache::Llc>(llc_cfg)
+                       : nullptr),
+      llc_(shared_llc != nullptr ? shared_llc : private_llc_.get()),
       trace_(trace),
       port_(port),
       rng_(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))) {
@@ -28,7 +32,7 @@ bool Core::do_mem_op() {
     pending_writeback_.reset();
   }
 
-  cache::Llc& llc = active_llc();
+  cache::Llc& llc = *llc_;
   if (!mem_op_pending_) {
     const cache::LlcAccessResult res = llc.access(current_.addr,
                                                   current_.is_write);
@@ -147,7 +151,7 @@ std::uint64_t Core::functional_advance(std::uint64_t instructions,
       mem_op_pending_ = false;
     } else {
       const cache::LlcAccessResult res =
-          active_llc().access(current_.addr, current_.is_write);
+          llc_->access(current_.addr, current_.is_write);
       miss = !res.hit;  // res.writeback dropped: no memory to receive it
     }
     if (miss && !current_.is_write &&

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "cache/llc.h"
@@ -119,12 +120,11 @@ class MemoryPort {
 
 class Core {
  public:
+  /// With `shared_llc` (multi-core), the core accesses that LLC and builds
+  /// none of its own; otherwise it builds a private one from `llc_cfg`.
   Core(CoreId id, const CoreConfig& cfg, const cache::LlcConfig& llc_cfg,
-       workload::TraceSource& trace, MemoryPort& port);
-
-  /// If true, this core shares an external LLC (multi-core); its private
-  /// LLC is bypassed. Must be set before the first cycle.
-  void set_shared_llc(cache::Llc* shared) { shared_llc_ = shared; }
+       workload::TraceSource& trace, MemoryPort& port,
+       cache::Llc* shared_llc = nullptr);
 
   /// Advance one CPU cycle. This is the reference implementation every
   /// bulk-advance path must be bit-identical to.
@@ -204,8 +204,9 @@ class Core {
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
   [[nodiscard]] CoreId id() const { return id_; }
   [[nodiscard]] std::uint32_t outstanding() const { return outstanding_; }
-  [[nodiscard]] const cache::Llc& llc() const { return private_llc_; }
-  [[nodiscard]] cache::Llc& private_llc() { return private_llc_; }
+  /// The LLC this core accesses: its private one, or the shared one.
+  [[nodiscard]] const cache::Llc& llc() const { return *llc_; }
+  [[nodiscard]] cache::Llc& llc() { return *llc_; }
 
   // Micro-architectural state accessors for the determinism suite: a
   // bulk-advanced core must be indistinguishable from one that executed
@@ -258,14 +259,14 @@ class Core {
   }
 
   /// Snapshot serialization: trace cursor, retirement state, MLP window,
-  /// criticality RNG, stats, and the private LLC. The shared-LLC pointer
-  /// and trace source are wired by the owner (the trace serializes
-  /// separately).
+  /// criticality RNG, stats, and the private LLC when the core has one. The
+  /// shared LLC and the trace source are serialized by their owners.
   template <class Ar>
   void io(Ar& ar) {
     ar(current_, have_record_, remaining_gap_, pending_writeback_,
        mem_op_pending_, outstanding_, critical_pending_, critical_since_,
-       rng_, stats_, private_llc_);
+       rng_, stats_);
+    if (private_llc_ != nullptr) ar.field(*private_llc_);
   }
 
  private:
@@ -307,14 +308,10 @@ class Core {
       stats_.stall_mem_queue_cycles += rem;
     }
   }
-  [[nodiscard]] cache::Llc& active_llc() {
-    return shared_llc_ != nullptr ? *shared_llc_ : private_llc_;
-  }
-
   CoreId id_;
   CoreConfig cfg_;
-  cache::Llc private_llc_;
-  cache::Llc* shared_llc_ = nullptr;
+  std::unique_ptr<cache::Llc> private_llc_;  // null when sharing an LLC
+  cache::Llc* llc_ = nullptr;                // the LLC accesses go to
   workload::TraceSource& trace_;
   MemoryPort& port_;
 

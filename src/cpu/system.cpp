@@ -10,23 +10,24 @@ namespace rop::cpu {
 
 System::System(const SystemConfig& cfg, mem::MemorySystem& memory,
                std::vector<workload::TraceSource*> traces)
-    : cfg_(cfg), memory_(memory), shared_llc_(cfg.llc) {
+    : cfg_(cfg), memory_(memory) {
   ROP_ASSERT(!traces.empty());
   ROP_ASSERT(cfg.cpu_ratio >= 1);
   StatRegistry& reg = *memory_.stats();
-  const bool share = cfg.shared_llc && traces.size() > 1;
-  if (share) shared_llc_.bind_stats(reg, "llc.");
+  // Build only the LLC kind the run uses: one shared LLC, or one per core.
+  if (cfg.shared_llc && traces.size() > 1) {
+    shared_llc_ = std::make_unique<cache::Llc>(cfg.llc);
+    shared_llc_->bind_stats(reg, "llc.");
+  }
   cores_.reserve(traces.size());
   core_stat_handles_.reserve(traces.size());
   for (CoreId c = 0; c < traces.size(); ++c) {
     ROP_ASSERT(traces[c] != nullptr);
-    cores_.push_back(
-        std::make_unique<Core>(c, cfg.core, cfg.llc, *traces[c], *this));
-    if (share) {
-      cores_.back()->set_shared_llc(&shared_llc_);
-    } else {
-      cores_.back()->private_llc().bind_stats(
-          reg, "core" + std::to_string(c) + ".llc.");
+    cores_.push_back(std::make_unique<Core>(c, cfg.core, cfg.llc, *traces[c],
+                                            *this, shared_llc_.get()));
+    if (shared_llc_ == nullptr) {
+      cores_.back()->llc().bind_stats(reg,
+                                      "core" + std::to_string(c) + ".llc.");
     }
     const std::string prefix = "core" + std::to_string(c) + ".";
     CoreStatHandles h;
@@ -76,6 +77,13 @@ System::System(const SystemConfig& cfg, mem::MemorySystem& memory,
 }
 
 System::~System() = default;
+
+std::uint64_t System::llc_misses() const {
+  if (shared_llc_ != nullptr) return shared_llc_->stats().misses;
+  std::uint64_t misses = 0;
+  for (const auto& core : cores_) misses += core->llc().stats().misses;
+  return misses;
+}
 
 bool System::all_cores_stalled() const {
   for (const auto& core : cores_) {

@@ -171,19 +171,27 @@ class System final : public MemoryPort {
     return static_cast<std::uint32_t>(cores_.size());
   }
   [[nodiscard]] const Core& core(CoreId c) const { return *cores_.at(c); }
-  [[nodiscard]] const cache::Llc& shared_llc() const { return shared_llc_; }
+  /// The LLC all cores share. Only a multi-core run with
+  /// SystemConfig::shared_llc has one.
+  [[nodiscard]] const cache::Llc& shared_llc() const {
+    ROP_ASSERT(shared_llc_ != nullptr);
+    return *shared_llc_;
+  }
+  /// LLC misses so far, summed over the LLC(s) the run uses: the shared
+  /// one, or every core's private one.
+  [[nodiscard]] std::uint64_t llc_misses() const;
   [[nodiscard]] Cycle mem_now() const { return mem_now_; }
   [[nodiscard]] std::uint32_t cpu_ratio() const { return cfg_.cpu_ratio; }
 
   /// Snapshot serialization: the live loop cursor, partial results, memory
-  /// clock flags, the shared LLC, every core, and (when sharded) the pool's
-  /// per-channel event clocks. Legal only between advance_until calls of
-  /// an active run; the restoring side must have called begin_run with the
-  /// same spec so the pool exists on both sides.
+  /// clock flags, the shared LLC (if any), every core, and (when sharded)
+  /// the pool's per-channel event clocks. Legal only between advance_until
+  /// calls of an active run; the restoring side must have called begin_run
+  /// with the same spec so the pool exists on both sides.
   template <class Ar>
   void io(Ar& ar) {
     ar(loop_, mem_now_, mem_dirty_);
-    ar.field(shared_llc_);
+    if (shared_llc_ != nullptr) ar.field(*shared_llc_);
     for (auto& core : cores_) ar.field(*core);
     if (pool_ != nullptr) ar.field(*pool_);
   }
@@ -266,7 +274,7 @@ class System final : public MemoryPort {
 
   SystemConfig cfg_;
   mem::MemorySystem& memory_;
-  cache::Llc shared_llc_;
+  std::unique_ptr<cache::Llc> shared_llc_;  // null unless shared
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<CoreStatHandles> core_stat_handles_;
   /// Flat-layout relocation, hoisted out of the per-request path: each

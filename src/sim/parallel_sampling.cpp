@@ -241,7 +241,7 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
   double total_weight = 0.0;
   std::uint64_t executed_chunks = 0;
   std::vector<double> stratum_cycles(strata > 0 ? strata : 1, 0.0);
-  std::uint64_t llc_miss_prev = system.shared_llc().stats().misses;
+  std::uint64_t llc_miss_prev = system.llc_misses();
 
   std::uint64_t functional = 0;
   std::uint64_t placed = 0;
@@ -317,7 +317,7 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
         system.functional_window(chunk, s.critical_penalty);
     functional += spent;
     ++executed_chunks;
-    const std::uint64_t miss_now = system.shared_llc().stats().misses;
+    const std::uint64_t miss_now = system.llc_misses();
     const double w = 1.0 + static_cast<double>(miss_now - llc_miss_prev);
     llc_miss_prev = miss_now;
     total_weight += w;

@@ -58,7 +58,8 @@ struct ExperimentSpec;
 ///   v2: Request lifecycle stamps + per-cause blocked fields, CoreStats CPI
 ///       ledger, Core critical_since_, CoreResult CPI stack.
 ///   v3: LLC as flat tag/recency/dirty/fill arrays.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
+///   v4: only the LLCs a run uses (the shared one, or one per core).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// Everything a snapshot touches. Engine/trace vectors follow channel /
 /// core order; sampler and trace may be null (their presence is

@@ -4,11 +4,13 @@ namespace rop::workload {
 
 namespace {
 
-/// Draw one gap: the denominator fast path when the mean supports it
-/// (mean > 1), the plain path otherwise. `denom` must be
-/// Rng::gap_denom(mean) when mean > 1; its value is ignored otherwise.
+/// Draw one idle-period or busy-phase length: the reference gap for the
+/// cached denominator when the mean supports it (mean > 1), the plain path
+/// otherwise. `denom` must be Rng::gap_denom(mean) when mean > 1; its value
+/// is ignored otherwise.
 std::uint64_t draw_gap(Rng& rng, double mean, double denom) {
-  return mean > 1.0 ? rng.next_gap_with_denom(denom) : rng.next_gap(mean);
+  return mean > 1.0 ? Rng::gap_from_bits(rng.next_u64() >> 11, denom)
+                    : rng.next_gap(mean);
 }
 
 }  // namespace
@@ -17,11 +19,17 @@ SyntheticTrace::SyntheticTrace(const SyntheticConfig& cfg) : cfg_(cfg), rng_(cfg
   ROP_ASSERT(!cfg_.streams.empty());
   ROP_ASSERT(cfg_.footprint_lines > 0);
   ROP_ASSERT(cfg_.mean_gap >= 0.0);
-  gap_denom_ = cfg_.mean_gap > 1.0 ? Rng::gap_denom(cfg_.mean_gap) : 0.0;
   idle_denom_ = cfg_.idle_instructions > 1.0
                     ? Rng::gap_denom(cfg_.idle_instructions)
                     : 0.0;
   burst_denom_ = cfg_.burst_ops > 1.0 ? Rng::gap_denom(cfg_.burst_ops) : 0.0;
+  const auto fp = static_cast<std::int64_t>(cfg_.footprint_lines);
+  steps_.resize(cfg_.streams.size());
+  for (std::size_t s = 0; s < cfg_.streams.size(); ++s) {
+    for (const std::int64_t d : cfg_.streams[s].deltas) {
+      steps_[s].push_back(static_cast<std::uint64_t>(((d % fp) + fp) % fp));
+    }
+  }
   reset();
 }
 
@@ -50,7 +58,10 @@ void SyntheticTrace::reset() {
 }
 
 TraceRecord SyntheticTrace::next() {
-  if (cfg_.batch_records <= 1) return generate(rng_);
+  if (cfg_.batch_records <= 1) {
+    if (!gap_) gap_.emplace(cfg_.mean_gap);
+    return generate(rng_);
+  }
   if (ring_pos_ == ring_.size()) refill();
   return ring_[ring_pos_++];
 }
@@ -61,6 +72,7 @@ void SyntheticTrace::refill() {
   // round-tripping it through the member on every call, and write it back
   // once. The record stream is identical to the unbatched path — the local
   // starts from and ends in the exact member state.
+  if (!gap_) gap_.emplace(cfg_.mean_gap);
   Rng rng = rng_;
   ring_.resize(cfg_.batch_records);
   for (std::uint32_t i = 0; i < cfg_.batch_records; ++i) {
@@ -72,8 +84,8 @@ void SyntheticTrace::refill() {
 
 TraceRecord SyntheticTrace::generate(Rng& rng) {
   TraceRecord rec;
-  std::uint64_t gap =
-      cfg_.mean_gap > 0 ? draw_gap(rng, cfg_.mean_gap, gap_denom_) - 1 : 0;
+  // A mean_gap <= 1 (0 included) draws nothing and yields gap 0.
+  std::uint64_t gap = gap_->draw(rng) - 1;
 
   // Burst phase accounting: when the busy phase ends, splice in a long
   // idle compute period before the next access.
@@ -108,15 +120,15 @@ TraceRecord SyntheticTrace::generate(Rng& rng) {
       }
     }
     credits_[s] -= total_weight_;
-    const StreamSpec& spec = cfg_.streams[s];
-    const std::int64_t d = spec.deltas[delta_idx_[s]];
-    delta_idx_[s] = (delta_idx_[s] + 1) % spec.deltas.size();
-    std::int64_t pos = static_cast<std::int64_t>(positions_[s]) + d;
-    const auto fp = static_cast<std::int64_t>(cfg_.footprint_lines);
-    pos %= fp;
-    if (pos < 0) pos += fp;
-    positions_[s] = static_cast<std::uint64_t>(pos);
-    line = positions_[s];
+    // Each step is its delta reduced into [0, footprint), so the cursor
+    // leaves the footprint by at most one lap and one subtraction wraps it.
+    const std::vector<std::uint64_t>& steps = steps_[s];
+    std::size_t& idx = delta_idx_[s];
+    std::uint64_t pos = positions_[s] + steps[idx];
+    if (++idx == steps.size()) idx = 0;
+    if (pos >= cfg_.footprint_lines) pos -= cfg_.footprint_lines;
+    positions_[s] = pos;
+    line = pos;
   }
   rec.addr = line << kLineShift;
   return rec;

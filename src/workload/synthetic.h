@@ -15,11 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "workload/geometric_gap.h"
 #include "workload/trace.h"
 
 namespace rop::workload {
@@ -79,12 +81,18 @@ class SyntheticTrace final : public TraceSource {
 
   SyntheticConfig cfg_;
   Rng rng_;
-  /// Precomputed log1p(-1/mean) for each gap distribution (0 when the mean
-  /// is <= 1 and the denominator path is unused): one libm call per draw
-  /// instead of two, bit-identical to Rng::next_gap.
-  double gap_denom_ = 0.0;
+  /// The compute gap, drawn every record through a threshold table
+  /// (derived from mean_gap, never serialized). Built by the first refill()
+  /// or unbatched next(), not the constructor: the table costs about half
+  /// of an instance's set-up (docs/PERFORMANCE.md §11).
+  std::optional<GeometricGap> gap_;
+  /// Precomputed log1p(-1/mean) for the idle-period and busy-phase lengths
+  /// (0 when the mean is <= 1 and the denominator path is unused). They
+  /// are drawn once per busy phase, so they keep the reference path.
   double idle_denom_ = 0.0;
   double burst_denom_ = 0.0;
+  /// Per stream: each delta reduced mod footprint_lines into [0, footprint).
+  std::vector<std::vector<std::uint64_t>> steps_;
   std::vector<std::uint64_t> positions_;  // per-stream line cursor
   std::vector<std::size_t> delta_idx_;    // per-stream cursor into deltas
   std::vector<double> credits_;  // weighted round-robin selection state

@@ -319,33 +319,41 @@ TEST(CampaignRun, PreviousFormatSnapshotIsDiscardedAndRecomputed) {
   ASSERT_TRUE(full.has_value()) << err;
 
   // A real mid-cell checkpoint, then its header's version word (after the
-  // u64 magic) rewritten to the previous format.
-  const std::string out_dir = base + "/resumed";
-  fs::create_directories(out_dir);
-  const std::string snap_path = out_dir + "/cell_000000.snap";
-  ExperimentSpec mid = (*cells)[0].spec;
-  mid.snapshot.out = snap_path;
-  mid.snapshot.stop_at = 25'001;
-  ASSERT_TRUE(run_experiment(mid).interrupted);
-  const std::uint64_t fp = config_fingerprint(spec_canonical(mid));
-  ASSERT_TRUE(snapshot_compatible(snap_path, fp));
-  {
-    snap::Writer w;
-    std::uint32_t old_version = kSnapshotFormatVersion - 1;
-    w(old_version);
-    std::fstream f(snap_path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(8);
-    f.write(w.buffer().data(),
-            static_cast<std::streamsize>(w.buffer().size()));
-  }
-  EXPECT_FALSE(snapshot_compatible(snap_path, fp));
+  // u64 magic) rewritten to an earlier format: v3 (which carried an unused
+  // LLC image) and v2 (which stored the LLC as way structs).
+  for (const std::uint32_t old_version :
+       {kSnapshotFormatVersion - 1, kSnapshotFormatVersion - 2}) {
+    SCOPED_TRACE("format v" + std::to_string(old_version));
+    const std::string out_dir =
+        base + "/resumed_v" + std::to_string(old_version);
+    fs::create_directories(out_dir);
+    const std::string snap_path = out_dir + "/cell_000000.snap";
+    ExperimentSpec mid = (*cells)[0].spec;
+    mid.snapshot.out = snap_path;
+    mid.snapshot.stop_at = 25'001;
+    ASSERT_TRUE(run_experiment(mid).interrupted);
+    const std::uint64_t fp = config_fingerprint(spec_canonical(mid));
+    ASSERT_TRUE(snapshot_compatible(snap_path, fp));
+    {
+      snap::Writer w;
+      std::uint32_t version = old_version;
+      w(version);
+      std::fstream f(snap_path,
+                     std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(8);
+      f.write(w.buffer().data(),
+              static_cast<std::streamsize>(w.buffer().size()));
+    }
+    EXPECT_FALSE(snapshot_compatible(snap_path, fp));
 
-  const auto resumed = run_campaign(quiet_options(spec_path, out_dir), &err);
-  ASSERT_TRUE(resumed.has_value()) << err;
-  EXPECT_TRUE(resumed->complete);
-  EXPECT_EQ(resumed->ran_cells, 1u);
-  EXPECT_EQ(slurp(out_dir + "/merged.json"), slurp(full->merged_path));
-  EXPECT_FALSE(fs::exists(snap_path));
+    const auto resumed =
+        run_campaign(quiet_options(spec_path, out_dir), &err);
+    ASSERT_TRUE(resumed.has_value()) << err;
+    EXPECT_TRUE(resumed->complete);
+    EXPECT_EQ(resumed->ran_cells, 1u);
+    EXPECT_EQ(slurp(out_dir + "/merged.json"), slurp(full->merged_path));
+    EXPECT_FALSE(fs::exists(snap_path));
+  }
 
   fs::remove_all(base);
 }

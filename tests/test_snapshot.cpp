@@ -199,28 +199,34 @@ TEST(SnapshotHeader, RejectsGarbageAndWrongFingerprint) {
 }
 
 TEST(SnapshotHeader, RejectsPreviousFormatVersion) {
-  // A file of the previous version (v2 stored the LLC as way structs) with
-  // the right magic and fingerprint: load reports the version, and the
-  // header probe a resuming campaign uses says "not compatible".
-  SnapshotContext ctx;  // all null: load must fail before sections
-  snap::Writer w;
-  std::uint64_t magic = 0x3150414E53504F52ULL;
-  std::uint32_t version = kSnapshotFormatVersion - 1;
-  std::uint64_t fp = 1234;
-  w(magic, version, fp);
-  const std::string header = w.take();
+  // Files of earlier versions (v3 carried an LLC image the run never used,
+  // v2 stored the LLC as way structs) with the right magic and
+  // fingerprint: load reports the version, and the header probe a resuming
+  // campaign uses says "not compatible".
+  for (const std::uint32_t old_version :
+       {kSnapshotFormatVersion - 1, kSnapshotFormatVersion - 2}) {
+    SCOPED_TRACE("format v" + std::to_string(old_version));
+    SnapshotContext ctx;  // all null: load must fail before sections
+    snap::Writer w;
+    std::uint64_t magic = 0x3150414E53504F52ULL;
+    std::uint32_t version = old_version;
+    std::uint64_t fp = 1234;
+    w(magic, version, fp);
+    const std::string header = w.take();
 
-  std::string err;
-  EXPECT_FALSE(load_snapshot_buffer(header, ctx, fp, &err));
-  EXPECT_EQ(err, "unsupported snapshot format version");
+    std::string err;
+    EXPECT_FALSE(load_snapshot_buffer(header, ctx, fp, &err));
+    EXPECT_EQ(err, "unsupported snapshot format version");
 
-  const std::string path = tmp_path("v2_header");
-  {
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    os << header;
+    const std::string path =
+        tmp_path("v" + std::to_string(old_version) + "_header");
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os << header;
+    }
+    EXPECT_FALSE(snapshot_compatible(path, fp));
+    std::remove(path.c_str());
   }
-  EXPECT_FALSE(snapshot_compatible(path, fp));
-  std::remove(path.c_str());
 }
 
 TEST(SnapshotHeader, FingerprintCoversBehaviorShapingFields) {

@@ -130,6 +130,40 @@ TEST(System, SharedLlcIsUsedByAllCores) {
   System sys(cfg, memory, traces);
   sys.run(20'000, 10'000'000);
   EXPECT_GT(sys.shared_llc().stats().accesses, 0u);
+  EXPECT_EQ(sys.llc_misses(), sys.shared_llc().stats().misses);
+  EXPECT_EQ(&sys.core(0).llc(), &sys.shared_llc());
+  EXPECT_EQ(&sys.core(1).llc(), &sys.shared_llc());
+}
+
+TEST(System, LlcMissesCountTheSingleCoreLlc) {
+  // One core: there is no shared LLC, so the misses are the core's own.
+  StatRegistry stats;
+  mem::MemorySystem memory(mem_config(1), &stats);
+  workload::SyntheticTrace trace(stream_workload(9));
+  std::vector<workload::TraceSource*> traces{&trace};
+  System sys(sys_config(), memory, traces);
+  sys.begin_run(10'000'000, 100'000'000);
+  EXPECT_EQ(sys.llc_misses(), 0u);
+  sys.functional_window(100'000, 200);
+  EXPECT_GT(sys.llc_misses(), 0u);
+  EXPECT_EQ(sys.llc_misses(), sys.core(0).llc().stats().misses);
+}
+
+TEST(System, LlcMissesSumPrivateLlcsOfAMix) {
+  StatRegistry stats;
+  mem::MemorySystem memory(mem_config(2, false), &stats);
+  workload::SyntheticTrace t0(stream_workload(1));
+  workload::SyntheticTrace t1(stream_workload(2));
+  std::vector<workload::TraceSource*> traces{&t0, &t1};
+  SystemConfig cfg = sys_config(false);
+  cfg.shared_llc = false;
+  System sys(cfg, memory, traces);
+  sys.run(20'000, 10'000'000);
+  const std::uint64_t m0 = sys.core(0).llc().stats().misses;
+  const std::uint64_t m1 = sys.core(1).llc().stats().misses;
+  EXPECT_GT(m0, 0u);
+  EXPECT_GT(m1, 0u);
+  EXPECT_EQ(sys.llc_misses(), m0 + m1);
 }
 
 TEST(System, NoRefreshNeverSlowerThanBaseline) {
