@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the CPU front end: per-core gap
 // retirement (naive vs closed-form run_until), the synthetic-trace record
-// ring and its gap sampler, and the LLC (MRU hit, non-MRU hit, streaming
-// dirty miss). Gated numbers live in BENCH_corefront.json (ci_baseline_ns).
+// ring and its gap sampler, the LLC (MRU hit, non-MRU hit, streaming dirty
+// miss), and one functional-backbone record end to end. Gated numbers live
+// in BENCH_corefront.json (ci_baseline_ns).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -192,5 +193,51 @@ void BM_LlcSetScanHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LlcSetScanHit);
+
+/// Hands out the lbm generator's records one ahead, so the bench knows the
+/// compute gap of the record the core fetches next.
+class PeekingTrace final : public workload::TraceSource {
+ public:
+  explicit PeekingTrace(const workload::SyntheticConfig& cfg)
+      : trace_(cfg), next_(trace_.next()) {}
+  workload::TraceRecord next() override {
+    const workload::TraceRecord rec = next_;
+    next_ = trace_.next();
+    return rec;
+  }
+  void reset() override {
+    trace_.reset();
+    next_ = trace_.next();
+  }
+  [[nodiscard]] const workload::TraceRecord& peek() const { return next_; }
+
+ private:
+  workload::SyntheticTrace trace_;
+  workload::TraceRecord next_;
+};
+
+void BM_FunctionalAdvanceLbm(benchmark::State& state) {
+  // One backbone record per iteration: Core::functional_advance over the
+  // record's compute gap and its memory op, as the sampled loop's
+  // functional windows run lbm (2 MiB LLC, default core, 160-cycle critical
+  // penalty). That is the record's generation, the LLC access (lbm misses
+  // on nearly every one) and the criticality draw. The LLC is warm.
+  PeekingTrace trace(workload::spec_profile("lbm", 1));
+  cache::LlcConfig llc;
+  llc.size_bytes = 2ull << 20;
+  NullPort port;
+  cpu::Core core(0, cpu::CoreConfig{}, llc, trace, port);
+  constexpr Cycle kCriticalPenalty = 160;
+  core.functional_advance(20'000'000, kCriticalPenalty);
+  // Finish the record in flight, so each call below starts a fresh one.
+  if (core.have_record()) {
+    core.functional_advance(core.remaining_gap() + 1, kCriticalPenalty);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core.functional_advance(trace.peek().gap + 1, kCriticalPenalty));
+  }
+}
+BENCHMARK(BM_FunctionalAdvanceLbm);
 
 }  // namespace

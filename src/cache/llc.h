@@ -15,6 +15,17 @@
 // permutation of the set's ways (positions at or past the fill count hold
 // their own index), so a fill of way `fill` is the same move-to-front as a
 // hit.
+//
+// Probe: each way also keeps an 8-bit fingerprint of its tag (the tag's low
+// byte), derived state that is never serialized. A probe compares the
+// set's valid fingerprints against the wanted one in 16-byte (SSE2) or
+// 8-byte (portable SWAR) words and checks the full tag only for the ways
+// that match, so a miss reads the set's metadata and no tag but the
+// victim's. Valid tags in a set are distinct, so the first full match is
+// the only one: the probe finds exactly the way a tag scan would. The
+// recency update is the same word-wise: a shift of the list prefix by one
+// byte. The fingerprint and recency arrays carry kProbePad bytes past the
+// last set so a word load never leaves them. See docs/PERFORMANCE.md §12.
 #pragma once
 
 #include <cstdint>
@@ -74,12 +85,17 @@ class Llc {
   void reset();
 
   /// Snapshot serialization: the four flat arrays (each one bulk copy) and
-  /// the stat mirror. Config-derived geometry and the bound stat handles do
-  /// not ride.
+  /// the stat mirror. The recency lists ride without their probe padding,
+  /// whose bytes are only ever read masked off, so the bytes match a list
+  /// without padding. Config-derived geometry, the fingerprints (rebuilt
+  /// from the tags on load) and the bound stat handles do not ride.
   template <class Ar>
   void io(Ar& ar) {
+    order_.resize(order_.size() - kProbePad);
     ar(tags_, order_, dirty_, fill_, stats_.accesses, stats_.hits,
        stats_.misses, stats_.writebacks);
+    order_.resize(order_.size() + kProbePad);
+    if constexpr (Ar::kIsReader) rebuild_fingerprints();
   }
 
  private:
@@ -87,8 +103,16 @@ class Llc {
   /// shifted right, so its top bits are always clear.
   static constexpr std::uint64_t kInvalidTag = ~std::uint64_t{0};
 
+  /// Bytes past the last set's fingerprints and recency list: one probe
+  /// word, the most a word load can run past a set.
+  static constexpr std::size_t kProbePad = 16;
+
   [[nodiscard]] std::uint32_t set_index(Address addr) const;
   [[nodiscard]] std::uint64_t tag_of(Address addr) const;
+  static std::uint8_t fingerprint(std::uint64_t tag) {
+    return static_cast<std::uint8_t>(tag);
+  }
+  void rebuild_fingerprints();
 
   struct StatHandles {
     Counter* accesses = nullptr;
@@ -102,7 +126,9 @@ class Llc {
   std::uint32_t set_shift_;  // log2(num_sets_)
   // Per way, num_sets_ * associativity entries, row-major by set.
   std::vector<std::uint64_t> tags_;  // kInvalidTag when invalid
-  std::vector<std::uint8_t> order_;  // recency list: [0] MRU .. [n-1] LRU
+  std::vector<std::uint8_t> fps_;    // fingerprint(tag), + kProbePad
+  std::vector<std::uint8_t> order_;  // recency list: [0] MRU .. [n-1] LRU,
+                                     // + kProbePad
   std::vector<std::uint8_t> dirty_;
   // Per set: number of valid ways, which are ways [0, fill).
   std::vector<std::uint8_t> fill_;

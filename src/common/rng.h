@@ -127,4 +127,39 @@ class Rng {
   std::array<std::uint64_t, 4> state_{};
 };
 
+/// A Bernoulli trial with a fixed probability, reduced once to an integer
+/// threshold on the 53 uniform bits of one draw. draw(rng) returns exactly
+/// what rng.next_bool(p) would and consumes the same draws. For p in
+/// (0, 1), x * 2^-53 < p (x = next_u64() >> 11) holds exactly when
+/// x < ceil(p * 2^53): x * 2^-53 and p * 2^53 are both exact in binary64
+/// (scaling by a power of two, and x < 2^53), and an integer is below a
+/// real exactly when it is below the real's ceiling. p <= 0 and p >= 1
+/// draw nothing; a NaN p draws once and always fails, as next_bool does.
+class Bernoulli {
+ public:
+  explicit Bernoulli(double p) {
+    if (p <= 0.0 || p >= 1.0) {
+      draws_ = false;
+      fixed_ = p >= 1.0;
+    } else {
+      // NaN fails both comparisons above and lands here: threshold 0.
+      threshold_ = p > 0.0 ? static_cast<std::uint64_t>(
+                                 __builtin_ceil(p * 0x1.0p53))
+                           : 0;
+    }
+  }
+
+  bool draw(Rng& rng) const {
+    return draws_ ? (rng.next_u64() >> 11) < threshold_ : fixed_;
+  }
+
+  /// A drawing trial succeeds on x < threshold(), x in [0, 2^53).
+  [[nodiscard]] std::uint64_t threshold() const { return threshold_; }
+
+ private:
+  bool draws_ = true;
+  bool fixed_ = false;  // the outcome when nothing is drawn
+  std::uint64_t threshold_ = 0;
+};
+
 }  // namespace rop

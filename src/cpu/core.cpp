@@ -15,6 +15,7 @@ Core::Core(CoreId id, const CoreConfig& cfg, const cache::LlcConfig& llc_cfg,
       llc_(shared_llc != nullptr ? shared_llc : private_llc_.get()),
       trace_(trace),
       port_(port),
+      critical_(cfg.critical_load_fraction),
       rng_(cfg.seed ^ (0x9e3779b97f4a7c15ULL * (id + 1))) {
   ROP_ASSERT(cfg.issue_width > 0);
   ROP_ASSERT(cfg.max_outstanding > 0);
@@ -60,7 +61,7 @@ bool Core::do_mem_op() {
     ++stats_.mem_reads;
     // A critical load's value is needed right away: retirement blocks
     // until the fill returns.
-    if (rng_.next_bool(cfg_.critical_load_fraction)) {
+    if (critical_.draw(rng_)) {
       critical_pending_ = *id;
       critical_since_ = stats_.cycles;
     }
@@ -155,7 +156,7 @@ std::uint64_t Core::functional_advance(std::uint64_t instructions,
       miss = !res.hit;  // res.writeback dropped: no memory to receive it
     }
     if (miss && !current_.is_write &&
-        rng_.next_bool(cfg_.critical_load_fraction)) {
+        critical_.draw(rng_)) {
       extra_cycles += critical_penalty;
     }
     extra_cycles += 1;

@@ -328,6 +328,7 @@ class Core {
   // do_mem_op, which every loop mode executes at the same cycle.
   std::uint64_t critical_since_ = 0;
   BlockReason block_reason_ = BlockReason::kNone;
+  Bernoulli critical_;  // cfg_.critical_load_fraction as a threshold
   Rng rng_;
   CoreStats stats_;
 };

@@ -10,37 +10,33 @@ RefreshManager::RefreshManager(const dram::DramTimings& timings,
                                StatRegistry* stats)
     : t_(timings),
       issued_(num_ranks, 0),
-      num_ranks_(num_ranks),
-      units_per_trefi_(units_per_trefi) {
+      interval_(units_per_trefi > 0 ? timings.tREFI / units_per_trefi : 0),
+      offsets_(num_ranks) {
   ROP_ASSERT(num_ranks > 0);
   ROP_ASSERT(units_per_trefi > 0 && units_per_trefi <= t_.tREFI);
+  for (RankId r = 0; r < num_ranks; ++r) {
+    offsets_[r] = static_cast<Cycle>(r) * interval_ / num_ranks;
+  }
   if (stats != nullptr) {
     units_issued_ = stats->counter_handle("mem.refresh_units_issued");
   }
 }
 
-Cycle RefreshManager::phase_offset(RankId rank) const {
-  return static_cast<Cycle>(rank) * interval() / num_ranks_;
-}
-
 std::uint32_t RefreshManager::owed(RankId rank, Cycle now) const {
-  const Cycle offset = phase_offset(rank);
-  // The first tREFI interval must elapse before any refresh is owed: rank
-  // r's k-th boundary sits at offset + k * tREFI (k >= 1), never at the
-  // phase offset itself.
-  if (now < offset + interval()) return 0;
-  const std::uint64_t boundaries = (now - offset) / interval();
-  const std::uint64_t done = issued_.at(rank);
-  return boundaries > done ? static_cast<std::uint32_t>(boundaries - done) : 0;
+  // Rank r's k-th boundary sits at offset + k * interval (k >= 1, never at
+  // the phase offset itself), so nothing is owed before the boundary after
+  // the last issued refresh — a multiply, no division, on the common path.
+  const Cycle offset = offsets_[rank];
+  const std::uint64_t done = issued_[rank];
+  if (now < offset + (done + 1) * interval_) return 0;
+  return static_cast<std::uint32_t>((now - offset) / interval_ - done);
 }
 
 Cycle RefreshManager::next_boundary(RankId rank, Cycle now) const {
-  const Cycle offset = phase_offset(rank);
-  const std::uint64_t done = issued_.at(rank);
   // The next boundary not yet covered by an issued refresh; when overdue
   // the boundary is in the past and a refresh is owed now.
   (void)now;
-  return offset + (done + 1) * interval();
+  return offsets_[rank] + (issued_[rank] + 1) * interval_;
 }
 
 void RefreshManager::on_refresh_issued(RankId rank) {

@@ -58,9 +58,9 @@ class RefreshManager {
   /// refresh machinery (and urgency, and the elastic threshold) can change
   /// without a command landing first.
   [[nodiscard]] Cycle next_owed_increase(RankId rank, Cycle now) const {
-    const Cycle offset = phase_offset(rank);
-    if (now < offset + interval()) return offset + interval();
-    return offset + ((now - offset) / interval() + 1) * interval();
+    const Cycle offset = offsets_[rank];
+    if (now < offset + interval_) return offset + interval_;
+    return offset + ((now - offset) / interval_ + 1) * interval_;
   }
 
   /// Record an issued REF command.
@@ -74,12 +74,12 @@ class RefreshManager {
   /// Ranks refresh staggered: rank r's boundaries sit at
   /// r * interval / num_ranks + k * interval, mirroring real controllers
   /// that avoid refreshing all ranks at once.
-  [[nodiscard]] Cycle phase_offset(RankId rank) const;
+  [[nodiscard]] Cycle phase_offset(RankId rank) const {
+    return offsets_[rank];
+  }
 
   /// Scheduling interval between refresh units (tREFI / units_per_trefi).
-  [[nodiscard]] Cycle interval() const {
-    return t_.tREFI / units_per_trefi_;
-  }
+  [[nodiscard]] Cycle interval() const { return interval_; }
 
   /// Snapshot serialization: issued_ is the only mutable state (owed and
   /// boundaries are pure functions of time). The stats counter rides with
@@ -92,8 +92,10 @@ class RefreshManager {
  private:
   const dram::DramTimings& t_;
   std::vector<std::uint64_t> issued_;
-  std::uint32_t num_ranks_;
-  std::uint32_t units_per_trefi_;
+  // Derived from the timings and rank count once: owed() runs on every
+  // controller tick and would otherwise divide three to four times.
+  Cycle interval_;
+  std::vector<Cycle> offsets_;       // per rank: phase_offset
   Counter* units_issued_ = nullptr;  // optional, resolved at construction
 };
 

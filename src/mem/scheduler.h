@@ -89,11 +89,14 @@ class Scheduler {
   SchedulerConfig cfg_;
 
   // Channel state is frozen for the duration of one pick() call, and bank
-  // command legality never depends on which request asked: pass-1 column
-  // candidates all target the bank's open row, and ACT/PRE legality ignores
-  // the row entirely. One cached verdict per (bank, command kind) therefore
-  // answers every same-bank candidate, collapsing the O(queue) can_issue
-  // scans that dominate saturated-queue cycles where nothing can issue.
+  // command legality barely depends on which request asked: pass-1 column
+  // candidates all target the bank's open row, and PRE legality ignores the
+  // row entirely, as does ACT legality in a bank of one subarray. One cached
+  // verdict per (bank, command kind) therefore answers every same-bank
+  // candidate, collapsing the O(queue) can_issue scans that dominate
+  // saturated-queue cycles where nothing can issue. The exception is ACT in
+  // a bank of several subarrays: a refresh-locked subarray vetoes only ACTs
+  // to its own rows, so those ACT verdicts are not cached.
   enum class Verdict : std::uint8_t { kUnknown = 0, kYes, kNo };
   struct BankMemo {
     Verdict read = Verdict::kUnknown;
@@ -180,14 +183,15 @@ std::optional<SchedulerPick> Scheduler::pick(std::span<const QueueView> queues,
           channel.rank(req.coord.rank).bank(req.coord.bank);
       switch (bank.state()) {
         case dram::BankState::kPrecharged: {
-          BankMemo& m = memo_for(req.coord);
-          if (m.act == Verdict::kUnknown) {
+          const bool cached = bank.subarrays() <= 1;
+          Verdict v = cached ? memo_for(req.coord).act : Verdict::kUnknown;
+          if (v == Verdict::kUnknown) {
             const dram::Command probe{dram::CmdType::kActivate, req.coord,
                                       req.id};
-            m.act =
-                channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
+            v = channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
+            if (cached) memo_for(req.coord).act = v;
           }
-          if (m.act == Verdict::kYes) {
+          if (v == Verdict::kYes) {
             return SchedulerPick{
                 dram::Command{dram::CmdType::kActivate, req.coord, req.id},
                 qv.id, at};

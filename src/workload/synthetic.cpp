@@ -15,7 +15,11 @@ std::uint64_t draw_gap(Rng& rng, double mean, double denom) {
 
 }  // namespace
 
-SyntheticTrace::SyntheticTrace(const SyntheticConfig& cfg) : cfg_(cfg), rng_(cfg.seed) {
+SyntheticTrace::SyntheticTrace(const SyntheticConfig& cfg)
+    : cfg_(cfg),
+      rng_(cfg.seed),
+      write_(cfg.write_fraction),
+      random_(cfg.random_fraction) {
   ROP_ASSERT(!cfg_.streams.empty());
   ROP_ASSERT(cfg_.footprint_lines > 0);
   ROP_ASSERT(cfg_.mean_gap >= 0.0);
@@ -100,10 +104,10 @@ TraceRecord SyntheticTrace::generate(Rng& rng) {
 
   rec.gap = static_cast<std::uint32_t>(
       std::min<std::uint64_t>(gap, 0x7FFFFFFFull));
-  rec.is_write = rng.next_bool(cfg_.write_fraction);
+  rec.is_write = write_.draw(rng);
 
   std::uint64_t line;
-  if (rng.next_bool(cfg_.random_fraction)) {
+  if (random_.draw(rng)) {
     line = rng.next_below(cfg_.footprint_lines);
   } else {
     // Streams interleave deterministically in proportion to their weights

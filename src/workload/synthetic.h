@@ -91,6 +91,10 @@ class SyntheticTrace final : public TraceSource {
   /// are drawn once per busy phase, so they keep the reference path.
   double idle_denom_ = 0.0;
   double burst_denom_ = 0.0;
+  /// write_fraction and random_fraction as integer-threshold trials
+  /// (derived from the config, never serialized).
+  Bernoulli write_;
+  Bernoulli random_;
   /// Per stream: each delta reduced mod footprint_lines into [0, footprint).
   std::vector<std::vector<std::uint64_t>> steps_;
   std::vector<std::uint64_t> positions_;  // per-stream line cursor

@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -74,6 +75,69 @@ TEST(Rng, BernoulliRoughlyCalibrated) {
     if (r.next_bool(0.3)) ++heads;
   }
   EXPECT_NEAR(static_cast<double>(heads) / n, 0.3, 0.02);
+}
+
+/// Probabilities at and around the points where the integer threshold and
+/// the double comparison could part: the edges of (0, 1), the smallest
+/// subnormal, exact multiples of 2^-53 and their neighbours one ulp away,
+/// and values from the generator's and the core's configs.
+std::vector<double> bernoulli_probabilities() {
+  const double k = 12345 * 0x1.0p-53;
+  return {0.0,
+          0x1.0p-1074,
+          0x1.0p-53,
+          3 * 0x1.0p-53,
+          std::nextafter(k, 0.0),
+          k,
+          std::nextafter(k, 1.0),
+          0.01,
+          0.35,
+          0.45,
+          1.0 - 0x1.0p-53,
+          1.0};
+}
+
+TEST(Rng, BernoulliThresholdMatchesNextBool) {
+  // From the same state, the threshold trial gives next_bool's outcomes and
+  // consumes the same draws (none for p <= 0 or p >= 1, also out of range
+  // or NaN).
+  std::vector<double> ps = bernoulli_probabilities();
+  ps.insert(ps.end(), {-0.5, 1.5, std::nan("")});
+  for (const double p : ps) {
+    const Bernoulli trial(p);
+    for (const std::uint64_t seed : {1ull, 2ull, 99ull}) {
+      Rng a(seed);
+      Rng b(seed);
+      for (int i = 0; i < 2000; ++i) {
+        ASSERT_EQ(trial.draw(a), b.next_bool(p))
+            << "p " << p << " seed " << seed << " draw " << i;
+      }
+      ASSERT_EQ(a.state(), b.state()) << "p " << p << " seed " << seed;
+    }
+  }
+}
+
+TEST(Rng, BernoulliThresholdIsExactAtTheBoundary) {
+  // Random draws almost never land next to the threshold, so check the
+  // threshold itself: for the uniform bits x on either side of it,
+  // x < threshold agrees with next_double's x * 2^-53 < p.
+  for (const double p : bernoulli_probabilities()) {
+    if (p <= 0.0 || p >= 1.0) continue;
+    const std::uint64_t t = Bernoulli(p).threshold();
+    for (std::uint64_t x = t > 2 ? t - 2 : 0; x <= t + 1 && x < (1ull << 53);
+         ++x) {
+      EXPECT_EQ(x < t, static_cast<double>(x) * 0x1.0p-53 < p)
+          << "p " << p << " x " << x;
+    }
+  }
+  const double k = 12345 * 0x1.0p-53;
+  EXPECT_EQ(Bernoulli(0x1.0p-1074).threshold(), 1u);
+  EXPECT_EQ(Bernoulli(0x1.0p-53).threshold(), 1u);
+  EXPECT_EQ(Bernoulli(3 * 0x1.0p-53).threshold(), 3u);
+  EXPECT_EQ(Bernoulli(std::nextafter(k, 0.0)).threshold(), 12345u);
+  EXPECT_EQ(Bernoulli(k).threshold(), 12345u);
+  EXPECT_EQ(Bernoulli(std::nextafter(k, 1.0)).threshold(), 12346u);
+  EXPECT_EQ(Bernoulli(1.0 - 0x1.0p-53).threshold(), (1ull << 53) - 1);
 }
 
 TEST(Rng, GeometricGapMeanApproximatesTarget) {

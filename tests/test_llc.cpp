@@ -1,6 +1,7 @@
 // LLC tests: hits/misses, LRU, write-back behaviour, against a reference
 // model for randomized sequences (partially filled sets, reset and a
-// snapshot round trip mid-stream, associativity up to the 255-way limit).
+// snapshot round trip mid-stream, associativity up to the 255-way limit,
+// tags that collide in the probe's fingerprint).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -150,18 +151,20 @@ Address sweep_address(Rng& rng, const LlcSweepParams& p) {
   return (line << kLineShift) | rng.next_below(kLineBytes);
 }
 
-class LlcPropertyTest : public ::testing::TestWithParam<LlcSweepParams> {};
-
-TEST_P(LlcPropertyTest, MatchesReferenceModelOnRandomTraffic) {
-  // Per access: hit, writeback and contains() (on the line just touched
-  // and on an untouched probe) match the oracle. A third of the way in,
-  // the cache moves through a snapshot archive into a fresh Llc; two
-  // thirds in, both sides reset. Stats since the reset match at the end.
-  const auto p = GetParam();
-  const LlcConfig cfg = tiny(p.assoc, p.sets);
+/// Drive an Llc and the reference model with the same `kAccesses` accesses
+/// from `next_address` and compare per access: hit, writeback and
+/// contains() (on the line just touched and on an untouched probe). A third
+/// of the way in, the cache moves through a snapshot archive into a fresh
+/// Llc (fingerprints rebuilt from the tags); two thirds in, both sides
+/// reset. Stats since the reset match at the end.
+template <class NextAddress>
+void check_against_reference(std::uint32_t assoc, std::uint32_t sets,
+                             double write_fraction, std::uint64_t seed,
+                             const NextAddress& next_address) {
+  const LlcConfig cfg = tiny(assoc, sets);
   Llc llc(cfg);
-  ReferenceCache ref(p.assoc, p.sets);
-  Rng rng(p.assoc * 1000 + p.sets);
+  ReferenceCache ref(assoc, sets);
+  Rng rng(seed);
   constexpr int kAccesses = 20000;
   LlcStats want_stats;
   for (int i = 0; i < kAccesses; ++i) {
@@ -180,8 +183,8 @@ TEST_P(LlcPropertyTest, MatchesReferenceModelOnRandomTraffic) {
       ref.reset();
       want_stats = LlcStats{};
     }
-    const Address addr = sweep_address(rng, p);
-    const bool is_write = rng.next_bool(p.write_fraction);
+    const Address addr = next_address(rng);
+    const bool is_write = rng.next_bool(write_fraction);
     const auto got = llc.access(addr, is_write);
     const auto want = ref.access(addr, is_write);
     ASSERT_EQ(got.hit, want.hit) << "iteration " << i;
@@ -190,7 +193,7 @@ TEST_P(LlcPropertyTest, MatchesReferenceModelOnRandomTraffic) {
     ++(want.hit ? want_stats.hits : want_stats.misses);
     want_stats.writebacks += want.writeback.has_value() ? 1 : 0;
     ASSERT_TRUE(llc.contains(addr)) << "iteration " << i;
-    const Address probe = sweep_address(rng, p);
+    const Address probe = next_address(rng);
     ASSERT_EQ(llc.contains(probe), ref.contains(probe)) << "iteration " << i;
   }
   EXPECT_EQ(llc.stats().accesses, want_stats.accesses);
@@ -199,13 +202,49 @@ TEST_P(LlcPropertyTest, MatchesReferenceModelOnRandomTraffic) {
   EXPECT_EQ(llc.stats().writebacks, want_stats.writebacks);
 }
 
+class LlcPropertyTest : public ::testing::TestWithParam<LlcSweepParams> {};
+
+TEST_P(LlcPropertyTest, MatchesReferenceModelOnRandomTraffic) {
+  const auto p = GetParam();
+  check_against_reference(p.assoc, p.sets, p.write_fraction,
+                          p.assoc * 1000 + p.sets,
+                          [&p](Rng& rng) { return sweep_address(rng, p); });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LlcPropertyTest,
     ::testing::Values(LlcSweepParams{1, 8, 0.3}, LlcSweepParams{2, 4, 0.3},
                       LlcSweepParams{4, 16, 0.5}, LlcSweepParams{8, 64, 0.2},
                       LlcSweepParams{16, 128, 0.4},
                       LlcSweepParams{32, 16, 0.3},
-                      LlcSweepParams{255, 4, 0.4}));
+                      LlcSweepParams{255, 4, 0.4}, LlcSweepParams{3, 32, 0.3},
+                      LlcSweepParams{17, 16, 0.4}));
+
+class LlcFingerprintCollisionTest
+    : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(LlcFingerprintCollisionTest, MatchesReferenceModel) {
+  // Every tag's low byte (the probe's fingerprint) is 0x00 or 0xff, so a
+  // set holds many ways with the wanted fingerprint and the probe must pick
+  // the one whose full tag matches. 0xff is also the fingerprint of an
+  // invalid way's tag. Sets in the lower half see 4x their ways in distinct
+  // tags, the upper half at most half their ways.
+  const std::uint32_t assoc = GetParam();
+  constexpr std::uint32_t kSets = 8;
+  check_against_reference(
+      assoc, kSets, 0.4, 7000 + assoc, [assoc](Rng& rng) {
+        const std::uint64_t set = rng.next_below(kSets);
+        const std::uint64_t tags =
+            set < kSets / 2 ? 2ull * assoc : std::max(1u, assoc / 4);
+        const std::uint64_t tag =
+            (rng.next_below(tags) << 8) | (rng.next_bool(0.5) ? 0xff : 0x00);
+        return ((tag * kSets + set) << kLineShift) |
+               rng.next_below(kLineBytes);
+      });
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, LlcFingerprintCollisionTest,
+                         ::testing::Values(1u, 3u, 16u, 17u, 255u));
 
 TEST(Llc, MruFastPathStatsUnchangedOnReplayTrace) {
   // Replay a locality-heavy trace (60% repeat-last-line, the traffic the

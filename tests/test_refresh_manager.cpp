@@ -1,6 +1,7 @@
 // Refresh manager tests: cadence, postponement budget, stagger.
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "mem/refresh_manager.h"
 
 namespace rop::mem {
@@ -96,6 +97,40 @@ TEST_F(RefreshManagerTest, LongRunAverageOnePerTrefi) {
   EXPECT_NEAR(static_cast<double>(now),
               1000.0 * static_cast<double>(t.tREFI),
               static_cast<double>(t.tREFI));
+}
+
+TEST_F(RefreshManagerTest, PrecomputedScheduleMatchesReferenceFormulas) {
+  // owed(), next_boundary() and next_owed_increase() read a precomputed
+  // interval and per-rank offsets; they must equal the formulas written out
+  // from the timings, for every unit cadence and rank count, at random
+  // times around the boundaries, with refreshes issued ahead of and behind
+  // schedule.
+  Rng rng(17);
+  for (const std::uint32_t units : {1u, 8u}) {
+    for (const std::uint32_t ranks : {1u, 3u, 4u}) {
+      RefreshManager rm(t, ranks, units);
+      const Cycle interval = t.tREFI / units;
+      for (int step = 0; step < 4000; ++step) {
+        const auto rank = static_cast<RankId>(rng.next_below(ranks));
+        if (rng.next_bool(0.3)) rm.on_refresh_issued(rank);
+        const Cycle offset = static_cast<Cycle>(rank) * interval / ranks;
+        const Cycle now = rng.next_below(40 * interval);
+        const std::uint64_t boundaries =
+            now < offset + interval ? 0 : (now - offset) / interval;
+        const std::uint64_t done = rm.issued(rank);
+        ASSERT_EQ(rm.phase_offset(rank), offset);
+        ASSERT_EQ(rm.interval(), interval);
+        ASSERT_EQ(rm.owed(rank, now),
+                  boundaries > done ? boundaries - done : 0)
+            << "rank " << rank << " now " << now;
+        ASSERT_EQ(rm.next_boundary(rank, now), offset + (done + 1) * interval);
+        ASSERT_EQ(rm.next_owed_increase(rank, now),
+                  now < offset + interval
+                      ? offset + interval
+                      : offset + ((now - offset) / interval + 1) * interval);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -234,5 +234,50 @@ TEST_F(SchedulerTest, EarliestIssueSuppressesPrechargeWhileTakerRemains) {
   EXPECT_EQ(pick->cmd.request, 2u);
 }
 
+TEST_F(SchedulerTest, RefreshLockedSubarrayDoesNotVetoActToAnotherSubarray) {
+  // SARP/HiRA: REFpb locks subarray 0 of bank 0. An older read to that
+  // subarray cannot activate, but a younger read to subarray 1 of the same
+  // bank can: pick() must return its ACT, and earliest_issue_cycle must
+  // agree. A per-bank ACT verdict cached from the older request used to
+  // veto the younger one, and the event loop then re-ticked a no-op every
+  // cycle until the lock ended.
+  org.ranks = 1;
+  org.subarrays = 8;
+  dram::Channel ch(t, org);
+  const dram::Bank& bank = ch.rank(0).bank(0);
+  const RowId sub0_row = bank.subarray_row(0);
+  const RowId sub1_row = bank.subarray_row(1);
+  ch.issue(dram::Command{dram::CmdType::kRefreshBank,
+                         DramCoord{0, 0, 0, sub0_row, 0}, 0},
+           0);
+  const auto act = [](RowId row) {
+    return dram::Command{dram::CmdType::kActivate, DramCoord{0, 0, 0, row, 0},
+                         0};
+  };
+  // First cycle the free subarray accepts an ACT while the locked one
+  // still refuses it.
+  Cycle now = 0;
+  while (!ch.can_issue(act(sub1_row), now)) {
+    ++now;
+    ASSERT_LT(now, Cycle{100000});
+  }
+  ASSERT_GT(now, Cycle{0});
+  ASSERT_FALSE(ch.can_issue(act(sub0_row), now));
+
+  std::vector<RequestIndex> reads;
+  add(reads, 1, ReqType::kRead, 0, 0, sub0_row, 0, 0);
+  add(reads, 2, ReqType::kRead, 0, 0, sub1_row, 0, 1);
+  QueueView views[] = {view(reads, 0)};
+  const auto pick = sched.pick(views, ch, now, never_blocked);
+  ASSERT_TRUE(pick.has_value());
+  EXPECT_EQ(pick->cmd.type, dram::CmdType::kActivate);
+  EXPECT_EQ(pick->cmd.request, 2u);
+  EXPECT_EQ(pick->cmd.coord.row, sub1_row);
+  EXPECT_EQ(pick->request_index, 1u);
+  // On frozen state, the next tick that can act is the one right after.
+  EXPECT_EQ(sched.earliest_issue_cycle(views, ch, now - 1, never_blocked),
+            now);
+}
+
 }  // namespace
 }  // namespace rop::mem
