@@ -209,4 +209,41 @@ void BM_MemorySystemTick(benchmark::State& state) {
 }
 BENCHMARK(BM_MemorySystemTick);
 
+void BM_ControllerTickQueued(benchmark::State& state) {
+  // One executed tick of the event-driven loop with ~9 reads queued over
+  // the 8 banks of one rank, the headline lbm/ROP regime: tick, deliver
+  // completions, top the read queue back up (an enqueue forces the next
+  // tick, as the loop's dirty flag does), otherwise jump to
+  // next_event_cycle. FR-FCFS pick and horizon dominate the cost.
+  const dram::DramTimings t = dram::make_ddr4_1600_timings();
+  dram::DramOrganization org;  // 1 rank, 8 banks
+  mem::ControllerConfig cfg;   // auto-refresh on
+  StatRegistry stats;
+  mem::Controller ctrl(0, t, org, cfg, &stats);
+  constexpr std::size_t kQueued = 9;
+  std::uint64_t line = 0;
+  const auto top_up = [&](Cycle now) {
+    bool enqueued = false;
+    while (ctrl.read_queue_depth() < kQueued) {
+      // Rows change every 8 lines per bank: streaming hits, then a
+      // conflict.
+      mem::Request req = make_request(line, mem::ReqType::kRead, org);
+      req.coord.row = static_cast<RowId>(line / 64);
+      req.id = ++line;
+      (void)ctrl.enqueue(req, now);
+      enqueued = true;
+    }
+    return enqueued;
+  };
+  Cycle due = 0;
+  (void)top_up(due);
+  for (auto _ : state) {
+    ctrl.tick(due);
+    ctrl.drain_completed_into(
+        [](const mem::Request& req) { benchmark::DoNotOptimize(req.id); });
+    due = top_up(due) ? due + 1 : ctrl.next_event_cycle(due);
+  }
+}
+BENCHMARK(BM_ControllerTickQueued);
+
 }  // namespace

@@ -76,6 +76,13 @@ void SimChecker::on_retired(const mem::Request& req) {
   }
 }
 
+void SimChecker::on_scheduler_mismatch(const mem::Controller& ctrl,
+                                       Cycle now, const std::string& what) {
+  std::ostringstream os;
+  os << "[scheduler] ch " << ctrl.id() << " cycle " << now << ": " << what;
+  violate(os.str());
+}
+
 void SimChecker::check_queue_counters(const mem::Controller& c, Cycle now) {
   const std::uint32_t ranks = c.channel().num_ranks();
   std::vector<std::uint32_t> reads(ranks, 0);

@@ -23,11 +23,14 @@
 //      locked subarray;
 //  (d) request conservation — enqueued == completed + still-queued +
 //      in-flight per request class, and completion >= arrival for every
-//      retired request.
+//      retired request;
+//  (f) scheduler table — the controller's cached FR-FCFS candidate table
+//      gives the same pick and horizon as a scan from scratch (a missing
+//      rescan trigger shows up here).
 //
-// (a)-(c) run on every controller tick via the ControllerAuditor hook; (d)
-// runs at end of run in finalize(). A detached checker costs one null-check
-// per tick (see bench_micro_hotpaths).
+// (a)-(c') and (f) run on every controller tick via the ControllerAuditor
+// hook; (d) runs at end of run in finalize(). A detached checker costs one
+// null-check per tick (see bench_micro_hotpaths).
 #pragma once
 
 #include <cstdint>
@@ -76,6 +79,9 @@ class SimChecker final : public mem::ControllerAuditor {
   // mem::ControllerAuditor
   void on_tick_end(const mem::Controller& ctrl, Cycle now) override;
   void on_retired(const mem::Request& req) override;
+  [[nodiscard]] bool audits_scheduler() const override { return true; }
+  void on_scheduler_mismatch(const mem::Controller& ctrl, Cycle now,
+                             const std::string& what) override;
 
   /// End-of-run audit: request conservation across all channels and final
   /// refresh-coverage deadlines. Call after the run loop (and after the

@@ -29,6 +29,14 @@ struct ChannelEvents {
   std::uint64_t refreshes = 0;       // full-rank REF commands
   std::uint64_t bank_refreshes = 0;  // per-bank REFpb commands
   std::uint64_t refresh_segments = 0;  // Refresh Pausing segments
+
+  /// Every command and pausing segment so far. Bank, rank and bus state
+  /// change only through these (and through time), so an unchanged total
+  /// means unchanged command legality up to the passage of time.
+  [[nodiscard]] std::uint64_t total() const {
+    return activates + precharges + reads + writes + refreshes +
+           bank_refreshes + refresh_segments;
+  }
 };
 
 class Channel {

@@ -37,6 +37,8 @@ struct Command {
   DramCoord coord{};
   RequestId request = 0;  // 0 when not tied to a transaction (PRE/REF)
 
+  bool operator==(const Command&) const = default;
+
   [[nodiscard]] bool is_column() const {
     return type == CmdType::kRead || type == CmdType::kWrite;
   }

@@ -18,7 +18,7 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
               ? org.banks
               : 1,
           stats),
-      scheduler_(cfg.sched),
+      scheduler_(channel_),
       blocking_(org.ranks, timings.tRFC),
       stats_(stats),
       reads_by_rank_(org.ranks),
@@ -41,6 +41,8 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
       darp_round_mask_(org.ranks, 0),
       next_refresh_sub_(static_cast<std::size_t>(org.ranks) * org.banks, 0) {
   ROP_ASSERT(stats != nullptr);
+  // BlockedRanks and the pausing urgency scan hold one bit per rank.
+  ROP_ASSERT(org.ranks <= 32);
   // Per-bank refresh replaces the whole-rank policies.
   ROP_ASSERT(!cfg.per_bank_refresh ||
              cfg.policy == RefreshPolicy::kAutoRefresh);
@@ -210,6 +212,7 @@ bool Controller::enqueue(Request req, Cycle now) {
     const RankId r = req.coord.rank;
     const RequestIndex idx = arena_.alloc(req);
     read_q_.push_back(idx);
+    sched_stale_ = true;
     reads_by_rank_[r].push_back(idx);
     ++pending_reads_[r];
     ++reads_by_bank_count_[bank_slot(r, req.coord.bank)];
@@ -266,6 +269,7 @@ bool Controller::enqueue(Request req, Cycle now) {
       return true;
     }
     write_q_.push_back(arena_.alloc(req));
+    sched_stale_ = true;
     write_index_.insert(req.line_addr);
     ++pending_writes_[req.coord.rank];
     ++writes_by_bank_count_[bank_slot(req.coord.rank, req.coord.bank)];
@@ -282,6 +286,7 @@ bool Controller::enqueue_prefetch(Request req, Cycle now) {
   req.arrival = now;
   h_.prefetch_enqueued->inc();
   prefetch_q_.push_back(arena_.alloc(req));
+  sched_stale_ = true;
   ++queued_prefetches_[req.coord.rank];
   return true;
 }
@@ -324,7 +329,10 @@ void Controller::drop_prefetches(RankId rank) {
       prefetch_q_[out++] = idx;
     }
   }
-  prefetch_q_.resize(out);
+  if (out != prefetch_q_.size()) {
+    prefetch_q_.resize(out);
+    sched_stale_ = true;
+  }
 }
 
 void Controller::complete_bursts(Cycle now) {
@@ -835,6 +843,7 @@ void Controller::issue_pick(const SchedulerPick& pick, Cycle now) {
   }
   const RequestIndex idx = (*q)[pick.request_index];
   q->erase(q->begin() + static_cast<std::ptrdiff_t>(pick.request_index));
+  sched_stale_ = true;
   Request& req = arena_[idx];
   switch (pick.queue_id) {
     case 0: on_read_leaves_queue(req.coord.rank, idx, req); break;
@@ -899,44 +908,115 @@ void Controller::step(Cycle now) {
     if (refresh_cmd) return;
   }
 
+  if (read_q_.empty() && write_q_.empty() && prefetch_q_.empty()) return;
+  const BlockedRanks blocked = blocked_ranks(now);
+  const std::optional<SchedulerPick> pick =
+      synced_scheduler(draining_writes_, blocked).pick(now);
+  if (audit_scheduler_ != nullptr) {
+    audit_pick(now, draining_writes_, blocked, pick);
+  }
+  if (pick) issue_pick(*pick, now);
+}
+
+BlockedRanks Controller::blocked_ranks(Cycle now) const {
   // Urgent pausing refreshes must be allowed to close: new demand to the
   // rank keeps re-activating rows, which can hold off the forced-full REF
   // past the next boundary and blow the JEDEC postponement budget.
-  std::uint32_t urgent_mask = 0;
-  if (cfg_.refresh_enabled && cfg_.policy == RefreshPolicy::kPausing) {
-    for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-      if (rm_.urgent(r, now)) urgent_mask |= 1u << r;
+  const bool pausing =
+      cfg_.refresh_enabled && cfg_.policy == RefreshPolicy::kPausing;
+  std::uint32_t held = 0;     // every queue
+  std::uint32_t sealing = 0;  // demand only: prefetches flow through the lock
+  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
+    if (channel_.rank(r).refreshing() || (pausing && rm_.urgent(r, now))) {
+      held |= 1u << r;
     }
-  }
-
-  const auto blocked = [this, urgent_mask](const Request& req, int queue_id) {
-    const RankId r = req.coord.rank;
-    if (channel_.rank(r).refreshing()) return true;
-    if ((urgent_mask >> r) & 1u) return true;
-    // Prefetch reads flow through the whole lock window.
-    if (queue_id == 2) return false;
     // Demand is held only while the rank seals for the REF command
     // (baseline enters sealing immediately at due time).
-    return phase_[r] == RefreshPhase::kSealing;
-  };
+    if (phase_[r] == RefreshPhase::kSealing) sealing |= 1u << r;
+  }
+  return BlockedRanks{{held | sealing, held | sealing, held}};
+}
 
+std::span<const QueueView> Controller::scheduler_views(
+    bool drain, std::array<QueueView, 3>& storage) const {
   // Outside drain mode writes are only serviced when no read work exists at
   // all — opportunistic writes would otherwise pay bus-turnaround penalties
   // against latency-critical reads.
-  std::array<QueueView, 3> views;
-  std::size_t n_views = 0;
-  if (draining_writes_) {
-    views[n_views++] = QueueView{&arena_, &write_q_, 1};
-    views[n_views++] = QueueView{&arena_, &read_q_, 0};
+  std::size_t n = 0;
+  if (drain) {
+    storage[n++] = QueueView{&arena_, &write_q_, 1};
+    storage[n++] = QueueView{&arena_, &read_q_, 0};
   } else {
-    views[n_views++] = QueueView{&arena_, &read_q_, 0};
-    if (read_q_.empty()) views[n_views++] = QueueView{&arena_, &write_q_, 1};
+    storage[n++] = QueueView{&arena_, &read_q_, 0};
+    if (read_q_.empty()) storage[n++] = QueueView{&arena_, &write_q_, 1};
   }
-  views[n_views++] = QueueView{&arena_, &prefetch_q_, 2};
+  storage[n++] = QueueView{&arena_, &prefetch_q_, 2};
+  return {storage.data(), n};
+}
 
-  const std::span<const QueueView> view_span(views.data(), n_views);
-  if (const auto pick = scheduler_.pick(view_span, channel_, now, blocked)) {
-    issue_pick(*pick, now);
+const Scheduler& Controller::synced_scheduler(
+    bool drain, const BlockedRanks& blocked) const {
+  const std::uint64_t commands = channel_.events().total();
+  if (sched_stale_ || drain != sched_drain_ || !(blocked == sched_blocked_) ||
+      commands != sched_commands_) {
+    std::array<QueueView, 3> views;
+    scheduler_.scan(scheduler_views(drain, views), blocked);
+    sched_stale_ = false;
+    sched_drain_ = drain;
+    sched_blocked_ = blocked;
+    sched_commands_ = commands;
+  }
+  return scheduler_;
+}
+
+namespace {
+
+std::string describe(const std::optional<SchedulerPick>& pick) {
+  if (!pick) return "none";
+  const DramCoord& c = pick->cmd.coord;
+  return std::string(dram::to_string(pick->cmd.type)) + " r" +
+         std::to_string(c.rank) + " b" + std::to_string(c.bank) + " row " +
+         std::to_string(c.row) + " req " + std::to_string(pick->cmd.request) +
+         " (queue " + std::to_string(pick->queue_id) + " #" +
+         std::to_string(pick->request_index) + ")";
+}
+
+}  // namespace
+
+void Controller::set_auditor(ControllerAuditor* auditor) {
+  auditor_ = auditor;
+  if (auditor != nullptr && auditor->audits_scheduler()) {
+    if (audit_scheduler_ == nullptr) {
+      audit_scheduler_ = std::make_unique<Scheduler>(channel_);
+    }
+  } else {
+    audit_scheduler_.reset();
+  }
+}
+
+void Controller::audit_pick(Cycle now, bool drain, const BlockedRanks& blocked,
+                            const std::optional<SchedulerPick>& cached) const {
+  std::array<QueueView, 3> views;
+  audit_scheduler_->scan(scheduler_views(drain, views), blocked);
+  const std::optional<SchedulerPick> fresh = audit_scheduler_->pick(now);
+  if (cached != fresh) {
+    auditor_->on_scheduler_mismatch(
+        *this, now,
+        "cached pick " + describe(cached) + " != rescanned " + describe(fresh));
+  }
+}
+
+void Controller::audit_horizon(Cycle now, bool drain,
+                               const BlockedRanks& blocked,
+                               Cycle cached) const {
+  std::array<QueueView, 3> views;
+  audit_scheduler_->scan(scheduler_views(drain, views), blocked);
+  const Cycle fresh = audit_scheduler_->horizon(now);
+  if (cached != fresh) {
+    auditor_->on_scheduler_mismatch(
+        *this, now,
+        "cached horizon " + std::to_string(cached) + " != rescanned " +
+            std::to_string(fresh));
   }
 }
 
@@ -975,6 +1055,7 @@ void Controller::complete_matching_reads(
     const auto it = std::find(read_q_.begin(), read_q_.end(), idx);
     ROP_ASSERT(it != read_q_.end());
     read_q_.erase(it);
+    sched_stale_ = true;
     --pending_reads_[rank];
     --reads_by_bank_count_[bank_slot(rank, req.coord.bank)];
     if (locked_at_[rank] != kNeverCycle && req.arrival <= locked_at_[rank]) {
@@ -1182,32 +1263,12 @@ Cycle Controller::next_event_cycle(Cycle now) const {
   if (write_q_.size() >= cfg_.sched.write_drain_high) drain_next = true;
   if (write_q_.size() <= cfg_.sched.write_drain_low) drain_next = false;
 
-  std::uint32_t urgent_mask = 0;
-  if (cfg_.refresh_enabled && cfg_.policy == RefreshPolicy::kPausing) {
-    for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-      if (rm_.urgent(r, now)) urgent_mask |= 1u << r;
-    }
+  const BlockedRanks blocked = blocked_ranks(now);
+  const Cycle horizon = synced_scheduler(drain_next, blocked).horizon(now);
+  if (audit_scheduler_ != nullptr) {
+    audit_horizon(now, drain_next, blocked, horizon);
   }
-  const auto blocked = [this, urgent_mask](const Request& req, int queue_id) {
-    const RankId r = req.coord.rank;
-    if (channel_.rank(r).refreshing()) return true;
-    if ((urgent_mask >> r) & 1u) return true;
-    if (queue_id == 2) return false;
-    return phase_[r] == RefreshPhase::kSealing;
-  };
-
-  std::array<QueueView, 3> views;
-  std::size_t n_views = 0;
-  if (drain_next) {
-    views[n_views++] = QueueView{&arena_, &write_q_, 1};
-    views[n_views++] = QueueView{&arena_, &read_q_, 0};
-  } else {
-    views[n_views++] = QueueView{&arena_, &read_q_, 0};
-    if (read_q_.empty()) views[n_views++] = QueueView{&arena_, &write_q_, 1};
-  }
-  views[n_views++] = QueueView{&arena_, &prefetch_q_, 2};
-  const std::span<const QueueView> view_span(views.data(), n_views);
-  consider(scheduler_.earliest_issue_cycle(view_span, channel_, now, blocked));
+  consider(horizon);
 
   return next;
 }

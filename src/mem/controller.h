@@ -5,9 +5,12 @@
 // into. One command is issued on the command bus per controller clock.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -85,6 +88,21 @@ class ControllerAuditor {
 
   /// A demand read left the controller through drain_completed().
   virtual void on_retired(const Request& req) = 0;
+
+  /// Opt in to the scheduler-table audit: the controller then rescans its
+  /// FR-FCFS candidate table from scratch for every pick and horizon and
+  /// reports any difference from the cached table through
+  /// on_scheduler_mismatch. Queried once, when the auditor is attached.
+  [[nodiscard]] virtual bool audits_scheduler() const { return false; }
+
+  /// The cached candidate table answered `what` differently from a fresh
+  /// scan at `now` (a rescan trigger is missing).
+  virtual void on_scheduler_mismatch(const Controller& ctrl, Cycle now,
+                                     const std::string& what) {
+    (void)ctrl;
+    (void)now;
+    (void)what;
+  }
 };
 
 /// How the controller schedules due refreshes. kAutoRefresh is the
@@ -171,7 +189,7 @@ class Controller {
 
   /// Attach/detach an invariant auditor (nullptr disables; see
   /// check::SimChecker). Near-zero cost when null.
-  void set_auditor(ControllerAuditor* auditor) { auditor_ = auditor; }
+  void set_auditor(ControllerAuditor* auditor);
   [[nodiscard]] ControllerAuditor* auditor() const { return auditor_; }
 
   /// Attach a telemetry trace sink (nullptr detaches). The controller
@@ -381,6 +399,9 @@ class Controller {
        refresh_window_opened_, next_refresh_bank_, reads_by_bank_count_,
        writes_by_bank_count_, darp_round_mask_, next_refresh_sub_);
     if constexpr (Ar::kIsReader) {
+      // The candidate table is never serialized: a restored state must
+      // rescan, even if the counts the table was keyed on happen to match.
+      sched_stale_ = true;
       write_index_.clear();
       for (const RequestIndex idx : write_q_) {
         write_index_.insert(arena_[idx].line_addr);
@@ -393,6 +414,25 @@ class Controller {
   void step(Cycle now);
   /// Returns true when a refresh-related command (PRE or REF) was issued.
   bool manage_refresh(Cycle now);
+  /// Ranks whose requests the scheduler must skip at `now`, per queue: a
+  /// refreshing rank or an urgent pausing refresh holds every queue;
+  /// demand is also held while the rank seals for its REF command.
+  [[nodiscard]] BlockedRanks blocked_ranks(Cycle now) const;
+  /// The queues the scheduler draws from, in priority order.
+  [[nodiscard]] std::span<const QueueView> scheduler_views(
+      bool drain, std::array<QueueView, 3>& storage) const;
+  /// The scheduler with its candidate table up to date for `drain` and
+  /// `blocked`: rescanned only when a queue, the channel's command count,
+  /// the blocked ranks or the drain flag changed since the last scan.
+  /// Time alone never invalidates it (see Scheduler).
+  const Scheduler& synced_scheduler(bool drain,
+                                    const BlockedRanks& blocked) const;
+  /// Scheduler-table audit (auditor opted in): rescan from scratch and
+  /// report a cached pick or horizon that differs from the fresh one.
+  void audit_pick(Cycle now, bool drain, const BlockedRanks& blocked,
+                  const std::optional<SchedulerPick>& cached) const;
+  void audit_horizon(Cycle now, bool drain, const BlockedRanks& blocked,
+                     Cycle cached) const;
   void issue_pick(const SchedulerPick& pick, Cycle now);
   void complete_bursts(Cycle now);
   /// Flush queued prefetches for a rank (urgent refresh override).
@@ -494,12 +534,24 @@ class Controller {
   ControllerConfig cfg_;
   dram::Channel channel_;
   RefreshManager rm_;
-  Scheduler scheduler_;
+  /// FR-FCFS candidate table; next_event_cycle() may rescan it, hence
+  /// mutable. Always read through synced_scheduler().
+  mutable Scheduler scheduler_;
+  /// Scan inputs beyond the queue contents: the drain flag (view order),
+  /// the blocked ranks and the channel's command count it was built from.
+  /// sched_stale_ is set wherever a queue changes and on snapshot load.
+  mutable bool sched_stale_ = true;
+  mutable bool sched_drain_ = false;
+  mutable BlockedRanks sched_blocked_{};
+  mutable std::uint64_t sched_commands_ = 0;
   RefreshBlockingStats blocking_;
   StatRegistry* stats_;
   StatHandles h_;
   ControllerListener* listener_ = nullptr;
   ControllerAuditor* auditor_ = nullptr;
+  /// Fresh-scan reference for the scheduler-table audit; null unless the
+  /// attached auditor opted in.
+  std::unique_ptr<Scheduler> audit_scheduler_;
 
   /// Pooled request storage; every queue below holds indices into it.
   RequestArena arena_;

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -35,265 +35,116 @@ struct SchedulerPick {
   int queue_id = -1;            // index into the QueueView span
   std::size_t request_index = 0;  // index within that queue
   [[nodiscard]] bool services_request() const { return cmd.is_column(); }
+  bool operator==(const SchedulerPick&) const = default;
 };
 
 /// A queue the scheduler may draw from this cycle, in priority order.
 /// Queues store arena indices; the view carries the arena to dereference
-/// them.
+/// them. `id` is 0 (reads), 1 (writes) or 2 (prefetches).
 struct QueueView {
   const RequestArena* arena = nullptr;
   const std::vector<RequestIndex>* indices = nullptr;
   int id = -1;
 };
 
-class Scheduler {
- public:
-  explicit Scheduler(SchedulerConfig cfg) : cfg_(cfg) {}
+/// Requests that must not be scheduled (rank refreshing, rank locked for an
+/// imminent refresh, urgent pausing refresh, ...): bit r of by_queue[id]
+/// masks every request to rank r in the queue with that id.
+struct BlockedRanks {
+  std::array<std::uint32_t, 3> by_queue{};
 
-  [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
-
-  /// Choose the next command. `blocked(request, queue_id)` masks requests
-  /// that must not be scheduled this cycle (rank refreshing, rank locked
-  /// for an imminent refresh, post-lock arrivals during a drain, ...).
-  ///
-  /// Selection order:
-  ///   1. the oldest request (scanning queues in priority order) whose
-  ///      column command is issuable right now (row hit, "first ready"),
-  ///   2. otherwise the oldest request that needs an ACT that is issuable,
-  ///   3. otherwise the oldest request that needs a PRE (row conflict) that
-  ///      is issuable — unless a same-priority request still row-hits the
-  ///      open row (keep the row open for it).
-  using BlockedFn = std::function<bool(const Request&, int queue_id)>;
-  template <typename BlockedPred>
-  [[nodiscard]] std::optional<SchedulerPick> pick(
-      std::span<const QueueView> queues, const dram::Channel& channel,
-      Cycle now, const BlockedPred& blocked) const;
-
-  /// Earliest cycle > `now` at which pick() over the same (frozen) queues
-  /// could return a command, or kNeverCycle when no unblocked request can
-  /// ever issue without other state changing first. Mirrors pick()'s
-  /// candidate enumeration exactly — including the keep-row-open taker
-  /// rule, which must not be over-approximated: treating a taker-suppressed
-  /// PRE as a candidate would yield a perpetually-past cycle and degrade
-  /// the event loop to per-cycle ticking. Blocked requests are skipped;
-  /// their unblock points (refresh completion, seal/REF transitions) are
-  /// separate controller events. Returns as soon as a candidate at
-  /// `now + 1` is found.
-  template <typename BlockedPred>
-  [[nodiscard]] Cycle earliest_issue_cycle(std::span<const QueueView> queues,
-                                           const dram::Channel& channel,
-                                           Cycle now,
-                                           const BlockedPred& blocked) const;
-
- private:
-  SchedulerConfig cfg_;
-
-  // Channel state is frozen for the duration of one pick() call, and bank
-  // command legality barely depends on which request asked: pass-1 column
-  // candidates all target the bank's open row, and PRE legality ignores the
-  // row entirely, as does ACT legality in a bank of one subarray. One cached
-  // verdict per (bank, command kind) therefore answers every same-bank
-  // candidate, collapsing the O(queue) can_issue scans that dominate
-  // saturated-queue cycles where nothing can issue. The exception is ACT in
-  // a bank of several subarrays: a refresh-locked subarray vetoes only ACTs
-  // to its own rows, so those ACT verdicts are not cached.
-  enum class Verdict : std::uint8_t { kUnknown = 0, kYes, kNo };
-  struct BankMemo {
-    Verdict read = Verdict::kUnknown;
-    Verdict write = Verdict::kUnknown;
-    Verdict act = Verdict::kUnknown;
-    Verdict pre = Verdict::kUnknown;
-    Verdict taker = Verdict::kUnknown;  // open row still has a queued hit?
-  };
-  mutable std::vector<BankMemo> memo_;  // scratch, valid within one pick()
-  mutable std::uint32_t memo_banks_ = 0;
+  bool operator==(const BlockedRanks&) const = default;
 };
 
-namespace scheduler_detail {
+/// FR-FCFS over a per-bank candidate table.
+///
+/// scan() walks the queued requests once and keeps, per bank, only the
+/// requests the FR-FCFS order could ever pick from the scanned state, each
+/// with its Channel::earliest_issue cycle:
+///   * pass 1 — the first unblocked row hit per column kind (RD, WR);
+///   * pass 2 — the first unblocked request needing an ACT (one per
+///     request in a bank of several subarrays, where a refresh-locked
+///     subarray delays only the ACTs to its own rows), and the first
+///     unblocked row conflict needing a PRE, but only when no queued
+///     request (blocked or not) still hits the open row.
+/// Same-bank candidates of one kind share their earliest cycle, so the
+/// first one in (queue priority, age) order stands for all of them.
+///
+/// pick(now) and horizon(now) then read the table. On frozen state
+/// can_issue(cmd, t) holds exactly when earliest_issue(cmd) <= t (the
+/// per-bank refresh release folded in by Channel::tick lands at the
+/// entry's own earliest cycle), so the table answers every cycle until
+/// something the scan read changes: a queue, a command on the channel, the
+/// blocked ranks, or the view order. The owner rescans then.
+class Scheduler {
+ public:
+  /// Binds the scheduler to `channel`, which must outlive it. The table is
+  /// sized from the channel's bank count on the first scan.
+  explicit Scheduler(const dram::Channel& channel) : channel_(channel) {}
 
-inline dram::CmdType column_cmd_for(const Request& req) {
-  return req.type == ReqType::kWrite ? dram::CmdType::kWrite
-                                     : dram::CmdType::kRead;
-}
+  /// Rebuild the candidate table from `queues` (in priority order) and the
+  /// channel's current state.
+  void scan(std::span<const QueueView> queues, const BlockedRanks& blocked);
 
-/// True when any request in any queue would row-hit bank `coord`'s
-/// currently open row (used to avoid closing rows that still have takers).
-inline bool open_row_has_taker(std::span<const QueueView> queues,
-                               const DramCoord& coord, RowId open_row) {
-  for (const QueueView& qv : queues) {
-    for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      if (req.coord.rank == coord.rank && req.coord.bank == coord.bank &&
-          req.coord.row == open_row) {
-        return true;
-      }
+  /// The command FR-FCFS issues at `now` on the scanned state: the oldest
+  /// (queue priority, then age) row hit whose column command is issuable,
+  /// otherwise the oldest issuable ACT or PRE.
+  [[nodiscard]] std::optional<SchedulerPick> pick(Cycle now) const {
+    if (now < min_earliest_) return std::nullopt;
+    const Candidate* column = nullptr;
+    const Candidate* row = nullptr;
+    for (const Candidate& c : table_) {
+      if (c.earliest > now) continue;
+      const Candidate*& best = c.cmd.is_column() ? column : row;
+      if (best == nullptr || c.order < best->order) best = &c;
     }
+    const Candidate* chosen = column != nullptr ? column : row;
+    if (chosen == nullptr) return std::nullopt;
+    return SchedulerPick{chosen->cmd, chosen->queue_id, chosen->position};
   }
-  return false;
-}
 
-}  // namespace scheduler_detail
+  /// Earliest cycle > `now` at which pick() could return a command on the
+  /// scanned state, or kNeverCycle when no unblocked request can ever issue
+  /// without other state changing first (blocked requests wait on separate
+  /// controller events: refresh completion, seal/REF transitions). A
+  /// candidate already issuable clamps to now + 1: one command leaves per
+  /// cycle, so a second ready one waits its turn.
+  [[nodiscard]] Cycle horizon(Cycle now) const {
+    return min_earliest_ == kNeverCycle ? kNeverCycle
+                                        : std::max(min_earliest_, now + 1);
+  }
 
-template <typename BlockedPred>
-std::optional<SchedulerPick> Scheduler::pick(std::span<const QueueView> queues,
-                                             const dram::Channel& channel,
-                                             Cycle now,
-                                             const BlockedPred& blocked) const {
-  memo_banks_ = channel.num_ranks() > 0 ? channel.rank(0).num_banks() : 0;
-  memo_.assign(std::size_t{channel.num_ranks()} * memo_banks_, BankMemo{});
-  const auto memo_for = [this](const DramCoord& c) -> BankMemo& {
-    return memo_[std::size_t{c.rank} * memo_banks_ + c.bank];
+ private:
+  /// One pickable command. Cache-line sized and aligned so the tables of
+  /// controllers stepped by different shard threads never share a line.
+  struct alignas(64) Candidate {
+    dram::Command cmd;
+    Cycle earliest = kNeverCycle;  // Channel::earliest_issue(cmd)
+    std::uint64_t order = 0;       // view index, then queue position
+    std::uint32_t position = 0;    // index within the queue
+    int queue_id = -1;
+  };
+  /// Per-bank scan state (line-aligned like Candidate), valid while
+  /// `stamp` equals the scan's stamp: which candidates the bank has so far.
+  struct alignas(64) BankSlot {
+    const dram::Bank* bank = nullptr;
+    std::uint32_t stamp = 0;
+    bool read = false;
+    bool write = false;
+    bool act = false;
+    bool conflict = false;  // a PRE candidate waits in conflicts_
+    bool taker = false;     // a queued request hits the open row
   };
 
-  // Pass 1: first-ready column commands, in queue priority then age order.
-  for (const QueueView& qv : queues) {
-    std::size_t i = 0;
-    for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      const std::size_t at = i++;
-      if (blocked(req, qv.id)) continue;
-      const dram::Bank& bank =
-          channel.rank(req.coord.rank).bank(req.coord.bank);
-      if (bank.state() != dram::BankState::kActive || !bank.open_row() ||
-          *bank.open_row() != req.coord.row) {
-        continue;
-      }
-      const dram::CmdType type = scheduler_detail::column_cmd_for(req);
-      BankMemo& m = memo_for(req.coord);
-      Verdict& v = type == dram::CmdType::kWrite ? m.write : m.read;
-      if (v == Verdict::kUnknown) {
-        const dram::Command probe{type, req.coord, req.id};
-        v = channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
-      }
-      if (v == Verdict::kYes) {
-        return SchedulerPick{dram::Command{type, req.coord, req.id}, qv.id,
-                             at};
-      }
-    }
-  }
+  void size_from_channel();
 
-  // Pass 2: row commands (ACT / PRE) for the oldest requests.
-  for (const QueueView& qv : queues) {
-    std::size_t i = 0;
-    for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      const std::size_t at = i++;
-      if (blocked(req, qv.id)) continue;
-      const dram::Bank& bank =
-          channel.rank(req.coord.rank).bank(req.coord.bank);
-      switch (bank.state()) {
-        case dram::BankState::kPrecharged: {
-          const bool cached = bank.subarrays() <= 1;
-          Verdict v = cached ? memo_for(req.coord).act : Verdict::kUnknown;
-          if (v == Verdict::kUnknown) {
-            const dram::Command probe{dram::CmdType::kActivate, req.coord,
-                                      req.id};
-            v = channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
-            if (cached) memo_for(req.coord).act = v;
-          }
-          if (v == Verdict::kYes) {
-            return SchedulerPick{
-                dram::Command{dram::CmdType::kActivate, req.coord, req.id},
-                qv.id, at};
-          }
-          break;
-        }
-        case dram::BankState::kActive: {
-          // Row conflict: close the row, but only if nobody still wants it.
-          if (bank.open_row() && *bank.open_row() != req.coord.row) {
-            BankMemo& m = memo_for(req.coord);
-            if (m.taker == Verdict::kUnknown) {
-              m.taker = scheduler_detail::open_row_has_taker(
-                            queues, req.coord, *bank.open_row())
-                            ? Verdict::kYes
-                            : Verdict::kNo;
-            }
-            if (m.taker == Verdict::kNo) {
-              if (m.pre == Verdict::kUnknown) {
-                const dram::Command probe{dram::CmdType::kPrecharge,
-                                          req.coord, 0};
-                m.pre = channel.can_issue(probe, now) ? Verdict::kYes
-                                                      : Verdict::kNo;
-              }
-              if (m.pre == Verdict::kYes) {
-                return SchedulerPick{
-                    dram::Command{dram::CmdType::kPrecharge, req.coord, 0},
-                    qv.id, at};
-              }
-            }
-          }
-          break;
-        }
-        case dram::BankState::kRefreshing:
-          break;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-template <typename BlockedPred>
-Cycle Scheduler::earliest_issue_cycle(std::span<const QueueView> queues,
-                                      const dram::Channel& channel, Cycle now,
-                                      const BlockedPred& blocked) const {
-  memo_banks_ = channel.num_ranks() > 0 ? channel.rank(0).num_banks() : 0;
-  memo_.assign(std::size_t{channel.num_ranks()} * memo_banks_, BankMemo{});
-  const auto memo_for = [this](const DramCoord& c) -> BankMemo& {
-    return memo_[std::size_t{c.rank} * memo_banks_ + c.bank];
-  };
-
-  // Candidates already issuable (or issuable at now + 1) clamp to the very
-  // next tick: at most one command leaves per cycle, so a second ready
-  // candidate simply waits its turn.
-  const Cycle soonest = now + 1;
-  Cycle best = kNeverCycle;
-  const auto consider = [&best, soonest](Cycle c) {
-    if (c != kNeverCycle) best = std::min(best, std::max(c, soonest));
-  };
-
-  for (const QueueView& qv : queues) {
-    for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      if (blocked(req, qv.id)) continue;
-      const dram::Bank& bank =
-          channel.rank(req.coord.rank).bank(req.coord.bank);
-      switch (bank.state()) {
-        case dram::BankState::kActive:
-          if (bank.open_row() && *bank.open_row() == req.coord.row) {
-            // Pass-1 candidate: column command on the open row.
-            const dram::CmdType type = scheduler_detail::column_cmd_for(req);
-            consider(channel.earliest_issue(
-                dram::Command{type, req.coord, req.id}));
-          } else {
-            // Pass-3 candidate: row conflict wants a PRE — but only once no
-            // queued request still row-hits the open row (pick() keeps the
-            // row open for takers, and takers only disappear at issue or
-            // enqueue ticks, both of which recompute this scan).
-            BankMemo& m = memo_for(req.coord);
-            if (m.taker == Verdict::kUnknown) {
-              m.taker = scheduler_detail::open_row_has_taker(
-                            queues, req.coord, *bank.open_row())
-                            ? Verdict::kYes
-                            : Verdict::kNo;
-            }
-            if (m.taker == Verdict::kNo) {
-              consider(channel.earliest_issue(
-                  dram::Command{dram::CmdType::kPrecharge, req.coord, 0}));
-            }
-          }
-          break;
-        case dram::BankState::kPrecharged:
-        case dram::BankState::kRefreshing:
-          // Pass-2 candidate: ACT (a refreshing bank releases at its
-          // recorded next_activate, folded in by Bank::earliest_issue).
-          consider(channel.earliest_issue(
-              dram::Command{dram::CmdType::kActivate, req.coord, req.id}));
-          break;
-      }
-      if (best <= soonest) return best;
-    }
-  }
-  return best;
-}
+  const dram::Channel& channel_;
+  std::uint32_t banks_per_rank_ = 0;
+  std::vector<BankSlot> banks_;  // rank-major, sized on the first scan
+  std::uint32_t stamp_ = 0;
+  std::vector<Candidate> table_;
+  std::vector<Candidate> conflicts_;  // PRE candidates awaiting taker bits
+  Cycle min_earliest_ = kNeverCycle;
+};
 
 }  // namespace rop::mem

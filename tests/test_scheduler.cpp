@@ -1,12 +1,271 @@
 // FR-FCFS scheduler tests (arena-backed queues).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "mem/scheduler.h"
 
 namespace rop::mem {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Reference: the two-pass FR-FCFS scheduler the candidate table replaced,
+// kept verbatim as the oracle of the differential test below. pick() and
+// earliest_issue_cycle() rescan every queued request on every call.
+
+class TwoPassScheduler {
+ public:
+  explicit TwoPassScheduler(SchedulerConfig cfg) : cfg_(cfg) {}
+
+  [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
+
+  /// Choose the next command. `blocked(request, queue_id)` masks requests
+  /// that must not be scheduled this cycle (rank refreshing, rank locked
+  /// for an imminent refresh, post-lock arrivals during a drain, ...).
+  ///
+  /// Selection order:
+  ///   1. the oldest request (scanning queues in priority order) whose
+  ///      column command is issuable right now (row hit, "first ready"),
+  ///   2. otherwise the oldest request that needs an ACT that is issuable,
+  ///   3. otherwise the oldest request that needs a PRE (row conflict) that
+  ///      is issuable — unless a same-priority request still row-hits the
+  ///      open row (keep the row open for it).
+  template <typename BlockedPred>
+  [[nodiscard]] std::optional<SchedulerPick> pick(
+      std::span<const QueueView> queues, const dram::Channel& channel,
+      Cycle now, const BlockedPred& blocked) const;
+
+  /// Earliest cycle > `now` at which pick() over the same (frozen) queues
+  /// could return a command, or kNeverCycle when no unblocked request can
+  /// ever issue without other state changing first. Mirrors pick()'s
+  /// candidate enumeration exactly — including the keep-row-open taker
+  /// rule, which must not be over-approximated: treating a taker-suppressed
+  /// PRE as a candidate would yield a perpetually-past cycle and degrade
+  /// the event loop to per-cycle ticking. Blocked requests are skipped;
+  /// their unblock points (refresh completion, seal/REF transitions) are
+  /// separate controller events. Returns as soon as a candidate at
+  /// `now + 1` is found.
+  template <typename BlockedPred>
+  [[nodiscard]] Cycle earliest_issue_cycle(std::span<const QueueView> queues,
+                                           const dram::Channel& channel,
+                                           Cycle now,
+                                           const BlockedPred& blocked) const;
+
+ private:
+  SchedulerConfig cfg_;
+
+  // Channel state is frozen for the duration of one pick() call, and bank
+  // command legality barely depends on which request asked: pass-1 column
+  // candidates all target the bank's open row, and PRE legality ignores the
+  // row entirely, as does ACT legality in a bank of one subarray. One cached
+  // verdict per (bank, command kind) therefore answers every same-bank
+  // candidate, collapsing the O(queue) can_issue scans that dominate
+  // saturated-queue cycles where nothing can issue. The exception is ACT in
+  // a bank of several subarrays: a refresh-locked subarray vetoes only ACTs
+  // to its own rows, so those ACT verdicts are not cached.
+  enum class Verdict : std::uint8_t { kUnknown = 0, kYes, kNo };
+  struct BankMemo {
+    Verdict read = Verdict::kUnknown;
+    Verdict write = Verdict::kUnknown;
+    Verdict act = Verdict::kUnknown;
+    Verdict pre = Verdict::kUnknown;
+    Verdict taker = Verdict::kUnknown;  // open row still has a queued hit?
+  };
+  mutable std::vector<BankMemo> memo_;  // scratch, valid within one pick()
+  mutable std::uint32_t memo_banks_ = 0;
+};
+
+namespace two_pass_detail {
+
+inline dram::CmdType column_cmd_for(const Request& req) {
+  return req.type == ReqType::kWrite ? dram::CmdType::kWrite
+                                     : dram::CmdType::kRead;
+}
+
+/// True when any request in any queue would row-hit bank `coord`'s
+/// currently open row (used to avoid closing rows that still have takers).
+inline bool open_row_has_taker(std::span<const QueueView> queues,
+                               const DramCoord& coord, RowId open_row) {
+  for (const QueueView& qv : queues) {
+    for (const RequestIndex ri : *qv.indices) {
+      const Request& req = (*qv.arena)[ri];
+      if (req.coord.rank == coord.rank && req.coord.bank == coord.bank &&
+          req.coord.row == open_row) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace two_pass_detail
+
+template <typename BlockedPred>
+std::optional<SchedulerPick> TwoPassScheduler::pick(
+    std::span<const QueueView> queues, const dram::Channel& channel,
+    Cycle now, const BlockedPred& blocked) const {
+  memo_banks_ = channel.num_ranks() > 0 ? channel.rank(0).num_banks() : 0;
+  memo_.assign(std::size_t{channel.num_ranks()} * memo_banks_, BankMemo{});
+  const auto memo_for = [this](const DramCoord& c) -> BankMemo& {
+    return memo_[std::size_t{c.rank} * memo_banks_ + c.bank];
+  };
+
+  // Pass 1: first-ready column commands, in queue priority then age order.
+  for (const QueueView& qv : queues) {
+    std::size_t i = 0;
+    for (const RequestIndex ri : *qv.indices) {
+      const Request& req = (*qv.arena)[ri];
+      const std::size_t at = i++;
+      if (blocked(req, qv.id)) continue;
+      const dram::Bank& bank =
+          channel.rank(req.coord.rank).bank(req.coord.bank);
+      if (bank.state() != dram::BankState::kActive || !bank.open_row() ||
+          *bank.open_row() != req.coord.row) {
+        continue;
+      }
+      const dram::CmdType type = two_pass_detail::column_cmd_for(req);
+      BankMemo& m = memo_for(req.coord);
+      Verdict& v = type == dram::CmdType::kWrite ? m.write : m.read;
+      if (v == Verdict::kUnknown) {
+        const dram::Command probe{type, req.coord, req.id};
+        v = channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
+      }
+      if (v == Verdict::kYes) {
+        return SchedulerPick{dram::Command{type, req.coord, req.id}, qv.id,
+                             at};
+      }
+    }
+  }
+
+  // Pass 2: row commands (ACT / PRE) for the oldest requests.
+  for (const QueueView& qv : queues) {
+    std::size_t i = 0;
+    for (const RequestIndex ri : *qv.indices) {
+      const Request& req = (*qv.arena)[ri];
+      const std::size_t at = i++;
+      if (blocked(req, qv.id)) continue;
+      const dram::Bank& bank =
+          channel.rank(req.coord.rank).bank(req.coord.bank);
+      switch (bank.state()) {
+        case dram::BankState::kPrecharged: {
+          const bool cached = bank.subarrays() <= 1;
+          Verdict v = cached ? memo_for(req.coord).act : Verdict::kUnknown;
+          if (v == Verdict::kUnknown) {
+            const dram::Command probe{dram::CmdType::kActivate, req.coord,
+                                      req.id};
+            v = channel.can_issue(probe, now) ? Verdict::kYes : Verdict::kNo;
+            if (cached) memo_for(req.coord).act = v;
+          }
+          if (v == Verdict::kYes) {
+            return SchedulerPick{
+                dram::Command{dram::CmdType::kActivate, req.coord, req.id},
+                qv.id, at};
+          }
+          break;
+        }
+        case dram::BankState::kActive: {
+          // Row conflict: close the row, but only if nobody still wants it.
+          if (bank.open_row() && *bank.open_row() != req.coord.row) {
+            BankMemo& m = memo_for(req.coord);
+            if (m.taker == Verdict::kUnknown) {
+              m.taker = two_pass_detail::open_row_has_taker(
+                            queues, req.coord, *bank.open_row())
+                            ? Verdict::kYes
+                            : Verdict::kNo;
+            }
+            if (m.taker == Verdict::kNo) {
+              if (m.pre == Verdict::kUnknown) {
+                const dram::Command probe{dram::CmdType::kPrecharge,
+                                          req.coord, 0};
+                m.pre = channel.can_issue(probe, now) ? Verdict::kYes
+                                                      : Verdict::kNo;
+              }
+              if (m.pre == Verdict::kYes) {
+                return SchedulerPick{
+                    dram::Command{dram::CmdType::kPrecharge, req.coord, 0},
+                    qv.id, at};
+              }
+            }
+          }
+          break;
+        }
+        case dram::BankState::kRefreshing:
+          break;
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+template <typename BlockedPred>
+Cycle TwoPassScheduler::earliest_issue_cycle(std::span<const QueueView> queues,
+                                      const dram::Channel& channel, Cycle now,
+                                      const BlockedPred& blocked) const {
+  memo_banks_ = channel.num_ranks() > 0 ? channel.rank(0).num_banks() : 0;
+  memo_.assign(std::size_t{channel.num_ranks()} * memo_banks_, BankMemo{});
+  const auto memo_for = [this](const DramCoord& c) -> BankMemo& {
+    return memo_[std::size_t{c.rank} * memo_banks_ + c.bank];
+  };
+
+  // Candidates already issuable (or issuable at now + 1) clamp to the very
+  // next tick: at most one command leaves per cycle, so a second ready
+  // candidate simply waits its turn.
+  const Cycle soonest = now + 1;
+  Cycle best = kNeverCycle;
+  const auto consider = [&best, soonest](Cycle c) {
+    if (c != kNeverCycle) best = std::min(best, std::max(c, soonest));
+  };
+
+  for (const QueueView& qv : queues) {
+    for (const RequestIndex ri : *qv.indices) {
+      const Request& req = (*qv.arena)[ri];
+      if (blocked(req, qv.id)) continue;
+      const dram::Bank& bank =
+          channel.rank(req.coord.rank).bank(req.coord.bank);
+      switch (bank.state()) {
+        case dram::BankState::kActive:
+          if (bank.open_row() && *bank.open_row() == req.coord.row) {
+            // Pass-1 candidate: column command on the open row.
+            const dram::CmdType type = two_pass_detail::column_cmd_for(req);
+            consider(channel.earliest_issue(
+                dram::Command{type, req.coord, req.id}));
+          } else {
+            // Pass-3 candidate: row conflict wants a PRE — but only once no
+            // queued request still row-hits the open row (pick() keeps the
+            // row open for takers, and takers only disappear at issue or
+            // enqueue ticks, both of which recompute this scan).
+            BankMemo& m = memo_for(req.coord);
+            if (m.taker == Verdict::kUnknown) {
+              m.taker = two_pass_detail::open_row_has_taker(
+                            queues, req.coord, *bank.open_row())
+                            ? Verdict::kYes
+                            : Verdict::kNo;
+            }
+            if (m.taker == Verdict::kNo) {
+              consider(channel.earliest_issue(
+                  dram::Command{dram::CmdType::kPrecharge, req.coord, 0}));
+            }
+          }
+          break;
+        case dram::BankState::kPrecharged:
+        case dram::BankState::kRefreshing:
+          // Pass-2 candidate: ACT (a refreshing bank releases at its
+          // recorded next_activate, folded in by Bank::earliest_issue).
+          consider(channel.earliest_issue(
+              dram::Command{dram::CmdType::kActivate, req.coord, req.id}));
+          break;
+      }
+      if (best <= soonest) return best;
+    }
+  }
+  return best;
+}
+
+// ---------------------------------------------------------------------------
 
 class SchedulerTest : public ::testing::Test {
  protected:
@@ -33,21 +292,39 @@ class SchedulerTest : public ::testing::Test {
     return QueueView{&arena, &q, id};
   }
 
-  static bool never_blocked(const Request&, int) { return false; }
+  /// A scheduler bound to `ch` with its table scanned from `views`.
+  static Scheduler scanned(const dram::Channel& ch,
+                           std::span<const QueueView> views,
+                           const BlockedRanks& blocked = {}) {
+    Scheduler s(ch);
+    s.scan(views, blocked);
+    return s;
+  }
+
+  static std::optional<SchedulerPick> pick(const dram::Channel& ch,
+                                           std::span<const QueueView> views,
+                                           Cycle now,
+                                           const BlockedRanks& blocked = {}) {
+    return scanned(ch, views, blocked).pick(now);
+  }
+
+  static Cycle horizon(const dram::Channel& ch,
+                       std::span<const QueueView> views, Cycle now,
+                       const BlockedRanks& blocked = {}) {
+    return scanned(ch, views, blocked).horizon(now);
+  }
 
   dram::DramTimings t;
   dram::DramOrganization org;
   RequestArena arena;
-  Scheduler sched{SchedulerConfig{}};
 };
 
 TEST_F(SchedulerTest, EmptyQueuesPickNothing) {
   dram::Channel ch(t, org);
   std::vector<RequestIndex> reads;
   QueueView views[] = {view(reads, 0)};
-  EXPECT_FALSE(sched.pick(views, ch, 0, never_blocked).has_value());
-  EXPECT_EQ(sched.earliest_issue_cycle(views, ch, 0, never_blocked),
-            kNeverCycle);
+  EXPECT_FALSE(pick(ch, views, 0).has_value());
+  EXPECT_EQ(horizon(ch, views, 0), kNeverCycle);
 }
 
 TEST_F(SchedulerTest, ClosedBankGetsActivate) {
@@ -55,11 +332,11 @@ TEST_F(SchedulerTest, ClosedBankGetsActivate) {
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 42);
   QueueView views[] = {view(reads, 0)};
-  const auto pick = sched.pick(views, ch, 0, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.type, dram::CmdType::kActivate);
-  EXPECT_EQ(pick->cmd.coord.row, 42u);
-  EXPECT_FALSE(pick->services_request());
+  const auto p = pick(ch, views, 0);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.type, dram::CmdType::kActivate);
+  EXPECT_EQ(p->cmd.coord.row, 42u);
+  EXPECT_FALSE(p->services_request());
 }
 
 TEST_F(SchedulerTest, RowHitBeatsOlderRowMiss) {
@@ -71,12 +348,12 @@ TEST_F(SchedulerTest, RowHitBeatsOlderRowMiss) {
   add(reads, 1, ReqType::kRead, 0, 0, 9, 0, 0);
   add(reads, 2, ReqType::kRead, 0, 0, 7, 3, 1);
   QueueView views[] = {view(reads, 0)};
-  const auto pick = sched.pick(views, ch, t.tRCD, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.type, dram::CmdType::kRead);
-  EXPECT_EQ(pick->cmd.request, 2u);
-  EXPECT_TRUE(pick->services_request());
-  EXPECT_EQ(pick->request_index, 1u);
+  const auto p = pick(ch, views, t.tRCD);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.type, dram::CmdType::kRead);
+  EXPECT_EQ(p->cmd.request, 2u);
+  EXPECT_TRUE(p->services_request());
+  EXPECT_EQ(p->request_index, 1u);
 }
 
 TEST_F(SchedulerTest, RowConflictPrechargesWhenNoTakerRemains) {
@@ -86,9 +363,9 @@ TEST_F(SchedulerTest, RowConflictPrechargesWhenNoTakerRemains) {
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 9);
   QueueView views[] = {view(reads, 0)};
-  const auto pick = sched.pick(views, ch, t.tRAS, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.type, dram::CmdType::kPrecharge);
+  const auto p = pick(ch, views, t.tRAS);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.type, dram::CmdType::kPrecharge);
 }
 
 TEST_F(SchedulerTest, OpenRowKeptWhileYoungerRequestStillHitsIt) {
@@ -103,10 +380,27 @@ TEST_F(SchedulerTest, OpenRowKeptWhileYoungerRequestStillHitsIt) {
   add(reads, 1, ReqType::kRead, 0, 0, 9);
   add(reads, 2, ReqType::kRead, 0, 0, 7);
   QueueView views[] = {view(reads, 0)};
-  const auto pick = sched.pick(views, ch, t.tRAS, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.type, dram::CmdType::kRead);
-  EXPECT_EQ(pick->cmd.request, 2u);
+  const auto p = pick(ch, views, t.tRAS);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.type, dram::CmdType::kRead);
+  EXPECT_EQ(p->cmd.request, 2u);
+}
+
+TEST_F(SchedulerTest, BlockedTakerStillKeepsTheRowOpen) {
+  dram::Channel ch(t, org);
+  ch.issue(dram::Command{dram::CmdType::kActivate, DramCoord{0, 0, 0, 7, 0}, 0},
+           0);
+  // The only request hitting open row 7 sits in a masked queue; it still
+  // counts as a taker, so the unmasked conflict must not close the row.
+  std::vector<RequestIndex> reads;
+  std::vector<RequestIndex> prefetches;
+  add(reads, 1, ReqType::kRead, 0, 0, 9);
+  add(prefetches, 2, ReqType::kPrefetch, 0, 0, 7);
+  QueueView views[] = {view(reads, 0), view(prefetches, 2)};
+  BlockedRanks prefetch_masked;
+  prefetch_masked.by_queue[2] = 1u;
+  EXPECT_FALSE(pick(ch, views, t.tRAS, prefetch_masked).has_value());
+  EXPECT_EQ(horizon(ch, views, t.tRAS, prefetch_masked), kNeverCycle);
 }
 
 TEST_F(SchedulerTest, QueuePriorityOrderRespected) {
@@ -119,14 +413,14 @@ TEST_F(SchedulerTest, QueuePriorityOrderRespected) {
   add(prefetches, 2, ReqType::kPrefetch, 0, 0, 7);
   // Both row-hit; the first view wins.
   QueueView views_rp[] = {view(reads, 0), view(prefetches, 2)};
-  auto pick = sched.pick(views_rp, ch, t.tRCD, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.request, 1u);
+  auto p = pick(ch, views_rp, t.tRCD);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.request, 1u);
 
   QueueView views_pr[] = {view(prefetches, 2), view(reads, 0)};
-  pick = sched.pick(views_pr, ch, t.tRCD, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.request, 2u);
+  p = pick(ch, views_pr, t.tRCD);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.request, 2u);
 }
 
 TEST_F(SchedulerTest, BlockedPredicateMasksRequests) {
@@ -135,18 +429,15 @@ TEST_F(SchedulerTest, BlockedPredicateMasksRequests) {
   add(reads, 1, ReqType::kRead, 0, 0, 42);
   add(reads, 2, ReqType::kRead, 1, 0, 42);
   QueueView views[] = {view(reads, 0)};
-  const auto rank0_blocked = [](const Request& r, int) {
-    return r.coord.rank == 0;
-  };
-  const auto pick = sched.pick(views, ch, 0, rank0_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.coord.rank, 1u);
+  const BlockedRanks rank0_blocked{{1u, 1u, 1u}};
+  const auto p = pick(ch, views, 0, rank0_blocked);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.coord.rank, 1u);
 
   // With every request masked nothing can ever issue: the unblock point is
   // a separate controller event, so the scan reports "never".
-  const auto all_blocked = [](const Request&, int) { return true; };
-  EXPECT_EQ(sched.earliest_issue_cycle(views, ch, 0, all_blocked),
-            kNeverCycle);
+  const BlockedRanks all_blocked{{~0u, ~0u, ~0u}};
+  EXPECT_EQ(horizon(ch, views, 0, all_blocked), kNeverCycle);
 }
 
 TEST_F(SchedulerTest, WriteGetsWriteCommand) {
@@ -156,16 +447,16 @@ TEST_F(SchedulerTest, WriteGetsWriteCommand) {
   std::vector<RequestIndex> writes;
   add(writes, 9, ReqType::kWrite, 0, 2, 5);
   QueueView views[] = {view(writes, 1)};
-  const auto pick = sched.pick(views, ch, t.tRCD, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.type, dram::CmdType::kWrite);
-  EXPECT_EQ(pick->queue_id, 1);
+  const auto p = pick(ch, views, t.tRCD);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.type, dram::CmdType::kWrite);
+  EXPECT_EQ(p->queue_id, 1);
 }
 
 // ---------------------------------------------------------------------------
-// earliest_issue_cycle: the event-driven clock's scan must agree with pick()
-// on frozen state — pick() returns nothing strictly before the reported
-// cycle and returns a command exactly at it.
+// horizon(): the event-driven clock's bound must agree with pick() on frozen
+// state — pick() returns nothing strictly before the reported cycle and
+// returns a command exactly at it, all from one scan.
 
 TEST_F(SchedulerTest, EarliestIssueClampsReadyCandidateToNextTick) {
   dram::Channel ch(t, org);
@@ -174,7 +465,7 @@ TEST_F(SchedulerTest, EarliestIssueClampsReadyCandidateToNextTick) {
   QueueView views[] = {view(reads, 0)};
   // The ACT is issuable immediately; on frozen state the next tick that can
   // act is now + 1.
-  EXPECT_EQ(sched.earliest_issue_cycle(views, ch, 5, never_blocked), 6u);
+  EXPECT_EQ(horizon(ch, views, 5), 6u);
 }
 
 TEST_F(SchedulerTest, EarliestIssueMatchesFirstPickForRowHit) {
@@ -184,16 +475,17 @@ TEST_F(SchedulerTest, EarliestIssueMatchesFirstPickForRowHit) {
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 7);
   QueueView views[] = {view(reads, 0)};
-  const Cycle when = sched.earliest_issue_cycle(views, ch, 0, never_blocked);
+  const Scheduler s = scanned(ch, views);
+  const Cycle when = s.horizon(0);
   EXPECT_EQ(when, Cycle{t.tRCD});
   for (Cycle c = 1; c < when; ++c) {
-    EXPECT_FALSE(sched.pick(views, ch, c, never_blocked).has_value())
+    EXPECT_FALSE(s.pick(c).has_value())
         << "pick() issued before the reported earliest cycle " << when
         << " at " << c;
   }
-  const auto pick = sched.pick(views, ch, when, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.type, dram::CmdType::kRead);
+  const auto p = s.pick(when);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.type, dram::CmdType::kRead);
 }
 
 TEST_F(SchedulerTest, EarliestIssueMatchesFirstPickForPrecharge) {
@@ -205,14 +497,15 @@ TEST_F(SchedulerTest, EarliestIssueMatchesFirstPickForPrecharge) {
   std::vector<RequestIndex> reads;
   add(reads, 1, ReqType::kRead, 0, 0, 9);
   QueueView views[] = {view(reads, 0)};
-  const Cycle when = sched.earliest_issue_cycle(views, ch, 0, never_blocked);
+  const Scheduler s = scanned(ch, views);
+  const Cycle when = s.horizon(0);
   EXPECT_EQ(when, Cycle{t.tRAS});
   for (Cycle c = 1; c < when; ++c) {
-    EXPECT_FALSE(sched.pick(views, ch, c, never_blocked).has_value());
+    EXPECT_FALSE(s.pick(c).has_value());
   }
-  const auto pick = sched.pick(views, ch, when, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.type, dram::CmdType::kPrecharge);
+  const auto p = s.pick(when);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.type, dram::CmdType::kPrecharge);
 }
 
 TEST_F(SchedulerTest, EarliestIssueSuppressesPrechargeWhileTakerRemains) {
@@ -226,21 +519,22 @@ TEST_F(SchedulerTest, EarliestIssueSuppressesPrechargeWhileTakerRemains) {
   add(reads, 1, ReqType::kRead, 0, 0, 9);
   add(reads, 2, ReqType::kRead, 0, 0, 7);
   QueueView views[] = {view(reads, 0)};
-  const Cycle when = sched.earliest_issue_cycle(views, ch, 0, never_blocked);
+  const Scheduler s = scanned(ch, views);
+  const Cycle when = s.horizon(0);
   EXPECT_EQ(when, Cycle{t.tRCD});
-  const auto pick = sched.pick(views, ch, when, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.type, dram::CmdType::kRead);
-  EXPECT_EQ(pick->cmd.request, 2u);
+  const auto p = s.pick(when);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.type, dram::CmdType::kRead);
+  EXPECT_EQ(p->cmd.request, 2u);
 }
 
 TEST_F(SchedulerTest, RefreshLockedSubarrayDoesNotVetoActToAnotherSubarray) {
   // SARP/HiRA: REFpb locks subarray 0 of bank 0. An older read to that
   // subarray cannot activate, but a younger read to subarray 1 of the same
-  // bank can: pick() must return its ACT, and earliest_issue_cycle must
-  // agree. A per-bank ACT verdict cached from the older request used to
-  // veto the younger one, and the event loop then re-ticked a no-op every
-  // cycle until the lock ended.
+  // bank can: pick() must return its ACT, and horizon() must agree. One
+  // ACT candidate per bank taken from the older request would veto the
+  // younger one, and the event loop would then re-tick a no-op every cycle
+  // until the lock ended.
   org.ranks = 1;
   org.subarrays = 8;
   dram::Channel ch(t, org);
@@ -268,16 +562,203 @@ TEST_F(SchedulerTest, RefreshLockedSubarrayDoesNotVetoActToAnotherSubarray) {
   add(reads, 1, ReqType::kRead, 0, 0, sub0_row, 0, 0);
   add(reads, 2, ReqType::kRead, 0, 0, sub1_row, 0, 1);
   QueueView views[] = {view(reads, 0)};
-  const auto pick = sched.pick(views, ch, now, never_blocked);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(pick->cmd.type, dram::CmdType::kActivate);
-  EXPECT_EQ(pick->cmd.request, 2u);
-  EXPECT_EQ(pick->cmd.coord.row, sub1_row);
-  EXPECT_EQ(pick->request_index, 1u);
+  const Scheduler s = scanned(ch, views);
+  const auto p = s.pick(now);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->cmd.type, dram::CmdType::kActivate);
+  EXPECT_EQ(p->cmd.request, 2u);
+  EXPECT_EQ(p->cmd.coord.row, sub1_row);
+  EXPECT_EQ(p->request_index, 1u);
   // On frozen state, the next tick that can act is the one right after.
-  EXPECT_EQ(sched.earliest_issue_cycle(views, ch, now - 1, never_blocked),
-            now);
+  EXPECT_EQ(s.horizon(now - 1), now);
 }
+
+TEST_F(SchedulerTest, RescanReplacesTheWholeTable) {
+  dram::Channel ch(t, org);
+  std::vector<RequestIndex> reads;
+  add(reads, 1, ReqType::kRead, 0, 0, 42);
+  QueueView views[] = {view(reads, 0)};
+  Scheduler s = scanned(ch, views);
+  ASSERT_TRUE(s.pick(0).has_value());
+  reads.clear();
+  s.scan(views, {});
+  EXPECT_FALSE(s.pick(0).has_value());
+  EXPECT_EQ(s.horizon(0), kNeverCycle);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test against the two-pass reference: over randomized channel
+// and queue states, one scan must give the reference's pick at every cycle
+// from `now` through the horizon (the channel ticking as the controller
+// ticks it, so refresh locks release on their own), and the reference's
+// horizon.
+
+struct Geometry {
+  std::uint32_t ranks;
+  std::uint32_t subarrays;
+};
+
+class SchedulerDifferential : public ::testing::TestWithParam<Geometry> {};
+
+/// A bank for a command or request: half the time bank 0 or 1, so the few
+/// requests of a trial crowd into banks that recently took commands
+/// (subarray locks, open rows) often enough to meet them there.
+BankId random_bank(const dram::DramOrganization& org, Rng& rng) {
+  const std::uint64_t bound = rng.next_below(2) == 0 ? 2 : org.banks;
+  return static_cast<BankId>(rng.next_below(bound));
+}
+
+/// Drive `ch` through random legal commands for a few hundred cycles so
+/// open rows, tRRD/tFAW windows, bus direction and rank/bank/subarray
+/// refresh locks all take random values. Returns the last cycle ticked.
+/// Whole-rank refreshes (REF, pausing segments) only go to banks of one
+/// subarray, as in every refresh policy: the subarray-refreshing policies
+/// issue REFpb only.
+Cycle randomize_channel(dram::Channel& ch, const dram::DramOrganization& org,
+                        Rng& rng, Cycle now) {
+  const auto steps = 1 + static_cast<std::uint32_t>(rng.next_below(60));
+  for (std::uint32_t k = 0; k < steps; ++k) {
+    now += 1 + rng.next_below(12);
+    ch.tick(now);
+    const auto r = static_cast<RankId>(rng.next_below(org.ranks));
+    const BankId b = random_bank(org, rng);
+    const auto row = static_cast<RowId>(rng.next_below(org.rows));
+    dram::Command cmd{dram::CmdType::kActivate, DramCoord{0, r, b, row, 0},
+                      0};
+    const std::uint64_t roll =
+        rng.next_below(org.subarrays > 1 ? 92 : 100);
+    if (roll < 30) {
+      cmd.type = dram::CmdType::kActivate;
+    } else if (roll < 50) {
+      cmd.type = dram::CmdType::kPrecharge;
+    } else if (roll < 80) {
+      cmd.type = roll < 65 ? dram::CmdType::kRead : dram::CmdType::kWrite;
+      const auto open = ch.rank(r).bank(b).open_row();
+      if (open) cmd.coord.row = *open;
+    } else if (roll < 92) {
+      cmd.type = dram::CmdType::kRefreshBank;
+    } else if (roll < 97) {
+      cmd.type = dram::CmdType::kRefresh;
+    } else {
+      if (ch.can_issue(dram::Command{dram::CmdType::kRefresh, cmd.coord, 0},
+                       now)) {
+        ch.begin_refresh_segment(r, now, 20 + rng.next_below(60));
+      }
+      continue;
+    }
+    if (ch.can_issue(cmd, now)) ch.issue(cmd, now);
+  }
+  return now;
+}
+
+TEST_P(SchedulerDifferential, TableMatchesTwoPassReference) {
+  const Geometry g = GetParam();
+  const dram::DramTimings t = dram::make_ddr4_1600_timings();
+  dram::DramOrganization org;
+  org.ranks = g.ranks;
+  org.banks = 8;
+  org.rows = 64;  // few rows: frequent hits, conflicts and takers
+  org.subarrays = g.subarrays;
+
+  Rng rng(0x5eed0000u + g.ranks * 16u + g.subarrays);
+  std::uint64_t cycles_compared = 0;
+  std::uint64_t picks = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    dram::Channel ch(t, org);
+    Cycle now = randomize_channel(ch, org, rng, 0);
+
+    RequestArena arena;
+    std::vector<RequestIndex> queues[3];
+    RequestId next_id = 1;
+    for (int q = 0; q < 3; ++q) {
+      const std::uint64_t n = rng.next_below(q == 0 ? 12 : 6);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        Request req;
+        req.id = next_id++;
+        req.type = q == 0   ? ReqType::kRead
+                   : q == 1 ? ReqType::kWrite
+                            : ReqType::kPrefetch;
+        const auto r = static_cast<RankId>(rng.next_below(org.ranks));
+        const BankId b = random_bank(org, rng);
+        const auto open = ch.rank(r).bank(b).open_row();
+        // Half the requests target the open row (takers), the rest a few
+        // other rows spread over the subarrays.
+        const RowId row = open && rng.next_below(2) == 0
+                              ? *open
+                              : static_cast<RowId>(rng.next_below(org.rows));
+        req.coord = DramCoord{0, r, b, row, 0};
+        queues[q].push_back(arena.alloc(req));
+      }
+    }
+    // Both view orders the controller uses, plus prefetches.
+    std::vector<QueueView> views;
+    if (rng.next_below(2) == 0) {
+      views.push_back(QueueView{&arena, &queues[1], 1});
+      views.push_back(QueueView{&arena, &queues[0], 0});
+    } else {
+      views.push_back(QueueView{&arena, &queues[0], 0});
+      if (queues[0].empty() || rng.next_below(2) == 0) {
+        views.push_back(QueueView{&arena, &queues[1], 1});
+      }
+    }
+    views.push_back(QueueView{&arena, &queues[2], 2});
+
+    BlockedRanks blocked;
+    for (std::uint32_t& mask : blocked.by_queue) {
+      for (RankId r = 0; r < org.ranks; ++r) {
+        if (rng.next_below(4) == 0) mask |= 1u << r;
+      }
+    }
+    const auto blocked_fn = [&blocked](const Request& req, int queue_id) {
+      const std::uint32_t mask =
+          blocked.by_queue[static_cast<std::size_t>(queue_id)];
+      return ((mask >> req.coord.rank) & 1u) != 0;
+    };
+
+    ch.tick(now);
+    Scheduler table(ch);
+    table.scan(views, blocked);
+    const TwoPassScheduler reference{SchedulerConfig{}};
+    const Cycle horizon = table.horizon(now);
+    ASSERT_EQ(horizon,
+              reference.earliest_issue_cycle(views, ch, now, blocked_fn))
+        << "trial " << trial;
+    const Cycle last =
+        horizon == kNeverCycle ? now + 2 * t.tRFC : horizon;
+    for (Cycle c = now; c <= last; ++c) {
+      ch.tick(c);
+      const auto want = reference.pick(views, ch, c, blocked_fn);
+      const auto got = table.pick(c);
+      ASSERT_EQ(got.has_value(), want.has_value())
+          << "trial " << trial << " cycle " << c << " (scanned at " << now
+          << ")";
+      ++cycles_compared;
+      if (!want) continue;
+      ++picks;
+      EXPECT_EQ(got->cmd.type, want->cmd.type) << "trial " << trial;
+      EXPECT_EQ(got->cmd.coord, want->cmd.coord) << "trial " << trial;
+      EXPECT_EQ(got->cmd.request, want->cmd.request) << "trial " << trial;
+      EXPECT_EQ(got->queue_id, want->queue_id) << "trial " << trial;
+      EXPECT_EQ(got->request_index, want->request_index)
+          << "trial " << trial;
+    }
+    if (horizon != kNeverCycle) {
+      EXPECT_TRUE(table.pick(horizon).has_value()) << "trial " << trial;
+    }
+  }
+  // The states must exercise both outcomes, not just empty tables.
+  EXPECT_GT(picks, 100u);
+  EXPECT_GT(cycles_compared, picks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RanksAndSubarrays, SchedulerDifferential,
+    ::testing::Values(Geometry{1, 1}, Geometry{2, 1}, Geometry{4, 1},
+                      Geometry{1, 8}, Geometry{2, 8}, Geometry{4, 8}),
+    [](const auto& param_info) {
+      return "ranks" + std::to_string(param_info.param.ranks) +
+             "_subarrays" + std::to_string(param_info.param.subarrays);
+    });
 
 }  // namespace
 }  // namespace rop::mem

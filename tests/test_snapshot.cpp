@@ -18,6 +18,8 @@
 #include "common/rng.h"
 #include "common/snapshot_io.h"
 #include "sim/experiment.h"
+#include "check/sim_checker.h"
+#include "sim/sim_instance.h"
 #include "sim/snapshot.h"
 
 namespace rop::sim {
@@ -342,6 +344,68 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, SnapshotSplit,
                            }
                            return n;
                          });
+
+// Planner workers reuse one replica across windows: every job restores a
+// snapshot into an instance that already ran the previous window. The
+// restored run must end in the same state (the whole snapshot, stats
+// registry included) as a fresh instance restored from the same snapshot,
+// with the invariant checker, scheduler-table audit included, silent on
+// the reused instance.
+TEST(SnapshotSplit, RestoreIntoUsedReplicaMatchesFreshReplica) {
+  for (const MemoryMode mode :
+       {MemoryMode::kRop, MemoryMode::kPausing, MemoryMode::kDarp,
+        MemoryMode::kSarp}) {
+    SCOPED_TRACE(memory_mode_name(mode));
+    ExperimentSpec spec = matrix_spec(mode);
+    spec.instructions_per_core = 400'000;
+    spec.telemetry.sampler.epoch_cycles = 0;
+    const std::uint64_t fp = config_fingerprint(spec_canonical(spec));
+    const std::uint64_t window = 20'001;
+
+    // Backbone: two window starts, the second well past the first window.
+    SimInstance backbone = build_sim_instance(spec);
+    backbone.system->begin_run(spec.instructions_per_core,
+                               spec.max_cpu_cycles);
+    ASSERT_FALSE(backbone.system->advance_until(30'001));
+    const std::string first =
+        save_snapshot_buffer(backbone.snapshot_context(), fp);
+    ASSERT_FALSE(backbone.system->advance_until(90'003));
+    const std::string second =
+        save_snapshot_buffer(backbone.snapshot_context(), fp);
+
+    // Declared before the checker, so the checker (whose destructor
+    // detaches from the memory) goes first.
+    SimInstance used;
+    check::SimChecker checker;
+    SimInstanceHooks hooks;
+    hooks.post_memory = [&checker](mem::MemorySystem& m) {
+      checker.attach(m);
+    };
+    used = build_sim_instance(spec, nullptr, hooks);
+    used.system->begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+    std::string err;
+    ASSERT_TRUE(load_snapshot_buffer(first, used.snapshot_context(), fp,
+                                     &err))
+        << err;
+    (void)used.system->advance_until(used.system->cpu_cycle() + window);
+    ASSERT_TRUE(load_snapshot_buffer(second, used.snapshot_context(), fp,
+                                     &err))
+        << err;
+    (void)used.system->advance_until(used.system->cpu_cycle() + window);
+
+    SimInstance fresh = build_sim_instance(spec);
+    fresh.system->begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+    ASSERT_TRUE(load_snapshot_buffer(second, fresh.snapshot_context(), fp,
+                                     &err))
+        << err;
+    (void)fresh.system->advance_until(fresh.system->cpu_cycle() + window);
+
+    EXPECT_EQ(save_snapshot_buffer(used.snapshot_context(), fp),
+              save_snapshot_buffer(fresh.snapshot_context(), fp));
+    EXPECT_GT(checker.ticks_checked(), 0u);
+    EXPECT_TRUE(checker.ok()) << checker.summary();
+  }
+}
 
 // Splitting twice (restore, run, checkpoint again, restore again) composes:
 // the second restore starts from a snapshot written by a restored run.

@@ -12,10 +12,14 @@
 //   ropsim campaign sweep.json --out results/
 //   ropsim --help
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -178,6 +182,48 @@ struct Options {
   std::exit(code);
 }
 
+/// Strict integer flag value: the whole of `text` must be a base-10
+/// number in [lo, hi] — no sign, no trailing characters, no overflow.
+/// Anything else is a usage error (exit 2).
+std::uint64_t parse_count(const char* flag, const char* text, std::uint64_t lo,
+                          std::uint64_t hi) {
+  const char* const end = text + std::strlen(text);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc{} || ptr != end || ptr == text || value < lo ||
+      value > hi) {
+    std::fprintf(stderr,
+                 "invalid value for %s: '%s' (expected an integer in "
+                 "[%llu, %llu])\n",
+                 flag, text, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi));
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Strict non-negative real flag value (the whole string, finite).
+double parse_fraction(const char* flag, const char* text) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < 0.0) {
+    std::fprintf(stderr,
+                 "invalid value for %s: '%s' (expected a non-negative "
+                 "number)\n",
+                 flag, text);
+    std::exit(2);
+  }
+  return value;
+}
+
+constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+/// The controller keeps one bit per rank in its scheduler masks.
+constexpr std::uint64_t kMaxRanks = 32;
+/// LLC capacity bound (MiB); sizes must also be powers of two (the set
+/// count is a power of two at every supported associativity).
+constexpr std::uint64_t kMaxLlcMb = std::uint64_t{1} << 20;
+
 Options parse(int argc, char** argv) {
   Options opt;
   const auto need = [&](int& i) -> const char* {
@@ -186,6 +232,17 @@ Options parse(int argc, char** argv) {
       usage(2);
     }
     return argv[++i];
+  };
+  const auto count = [&](int& i, std::uint64_t lo, std::uint64_t hi) {
+    const char* flag = argv[i];
+    return parse_count(flag, need(i), lo, hi);
+  };
+  const auto count32 = [&](int& i, std::uint64_t lo) {
+    return static_cast<std::uint32_t>(count(i, lo, kU32Max));
+  };
+  const auto fraction = [&](int& i) {
+    const char* flag = argv[i];
+    return parse_fraction(flag, need(i));
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -196,23 +253,23 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--mode") {
       opt.mode = need(i);
     } else if (arg == "--cores") {
-      opt.cores = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.cores = count32(i, 1);
     } else if (arg == "--ranks") {
-      opt.ranks = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.ranks = static_cast<std::uint32_t>(count(i, 1, kMaxRanks));
     } else if (arg == "--channels") {
-      opt.channels = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.channels = count32(i, 1);
     } else if (arg == "--shard-channels") {
-      opt.shard_channels = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.shard_channels = count32(i, 0);
     } else if (arg == "--llc-mb") {
-      opt.llc_mb = std::strtoull(need(i), nullptr, 10);
+      opt.llc_mb = count(i, 1, kMaxLlcMb);
     } else if (arg == "--instructions") {
-      opt.instructions = std::strtoull(need(i), nullptr, 10);
+      opt.instructions = count(i, 1, kU64Max);
     } else if (arg == "--buffer-lines") {
-      opt.buffer_lines = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.buffer_lines = count32(i, 1);
     } else if (arg == "--window") {
-      opt.window_multiple = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.window_multiple = count32(i, 1);
     } else if (arg == "--training") {
-      opt.training = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.training = count32(i, 0);
     } else if (arg == "--rank-partition") {
       opt.rank_partition = true;
     } else if (arg == "--refresh") {
@@ -222,7 +279,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--compare") {
       opt.compare = true;
     } else if (arg == "--jobs") {
-      opt.jobs = static_cast<unsigned>(std::atoi(need(i)));
+      opt.jobs = count32(i, 0);
     } else if (arg == "--loop") {
       opt.loop = need(i);
     } else if (arg == "--no-fast-forward") {
@@ -234,29 +291,29 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--snapshot-out") {
       opt.snapshot_out = need(i);
     } else if (arg == "--snapshot-every") {
-      opt.snapshot_every = std::strtoull(need(i), nullptr, 10);
+      opt.snapshot_every = count(i, 0, kU64Max);
     } else if (arg == "--snapshot-stop-at") {
-      opt.snapshot_stop = std::strtoull(need(i), nullptr, 10);
+      opt.snapshot_stop = count(i, 0, kU64Max);
     } else if (arg == "--sample-warmup") {
-      opt.sample_warmup = std::strtoull(need(i), nullptr, 10);
+      opt.sample_warmup = count(i, 0, kU64Max);
     } else if (arg == "--sample-detail") {
-      opt.sample_detail = std::strtoull(need(i), nullptr, 10);
+      opt.sample_detail = count(i, 0, kU64Max);
     } else if (arg == "--sample-functional") {
-      opt.sample_functional = std::strtoull(need(i), nullptr, 10);
+      opt.sample_functional = count(i, 0, kU64Max);
     } else if (arg == "--sample-min-windows") {
-      opt.sample_min_windows = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.sample_min_windows = count32(i, 0);
     } else if (arg == "--sample-max-windows") {
-      opt.sample_max_windows = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.sample_max_windows = count32(i, 0);
     } else if (arg == "--sample-target-ci") {
-      opt.sample_target_ci = std::strtod(need(i), nullptr);
+      opt.sample_target_ci = fraction(i);
     } else if (arg == "--sample-jobs") {
-      opt.sample_jobs = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.sample_jobs = count32(i, 0);
     } else if (arg == "--sample-strata") {
-      opt.sample_strata = static_cast<std::uint32_t>(std::atoi(need(i)));
+      opt.sample_strata = count32(i, 0);
     } else if (arg == "--stats-json") {
       opt.stats_json = need(i);
     } else if (arg == "--epoch") {
-      opt.epoch = std::strtoull(need(i), nullptr, 10);
+      opt.epoch = count(i, 0, kU64Max);
     } else if (arg == "--trace-out") {
       opt.trace_out = need(i);
     } else if (arg == "--trace-cats") {
@@ -266,7 +323,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--progress") {
       opt.progress = need(i);
     } else if (arg == "--progress-every") {
-      opt.progress_every = std::strtoull(need(i), nullptr, 10);
+      opt.progress_every = count(i, 0, kU64Max);
     } else if (arg == "--help" || arg == "-h") {
       usage(0);
     } else {
@@ -612,12 +669,14 @@ int run_campaign_cli(int argc, char** argv) {
     if (arg == "--out") {
       opts.out_dir = need(i);
     } else if (arg == "--jobs") {
-      opts.jobs = static_cast<unsigned>(std::atoi(need(i)));
+      const char* flag = argv[i];
+      opts.jobs = static_cast<unsigned>(parse_count(flag, need(i), 0, kU32Max));
     } else if (arg == "--no-resume") {
       opts.resume = false;
     } else if (arg == "--stop-after") {
-      opts.stop_after = static_cast<std::size_t>(
-          std::strtoull(need(i), nullptr, 10));
+      const char* flag = argv[i];
+      opts.stop_after =
+          static_cast<std::size_t>(parse_count(flag, need(i), 0, kU64Max));
     } else if (arg == "--quiet") {
       opts.progress = false;
     } else if (arg == "--progress") {
@@ -665,6 +724,21 @@ int main(int argc, char** argv) {
     return run_campaign_cli(argc, argv);
   }
   Options opt = parse(argc, argv);
+  // Reject what the simulator would otherwise abort on mid-assembly.
+  if (opt.trace_path.empty() && !is_workload_mix(opt.benchmark) &&
+      std::find(workload::kBenchmarkNames.begin(),
+                workload::kBenchmarkNames.end(),
+                opt.benchmark) == workload::kBenchmarkNames.end()) {
+    std::fprintf(stderr, "unknown benchmark: %s (see --help)\n",
+                 opt.benchmark.c_str());
+    return 2;
+  }
+  if (!std::has_single_bit(opt.llc_mb)) {
+    std::fprintf(stderr, "invalid value for --llc-mb: %llu (expected a "
+                         "power of two)\n",
+                 static_cast<unsigned long long>(opt.llc_mb));
+    return 2;
+  }
   if (opt.trace_format != "json" && opt.trace_format != "binary") {
     std::fprintf(stderr, "unknown --trace-format: %s\n",
                  opt.trace_format.c_str());
