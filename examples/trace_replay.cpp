@@ -1,36 +1,18 @@
 // Trace capture and replay: snapshot a synthetic benchmark into the text
 // trace format, replay it through the simulator, and verify the replay
 // reproduces the generator run exactly. This is the workflow for swapping
-// in real application traces (e.g. converted SPEC or gem5/zsim dumps).
+// in real application traces (e.g. converted SPEC or gem5/zsim dumps):
+// point ExperimentSpec::trace_files (or `ropsim --trace`) at them.
 //
 //   ./example_trace_replay [benchmark] [records] [path]
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "cpu/system.h"
-#include "mem/memory_system.h"
-#include "sim/presets.h"
+#include "sim/experiment.h"
 #include "workload/spec_profiles.h"
 #include "workload/synthetic.h"
 #include "workload/trace_io.h"
-
-namespace {
-
-double run_ipc(rop::workload::TraceSource& source,
-               std::uint64_t instructions) {
-  using namespace rop;
-  StatRegistry stats;
-  const mem::MemoryConfig mem_cfg =
-      sim::make_memory_config(1, sim::MemoryMode::kBaseline);
-  mem::MemorySystem memory(mem_cfg, &stats);
-  std::vector<workload::TraceSource*> traces{&source};
-  cpu::System system(sim::make_system_config(2ull << 20, false), memory,
-                     traces);
-  return system.run(instructions, instructions * 64).cores[0].ipc;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace rop;
@@ -53,14 +35,22 @@ int main(int argc, char** argv) {
   for (const auto& rec : captured) instructions += rec.gap + 1;
   instructions = instructions * 9 / 10;  // stay inside the captured prefix
 
-  workload::MemoryTrace replay(workload::read_trace_file(path));
-  generator.reset();
-  const double ipc_generator = run_ipc(generator, instructions);
-  const double ipc_replay = run_ipc(replay, instructions);
+  sim::ExperimentSpec spec =
+      sim::single_core_spec(benchmark, sim::MemoryMode::kBaseline);
+  spec.instructions_per_core = instructions;
+  spec.max_cpu_cycles = instructions * 64;
+  const sim::ExperimentResult from_generator = sim::run_experiment(spec);
+  spec.trace_files = {path};
+  const sim::ExperimentResult from_replay = sim::run_experiment(spec);
+  if (!from_replay.error.empty()) {
+    std::printf("replay failed: %s\n", from_replay.error.c_str());
+    return 1;
+  }
 
-  std::printf("IPC from generator: %.6f\n", ipc_generator);
-  std::printf("IPC from replay:    %.6f\n", ipc_replay);
-  if (ipc_generator == ipc_replay) {
+  std::printf("IPC from generator: %.6f\n", from_generator.ipc());
+  std::printf("IPC from replay:    %.6f\n", from_replay.ipc());
+  if (from_generator.ipc() == from_replay.ipc() &&
+      from_generator.stats.report() == from_replay.stats.report()) {
     std::printf("replay is bit-identical to the generator run\n");
   } else {
     std::printf("replay diverged (ran past the captured prefix?)\n");

@@ -109,6 +109,14 @@ class SimChecker final : public mem::ControllerAuditor {
   /// --check and CI logs).
   [[nodiscard]] std::string summary() const;
 
+  /// Snapshot serialization: the counters a checked run must carry across
+  /// a restore to report the unbroken run's totals. Conservation (d) reads
+  /// the restored stat registry, so nothing else needs to travel.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(ticks_checked_, retired_, violation_count_, last_now_);
+  }
+
  private:
   void violate(std::string msg);
   void check_queue_counters(const mem::Controller& c, Cycle now);

@@ -85,13 +85,6 @@ std::uint64_t System::llc_misses() const {
   return misses;
 }
 
-bool System::all_cores_stalled() const {
-  for (const auto& core : cores_) {
-    if (!core->stalled_on_memory()) return false;
-  }
-  return true;
-}
-
 Address System::relocate(CoreId core, Address local) const {
   const std::uint64_t local_line = local >> kLineShift;
   if (cfg_.rank_partition) {
@@ -253,14 +246,15 @@ void System::begin_run(std::uint64_t target_instructions,
 
 bool System::advance_until(std::uint64_t stop_cpu) {
   ROP_ASSERT(loop_.active);
-  const LoopMode mode = cfg_.loop;
+  // The sharded loop is an event loop (begin_run asserts it).
+  const bool naive = cfg_.loop == LoopMode::kNaive;
   const bool sharded = pool_ != nullptr;
   // Event-loop sleep/wake: a core blocked on a critical load is not
   // executed (nor billed) per cycle; its cycles/stall_cycles lag until the
   // wake back-fill in Core::on_read_complete or a bulk run_until catches
-  // it up. The per-cycle modes bill stalled cores every cycle, so the
+  // it up. The naive loop bills stalled cores every cycle, so the
   // back-fill is zero there.
-  const bool lazy_sleep = sharded || mode == LoopMode::kEventDriven;
+  const bool lazy_sleep = !naive;
   telemetry::EpochSampler* const sampler = memory_.sampler();
   const std::uint64_t stop = std::min(stop_cpu, loop_.max_cpu_cycles);
 
@@ -291,15 +285,14 @@ bool System::advance_until(std::uint64_t stop_cpu) {
         mem_next_event = pool_->next_required_boundary(mem_now_);
       } else {
         if (sampler != nullptr) sampler->advance_to(mem_now_);
-        if (mode == LoopMode::kNaive || mem_dirty_ ||
-            mem_now_ >= mem_next_event) {
+        if (naive || mem_dirty_ || mem_now_ >= mem_next_event) {
           memory_.tick(mem_now_);
           memory_.for_each_completed([&](const mem::Request& req) {
             cores_[req.core]->on_read_complete(req.id, cpu_cycle,
                                                make_fill(req));
           });
           mem_dirty_ = false;
-          if (mode != LoopMode::kNaive) {
+          if (!naive) {
             mem_next_event = memory_.next_event_cycle(mem_now_);
           }
         }
@@ -318,16 +311,12 @@ bool System::advance_until(std::uint64_t stop_cpu) {
     ++cpu_cycle;
 
     // -- Bulk advance: jump the whole system across a span every party has
-    // proven pure. kFrozenStall keeps the PR-3 restriction (skip only the
-    // paper's frozen cycles, when every core is stalled); kEventDriven and
-    // the sharded loop fold per-core next events into the same mechanism.
+    // proven pure: the event loop and the sharded loop fold per-core next
+    // events into the jump target.
     // Clamping the jump at the segment stop is exact: run_until composes
     // over pure spans, and the re-entry window visit is a provable no-op.
     if (loop_.remaining == 0) continue;
-    if (!sharded) {
-      if (mode == LoopMode::kNaive) continue;
-      if (mode == LoopMode::kFrozenStall && !all_cores_stalled()) continue;
-    }
+    if (naive) continue;
     const std::uint64_t target = std::min(
         stop, skip_target(cpu_cycle, next_window_cpu, mem_next_event,
                           loop_.target_instructions, loop_.max_cpu_cycles,

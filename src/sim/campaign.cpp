@@ -43,20 +43,14 @@ bool parse_refresh(const std::string& s, dram::RefreshMode* out) {
 }
 
 /// Benchmark axis value -> per-core benchmark list. "wlN" expands to the
-/// 4-program mix of Table II; any Table I name runs single-core.
-bool parse_benchmark(const std::string& s, std::vector<std::string>* out) {
+/// 4-program mix of Table II; any other name runs single-core (validate()
+/// rejects names that are not Table I profiles).
+std::vector<std::string> parse_benchmark(const std::string& s) {
   if (s.size() == 3 && s[0] == 'w' && s[1] == 'l' && s[2] >= '1' &&
       s[2] <= '0' + static_cast<char>(workload::kNumWorkloadMixes)) {
-    *out = workload::workload_mix(static_cast<std::uint32_t>(s[2] - '0'));
-    return true;
+    return workload::workload_mix(static_cast<std::uint32_t>(s[2] - '0'));
   }
-  for (const std::string_view name : workload::kBenchmarkNames) {
-    if (s == name) {
-      *out = {s};
-      return true;
-    }
-  }
-  return false;
+  return {s};
 }
 
 bool axis_strings(const json::Value& axes, const std::string& key,
@@ -504,25 +498,15 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
 
   // Top-level "sampling" object: its presence switches every cell to
   // sampled execution (sim/sampling.h knobs; "jobs"/"strata" select the
-  // planned parallel mode). Sampling composes with neither intra-cell
-  // checkpoints nor the sharded loop nor epoch telemetry, so those
-  // combinations are spec errors, not silent downgrades.
+  // planned parallel mode). Conflicts with checkpoints, shards and
+  // telemetry are validate()'s, checked per cell below. Epoch telemetry is
+  // a campaign-format rule on top: validate() admits a chained sampled
+  // run's epoch series (ropsim --loop sampled --stats-json), campaigns
+  // never have.
   SamplingSpec sampling;
   if (const json::Value* sv = spec.find("sampling"); sv != nullptr) {
     if (!sv->is_object()) {
       if (error != nullptr) *error = "'sampling' must be a JSON object";
-      return std::nullopt;
-    }
-    if (snapshot_every > 0) {
-      if (error != nullptr) {
-        *error = "'sampling' cannot be combined with snapshot_every";
-      }
-      return std::nullopt;
-    }
-    if (shard_channels > 0) {
-      if (error != nullptr) {
-        *error = "'sampling' requires the serial loop (no shard_channels)";
-      }
       return std::nullopt;
     }
     if (epoch_cycles > 0) {
@@ -549,12 +533,6 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
     if (const json::Value* ci = sv->find("target_ci");
         ci != nullptr && ci->is_number()) {
       sampling.target_ci_frac = ci->as_double();
-    }
-    if (sampling.strata > 0 && sampling.jobs == 0) {
-      if (error != nullptr) {
-        *error = "'sampling.strata' requires 'sampling.jobs' >= 1";
-      }
-      return std::nullopt;
     }
   }
 
@@ -587,11 +565,7 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
   // Fixed nesting order (last axis fastest) keeps indices stable across
   // invocations — the contract the resume manifest depends on.
   for (const std::string& bench : benchmarks) {
-    std::vector<std::string> cores;
-    if (!parse_benchmark(bench, &cores)) {
-      if (error != nullptr) *error = "unknown benchmark '" + bench + "'";
-      return std::nullopt;
-    }
+    const std::vector<std::string> cores = parse_benchmark(bench);
     for (const std::string& mode_s : modes) {
       MemoryMode mode{};
       if (!parse_mode(mode_s, &mode)) {
@@ -632,10 +606,22 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
                 e.check = check;
                 e.sampling = sampling;
                 e.telemetry.sampler.epoch_cycles = epoch_cycles;
-                // Paths are filled in by run_campaign (they depend on the
-                // output directory); the period rides in the spec so every
-                // expansion site agrees on it.
+                // The checkpoint path is relative to the output directory
+                // (run_campaign resolves it); the period rides in the spec
+                // so every expansion site agrees on it.
                 e.snapshot.every = snapshot_every;
+                if (snapshot_every > 0) {
+                  e.snapshot.out = cell_snapname(cell.index);
+                }
+                // Every cell is checked before any runs: one bad axis value
+                // fails the campaign up front, naming its cell.
+                if (const auto bad = validate(e)) {
+                  if (error != nullptr) {
+                    *error = "cell " + std::to_string(cell.index) + " (" +
+                             cell.label + "): " + *bad;
+                  }
+                  return std::nullopt;
+                }
                 cells.push_back(std::move(cell));
               }
             }
@@ -790,8 +776,8 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
       }
       ExperimentSpec cell_spec = cells[idx].spec;
       fs::path snap_path;
-      if (cell_spec.snapshot.every > 0) {
-        snap_path = out_dir / cell_snapname(idx);
+      if (!cell_spec.snapshot.out.empty()) {
+        snap_path = out_dir / cell_spec.snapshot.out;
         cell_spec.snapshot.out = snap_path.string();
         // Resume mid-cell from the last periodic checkpoint — but only one
         // written under this exact spec; a stale file from an earlier sweep
@@ -805,11 +791,21 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
           fs::remove(snap_path, rm_ec);
         }
       }
-      const ExperimentResult result = run_experiment(cell_spec);
-      const std::string doc = result.to_json();
-      if (!write_file_atomic(out_dir / cell_filename(idx), doc)) {
+      ExperimentResult result = run_experiment(cell_spec);
+      if (!result.error.empty() && !cell_spec.snapshot.in.empty()) {
+        // A checkpoint with the right header that still does not restore
+        // (truncated, corrupt): discard it and rerun from cycle 0.
+        std::error_code rm_ec;
+        fs::remove(snap_path, rm_ec);
+        cell_spec.snapshot.in.clear();
+        result = run_experiment(cell_spec);
+      }
+      if (!result.error.empty() ||
+          !write_file_atomic(out_dir / cell_filename(idx), result.to_json())) {
         std::lock_guard<std::mutex> lock(mu);
-        io_error = "cannot write " + cell_filename(idx);
+        io_error = result.error.empty() ? "cannot write " + cell_filename(idx)
+                                        : cells[idx].label + ": " +
+                                              result.error;
         io_failed.store(true, std::memory_order_relaxed);
         return;
       }

@@ -80,13 +80,17 @@ struct CampaignSummary {
 };
 
 /// Expand a parsed spec into the cell grid. Returns nullopt and sets
-/// `error` on a malformed spec.
+/// `error` on a malformed spec or on the first cell that fails validate()
+/// (the message names the cell's index and label). A cell with
+/// snapshot_every carries its checkpoint path relative to the output
+/// directory.
 [[nodiscard]] std::optional<std::vector<CampaignCell>> expand_campaign(
     const json::Value& spec, std::string* error);
 
 /// Run (or resume) a campaign end to end. Returns nullopt and sets
-/// `error` on spec/IO failures; cell-level simulation failures abort (the
-/// checker's contract).
+/// `error` on spec/IO failures. An intra-cell checkpoint that does not
+/// restore is discarded and its cell rerun from cycle 0; checker
+/// violations still abort (the checker's contract).
 [[nodiscard]] std::optional<CampaignSummary> run_campaign(
     const CampaignOptions& opts, std::string* error);
 

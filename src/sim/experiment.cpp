@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -257,16 +258,75 @@ std::string ExperimentResult::to_json() const {
   return os.str();
 }
 
-ExperimentResult run_experiment(const ExperimentSpec& spec) {
-  ROP_ASSERT(!spec.benchmarks.empty());
+std::optional<std::string> validate(const ExperimentSpec& spec) {
   const bool sharded = spec.shard_channels > 0;
-  ROP_ASSERT(!(sharded && spec.telemetry.tracing()) &&
-             "the trace sink interleaves channels; use the serial loop");
+  const SnapshotSpec& snap = spec.snapshot;
+  const bool checkpointed = snap.any() || snap.every > 0 || snap.stop_at > 0;
+  const SamplingSpec& sampling = spec.sampling;
+  const bool planned = sampling.enabled && sampling.jobs > 0;
+
+  if (spec.benchmarks.empty()) return "the spec has no cores";
+  if (spec.trace_files.empty()) {
+    for (const std::string& b : spec.benchmarks) {
+      if (std::find(workload::kBenchmarkNames.begin(),
+                    workload::kBenchmarkNames.end(),
+                    b) == workload::kBenchmarkNames.end()) {
+        return "unknown benchmark: " + b;
+      }
+    }
+  } else {
+    if (spec.trace_files.size() != spec.benchmarks.size()) {
+      return "trace_files needs one file per core";
+    }
+    if (spec.channels > 1 || sharded || checkpointed || sampling.enabled ||
+        !spec.progress_file.empty()) {
+      return "a trace-file workload runs only as an exact single-channel "
+             "run (no channels > 1, shards, snapshots, sampling or "
+             "progress heartbeat)";
+    }
+  }
+  // The controller keeps one bit per rank in its scheduler masks.
+  if (spec.ranks < 1 || spec.ranks > 32) return "ranks must be in [1, 32]";
+  if (spec.channels < 1) return "channels must be at least 1";
+  // 16 ways of 64-byte lines over a power-of-two set count.
+  if (spec.llc_bytes < (1ull << 20) || !std::has_single_bit(spec.llc_bytes)) {
+    return "the LLC size must be a power of two of at least 1 MiB";
+  }
+  if (spec.loop == cpu::LoopMode::kNaive &&
+      (spec.channels > 1 || sharded || checkpointed)) {
+    return "channels > 1, shard_channels and snapshots require the event "
+           "loop";
+  }
+  if (sharded && spec.telemetry.tracing()) {
+    return "the event trace interleaves channels; it needs the serial loop "
+           "(no shard_channels)";
+  }
+  if ((snap.stop_at > 0 || snap.every > 0) && snap.out.empty()) {
+    return "snapshot.stop_at and snapshot.every require snapshot.out";
+  }
+  if (sampling.jobs > 0 && !sampling.enabled) {
+    return "sampling.jobs requires sampled execution (--loop sampled)";
+  }
+  if (sampling.strata > 0 && sampling.jobs == 0) {
+    return "sampling.strata requires sampling.jobs >= 1";
+  }
+  if (sampling.enabled && checkpointed) {
+    return "snapshots and sampled execution are mutually exclusive";
+  }
+  if (sampling.enabled && sharded) {
+    return "sampled execution requires the serial loop (no shard_channels)";
+  }
+  if (planned && (spec.telemetry.tracing() || spec.telemetry.sampling())) {
+    return "planned sampling (sampling.jobs) runs without telemetry sinks: "
+           "no epoch sampling or event trace";
+  }
+  return std::nullopt;
+}
+
+ExperimentResult run_experiment(const ExperimentSpec& spec) {
+  ROP_ASSERT(!validate(spec) && "run_experiment requires a valid spec");
+  const bool sharded = spec.shard_channels > 0;
   const bool snap_active = spec.snapshot.any();
-  ROP_ASSERT(!(snap_active && spec.sampling.enabled) &&
-             "checkpointing a statistically sampled run is not meaningful");
-  ROP_ASSERT(!(spec.sampling.enabled && sharded) &&
-             "sampled execution runs on the serial loops only");
   ExperimentResult result;
 
   // Full system assembly lives in build_sim_instance (the parallel-sampling
@@ -285,9 +345,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   // Checkers: opt-in invariant auditor — per-tick structural checks plus an
   // end-of-run conservation audit; any violation aborts the experiment with
   // a report. Sharded runs get one checker per channel so each shard's
-  // ticks audit into shard-owned state. Disabled while a snapshot or
-  // sampling is active: the conservation audit counts from attach and
-  // cannot span a restore or a functional jump.
+  // ticks audit into shard-owned state. Their counters ride in snapshots,
+  // so a checked run spans a restore. Disabled while sampling: a
+  // functional jump skips the ticks the audit counts.
   hooks.post_memory = [&](mem::MemorySystem& memory) {
     if (spec.telemetry.tracing()) {
       telemetry::TraceConfig trace_cfg = spec.telemetry.trace;
@@ -295,7 +355,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
       result.trace = std::make_shared<telemetry::TraceSink>(trace_cfg);
       memory.set_trace(result.trace.get());
     }
-    if ((spec.check || checker_enabled_by_environment()) && !snap_active &&
+    if ((spec.check || checker_enabled_by_environment()) &&
         !spec.sampling.enabled) {
       if (sharded) {
         for (ChannelId ch = 0; ch < memory.num_channels(); ++ch) {
@@ -324,6 +384,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
       };
 
   inst = build_sim_instance(spec, &result.stats, hooks);
+  if (!inst.error.empty()) {
+    result.error = inst.error;
+    return result;
+  }
   mem::MemorySystem& memory = *inst.memory;
   std::vector<std::unique_ptr<engine::RopEngine>>& engines = inst.engines;
   std::vector<std::unique_ptr<workload::SyntheticTrace>>& traces =
@@ -346,9 +410,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     // Planned parallel mode: the instance above becomes the functional-only
     // backbone; workers replicate it from the spec. Telemetry sinks hold
     // single-threaded ring state and the backbone never runs a detailed
-    // cycle, so planned mode requires them off.
-    ROP_ASSERT(!spec.telemetry.tracing() && !spec.telemetry.sampling() &&
-               "planned parallel sampling runs without telemetry sinks");
+    // cycle, so validate() keeps them off.
     result.run = run_parallel_sampled(spec, inst, &result.sampling);
   } else if (spec.sampling.enabled) {
     result.run =
@@ -371,15 +433,21 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     for (const auto& tr : traces) ctx.traces.push_back(tr.get());
     ctx.sampler = result.epochs.get();
     ctx.trace = result.trace.get();
+    for (const auto& checker : checkers) ctx.checkers.push_back(checker.get());
     const std::uint64_t fp = config_fingerprint(spec_canonical(spec));
+    const auto write_snapshot = [&] {
+      if (write_snapshot_file(spec.snapshot.out, ctx, fp)) return true;
+      result.error = "cannot write snapshot " + spec.snapshot.out;
+      return false;
+    };
 
     system.begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
     if (!spec.snapshot.in.empty()) {
       std::string err;
       if (!read_snapshot_file(spec.snapshot.in, ctx, fp, &err)) {
-        std::fprintf(stderr, "snapshot restore failed (%s): %s\n",
-                     spec.snapshot.in.c_str(), err.c_str());
-        ROP_ASSERT(false && "snapshot restore failed");
+        result.error =
+            "snapshot restore failed (" + spec.snapshot.in + "): " + err;
+        return result;
       }
     }
     const std::uint64_t stop_at = spec.snapshot.stop_at > 0
@@ -439,18 +507,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
       if (ended) break;  // natural end: no checkpoint, the run is complete
       if (spec.snapshot.stop_at > 0 &&
           system.cpu_cycle() >= spec.snapshot.stop_at) {
-        ROP_ASSERT(!spec.snapshot.out.empty() &&
-                   "snapshot.stop_at requires snapshot.out");
-        const bool ok = write_snapshot_file(spec.snapshot.out, ctx, fp);
-        ROP_ASSERT(ok && "snapshot write failed");
+        if (!write_snapshot()) return result;
         result.interrupted = true;
         break;
       }
       if (next_snap > 0 && system.cpu_cycle() >= next_snap) {
-        if (!spec.snapshot.out.empty()) {
-          const bool ok = write_snapshot_file(spec.snapshot.out, ctx, fp);
-          ROP_ASSERT(ok && "snapshot write failed");
-        }
+        if (!write_snapshot()) return result;
         while (next_snap <= system.cpu_cycle()) {
           next_snap += spec.snapshot.every;
         }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,8 +41,14 @@ struct SnapshotSpec {
 };
 
 struct ExperimentSpec {
-  /// One benchmark name per core (see workload::kBenchmarkNames).
+  /// One benchmark name per core (see workload::kBenchmarkNames); with
+  /// `trace_files` set, only the cores' labels.
   std::vector<std::string> benchmarks;
+  /// Trace-file workload source: when non-empty, core c replays
+  /// trace_files[c] (the text format of workload/trace_io.h, looping) in
+  /// place of the synthetic profile. One entry per core; exact
+  /// single-channel runs only (see validate()).
+  std::vector<std::string> trace_files;
   MemoryMode mode = MemoryMode::kBaseline;
   bool rank_partition = false;
   std::uint32_t ranks = 1;
@@ -49,8 +56,7 @@ struct ExperimentSpec {
   /// and campaign sweeps extend it).
   std::uint32_t channels = 1;
   /// > 0: run the channel-sharded loop with this many shards (clamped to
-  /// the channel count); bit-identical to the serial event loop. Requires
-  /// loop == kEventDriven and no tracing.
+  /// the channel count); bit-identical to the serial event loop.
   std::uint32_t shard_channels = 0;
   std::uint64_t llc_bytes = 2ull << 20;
   engine::RopConfig rop{};  // consulted when mode == kRop
@@ -58,8 +64,8 @@ struct ExperimentSpec {
   std::uint64_t instructions_per_core = 5'000'000;
   std::uint64_t max_cpu_cycles = 2'000'000'000;
   std::uint64_t seed_salt = 0;
-  /// Simulation-loop strategy (bit-identical across all three; see
-  /// cpu::LoopMode). kNaive / kFrozenStall are for cross-checks.
+  /// Simulation-loop strategy (bit-identical across both; see
+  /// cpu::LoopMode). kNaive is the cross-checking reference.
   cpu::LoopMode loop = cpu::LoopMode::kEventDriven;
   /// Audit the run with check::SimChecker (per-tick invariants + end-of-run
   /// request conservation); a violation aborts the experiment with a
@@ -69,9 +75,10 @@ struct ExperimentSpec {
   /// Observability: epoch sampling and/or event tracing. Both default off
   /// (zero hot-path cost beyond a null-pointer compare).
   telemetry::TelemetryConfig telemetry{};
-  /// Checkpoint/restore (mutually exclusive with `sampling.enabled`; the
-  /// checker is disabled while either is active — its conservation audit
-  /// counts from attach and cannot span a restore or a functional jump).
+  /// Checkpoint/restore (mutually exclusive with `sampling.enabled`). A
+  /// checked run's checker counters travel in the snapshot, so the audit
+  /// spans a restore; sampled runs stay unchecked (a functional jump skips
+  /// the ticks the audit would count).
   SnapshotSpec snapshot{};
   /// SMARTS-style sampled execution (serial loops only; see sim/sampling.h).
   SamplingSpec sampling{};
@@ -96,6 +103,12 @@ struct ExperimentResult {
   // Invariant-checker outcome (zeros when the checker was disabled).
   std::uint64_t checker_ticks = 0;
   std::uint64_t checker_violations = 0;
+
+  /// Non-empty when the run could not finish because of an input that only
+  /// fails once the run is under way: an unreadable trace file, or a
+  /// snapshot that does not restore or cannot be written. Every other
+  /// field is then meaningless.
+  std::string error;
 
   /// Wall-clock seconds spent inside System::run (simulation only — no
   /// construction, finalization, or energy accounting).
@@ -148,7 +161,15 @@ struct ExperimentResult {
       const std::vector<double>& ipc_alone) const;
 };
 
-/// Run one experiment end to end. Deterministic for a fixed spec.
+/// The one place that says whether a spec can run: every flag-combination
+/// and range rule. ropsim, the campaign expander and run_experiment all
+/// call it. Returns a one-line reason for the first rule broken, or
+/// nullopt for a valid spec.
+[[nodiscard]] std::optional<std::string> validate(const ExperimentSpec& spec);
+
+/// Run one experiment end to end. Deterministic for a fixed spec, which
+/// must pass validate(); input failures discovered mid-run come back in
+/// ExperimentResult::error.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec);
 
 /// Worker threads one run of `spec` occupies: the shard count for a

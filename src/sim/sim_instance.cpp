@@ -1,5 +1,7 @@
 #include "sim/sim_instance.h"
 
+#include <stdexcept>
+
 #include "sim/presets.h"
 #include "workload/spec_profiles.h"
 
@@ -12,6 +14,15 @@ SimInstance build_sim_instance(const ExperimentSpec& spec,
   const bool sharded = spec.shard_channels > 0;
 
   SimInstance inst;
+  std::vector<std::vector<workload::TraceRecord>> recorded;
+  for (const std::string& path : spec.trace_files) {
+    try {
+      recorded.push_back(workload::read_trace_file(path));
+    } catch (const std::runtime_error& e) {
+      inst.error = e.what();
+      return inst;
+    }
+  }
   if (external_stats != nullptr) {
     inst.registry = external_stats;
   } else {
@@ -46,9 +57,15 @@ SimInstance build_sim_instance(const ExperimentSpec& spec,
 
   std::vector<workload::TraceSource*> trace_ptrs;
   for (std::size_t c = 0; c < spec.benchmarks.size(); ++c) {
-    inst.traces.push_back(std::make_unique<workload::SyntheticTrace>(
-        workload::spec_profile(spec.benchmarks[c], spec.seed_salt + c)));
-    trace_ptrs.push_back(inst.traces.back().get());
+    if (!recorded.empty()) {
+      inst.replays.push_back(
+          std::make_unique<workload::MemoryTrace>(std::move(recorded[c])));
+      trace_ptrs.push_back(inst.replays.back().get());
+    } else {
+      inst.traces.push_back(std::make_unique<workload::SyntheticTrace>(
+          workload::spec_profile(spec.benchmarks[c], spec.seed_salt + c)));
+      trace_ptrs.push_back(inst.traces.back().get());
+    }
   }
 
   cpu::SystemConfig sys_cfg =

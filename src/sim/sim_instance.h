@@ -14,6 +14,7 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -23,6 +24,7 @@
 #include "sim/experiment.h"
 #include "sim/snapshot.h"
 #include "workload/synthetic.h"
+#include "workload/trace_io.h"
 
 namespace rop::sim {
 
@@ -34,8 +36,14 @@ struct SimInstance {
   std::unique_ptr<mem::MemorySystem> memory;
   std::vector<std::unique_ptr<engine::RopEngine>> engines;
   std::vector<std::unique_ptr<workload::SyntheticTrace>> traces;
+  /// Trace-file sources of a spec with `trace_files` (`traces` is then
+  /// empty; validate() keeps such specs away from snapshots).
+  std::vector<std::unique_ptr<workload::MemoryTrace>> replays;
   std::unique_ptr<cpu::System> system;
   std::uint32_t cpu_ratio = 0;
+  /// Non-empty when a trace file could not be read: nothing else was built
+  /// and the instance must not run.
+  std::string error;
 
   /// Snapshot surface of this instance (sampler and trace sink stay null —
   /// instances built here never attach them).
@@ -66,9 +74,10 @@ struct SimInstanceHooks {
 /// Build the full simulator for `spec` in the canonical registration order:
 /// memory system -> [hooks.post_memory] -> ROP engines ->
 /// [hooks.post_engines] -> channel-stat mirror (sharded only) -> traces ->
-/// CPU system. `external_stats` non-null routes every registration into the
-/// caller's registry (run_experiment's result.stats); null gives the
-/// instance its own.
+/// CPU system. Trace files are read first, so an unreadable one returns
+/// an instance holding only `error`. `external_stats` non-null routes
+/// every registration into the caller's registry (run_experiment's
+/// result.stats); null gives the instance its own.
 [[nodiscard]] SimInstance build_sim_instance(
     const ExperimentSpec& spec, StatRegistry* external_stats = nullptr,
     const SimInstanceHooks& hooks = {});

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "check/sim_checker.h"
 #include "common/snapshot_io.h"
 #include "common/types.h"
 #include "cpu/system.h"
@@ -21,6 +22,8 @@ namespace {
 
 // "ROPSNAP1" read as a little-endian u64.
 constexpr std::uint64_t kMagic = 0x3150414E53504F52ULL;
+// "CHECKER1": tag of the optional trailing checker section.
+constexpr std::uint64_t kCheckerTag = 0x3152454B43454843ULL;
 
 template <class Ar>
 void serialize_sections(Ar& ar, const SnapshotContext& ctx) {
@@ -46,6 +49,12 @@ std::string spec_canonical(const ExperimentSpec& spec) {
   os.precision(17);
   os << "v1;benchmarks=";
   for (const std::string& b : spec.benchmarks) os << b << ',';
+  // Absent for synthetic workloads, so their canonical strings (and every
+  // existing snapshot fingerprint) are unchanged.
+  if (!spec.trace_files.empty()) {
+    os << ";trace_files=";
+    for (const std::string& f : spec.trace_files) os << f << ',';
+  }
   os << ";mode=" << static_cast<int>(spec.mode)
      << ";rank_partition=" << spec.rank_partition << ";ranks=" << spec.ranks
      << ";channels=" << spec.channels << ";shards=" << spec.shard_channels
@@ -101,6 +110,12 @@ std::string save_snapshot_buffer(const SnapshotContext& ctx,
   std::uint64_t fp = fingerprint;
   w(magic, version, fp);
   serialize_sections(w, ctx);
+  if (!ctx.checkers.empty()) {
+    std::uint64_t tag = kCheckerTag;
+    auto count = static_cast<std::uint32_t>(ctx.checkers.size());
+    w(tag, count);
+    for (check::SimChecker* c : ctx.checkers) w.field(*c);
+  }
   return w.take();
 }
 
@@ -126,14 +141,24 @@ bool load_snapshot_buffer(const std::string& buf, const SnapshotContext& ctx,
     return false;
   }
   serialize_sections(r, ctx);
-  if (!r.ok()) {
-    if (error != nullptr) *error = "snapshot truncated or corrupt";
+  const auto fail = [error](const char* why) {
+    if (error != nullptr) *error = why;
     return false;
+  };
+  if (!r.ok()) return fail("snapshot truncated or corrupt");
+  if (r.at_end()) return true;  // no checker section
+  std::uint64_t tag = 0;
+  std::uint32_t count = 0;
+  r(tag, count);
+  if (!r.ok() || tag != kCheckerTag) return fail("snapshot has trailing bytes");
+  // An unchecked run restoring a checked snapshot drops the section.
+  if (ctx.checkers.empty()) return true;
+  if (count != ctx.checkers.size()) {
+    return fail("snapshot checker section does not match the run");
   }
-  if (!r.at_end()) {
-    if (error != nullptr) *error = "snapshot has trailing bytes";
-    return false;
-  }
+  for (check::SimChecker* c : ctx.checkers) r.field(*c);
+  if (!r.ok()) return fail("snapshot truncated or corrupt");
+  if (!r.at_end()) return fail("snapshot has trailing bytes");
   return true;
 }
 

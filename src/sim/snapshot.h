@@ -20,7 +20,9 @@
 // order: shared registry, memory system (controllers + per-channel
 // registries), CPU system (loop cursor, cores, shard-pool event clocks
 // and counter-fold baselines), ROP engines, workload traces, epoch
-// sampler, trace sink.
+// sampler, trace sink, and — only when a checker audits the run — a
+// trailing checker section. An unchecked run's bytes never change; a
+// checked snapshot restores into an unchecked run by dropping the section.
 //
 // Writes are atomic (tmp file + rename), so a kill mid-write leaves the
 // previous checkpoint intact — what the campaign resume path relies on.
@@ -32,6 +34,9 @@
 
 #include "common/stats.h"
 
+namespace rop::check {
+class SimChecker;
+}
 namespace rop::cpu {
 class System;
 }
@@ -61,9 +66,10 @@ struct ExperimentSpec;
 ///   v4: only the LLCs a run uses (the shared one, or one per core).
 inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
-/// Everything a snapshot touches. Engine/trace vectors follow channel /
-/// core order; sampler and trace may be null (their presence is
-/// config-derived, so both sides of a save/restore agree).
+/// Everything a snapshot touches. Engine/trace/checker vectors follow
+/// channel / core order; sampler and trace may be null (their presence is
+/// config-derived, so both sides of a save/restore agree). `checkers` is
+/// empty on unchecked runs (one entry per channel when sharded).
 struct SnapshotContext {
   cpu::System* system = nullptr;
   mem::MemorySystem* memory = nullptr;
@@ -72,6 +78,7 @@ struct SnapshotContext {
   telemetry::EpochSampler* sampler = nullptr;
   telemetry::TraceSink* trace = nullptr;
   StatRegistry* stats = nullptr;
+  std::vector<check::SimChecker*> checkers;
 };
 
 /// Canonical text form of a spec: every field that shapes simulation

@@ -358,6 +358,72 @@ TEST(CampaignRun, PreviousFormatSnapshotIsDiscardedAndRecomputed) {
   fs::remove_all(base);
 }
 
+TEST(CampaignRun, TruncatedCellSnapshotIsDiscardedAndRerun) {
+  // A checkpoint whose header is intact (so the resume probe accepts it)
+  // but whose body was cut short by a crash: the restore fails mid-read.
+  // The cell must drop the file and rerun from cycle 0, not abort.
+  const std::string base = ::testing::TempDir() + "rop_campaign_trunc";
+  fs::remove_all(base);
+  const std::string spec_text = R"({
+    "name": "trunc",
+    "instructions_per_core": 150000,
+    "snapshot_every": 15000,
+    "axes": {"benchmark": ["lbm"], "mode": ["rop"]}
+  })";
+  const std::string spec_path = write_spec(base, spec_text);
+  std::string err;
+  const auto cells = expand_campaign(*json::parse(spec_text), &err);
+  ASSERT_TRUE(cells.has_value()) << err;
+  const auto full =
+      run_campaign(quiet_options(spec_path, base + "/full"), &err);
+  ASSERT_TRUE(full.has_value()) << err;
+
+  const std::string out_dir = base + "/resumed";
+  fs::create_directories(out_dir);
+  const std::string snap_path = out_dir + "/cell_000000.snap";
+  ExperimentSpec mid = (*cells)[0].spec;
+  mid.snapshot.out = snap_path;
+  mid.snapshot.stop_at = 25'001;
+  ASSERT_TRUE(run_experiment(mid).interrupted);
+  fs::resize_file(snap_path, fs::file_size(snap_path) / 2);
+  ASSERT_TRUE(snapshot_compatible(
+      snap_path, config_fingerprint(spec_canonical((*cells)[0].spec))));
+
+  const auto resumed = run_campaign(quiet_options(spec_path, out_dir), &err);
+  ASSERT_TRUE(resumed.has_value()) << err;
+  EXPECT_TRUE(resumed->complete);
+  EXPECT_EQ(resumed->ran_cells, 1u);
+  EXPECT_EQ(slurp(out_dir + "/merged.json"), slurp(full->merged_path));
+  EXPECT_FALSE(fs::exists(snap_path));
+
+  fs::remove_all(base);
+}
+
+TEST(CampaignRun, InvalidCellFailsBeforeAnyCellRuns) {
+  // llc_mb 3 is not a power of two. Cell 0 (2 MiB) is valid, but the
+  // campaign must fail at expansion, naming cell 1, before running it.
+  const std::string base = ::testing::TempDir() + "rop_campaign_badcell";
+  fs::remove_all(base);
+  const std::string spec_text = R"({
+    "instructions_per_core": 10000,
+    "axes": {"benchmark": ["lbm"], "llc_mb": [2, 3]}
+  })";
+  std::string err;
+  EXPECT_FALSE(expand_campaign(*json::parse(spec_text), &err).has_value());
+  EXPECT_NE(err.find("cell 1 (lbm/baseline/r1/1x/part0/ch1/llc3)"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("power of two"), std::string::npos) << err;
+
+  const std::string spec_path = write_spec(base, spec_text);
+  EXPECT_FALSE(
+      run_campaign(quiet_options(spec_path, base + "/out"), &err).has_value());
+  EXPECT_NE(err.find("llc3"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(base + "/out/cell_000000.json"));
+
+  fs::remove_all(base);
+}
+
 TEST(CampaignRun, FingerprintMismatchStartsOver) {
   const std::string base = ::testing::TempDir() + "rop_campaign_fp";
   fs::remove_all(base);

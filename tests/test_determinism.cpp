@@ -1,6 +1,5 @@
 // Determinism guarantees for the execution-speed features: the parallel
-// experiment runner and the fast simulation loops (the PR-3 frozen-stall
-// fast-forward and the unified core/memory event loop). All must be
+// experiment runner and the unified core/memory event loop. Both must be
 // bit-identical to the serial/naive baseline — not approximately equal.
 #include <gtest/gtest.h>
 
@@ -81,13 +80,9 @@ TEST(FastForward, BitIdenticalToNaiveLoop) {
     ExperimentSpec naive = quick_multicore_spec(mode);
     naive.loop = cpu::LoopMode::kNaive;
     const ExperimentResult ref = run_experiment(naive);
-    for (const cpu::LoopMode loop :
-         {cpu::LoopMode::kFrozenStall, cpu::LoopMode::kEventDriven}) {
-      SCOPED_TRACE(testing::Message() << "loop=" << static_cast<int>(loop));
-      ExperimentSpec fast = naive;
-      fast.loop = loop;
-      expect_identical(ref, run_experiment(fast));
-    }
+    ExperimentSpec fast = naive;
+    fast.loop = cpu::LoopMode::kEventDriven;
+    expect_identical(ref, run_experiment(fast));
   }
 }
 
@@ -100,13 +95,9 @@ TEST(FastForward, BitIdenticalSingleCore) {
     naive.instructions_per_core = 200'000;
     naive.loop = cpu::LoopMode::kNaive;
     const ExperimentResult ref = run_experiment(naive);
-    for (const cpu::LoopMode loop :
-         {cpu::LoopMode::kFrozenStall, cpu::LoopMode::kEventDriven}) {
-      SCOPED_TRACE(testing::Message() << "loop=" << static_cast<int>(loop));
-      ExperimentSpec fast = naive;
-      fast.loop = loop;
-      expect_identical(ref, run_experiment(fast));
-    }
+    ExperimentSpec fast = naive;
+    fast.loop = cpu::LoopMode::kEventDriven;
+    expect_identical(ref, run_experiment(fast));
   }
 }
 
@@ -237,11 +228,8 @@ TEST(FastForward, MidSpanStateDumpMatchesNaiveLoop) {
                                       << " cutoff=" << cutoff);
       const std::string naive =
           run_truncated_and_dump(mode, cpu::LoopMode::kNaive, cutoff);
-      const std::string frozen =
-          run_truncated_and_dump(mode, cpu::LoopMode::kFrozenStall, cutoff);
       const std::string event =
           run_truncated_and_dump(mode, cpu::LoopMode::kEventDriven, cutoff);
-      EXPECT_EQ(naive, frozen);
       EXPECT_EQ(naive, event);
       if (mode == MemoryMode::kPausing) continue;
       // A healthy cutoff run must actually have state in motion — guard
@@ -258,7 +246,7 @@ TEST(FastForward, HeterogeneousMixBitIdenticalAcrossLoops) {
   // long idle phases) — the event loop's target case, where the naive loop
   // burns cycles stepping a sleeping hog and a gap-retiring computer. The
   // final stats AND the per-epoch time series must be bit-identical across
-  // all three loops.
+  // both loops.
   ExperimentSpec naive;
   naive.benchmarks = {"lbm", "wrf"};
   naive.mode = MemoryMode::kRop;
@@ -271,23 +259,19 @@ TEST(FastForward, HeterogeneousMixBitIdenticalAcrossLoops) {
   ASSERT_TRUE(ref.epochs != nullptr);
   EXPECT_GE(ref.epochs->num_epochs(), 2u);
 
-  for (const cpu::LoopMode loop :
-       {cpu::LoopMode::kFrozenStall, cpu::LoopMode::kEventDriven}) {
-    SCOPED_TRACE(testing::Message() << "loop=" << static_cast<int>(loop));
-    ExperimentSpec fast = naive;
-    fast.loop = loop;
-    const ExperimentResult r = run_experiment(fast);
-    expect_identical(ref, r);
-    ASSERT_TRUE(r.epochs != nullptr);
-    ASSERT_EQ(ref.epochs->num_epochs(), r.epochs->num_epochs());
-    ASSERT_EQ(ref.epochs->counter_names(), r.epochs->counter_names());
-    for (std::size_t i = 0; i < ref.epochs->num_epochs(); ++i) {
-      ASSERT_EQ(ref.epochs->epoch_end(i), r.epochs->epoch_end(i))
-          << "epoch " << i;
-      for (std::size_t c = 0; c < ref.epochs->counter_names().size(); ++c) {
-        ASSERT_EQ(ref.epochs->delta(i, c), r.epochs->delta(i, c))
-            << "epoch " << i << " counter " << ref.epochs->counter_names()[c];
-      }
+  ExperimentSpec fast = naive;
+  fast.loop = cpu::LoopMode::kEventDriven;
+  const ExperimentResult r = run_experiment(fast);
+  expect_identical(ref, r);
+  ASSERT_TRUE(r.epochs != nullptr);
+  ASSERT_EQ(ref.epochs->num_epochs(), r.epochs->num_epochs());
+  ASSERT_EQ(ref.epochs->counter_names(), r.epochs->counter_names());
+  for (std::size_t i = 0; i < ref.epochs->num_epochs(); ++i) {
+    ASSERT_EQ(ref.epochs->epoch_end(i), r.epochs->epoch_end(i))
+        << "epoch " << i;
+    for (std::size_t c = 0; c < ref.epochs->counter_names().size(); ++c) {
+      ASSERT_EQ(ref.epochs->delta(i, c), r.epochs->delta(i, c))
+          << "epoch " << i << " counter " << ref.epochs->counter_names()[c];
     }
   }
 }
@@ -302,13 +286,9 @@ TEST(FastForward, CycleLimitEndsIdentically) {
   naive.loop = cpu::LoopMode::kNaive;
   const ExperimentResult a = run_experiment(naive);
   EXPECT_TRUE(a.run.hit_cycle_limit);
-  for (const cpu::LoopMode loop :
-       {cpu::LoopMode::kFrozenStall, cpu::LoopMode::kEventDriven}) {
-    SCOPED_TRACE(testing::Message() << "loop=" << static_cast<int>(loop));
-    ExperimentSpec fast = naive;
-    fast.loop = loop;
-    expect_identical(a, run_experiment(fast));
-  }
+  ExperimentSpec fast = naive;
+  fast.loop = cpu::LoopMode::kEventDriven;
+  expect_identical(a, run_experiment(fast));
 }
 
 }  // namespace

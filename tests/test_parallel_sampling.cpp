@@ -275,7 +275,7 @@ TEST(ParallelSampledCampaign, ExpandsSamplingBlockAndRejectsConflicts) {
           "axes": {"benchmark": ["lbm"]}})");
   ASSERT_TRUE(with_snap.has_value());
   EXPECT_FALSE(expand_campaign(*with_snap, &err).has_value());
-  EXPECT_NE(err.find("snapshot_every"), std::string::npos);
+  EXPECT_NE(err.find("snapshot"), std::string::npos);
 
   const auto with_shards = json::parse(
       R"({"shard_channels": 2, "sampling": {"jobs": 2},

@@ -2,7 +2,7 @@
 // (snapshot written by the first half, restored by the second) must produce
 // the byte-identical final stats document — every counter, Shewchuk scalar
 // sum, histogram, epoch row, and run metric — as the unbroken run, across
-// every refresh scheme, both fast loops, and every shard count. Aggregate
+// every refresh scheme, the event loop, and every shard count. Aggregate
 // identity here is strict: Controller::tick is not idempotent, so any
 // state the snapshot missed (a queue index, an RNG word, a refresh phase,
 // the loop cursor itself) diverges the tail of the run and shows up in the
@@ -251,6 +251,18 @@ TEST(SnapshotHeader, FingerprintCoversBehaviorShapingFields) {
             config_fingerprint(spec_canonical(c)));
 }
 
+// Golden values: any drift in the canonical string (a renamed field, a
+// renumbered enum such as cpu::LoopMode) would orphan every snapshot
+// already on disk, so it must fail here first.
+TEST(SnapshotHeader, FingerprintIsPinned) {
+  EXPECT_EQ(config_fingerprint(spec_canonical(
+                single_core_spec("lbm", MemoryMode::kRop))),
+            0xce76d399e2d2765eULL);
+  EXPECT_EQ(config_fingerprint(spec_canonical(
+                multi_core_spec(1, MemoryMode::kDarp, true))),
+            0xfb39ce2f8012e7abULL);
+}
+
 // ---------------------------------------------------------------------------
 // The bit-identity matrix.
 
@@ -310,14 +322,6 @@ TEST_P(SnapshotSplit, EventLoopSerial) {
   // inside a bulk-advance span — advance_until must clamp exactly.
   expect_split_identical(
       spec, tmp_path(std::string("event_serial_") +
-                     memory_mode_name(GetParam())));
-}
-
-TEST_P(SnapshotSplit, FrozenStallLoopSerial) {
-  ExperimentSpec spec = matrix_spec(GetParam());
-  spec.loop = cpu::LoopMode::kFrozenStall;
-  expect_split_identical(
-      spec, tmp_path(std::string("frozen_serial_") +
                      memory_mode_name(GetParam())));
 }
 
@@ -405,6 +409,82 @@ TEST(SnapshotSplit, RestoreIntoUsedReplicaMatchesFreshReplica) {
     EXPECT_GT(checker.ticks_checked(), 0u);
     EXPECT_TRUE(checker.ok()) << checker.summary();
   }
+}
+
+// A checked run spans a restore: the checker's counters travel in the
+// snapshot, so the split run reports the unbroken run's audit totals.
+TEST(SnapshotSplit, CheckedSplitCarriesTheAudit) {
+  for (const std::uint32_t shards : {0u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    ExperimentSpec spec = matrix_spec(MemoryMode::kRop);
+    spec.check = true;
+    spec.channels = shards > 0 ? 2 : 1;
+    spec.shard_channels = shards;
+    const ExperimentResult ref = run_experiment(spec);
+    ASSERT_GT(ref.checker_ticks, 0u);
+    expect_split_identical(spec,
+                           tmp_path("checked_" + std::to_string(shards)));
+  }
+}
+
+// The checker section is optional and trailing: an unchecked snapshot's
+// bytes are exactly the head of the checked one, a checked snapshot
+// restores into an unchecked run, and an unchecked one into a checked run
+// (whose audit then counts from the restore).
+TEST(SnapshotChecker, SectionIsOptionalAndTrailing) {
+  ExperimentSpec spec = matrix_spec(MemoryMode::kPausing);
+  spec.telemetry.sampler.epoch_cycles = 0;
+  const std::uint64_t fp = config_fingerprint(spec_canonical(spec));
+  const auto advanced = [&](SimInstance& inst, check::SimChecker* checker) {
+    SimInstanceHooks hooks;
+    if (checker != nullptr) {
+      hooks.post_memory = [checker](mem::MemorySystem& m) {
+        checker->attach(m);
+      };
+    }
+    inst = build_sim_instance(spec, nullptr, hooks);
+    inst.system->begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+    EXPECT_FALSE(inst.system->advance_until(30'001));
+    SnapshotContext ctx = inst.snapshot_context();
+    if (checker != nullptr) ctx.checkers.push_back(checker);
+    return ctx;
+  };
+  SimInstance plain;
+  const std::string unchecked =
+      save_snapshot_buffer(advanced(plain, nullptr), fp);
+  SimInstance audited;
+  check::SimChecker checker;
+  const std::string checked =
+      save_snapshot_buffer(advanced(audited, &checker), fp);
+  ASSERT_GT(checker.ticks_checked(), 0u);
+  ASSERT_GT(checked.size(), unchecked.size());
+  EXPECT_EQ(checked.substr(0, unchecked.size()), unchecked);
+
+  std::string err;
+  SimInstance fresh = build_sim_instance(spec);
+  fresh.system->begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+  EXPECT_TRUE(load_snapshot_buffer(checked, fresh.snapshot_context(), fp,
+                                   &err))
+      << err;
+
+  SimInstance resumed;
+  check::SimChecker restored;
+  SimInstanceHooks hooks;
+  hooks.post_memory = [&restored](mem::MemorySystem& m) { restored.attach(m); };
+  resumed = build_sim_instance(spec, nullptr, hooks);
+  resumed.system->begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+  SnapshotContext ctx = resumed.snapshot_context();
+  ctx.checkers.push_back(&restored);
+  ASSERT_TRUE(load_snapshot_buffer(checked, ctx, fp, &err)) << err;
+  EXPECT_EQ(restored.ticks_checked(), checker.ticks_checked());
+  EXPECT_EQ(restored.requests_retired(), checker.requests_retired());
+  ASSERT_TRUE(load_snapshot_buffer(unchecked, ctx, fp, &err)) << err;
+  EXPECT_EQ(restored.ticks_checked(), checker.ticks_checked());
+
+  // A cut through the checker section is a corrupt file, not a silent drop.
+  EXPECT_FALSE(load_snapshot_buffer(checked.substr(0, checked.size() - 3),
+                                    ctx, fp, &err));
+  EXPECT_EQ(err, "snapshot truncated or corrupt");
 }
 
 // Splitting twice (restore, run, checkpoint again, restore again) composes:

@@ -240,8 +240,7 @@ TEST(EpochSampler, DisabledSamplerIsInert) {
 }
 
 // The pinned contract: the epoch series is bit-identical no matter which
-// simulation loop ran — naive, frozen-stall fast-forward, or the unified
-// core/memory event loop. Sampling points are exact, not approximately
+// simulation loop ran — naive or the unified core/memory event loop. Sampling points are exact, not approximately
 // placed, even when a bulk advance jumps several epoch boundaries at once.
 TEST(EpochSampler, BitIdenticalAcrossFastForward) {
   for (const sim::MemoryMode mode :
@@ -256,22 +255,18 @@ TEST(EpochSampler, BitIdenticalAcrossFastForward) {
     const sim::ExperimentResult a = sim::run_experiment(naive);
     ASSERT_TRUE(a.epochs != nullptr);
     EXPECT_GE(a.epochs->num_epochs(), 2u);
-    for (const cpu::LoopMode loop :
-         {cpu::LoopMode::kFrozenStall, cpu::LoopMode::kEventDriven}) {
-      SCOPED_TRACE(testing::Message() << "loop=" << static_cast<int>(loop));
-      sim::ExperimentSpec fast = naive;
-      fast.loop = loop;
-      const sim::ExperimentResult b = sim::run_experiment(fast);
-      ASSERT_TRUE(b.epochs != nullptr);
-      ASSERT_EQ(a.epochs->num_epochs(), b.epochs->num_epochs());
-      ASSERT_EQ(a.epochs->counter_names(), b.epochs->counter_names());
-      for (std::size_t i = 0; i < a.epochs->num_epochs(); ++i) {
-        ASSERT_EQ(a.epochs->epoch_end(i), b.epochs->epoch_end(i))
-            << "epoch " << i;
-        for (std::size_t c = 0; c < a.epochs->counter_names().size(); ++c) {
-          ASSERT_EQ(a.epochs->delta(i, c), b.epochs->delta(i, c))
-              << "epoch " << i << " counter " << a.epochs->counter_names()[c];
-        }
+    sim::ExperimentSpec fast = naive;
+    fast.loop = cpu::LoopMode::kEventDriven;
+    const sim::ExperimentResult b = sim::run_experiment(fast);
+    ASSERT_TRUE(b.epochs != nullptr);
+    ASSERT_EQ(a.epochs->num_epochs(), b.epochs->num_epochs());
+    ASSERT_EQ(a.epochs->counter_names(), b.epochs->counter_names());
+    for (std::size_t i = 0; i < a.epochs->num_epochs(); ++i) {
+      ASSERT_EQ(a.epochs->epoch_end(i), b.epochs->epoch_end(i))
+          << "epoch " << i;
+      for (std::size_t c = 0; c < a.epochs->counter_names().size(); ++c) {
+        ASSERT_EQ(a.epochs->delta(i, c), b.epochs->delta(i, c))
+            << "epoch " << i << " counter " << a.epochs->counter_names()[c];
       }
     }
   }

@@ -1,10 +1,29 @@
-# Runs ropsim with each malformed or out-of-range flag value and requires a
-# clean usage error: exit status 2, not an abort and not a silent run.
+# Runs ropsim with each malformed or out-of-range flag value, each bad
+# input file, and each flag combination the simulator cannot run, and
+# requires a clean error: exit status 2, not an abort and not a silent run.
 #
 #   cmake -DROPSIM=/path/to/ropsim -P check_bad_flags.cmake
 if(NOT ROPSIM)
   message(FATAL_ERROR "pass -DROPSIM=<path to the ropsim binary>")
 endif()
+
+# Bad input files: trace files that are missing, malformed or empty, and
+# snapshots that are missing, truncated or taken under another spec.
+set(dir "${CMAKE_CURRENT_BINARY_DIR}/bad_flags_inputs")
+file(REMOVE_RECURSE "${dir}")
+file(MAKE_DIRECTORY "${dir}")
+file(WRITE "${dir}/malformed.trace" "12 X 0x40\n")
+file(WRITE "${dir}/empty.trace" "# no records\n")
+execute_process(
+  COMMAND ${ROPSIM} --benchmark lbm --mode baseline --instructions 20000
+          --snapshot-out "${dir}/good.snap" --snapshot-stop-at 2001
+  RESULT_VARIABLE status OUTPUT_QUIET)
+if(NOT status STREQUAL "0")
+  message(FATAL_ERROR "could not write the snapshot the cases below need")
+endif()
+execute_process(
+  COMMAND head -c 4096 "${dir}/good.snap"
+  OUTPUT_FILE "${dir}/truncated.snap")
 
 # One invocation per entry, its arguments separated by '|'.
 set(cases
@@ -22,6 +41,21 @@ set(cases
   "--sample-target-ci|nan"
   "--sample-target-ci|0.05x"
   "campaign|spec.json|--out|out|--jobs|1x"
+  "--trace|${dir}/missing.trace"
+  "--trace|${dir}/malformed.trace"
+  "--trace|${dir}/empty.trace"
+  "--benchmark|lbm|--snapshot-in|${dir}/missing.snap"
+  "--benchmark|lbm|--snapshot-in|${dir}/truncated.snap"
+  "--benchmark|lbm|--mode|rop|--snapshot-in|${dir}/good.snap"
+  "--loop|frozen"
+  "--loop|naive|--channels|2"
+  "--loop|sampled|--snapshot-out|${dir}/x.snap"
+  "--snapshot-stop-at|1001"
+  "--trace-out|${dir}/x.json|--channels|2"
+  "--trace|${dir}/empty.trace|--progress|${dir}/p.jsonl"
+  "--sample-jobs|2"
+  "--loop|sampled|--sample-jobs|2|--epoch|100"
+  "--compare|--loop|naive|--channels|2|--shard-channels|2"
 )
 
 set(failures 0)

@@ -2,7 +2,9 @@
 //
 // Runs any benchmark (or trace file) on any of the memory systems with the
 // knobs exposed as flags, and prints a full report: performance, energy
-// breakdown, refresh statistics, and (for ROP) engine internals.
+// breakdown, refresh statistics, and (for ROP) engine internals. The flags
+// become an ExperimentSpec, sim::validate() accepts or rejects it (exit 2
+// with the reason), and sim::run_experiment runs it.
 //
 //   ropsim --benchmark libquantum --mode rop --instructions 20000000
 //   ropsim --benchmark wl1 --mode rop --cores 4 --ranks 4 --llc-mb 4
@@ -12,7 +14,6 @@
 //   ropsim campaign sweep.json --out results/
 //   ropsim --help
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -20,28 +21,17 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "check/sim_checker.h"
 #include "common/table.h"
 #include "sim/campaign.h"
-#include "cpu/system.h"
-#include "energy/dram_power.h"
-#include "mem/memory_system.h"
-#include "mem/refresh_stats.h"
-#include "rop/rop_engine.h"
 #include "sim/experiment.h"
 #include "sim/presets.h"
 #include "sim/runner.h"
-#include "telemetry/epoch_sampler.h"
 #include "telemetry/stats_json.h"
 #include "telemetry/trace_sink.h"
 #include "workload/spec_profiles.h"
-#include "workload/synthetic.h"
-#include "workload/trace_io.h"
 
 namespace {
 
@@ -65,7 +55,7 @@ struct Options {
   bool dump_stats = false;
   bool compare = false;
   unsigned jobs = 0;
-  std::string loop = "event";  // --loop event|frozen|naive|sampled
+  std::string loop = "event";  // --loop event|naive|sampled
   bool check = false;
   std::string snapshot_in;            // --snapshot-in PATH
   std::string snapshot_out;           // --snapshot-out PATH
@@ -94,7 +84,8 @@ struct Options {
       "\n"
       "  --benchmark NAME     one of the 12 SPEC-like profiles, or wl1..wl6\n"
       "                       for a 4-core mix (default libquantum)\n"
-      "  --trace PATH         replay a text trace file instead\n"
+      "  --trace PATH         replay a text trace file on every core instead\n"
+      "                       (exact single-channel runs only)\n"
       "  --mode MODE          baseline | no-refresh | rop | elastic |\n"
       "                       pausing | per-bank | darp | sarp | hira\n"
       "                       (default baseline)\n"
@@ -116,8 +107,8 @@ struct Options {
       "                       print a comparison table (ignores --mode)\n"
       "  --jobs N             worker threads for --compare (default: one\n"
       "                       per hardware thread)\n"
-      "  --loop MODE          simulation loop: event | frozen | naive |\n"
-      "                       sampled (default event; the first three are\n"
+      "  --loop MODE          simulation loop: event | naive | sampled\n"
+      "                       (default event; the first two are\n"
       "                       bit-identical; sampled is SMARTS-style\n"
       "                       statistical sampling — see docs/PERFORMANCE.md)\n"
       "  --no-fast-forward    alias for --loop naive (cross-checking)\n"
@@ -218,10 +209,8 @@ double parse_fraction(const char* flag, const char* text) {
 
 constexpr std::uint64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
-/// The controller keeps one bit per rank in its scheduler masks.
-constexpr std::uint64_t kMaxRanks = 32;
-/// LLC capacity bound (MiB); sizes must also be powers of two (the set
-/// count is a power of two at every supported associativity).
+/// LLC capacity bound (MiB), so the byte count cannot overflow; the
+/// power-of-two rule is sim::validate()'s.
 constexpr std::uint64_t kMaxLlcMb = std::uint64_t{1} << 20;
 
 Options parse(int argc, char** argv) {
@@ -255,7 +244,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--cores") {
       opt.cores = count32(i, 1);
     } else if (arg == "--ranks") {
-      opt.ranks = static_cast<std::uint32_t>(count(i, 1, kMaxRanks));
+      opt.ranks = count32(i, 1);
     } else if (arg == "--channels") {
       opt.channels = count32(i, 1);
     } else if (arg == "--shard-channels") {
@@ -355,16 +344,10 @@ dram::RefreshMode parse_refresh(const std::string& s) {
 
 cpu::LoopMode parse_loop(const std::string& s) {
   if (s == "event") return cpu::LoopMode::kEventDriven;
-  if (s == "frozen") return cpu::LoopMode::kFrozenStall;
   if (s == "naive") return cpu::LoopMode::kNaive;
   if (s == "sampled") return cpu::LoopMode::kEventDriven;  // serial detail loop
   std::fprintf(stderr, "unknown loop mode: %s\n", s.c_str());
   usage(2);
-}
-
-bool snapshot_requested(const Options& opt) {
-  return !opt.snapshot_in.empty() || !opt.snapshot_out.empty() ||
-         opt.snapshot_every > 0 || opt.snapshot_stop > 0;
 }
 
 bool is_workload_mix(const std::string& name) {
@@ -374,9 +357,9 @@ bool is_workload_mix(const std::string& name) {
 
 std::uint32_t parse_categories(const std::string& csv) {
   const auto cats = telemetry::parse_trace_categories(csv);
-  if (!cats) {
+  if (!cats || *cats == 0) {
     std::fprintf(stderr,
-                 "unknown trace category in: %s (valid: all, cmds, refresh, "
+                 "no valid trace category in: %s (valid: all, cmds, refresh, "
                  "rop, reqs)\n",
                  csv.c_str());
     usage(2);
@@ -395,10 +378,16 @@ bool write_file(const std::string& path, const std::string& text) {
   return static_cast<bool>(os);
 }
 
+/// The flags as an ExperimentSpec. Every rule on the result lives in
+/// sim::validate(); this is translation only.
 sim::ExperimentSpec spec_from_options(const Options& opt,
                                       sim::MemoryMode mode) {
   sim::ExperimentSpec spec;
-  if (is_workload_mix(opt.benchmark)) {
+  if (!opt.trace_path.empty()) {
+    spec.benchmarks.assign(opt.cores, opt.trace_path);
+    spec.trace_files = spec.benchmarks;
+    spec.ranks = opt.ranks;
+  } else if (is_workload_mix(opt.benchmark)) {
     spec.benchmarks = workload::workload_mix(opt.benchmark[2] - '0');
     spec.ranks = std::max(opt.ranks, 4u);
   } else {
@@ -424,6 +413,8 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
   spec.snapshot.stop_at = opt.snapshot_stop;
   spec.progress_file = opt.progress;
   if (opt.progress_every > 0) spec.progress_every = opt.progress_every;
+  spec.sampling.jobs = opt.sample_jobs;
+  spec.sampling.strata = opt.sample_strata;
   if (opt.loop == "sampled") {
     spec.sampling.enabled = true;
     if (opt.sample_warmup > 0) spec.sampling.warmup_cycles = opt.sample_warmup;
@@ -436,10 +427,31 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
     }
     spec.sampling.max_windows = opt.sample_max_windows;
     spec.sampling.target_ci_frac = opt.sample_target_ci;
-    spec.sampling.jobs = opt.sample_jobs;
-    spec.sampling.strata = opt.sample_strata;
+  }
+  if (!opt.trace_out.empty()) {
+    spec.telemetry.trace.categories = parse_categories(opt.trace_cats);
   }
   return spec;
+}
+
+/// Epoch period for a stats document: --epoch, else tREFI.
+std::uint64_t epoch_cycles(const Options& opt,
+                           const sim::ExperimentSpec& spec) {
+  return opt.epoch != 0 ? opt.epoch
+                        : sim::make_memory_config(spec.ranks, spec.mode,
+                                                  spec.refresh_mode)
+                              .timings.tREFI;
+}
+
+/// The first invalid spec's reason on stderr; true when all are valid.
+bool specs_valid(const std::vector<sim::ExperimentSpec>& specs) {
+  for (const sim::ExperimentSpec& spec : specs) {
+    if (const auto bad = sim::validate(spec)) {
+      std::fprintf(stderr, "ropsim: %s\n", bad->c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 /// --compare: the same workload under every memory mode, fanned out over
@@ -468,24 +480,25 @@ int run_compare(const Options& opt) {
   std::vector<sim::ExperimentSpec> specs;
   for (const auto& m : kAllModes) {
     specs.push_back(spec_from_options(opt, m.mode));
-    specs.back().progress_file.clear();
-  }
-  if (!opt.stats_json.empty() || opt.epoch != 0) {
-    for (auto& spec : specs) {
-      spec.telemetry.sampler.epoch_cycles =
-          opt.epoch != 0
-              ? opt.epoch
-              : sim::make_memory_config(spec.ranks, spec.mode,
-                                        spec.refresh_mode)
-                    .timings.tREFI;
+    sim::ExperimentSpec& spec = specs.back();
+    spec.progress_file.clear();
+    if (!opt.stats_json.empty() || opt.epoch != 0) {
+      spec.telemetry.sampler.epoch_cycles = epoch_cycles(opt, spec);
     }
   }
+  if (!specs_valid(specs)) return 2;
   std::printf("ropsim: comparing %zu modes on %s (%llu instructions/core, "
               "jobs=%u)\n",
               specs.size(), opt.benchmark.c_str(),
               static_cast<unsigned long long>(opt.instructions), opt.jobs);
   const std::vector<sim::ExperimentResult> results =
       sim::run_experiments(specs, opt.jobs);
+  for (const sim::ExperimentResult& r : results) {
+    if (!r.error.empty()) {
+      std::fprintf(stderr, "ropsim: %s\n", r.error.c_str());
+      return 2;
+    }
+  }
 
   const auto total_ipc = [](const sim::ExperimentResult& r) {
     double sum = 0.0;
@@ -551,29 +564,10 @@ int run_compare(const Options& opt) {
   return 0;
 }
 
-/// --shard-channels N: the manual system assembly below doesn't know about
-/// per-channel registries, so sharded single runs route through
-/// run_experiment, which does. Bit-identical results, same report.
-int run_sharded_single(const Options& opt, sim::MemoryMode mode) {
-  sim::ExperimentSpec spec = spec_from_options(opt, mode);
-  const bool planned_sampling =
-      spec.sampling.enabled && spec.sampling.jobs > 0;
-  // Planned parallel sampling runs without telemetry sinks (the backbone
-  // never executes a detailed cycle); --epoch with it is rejected in main.
-  if (!planned_sampling && (!opt.stats_json.empty() || opt.epoch != 0)) {
-    spec.telemetry.sampler.epoch_cycles =
-        opt.epoch != 0 ? opt.epoch
-                       : sim::make_memory_config(spec.ranks, spec.mode,
-                                                 spec.refresh_mode)
-                             .timings.tREFI;
-  }
-  std::printf("ropsim: mode=%s ranks=%u channels=%u shards=%u llc=%lluMiB "
-              "refresh=%s\n",
-              opt.mode.c_str(), spec.ranks, spec.channels,
-              spec.shard_channels,
-              static_cast<unsigned long long>(opt.llc_mb),
-              opt.refresh_mode.c_str());
-  const sim::ExperimentResult result = sim::run_experiment(spec);
+/// The text report of one run, read from its ExperimentResult alone (the
+/// stats JSON and trace files are the contract; this is for people).
+void print_report(const Options& opt, const sim::ExperimentSpec& spec,
+                  const sim::ExperimentResult& result) {
   // A sampled run stopping at its CI target (or window cap) and a run cut
   // at --snapshot-stop-at are early finishes by design, not truncation.
   if (result.run.hit_cycle_limit && !result.sampling.enabled &&
@@ -625,33 +619,93 @@ int run_sharded_single(const Options& opt, sim::MemoryMode mode) {
   }
   cores_table.print();
 
-  std::printf("\nenergy: %.3f mJ total (refresh %.3f mJ); refreshes issued: "
-              "%llu\n",
-              result.total_energy_mj(), result.energy.refresh_mj,
-              static_cast<unsigned long long>(result.refreshes));
-  if (const auto* hist =
-          result.stats.find_histogram("mem.read_latency_hist")) {
+  const energy::EnergyBreakdown& e = result.energy;
+  TextTable energy_table("memory energy (mJ)");
+  energy_table.set_header({"background", "act/pre", "read", "write",
+                           "refresh", "io", "sram", "total"});
+  energy_table.add_row(
+      {TextTable::fmt(e.background_mj, 3), TextTable::fmt(e.act_pre_mj, 3),
+       TextTable::fmt(e.read_mj, 3), TextTable::fmt(e.write_mj, 3),
+       TextTable::fmt(e.refresh_mj, 3), TextTable::fmt(e.io_mj, 3),
+       TextTable::fmt(e.sram_mj, 4), TextTable::fmt(e.total_mj(), 3)});
+  energy_table.print();
+
+  const StatRegistry& stats = result.stats;
+  std::printf("\nrefreshes issued: %llu (postponement-average preserved); "
+              "bank refreshes: %llu\n",
+              static_cast<unsigned long long>(
+                  stats.counter_value("mem.refreshes")),
+              static_cast<unsigned long long>(
+                  stats.counter_value("mem.bank_refreshes")));
+  if (const auto* hist = stats.find_histogram("mem.read_latency_hist")) {
     std::printf("read latency: mean %.1f, p50 %.1f, p95 %.1f, p99 %.1f "
                 "cycles\n",
-                result.stats.find_scalar("mem.read_latency")->mean(),
+                stats.find_scalar("mem.read_latency")->mean(),
                 hist->percentile(50.0), hist->percentile(95.0),
                 hist->percentile(99.0));
   }
-  if (result.sram_hit_rate > 0.0) {
-    std::printf("ROP: sram-hit-rate=%.3f lambda=%.2f beta=%.2f\n",
-                result.sram_hit_rate, result.lambda, result.beta);
+  std::printf("non-blocking refreshes (1x tRFC window): %.1f%%; mean blocked "
+              "per blocking refresh: %.2f\n",
+              100.0 * result.nonblocking_fraction[0],
+              result.mean_blocked_per_blocking_refresh[0]);
+  if (spec.mode == sim::MemoryMode::kRop) {
+    std::printf("\nROP: lambda=%.2f beta=%.2f buffer-hit-rate=%.3f "
+                "fills=%llu\n",
+                result.lambda, result.beta, result.sram_hit_rate,
+                static_cast<unsigned long long>(
+                    stats.counter_value("rop.buffer_fills")));
   }
   std::printf("wall: %.2f s (%.1f simulated controller Mcyc/s)\n",
               result.wall_seconds, result.sim_cycles_per_second() / 1e6);
-
+  if ((spec.check || sim::checker_enabled_by_environment()) &&
+      !spec.sampling.enabled) {
+    // Violations abort inside run_experiment, so a finished run is clean.
+    std::printf("\nchecker: OK (%llu ticks audited, %llu violations)\n",
+                static_cast<unsigned long long>(result.checker_ticks),
+                static_cast<unsigned long long>(result.checker_violations));
+  }
   if (opt.dump_stats) {
-    std::printf("\n--- raw statistics ---\n%s", result.stats.report().c_str());
+    std::printf("\n--- raw statistics ---\n%s", stats.report().c_str());
+  }
+}
+
+/// One run through run_experiment: header, report, trace and stats files.
+int run_single(const Options& opt, const sim::ExperimentSpec& spec) {
+  std::printf("ropsim: mode=%s ranks=%u channels=%u shards=%u llc=%lluMiB "
+              "refresh=%s cores=%zu\n",
+              opt.mode.c_str(), spec.ranks, spec.channels,
+              spec.shard_channels,
+              static_cast<unsigned long long>(opt.llc_mb),
+              opt.refresh_mode.c_str(), spec.benchmarks.size());
+  const sim::ExperimentResult result = sim::run_experiment(spec);
+  if (!result.error.empty()) {
+    std::fprintf(stderr, "ropsim: %s\n", result.error.c_str());
+    return 2;
+  }
+  print_report(opt, spec, result);
+
+  if (result.trace) {
+    std::ofstream os(opt.trace_out, std::ios::binary);
+    if (!os) {
+      std::fprintf(stderr, "cannot open %s for writing\n",
+                   opt.trace_out.c_str());
+      return 1;
+    }
+    if (opt.trace_format == "binary") {
+      result.trace->write_binary(os);
+    } else {
+      result.trace->write_json(os);
+    }
+    std::printf("\nwrote %s trace to %s (%zu events, %llu dropped)\n",
+                opt.trace_format.c_str(), opt.trace_out.c_str(),
+                result.trace->size(),
+                static_cast<unsigned long long>(result.trace->dropped()));
   }
   if (!opt.stats_json.empty()) {
     if (!write_file(opt.stats_json, result.to_json())) return 1;
     std::printf("wrote stats JSON to %s\n", opt.stats_json.c_str());
   }
-  return result.checker_violations == 0 ? 0 : 1;
+  return 0;
 }
 
 /// `ropsim campaign SPEC.json --out DIR [...]`.
@@ -723,22 +777,9 @@ int main(int argc, char** argv) {
   if (argc >= 2 && std::strcmp(argv[1], "campaign") == 0) {
     return run_campaign_cli(argc, argv);
   }
-  Options opt = parse(argc, argv);
-  // Reject what the simulator would otherwise abort on mid-assembly.
-  if (opt.trace_path.empty() && !is_workload_mix(opt.benchmark) &&
-      std::find(workload::kBenchmarkNames.begin(),
-                workload::kBenchmarkNames.end(),
-                opt.benchmark) == workload::kBenchmarkNames.end()) {
-    std::fprintf(stderr, "unknown benchmark: %s (see --help)\n",
-                 opt.benchmark.c_str());
-    return 2;
-  }
-  if (!std::has_single_bit(opt.llc_mb)) {
-    std::fprintf(stderr, "invalid value for --llc-mb: %llu (expected a "
-                         "power of two)\n",
-                 static_cast<unsigned long long>(opt.llc_mb));
-    return 2;
-  }
+  const Options opt = parse(argc, argv);
+  // Checks on flags that never reach an ExperimentSpec; every rule on the
+  // spec itself is sim::validate()'s.
   if (opt.trace_format != "json" && opt.trace_format != "binary") {
     std::fprintf(stderr, "unknown --trace-format: %s\n",
                  opt.trace_format.c_str());
@@ -750,320 +791,29 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!opt.trace_out.empty()) {
-      std::fprintf(stderr, "--compare does not support --trace-out (six "
+      std::fprintf(stderr, "--compare does not support --trace-out (nine "
                            "modes, one timeline file); run modes singly\n");
       return 2;
     }
     return run_compare(opt);
   }
-  const sim::MemoryMode mode = parse_mode(opt.mode);
-  if (opt.sample_jobs > 0 && opt.loop != "sampled") {
-    std::fprintf(stderr, "--sample-jobs requires --loop sampled\n");
+  sim::ExperimentSpec spec = spec_from_options(opt, parse_mode(opt.mode));
+  // --stats-json turns on tREFI epochs, except for planned sampling, which
+  // runs without telemetry sinks (an explicit --epoch there is rejected).
+  const bool planned = spec.sampling.enabled && spec.sampling.jobs > 0;
+  if (opt.epoch != 0 || (!opt.stats_json.empty() && !planned)) {
+    spec.telemetry.sampler.epoch_cycles = epoch_cycles(opt, spec);
+  }
+  if (!specs_valid({spec})) return 2;
+  // The CLI offers --trace-out only on exact single-channel runs without
+  // checkpoints or a heartbeat (the API also traces across a snapshot).
+  if (!opt.trace_out.empty() &&
+      (spec.channels > 1 || spec.snapshot.any() || spec.snapshot.every > 0 ||
+       spec.snapshot.stop_at > 0 || spec.sampling.enabled ||
+       !spec.progress_file.empty())) {
+    std::fprintf(stderr, "--trace-out does not support --channels, "
+                         "--snapshot-*, --progress or --loop sampled\n");
     return 2;
   }
-  if (opt.sample_strata > 0 && opt.sample_jobs == 0) {
-    std::fprintf(stderr, "--sample-strata requires --sample-jobs >= 1\n");
-    return 2;
-  }
-  if (opt.sample_jobs > 0 && opt.epoch != 0) {
-    std::fprintf(stderr, "--sample-jobs runs without telemetry sinks; "
-                         "--epoch is not supported\n");
-    return 2;
-  }
-  // --progress alone routes through run_experiment too (the heartbeat loop
-  // lives there), but must not tighten the loop-mode rules the other
-  // routed features carry.
-  const bool progress_only_routing =
-      !opt.progress.empty() && opt.shard_channels == 0 && opt.channels <= 1 &&
-      !snapshot_requested(opt) && opt.loop != "sampled";
-  if (opt.shard_channels > 0 || opt.channels > 1 || snapshot_requested(opt) ||
-      opt.loop == "sampled" || !opt.progress.empty()) {
-    // Multi-channel, sharded, checkpointed, sampled, and heartbeat runs all
-    // go through run_experiment (the manual assembly below is
-    // single-channel and knows nothing about per-channel registries,
-    // snapshots, sampling, or the progress writer).
-    // --shard-channels 0 with --channels N is the serial multi-channel
-    // reference the sharded loop is bit-compared against.
-    if (!opt.trace_path.empty() || !opt.trace_out.empty()) {
-      std::fprintf(stderr, "--channels/--shard-channels/--snapshot-*/"
-                           "--progress/--loop sampled do not support --trace "
-                           "or --trace-out\n");
-      return 2;
-    }
-    if (!progress_only_routing && opt.loop != "event" &&
-        opt.loop != "sampled" &&
-        !(snapshot_requested(opt) && opt.loop == "frozen")) {
-      std::fprintf(stderr, "--channels/--shard-channels require --loop "
-                           "event\n");
-      return 2;
-    }
-    if (snapshot_requested(opt) && opt.loop == "sampled") {
-      std::fprintf(stderr, "--snapshot-* and --loop sampled are mutually "
-                           "exclusive\n");
-      return 2;
-    }
-    if ((opt.snapshot_stop > 0 || opt.snapshot_every > 0) &&
-        opt.snapshot_out.empty()) {
-      std::fprintf(stderr, "--snapshot-stop-at/--snapshot-every require "
-                           "--snapshot-out\n");
-      return 2;
-    }
-    if (opt.loop == "sampled" && opt.shard_channels > 0) {
-      std::fprintf(stderr, "--loop sampled requires the serial loop (no "
-                           "--shard-channels)\n");
-      return 2;
-    }
-    return run_sharded_single(opt, mode);
-  }
-
-  // Workloads: a wlN mix, a trace file, or N copies of one profile.
-  std::vector<std::string> benchmarks;
-  std::vector<std::unique_ptr<workload::TraceSource>> sources;
-  std::vector<workload::TraceSource*> source_ptrs;
-  if (!opt.trace_path.empty()) {
-    benchmarks.assign(opt.cores, opt.trace_path);
-    for (std::uint32_t c = 0; c < opt.cores; ++c) {
-      sources.push_back(std::make_unique<workload::MemoryTrace>(
-          workload::read_trace_file(opt.trace_path)));
-    }
-  } else if (is_workload_mix(opt.benchmark)) {
-    benchmarks = workload::workload_mix(opt.benchmark[2] - '0');
-    opt.cores = 4;
-    if (opt.ranks < 4) opt.ranks = 4;
-    for (std::size_t c = 0; c < benchmarks.size(); ++c) {
-      sources.push_back(std::make_unique<workload::SyntheticTrace>(
-          workload::spec_profile(benchmarks[c], c)));
-    }
-  } else {
-    benchmarks.assign(opt.cores, opt.benchmark);
-    for (std::uint32_t c = 0; c < opt.cores; ++c) {
-      sources.push_back(std::make_unique<workload::SyntheticTrace>(
-          workload::spec_profile(opt.benchmark, c)));
-    }
-  }
-  for (auto& s : sources) source_ptrs.push_back(s.get());
-
-  // System assembly.
-  StatRegistry stats;
-  const mem::MemoryConfig mem_cfg =
-      sim::make_memory_config(opt.ranks, mode, parse_refresh(opt.refresh_mode));
-  mem::MemorySystem memory(mem_cfg, &stats);
-  std::shared_ptr<telemetry::TraceSink> trace;
-  if (!opt.trace_out.empty()) {
-    telemetry::TraceConfig trace_cfg;
-    trace_cfg.categories = parse_categories(opt.trace_cats);
-    trace_cfg.tck_ps = memory.config().timings.tCK_ps;
-    trace = std::make_shared<telemetry::TraceSink>(trace_cfg);
-    memory.set_trace(trace.get());
-  }
-  std::unique_ptr<check::SimChecker> checker;
-  if (opt.check || sim::checker_enabled_by_environment()) {
-    checker = std::make_unique<check::SimChecker>();
-    checker->attach(memory);
-    if (trace) checker->set_trace(trace.get());
-  }
-  std::vector<std::unique_ptr<engine::RopEngine>> engines;
-  if (mode == sim::MemoryMode::kRop) {
-    engine::RopConfig rc;
-    rc.buffer_lines = opt.buffer_lines;
-    rc.window_multiple = opt.window_multiple;
-    rc.training_refreshes = opt.training;
-    for (ChannelId ch = 0; ch < memory.num_channels(); ++ch) {
-      engines.push_back(std::make_unique<engine::RopEngine>(
-          rc, memory.controller(ch), memory.address_map(), &stats));
-    }
-  }
-  cpu::SystemConfig sys_cfg =
-      sim::make_system_config(opt.llc_mb << 20, opt.rank_partition);
-  sys_cfg.loop = parse_loop(opt.loop);
-  cpu::System system(sys_cfg, memory, source_ptrs);
-  if (checker) {
-    for (const auto& eng : engines) checker->watch(*eng);
-  }
-  // Sampler last: an empty counter list snapshots everything registered,
-  // which is complete only once the whole system is assembled.
-  std::shared_ptr<telemetry::EpochSampler> sampler;
-  const std::uint64_t epoch_cycles =
-      opt.epoch != 0 ? opt.epoch
-                     : (!opt.stats_json.empty()
-                            ? memory.config().timings.tREFI
-                            : 0);
-  if (epoch_cycles != 0) {
-    telemetry::SamplerConfig sampler_cfg;
-    sampler_cfg.epoch_cycles = epoch_cycles;
-    sampler = std::make_shared<telemetry::EpochSampler>(sampler_cfg, &stats);
-    memory.set_sampler(sampler.get());
-  }
-
-  std::printf("ropsim: mode=%s ranks=%u llc=%lluMiB refresh=%s cores=%u\n",
-              opt.mode.c_str(), opt.ranks,
-              static_cast<unsigned long long>(opt.llc_mb),
-              opt.refresh_mode.c_str(), opt.cores);
-  const cpu::RunResult run =
-      system.run(opt.instructions, opt.instructions * 256);
-  if (run.hit_cycle_limit) {
-    std::fprintf(stderr, "warning: cycle limit reached before the target\n");
-  }
-
-  TextTable cores_table("per-core results");
-  cores_table.set_header({"core", "workload", "instructions", "cycles",
-                          "IPC", "mem reads", "writebacks"});
-  for (std::size_t c = 0; c < run.cores.size(); ++c) {
-    const auto& r = run.cores[c];
-    cores_table.add_row({std::to_string(c), benchmarks[c],
-                         std::to_string(r.instructions),
-                         std::to_string(r.cpu_cycles),
-                         TextTable::fmt(r.ipc, 4),
-                         std::to_string(r.mem_reads),
-                         std::to_string(r.mem_writebacks)});
-  }
-  cores_table.print();
-
-  // Energy report.
-  const energy::DramPowerModel power(energy::DramEnergyParams{},
-                                     memory.config().timings);
-  energy::EnergyBreakdown total;
-  for (ChannelId ch = 0; ch < memory.num_channels(); ++ch) {
-    const auto e = power.compute(memory.controller(ch).channel());
-    total.background_mj += e.background_mj;
-    total.act_pre_mj += e.act_pre_mj;
-    total.read_mj += e.read_mj;
-    total.write_mj += e.write_mj;
-    total.refresh_mj += e.refresh_mj;
-    total.io_mj += e.io_mj;
-  }
-  if (!engines.empty()) {
-    const auto sram = energy::SramEnergyParams::for_capacity(opt.buffer_lines);
-    const double tck =
-        static_cast<double>(memory.config().timings.tCK_ps) * 1e-12;
-    for (const auto& eng : engines) {
-      const auto& bs = eng->buffer().stats();
-      total.sram_mj += sram.energy_mj(
-          bs.lookups + bs.fills,
-          static_cast<double>(eng->sram_on_cycles()) * tck);
-    }
-  }
-  TextTable energy_table("memory energy (mJ)");
-  energy_table.set_header({"background", "act/pre", "read", "write",
-                           "refresh", "io", "sram", "total"});
-  energy_table.add_row(
-      {TextTable::fmt(total.background_mj, 3), TextTable::fmt(total.act_pre_mj, 3),
-       TextTable::fmt(total.read_mj, 3), TextTable::fmt(total.write_mj, 3),
-       TextTable::fmt(total.refresh_mj, 3), TextTable::fmt(total.io_mj, 3),
-       TextTable::fmt(total.sram_mj, 4), TextTable::fmt(total.total_mj(), 3)});
-  energy_table.print();
-
-  // Refresh report.
-  std::printf("\nrefreshes issued: %llu (postponement-average preserved); "
-              "bank refreshes: %llu; pausing segments: %llu\n",
-              static_cast<unsigned long long>(
-                  stats.counter_value("mem.refreshes")),
-              static_cast<unsigned long long>(
-                  stats.counter_value("mem.bank_refreshes")),
-              static_cast<unsigned long long>(
-                  memory.controller(0).channel().events().refresh_segments));
-  if (const auto* hist = stats.find_histogram("mem.read_latency_hist")) {
-    std::printf("read latency: mean %.1f, p50 %.1f, p95 %.1f, p99 %.1f "
-                "cycles\n",
-                stats.find_scalar("mem.read_latency")->mean(),
-                hist->percentile(50.0), hist->percentile(95.0),
-                hist->percentile(99.0));
-  }
-  const auto& bs = memory.controller(0).blocking_stats();
-  std::printf("non-blocking refreshes (1x tRFC window): %.1f%%; mean blocked "
-              "per blocking refresh: %.2f\n",
-              100.0 * bs.non_blocking_fraction(0),
-              bs.mean_blocked_per_blocking_refresh(0));
-
-  if (!engines.empty()) {
-    const auto& eng = *engines.front();
-    std::printf("\nROP: lambda=%.2f beta=%.2f buffer-hit-rate=%.3f "
-                "rounds=%llu fills=%llu\n",
-                eng.lambda(), eng.beta(), eng.overall_hit_rate(),
-                static_cast<unsigned long long>(eng.buffer().stats().rounds),
-                static_cast<unsigned long long>(
-                    stats.counter_value("rop.buffer_fills")));
-  }
-
-  if (opt.dump_stats) {
-    std::printf("\n--- raw statistics ---\n%s", stats.report().c_str());
-  }
-
-  int exit_code = 0;
-  if (checker) {
-    for (std::size_t c = 0; c < run.cores.size(); ++c) {
-      checker->audit_cpi(static_cast<std::uint32_t>(c),
-                         run.cores[c].cpu_cycles,
-                         run.cores[c].cpi_stack_sum());
-    }
-    checker->finalize();
-    std::printf("\n%s\n", checker->summary().c_str());
-    if (!checker->ok()) exit_code = 1;
-  }
-
-  if (trace) {
-    std::ofstream os(opt.trace_out, std::ios::binary);
-    if (!os) {
-      std::fprintf(stderr, "cannot open %s for writing\n",
-                   opt.trace_out.c_str());
-      return 1;
-    }
-    if (opt.trace_format == "binary") {
-      trace->write_binary(os);
-    } else {
-      trace->write_json(os);
-    }
-    std::printf("\nwrote %s trace to %s (%zu events, %llu dropped)\n",
-                opt.trace_format.c_str(), opt.trace_out.c_str(),
-                trace->size(),
-                static_cast<unsigned long long>(trace->dropped()));
-  }
-
-  if (!opt.stats_json.empty()) {
-    // Assemble the same document run_experiment-based callers get from
-    // ExperimentResult::to_json, from the manually-built system.
-    sim::ExperimentResult result;
-    result.run = run;
-    result.energy = total;
-    result.stats = stats;
-    result.cpu_ratio = sys_cfg.cpu_ratio;
-    result.epochs = sampler;
-    result.trace = trace;
-    if (checker) {
-      result.checker_ticks = checker->ticks_checked();
-      result.checker_violations = checker->violation_count();
-    }
-    if (!engines.empty()) {
-      double rate_sum = 0.0;
-      for (const auto& eng : engines) rate_sum += eng->overall_hit_rate();
-      result.sram_hit_rate = rate_sum / static_cast<double>(engines.size());
-      result.lambda = engines.front()->lambda();
-      result.beta = engines.front()->beta();
-    }
-    const std::size_t num_windows =
-        mem::RefreshBlockingStats::kExaminedMultiples.size();
-    result.nonblocking_fraction.assign(num_windows, 0.0);
-    result.mean_blocked_per_blocking_refresh.assign(num_windows, 0.0);
-    result.max_blocked.assign(num_windows, 0);
-    for (ChannelId ch = 0; ch < memory.num_channels(); ++ch) {
-      const auto& b = memory.controller(ch).blocking_stats();
-      result.refreshes += b.total_refreshes();
-      for (std::size_t k = 0; k < num_windows; ++k) {
-        result.nonblocking_fraction[k] += b.non_blocking_fraction(k);
-        result.mean_blocked_per_blocking_refresh[k] +=
-            b.mean_blocked_per_blocking_refresh(k);
-        result.max_blocked[k] =
-            std::max(result.max_blocked[k], b.max_blocked(k));
-      }
-    }
-    if (memory.num_channels() > 1) {
-      for (std::size_t k = 0; k < num_windows; ++k) {
-        result.nonblocking_fraction[k] /= memory.num_channels();
-        result.mean_blocked_per_blocking_refresh[k] /= memory.num_channels();
-      }
-    }
-    if (!write_file(opt.stats_json, result.to_json())) return 1;
-    std::printf("wrote stats JSON to %s\n", opt.stats_json.c_str());
-  }
-  return exit_code;
+  return run_single(opt, spec);
 }
