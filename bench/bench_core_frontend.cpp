@@ -1,16 +1,19 @@
 // Microbenchmarks (google-benchmark) for the CPU front end: per-core gap
 // retirement (naive vs closed-form run_until), the synthetic-trace record
 // ring and its gap sampler, the LLC (MRU hit, non-MRU hit, streaming dirty
-// miss), and one functional-backbone record end to end. Gated numbers live
-// in BENCH_corefront.json (ci_baseline_ns).
+// miss), and one functional-backbone record end to end and in its two
+// halves (record walk, LLC apply). Gated numbers live in
+// BENCH_corefront.json (ci_baseline_ns).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <optional>
+#include <vector>
 
 #include "cache/llc.h"
 #include "common/rng.h"
 #include "cpu/core.h"
+#include "cpu/record_walk.h"
 #include "workload/geometric_gap.h"
 #include "workload/spec_profiles.h"
 #include "workload/synthetic.h"
@@ -239,5 +242,57 @@ void BM_FunctionalAdvanceLbm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FunctionalAdvanceLbm);
+
+void BM_FunctionalWalkLbm(benchmark::State& state) {
+  // The walk half of one backbone record, as the pipelined planner's
+  // walker thread runs it (sim/backbone_walker.h): the record's generation
+  // and gap, and its op packed into a ring. No LLC, no criticality draw.
+  PeekingTrace trace(workload::spec_profile("lbm", 1));
+  cpu::TraceFront front;
+  std::vector<cpu::WalkedOp> ring(1u << 12);
+  std::size_t n = 0;
+  const auto push = [&](const workload::TraceRecord& rec) {
+    ring[n++ & (ring.size() - 1)] = cpu::pack_op(rec);
+  };
+  benchmark::DoNotOptimize(ring.data());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cpu::walk_records(trace, front, trace.peek().gap + 1, push));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FunctionalWalkLbm);
+
+void BM_FunctionalApplyLbm(benchmark::State& state) {
+  // The apply half of one backbone record, as the pipelined planner runs
+  // it: one walked lbm op through Core::functional_apply (the LLC access
+  // and, on a read miss, the criticality draw). The LLC is warm; the ops
+  // cycle over 2^18 lines, eight times the LLC, so they miss as lbm does.
+  workload::SyntheticTrace trace(workload::spec_profile("lbm", 1));
+  cache::LlcConfig llc;
+  llc.size_bytes = 2ull << 20;
+  NullPort port;
+  cpu::Core core(0, cpu::CoreConfig{}, llc, trace, port);
+  constexpr Cycle kCriticalPenalty = 160;
+  core.functional_advance(20'000'000, kCriticalPenalty);
+  std::vector<cpu::WalkedOp> ops;
+  ops.reserve(1u << 18);
+  cpu::TraceFront front = core.front();
+  while (ops.size() < ops.capacity()) {
+    (void)cpu::walk_records(trace, front, 1'000'000,
+                            [&](const workload::TraceRecord& rec) {
+                              if (ops.size() < ops.capacity()) {
+                                ops.push_back(cpu::pack_op(rec));
+                              }
+                            });
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core.functional_apply(&ops[i], 1, kCriticalPenalty));
+    i = (i + 1) & (ops.size() - 1);
+  }
+}
+BENCHMARK(BM_FunctionalApplyLbm);
 
 }  // namespace

@@ -35,8 +35,8 @@ bool Core::do_mem_op() {
 
   cache::Llc& llc = *llc_;
   if (!mem_op_pending_) {
-    const cache::LlcAccessResult res = llc.access(current_.addr,
-                                                  current_.is_write);
+    const cache::LlcAccessResult res = llc.access(front_.current.addr,
+                                                  front_.current.is_write);
     if (res.writeback) pending_writeback_ = *res.writeback;
     if (res.hit) {
       return true;  // LLC hit: retires with no memory traffic
@@ -49,13 +49,13 @@ bool Core::do_mem_op() {
     block_reason_ = BlockReason::kMlp;
     return false;
   }
-  const auto id = port_.issue_read(id_, current_.addr);
+  const auto id = port_.issue_read(id_, front_.current.addr);
   if (!id) {
     block_reason_ = BlockReason::kPort;
     return false;
   }
   ++outstanding_;
-  if (current_.is_write) {
+  if (front_.current.is_write) {
     ++stats_.mem_fills;
   } else {
     ++stats_.mem_reads;
@@ -80,14 +80,14 @@ void Core::cycle() {
   const std::uint64_t retired_before = stats_.instructions;
 
   while (budget > 0) {
-    if (!have_record_) {
-      current_ = trace_.next();
-      have_record_ = true;
-      remaining_gap_ = current_.gap;
+    if (!front_.have_record) {
+      front_.current = trace_.next();
+      front_.have_record = true;
+      front_.remaining_gap = front_.current.gap;
     }
-    if (remaining_gap_ > 0) {
-      const std::uint32_t take = std::min(budget, remaining_gap_);
-      remaining_gap_ -= take;
+    if (front_.remaining_gap > 0) {
+      const std::uint32_t take = std::min(budget, front_.remaining_gap);
+      front_.remaining_gap -= take;
       budget -= take;
       stats_.instructions += take;
       continue;
@@ -96,7 +96,7 @@ void Core::cycle() {
     if (!do_mem_op()) break;  // stalled on MLP budget or full memory queue
     stats_.instructions += 1;  // the memory instruction itself
     budget -= 1;
-    have_record_ = false;
+    front_.have_record = false;
     if (critical_pending_) break;  // the load's value gates retirement
   }
 
@@ -119,53 +119,34 @@ void Core::cycle() {
 
 std::uint64_t Core::functional_advance(std::uint64_t instructions,
                                        Cycle critical_penalty) {
+  std::uint64_t op_cycles = 0;
+  const std::uint64_t slots = walk_records(
+      trace_, front_, instructions, [&](const workload::TraceRecord& rec) {
+        // If a detailed window left the op half-issued (mem_op_pending_),
+        // the LLC access already happened and was a miss; otherwise access
+        // (and warm) the LLC now. A writeback is dropped: no memory to
+        // receive it.
+        bool miss;
+        if (mem_op_pending_) {
+          miss = true;
+          mem_op_pending_ = false;
+        } else {
+          miss = !llc_->access(rec.addr, rec.is_write).hit;
+        }
+        op_cycles += functional_op_cycles(miss, rec.is_write,
+                                          critical_penalty);
+      });
+  return charge_functional(instructions, slots, op_cycles);
+}
+
+std::uint64_t Core::charge_functional(std::uint64_t instructions,
+                                      std::uint64_t slots,
+                                      std::uint64_t op_cycles) {
   ROP_ASSERT(outstanding_ == 0);
   ROP_ASSERT(!critical_pending_);
-  // Any writeback still waiting for the bus is dropped: there is no memory
-  // in functional mode, and the LLC line it came from is already clean.
   pending_writeback_.reset();
-
-  std::uint64_t retired = 0;
-  std::uint64_t slots = 0;         // compute-gap issue slots consumed
-  std::uint64_t extra_cycles = 0;  // memory ops + critical-miss penalties
-  while (retired < instructions) {
-    if (!have_record_) {
-      current_ = trace_.next();
-      have_record_ = true;
-      remaining_gap_ = current_.gap;
-    }
-    if (remaining_gap_ > 0) {
-      const std::uint64_t want = instructions - retired;
-      const std::uint32_t take = static_cast<std::uint32_t>(
-          std::min<std::uint64_t>(remaining_gap_, want));
-      remaining_gap_ -= take;
-      retired += take;
-      slots += take;
-      continue;
-    }
-    // The record's memory operation. If a detailed window left the op
-    // half-issued (mem_op_pending_), the LLC access already happened and
-    // was a miss; otherwise access (and warm) the LLC now.
-    bool miss;
-    if (mem_op_pending_) {
-      miss = true;
-      mem_op_pending_ = false;
-    } else {
-      const cache::LlcAccessResult res =
-          llc_->access(current_.addr, current_.is_write);
-      miss = !res.hit;  // res.writeback dropped: no memory to receive it
-    }
-    if (miss && !current_.is_write &&
-        critical_.draw(rng_)) {
-      extra_cycles += critical_penalty;
-    }
-    extra_cycles += 1;
-    retired += 1;
-    have_record_ = false;
-  }
-
-  const std::uint64_t cycles = slots / cfg_.issue_width + extra_cycles;
-  stats_.instructions += retired;
+  const std::uint64_t cycles = slots / cfg_.issue_width + op_cycles;
+  stats_.instructions += instructions;
   stats_.cycles += cycles;
   stats_.other_cycles += cycles;  // estimated, not micro-architecturally billed
   return cycles;

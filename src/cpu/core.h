@@ -17,6 +17,7 @@
 #include "cache/llc.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "cpu/record_walk.h"
 #include "workload/trace.h"
 
 namespace rop::cpu {
@@ -174,8 +175,8 @@ class Core {
   /// loop).
   [[nodiscard]] std::uint64_t next_event_cycle() const {
     if (critical_pending_) return kNeverCycle;
-    if (!have_record_) return stats_.cycles;
-    return stats_.cycles + remaining_gap_ / cfg_.issue_width;
+    if (!front_.have_record) return stats_.cycles;
+    return stats_.cycles + front_.remaining_gap / cfg_.issue_width;
   }
 
   /// Advance to `target_cycle` in closed form — exactly equivalent to
@@ -194,11 +195,11 @@ class Core {
       stats_.stall_cycles += n;
       return;
     }
-    ROP_ASSERT(have_record_);
-    ROP_ASSERT(remaining_gap_ / cfg_.issue_width >= n);
+    ROP_ASSERT(front_.have_record);
+    ROP_ASSERT(front_.remaining_gap / cfg_.issue_width >= n);
     stats_.instructions += n * cfg_.issue_width;
     stats_.retire_cycles += n;
-    remaining_gap_ -= static_cast<std::uint32_t>(n * cfg_.issue_width);
+    front_.remaining_gap -= static_cast<std::uint32_t>(n * cfg_.issue_width);
   }
 
   [[nodiscard]] const CoreStats& stats() const { return stats_; }
@@ -211,8 +212,11 @@ class Core {
   // Micro-architectural state accessors for the determinism suite: a
   // bulk-advanced core must be indistinguishable from one that executed
   // every cycle.
-  [[nodiscard]] std::uint32_t remaining_gap() const { return remaining_gap_; }
-  [[nodiscard]] bool have_record() const { return have_record_; }
+  [[nodiscard]] std::uint32_t remaining_gap() const {
+    return front_.remaining_gap;
+  }
+  [[nodiscard]] bool have_record() const { return front_.have_record; }
+  [[nodiscard]] const TraceFront& front() const { return front_; }
   [[nodiscard]] bool mem_op_pending() const { return mem_op_pending_; }
   [[nodiscard]] const std::optional<Address>& pending_writeback() const {
     return pending_writeback_;
@@ -241,8 +245,41 @@ class Core {
   /// charged; stats_.instructions/cycles advance, memory-traffic counters
   /// do not (no requests exist). Requires no outstanding misses — the
   /// caller drains in-flight reads before switching to functional mode.
+  /// It is the record walk (cpu/record_walk.h) fused with the two halves
+  /// below.
   std::uint64_t functional_advance(std::uint64_t instructions,
                                    Cycle critical_penalty);
+
+  /// functional_advance split for a backbone whose record walk runs on
+  /// another thread (sim/backbone_walker.h). functional_apply is the LLC
+  /// half: it takes walked memory ops, in trace order, through the LLC
+  /// and the criticality draw, and returns their cycles (one per op plus
+  /// the critical penalties). Feed a step's ops in any number of calls.
+  std::uint64_t functional_apply(const WalkedOp* ops, std::size_t n,
+                                 Cycle critical_penalty) {
+    std::uint64_t cycles = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool write = op_is_write(ops[i]);
+      cycles += functional_op_cycles(!llc_->access(op_addr(ops[i]), write).hit,
+                                     write, critical_penalty);
+    }
+    return cycles;
+  }
+
+  /// Close a fed step: the walk retired `instructions`, `slots` of them
+  /// compute slots, and left the trace at `front`; `op_cycles` is what
+  /// functional_apply returned for its ops. Charges the step exactly as
+  /// functional_advance would have and returns its cycles. The walk must
+  /// have started from this core's front(), and no detailed window may
+  /// have left an op half-issued.
+  std::uint64_t functional_commit(const TraceFront& front,
+                                  std::uint64_t instructions,
+                                  std::uint64_t slots,
+                                  std::uint64_t op_cycles) {
+    ROP_ASSERT(!mem_op_pending_);
+    front_ = front;
+    return charge_functional(instructions, slots, op_cycles);
+  }
 
   /// Sampled-mode clock alignment: jump this core's clock to
   /// `target_cycle`, billing the span as stall. Functional windows leave
@@ -263,9 +300,9 @@ class Core {
   /// shared LLC and the trace source are serialized by their owners.
   template <class Ar>
   void io(Ar& ar) {
-    ar(current_, have_record_, remaining_gap_, pending_writeback_,
-       mem_op_pending_, outstanding_, critical_pending_, critical_since_,
-       rng_, stats_);
+    ar(front_.current, front_.have_record, front_.remaining_gap,
+       pending_writeback_, mem_op_pending_, outstanding_, critical_pending_,
+       critical_since_, rng_, stats_);
     if (private_llc_ != nullptr) ar.field(*private_llc_);
   }
 
@@ -278,6 +315,23 @@ class Core {
   /// Attempt the memory operation of the current record. Returns true when
   /// it retired (the core may advance to the next record).
   bool do_mem_op();
+
+  /// A functional memory op's cycles: one to issue, plus
+  /// `critical_penalty` when a demand read missed and the draw marks it
+  /// critical (the draw happens only then, as in detailed execution).
+  std::uint64_t functional_op_cycles(bool miss, bool is_write,
+                                     Cycle critical_penalty) {
+    return miss && !is_write && critical_.draw(rng_) ? 1 + critical_penalty
+                                                     : 1;
+  }
+
+  /// Bill a functional step: compute slots at issue_width per cycle plus
+  /// `op_cycles`, all of it estimated. Drops any writeback still waiting
+  /// for the bus: there is no memory in functional mode, and the LLC line
+  /// it came from is already clean.
+  std::uint64_t charge_functional(std::uint64_t instructions,
+                                  std::uint64_t slots,
+                                  std::uint64_t op_cycles);
 
   /// Decompose the just-ended critical span [critical_since_, now_cycle)
   /// across the CPI-stack categories. Components are clipped sequentially:
@@ -315,9 +369,7 @@ class Core {
   workload::TraceSource& trace_;
   MemoryPort& port_;
 
-  workload::TraceRecord current_{};
-  bool have_record_ = false;
-  std::uint32_t remaining_gap_ = 0;
+  TraceFront front_;
   std::optional<Address> pending_writeback_;
   bool mem_op_pending_ = false;  // current record's op could not issue yet
 

@@ -429,6 +429,12 @@ RunResult System::run(std::uint64_t target_instructions,
 
 std::uint64_t System::functional_window(std::uint64_t instructions_per_core,
                                         Cycle critical_penalty) {
+  return functional_window([&](Core& core) {
+    core.functional_advance(instructions_per_core, critical_penalty);
+  });
+}
+
+std::uint64_t System::functional_window(const FunctionalStep& step) {
   ROP_ASSERT(loop_.active);
   ROP_ASSERT(pool_ == nullptr && "sampled execution is a serial-loop mode");
   telemetry::EpochSampler* const sampler = memory_.sampler();
@@ -464,7 +470,7 @@ std::uint64_t System::functional_window(std::uint64_t instructions_per_core,
   // with no memory requests (see Core::functional_advance).
   std::uint64_t max_core_cycles = 0;
   for (std::size_t c = 0; c < cores_.size(); ++c) {
-    cores_[c]->functional_advance(instructions_per_core, critical_penalty);
+    step(*cores_[c]);
     max_core_cycles = std::max(max_core_cycles, cores_[c]->stats().cycles);
     if (!loop_.crossed[c] &&
         cores_[c]->stats().instructions >= loop_.target_instructions) {

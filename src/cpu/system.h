@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -150,6 +151,13 @@ class System final : public MemoryPort {
   /// Returns the CPU cycles the window consumed.
   std::uint64_t functional_window(std::uint64_t instructions_per_core,
                                   Cycle critical_penalty);
+
+  /// The same window with the per-core step supplied: `step` runs once per
+  /// core, in core order, and must leave the core as
+  /// Core::functional_advance would (the pipelined planner feeds it a
+  /// chunk walked on another thread; see sim/backbone_walker.h).
+  using FunctionalStep = std::function<void(Core& core)>;
+  std::uint64_t functional_window(const FunctionalStep& step);
 
   [[nodiscard]] bool run_active() const { return loop_.active; }
   [[nodiscard]] std::uint64_t cpu_cycle() const { return loop_.cpu_cycle; }

@@ -176,7 +176,10 @@ struct ExperimentResult {
 /// sharded run, the sampling job count for a planned-sampled run, else 1.
 /// The runner and the campaign engine divide the machine budget by the
 /// widest pending spec so jobs * width never oversubscribes (see
-/// sim/worker_budget.h).
+/// sim/worker_budget.h). A planned-sampled run occupies jobs + 2 threads
+/// (the window workers, the planner and the backbone walker), but its
+/// width stays `jobs`: the planner and the walker each spend part of
+/// their time waiting on the other, and the budget counts the workers.
 [[nodiscard]] unsigned experiment_worker_width(const ExperimentSpec& spec);
 
 /// True when runs should be audited: spec-independent part of the

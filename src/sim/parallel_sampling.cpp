@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "energy/dram_power.h"
+#include "sim/backbone_walker.h"
 #include "sim/snapshot.h"
 
 namespace rop::sim {
@@ -232,6 +233,12 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
   };
 
   WindowPool pool(spec, s.jobs, fp);
+  // The backbone's record walk runs one chunk ahead on its own thread;
+  // this thread only applies walked chunks to the LLC (sim/backbone_walker.h).
+  BackboneWalker walker(backbone, chunk, planned_chunks);
+  const cpu::System::FunctionalStep apply_walked = [&](cpu::Core& core) {
+    walker.apply_chunk(core, s.critical_penalty);
+  };
 
   // Stratified credit: a chunk earns window credit in proportion to its
   // traffic weight relative to the running mean weight; kPlannerOversample
@@ -313,8 +320,7 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
     }
 
     // Execute the chunk functional-only and observe its traffic.
-    const std::uint64_t spent =
-        system.functional_window(chunk, s.critical_penalty);
+    const std::uint64_t spent = system.functional_window(apply_walked);
     functional += spent;
     ++executed_chunks;
     const std::uint64_t miss_now = system.llc_misses();
@@ -327,6 +333,7 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
     }
   }
 
+  walker.stop();
   pool.finish();
 
   // Merge in placement order: the observation vector (and everything

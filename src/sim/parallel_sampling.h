@@ -9,7 +9,11 @@
 // functional-only backbone in fine chunks (functional_instructions /
 // kOversample), drops a full in-memory snapshot (sim/snapshot.h,
 // save_snapshot_buffer) at each planned window start, and enqueues the
-// buffer as a job. Each worker owns a complete replica simulator built
+// buffer as a job. The backbone is itself pipelined: a walker thread
+// (sim/backbone_walker.h) walks every core's trace one chunk ahead, and
+// the planner only applies the walked chunks to the LLC. A planned run
+// therefore occupies jobs + 2 threads; experiment_worker_width still
+// reports `jobs`. Each worker owns a complete replica simulator built
 // through build_sim_instance — byte-compatible registry layout by
 // construction — restores the snapshot, runs warmup_cycles of excluded
 // detailed execution plus detail_cycles of measured execution, and delivers
@@ -19,7 +23,8 @@
 // Determinism contract: at a fixed placement, the observation set is
 // bit-identical for every worker count (jobs >= 1), because each window is
 // a pure function of its snapshot and the snapshot stream is produced by
-// the single-threaded backbone. Results merge in placement order; the
+// the backbone, whose walker hands over exactly what a serial walk would
+// (sim/backbone_walker.h). Results merge in placement order; the
 // estimator consumes the ordinal-ordered vector, so the stats JSON
 // `sampling` block is byte-identical regardless of jobs (the `workers` key
 // is operational metadata, like wall_seconds). The `--sample-target-ci`

@@ -17,7 +17,6 @@ std::uint64_t draw_gap(Rng& rng, double mean, double denom) {
 
 SyntheticTrace::SyntheticTrace(const SyntheticConfig& cfg)
     : cfg_(cfg),
-      rng_(cfg.seed),
       write_(cfg.write_fraction),
       random_(cfg.random_fraction) {
   ROP_ASSERT(!cfg_.streams.empty());
@@ -38,10 +37,10 @@ SyntheticTrace::SyntheticTrace(const SyntheticConfig& cfg)
 }
 
 void SyntheticTrace::reset() {
-  rng_.reseed(cfg_.seed);
-  positions_.assign(cfg_.streams.size(), 0);
-  delta_idx_.assign(cfg_.streams.size(), 0);
-  credits_.assign(cfg_.streams.size(), 0.0);
+  st_.rng.reseed(cfg_.seed);
+  st_.positions.assign(cfg_.streams.size(), 0);
+  st_.delta_idx.assign(cfg_.streams.size(), 0);
+  st_.credits.assign(cfg_.streams.size(), 0.0);
   total_weight_ = 0.0;
   for (std::size_t s = 0; s < cfg_.streams.size(); ++s) {
     ROP_ASSERT(!cfg_.streams[s].deltas.empty());
@@ -51,23 +50,29 @@ void SyntheticTrace::reset() {
     // The odd per-stream stagger keeps equal-stride streams from walking
     // the same DRAM bank in lockstep forever (real arrays are not
     // bank-aligned relative to each other).
-    positions_[s] =
+    st_.positions[s] =
         ((cfg_.footprint_lines / cfg_.streams.size()) * s + 131 * s) %
         cfg_.footprint_lines;
   }
-  ops_until_idle_ =
-      cfg_.burst_ops > 0 ? draw_gap(rng_, cfg_.burst_ops, burst_denom_) : 0;
-  ring_.clear();
-  ring_pos_ = 0;
+  st_.ops_until_idle = cfg_.burst_ops > 0
+                            ? draw_gap(st_.rng, cfg_.burst_ops, burst_denom_)
+                            : 0;
+  st_.ring.clear();
+  st_.ring_pos = 0;
 }
 
 TraceRecord SyntheticTrace::next() {
   if (cfg_.batch_records <= 1) {
     if (!gap_) gap_.emplace(cfg_.mean_gap);
-    return generate(rng_);
+    return generate(st_.rng);
   }
-  if (ring_pos_ == ring_.size()) refill();
-  return ring_[ring_pos_++];
+  if (st_.ring_pos == st_.ring.size()) refill();
+  return st_.ring[st_.ring_pos++];
+}
+
+void SyntheticTrace::prepare() {
+  if (!gap_) gap_.emplace(cfg_.mean_gap);
+  st_.reserve(cfg_);
 }
 
 void SyntheticTrace::refill() {
@@ -77,13 +82,13 @@ void SyntheticTrace::refill() {
   // once. The record stream is identical to the unbatched path — the local
   // starts from and ends in the exact member state.
   if (!gap_) gap_.emplace(cfg_.mean_gap);
-  Rng rng = rng_;
-  ring_.resize(cfg_.batch_records);
+  Rng rng = st_.rng;
+  st_.ring.resize(cfg_.batch_records);
   for (std::uint32_t i = 0; i < cfg_.batch_records; ++i) {
-    ring_[i] = generate(rng);
+    st_.ring[i] = generate(rng);
   }
-  rng_ = rng;
-  ring_pos_ = 0;
+  st_.rng = rng;
+  st_.ring_pos = 0;
 }
 
 TraceRecord SyntheticTrace::generate(Rng& rng) {
@@ -94,11 +99,11 @@ TraceRecord SyntheticTrace::generate(Rng& rng) {
   // Burst phase accounting: when the busy phase ends, splice in a long
   // idle compute period before the next access.
   if (cfg_.burst_ops > 0 && cfg_.idle_instructions > 0) {
-    if (ops_until_idle_ == 0) {
+    if (st_.ops_until_idle == 0) {
       gap += draw_gap(rng, cfg_.idle_instructions, idle_denom_);
-      ops_until_idle_ = draw_gap(rng, cfg_.burst_ops, burst_denom_);
+      st_.ops_until_idle = draw_gap(rng, cfg_.burst_ops, burst_denom_);
     } else {
-      --ops_until_idle_;
+      --st_.ops_until_idle;
     }
   }
 
@@ -117,21 +122,21 @@ TraceRecord SyntheticTrace::generate(Rng& rng) {
     std::size_t s = 0;
     double best = -1.0;
     for (std::size_t i = 0; i < cfg_.streams.size(); ++i) {
-      credits_[i] += cfg_.streams[i].weight;
-      if (credits_[i] > best) {
-        best = credits_[i];
+      st_.credits[i] += cfg_.streams[i].weight;
+      if (st_.credits[i] > best) {
+        best = st_.credits[i];
         s = i;
       }
     }
-    credits_[s] -= total_weight_;
+    st_.credits[s] -= total_weight_;
     // Each step is its delta reduced into [0, footprint), so the cursor
     // leaves the footprint by at most one lap and one subtraction wraps it.
     const std::vector<std::uint64_t>& steps = steps_[s];
-    std::size_t& idx = delta_idx_[s];
-    std::uint64_t pos = positions_[s] + steps[idx];
+    std::size_t& idx = st_.delta_idx[s];
+    std::uint64_t pos = st_.positions[s] + steps[idx];
     if (++idx == steps.size()) idx = 0;
     if (pos >= cfg_.footprint_lines) pos -= cfg_.footprint_lines;
-    positions_[s] = pos;
+    st_.positions[s] = pos;
     line = pos;
   }
   rec.addr = line << kLineShift;

@@ -63,13 +63,47 @@ class SyntheticTrace final : public TraceSource {
 
   [[nodiscard]] const SyntheticConfig& config() const { return cfg_; }
 
-  /// Snapshot serialization: the RNG, the walker cursors, and the record
-  /// ring (with its consumption cursor), so the restored stream hands out
+  /// Where the stream stands: the RNG, the walker cursors, and the record
+  /// ring (with its consumption cursor). Everything else is derived from
+  /// the config. Two generators of one config in equal states hand out
+  /// the same records from there on.
+  struct State {
+    Rng rng;
+    std::vector<std::uint64_t> positions;  // per-stream line cursor
+    std::vector<std::size_t> delta_idx;    // per-stream cursor into deltas
+    std::vector<double> credits;  // weighted round-robin selection state
+    std::uint64_t ops_until_idle = 0;
+    std::vector<TraceRecord> ring;  // prefilled batch; empty when disabled
+    std::size_t ring_pos = 0;       // next record to hand out
+
+    /// Grow every buffer to hold a `cfg` generator's state, so a later
+    /// copy-assignment from one allocates nothing.
+    void reserve(const SyntheticConfig& cfg) {
+      positions.reserve(cfg.streams.size());
+      delta_idx.reserve(cfg.streams.size());
+      credits.reserve(cfg.streams.size());
+      ring.reserve(cfg.batch_records);
+    }
+
+    template <class Ar>
+    void io(Ar& ar) {
+      ar(rng, positions, delta_idx, credits, ops_until_idle, ring, ring_pos);
+    }
+  };
+
+  [[nodiscard]] const State& state() const { return st_; }
+  /// Move the stream to `state`, taken from a generator of the same config.
+  void set_state(const State& state) { st_ = state; }
+
+  /// Build the gap table and reserve the record ring now, so that from
+  /// here on next() never allocates (both are otherwise built lazily).
+  void prepare();
+
+  /// Snapshot serialization: the State, so the restored stream hands out
   /// exactly the records the captured generator would have.
   template <class Ar>
   void io(Ar& ar) {
-    ar(rng_, positions_, delta_idx_, credits_, ops_until_idle_, ring_,
-       ring_pos_);
+    st_.io(ar);
   }
 
  private:
@@ -80,7 +114,7 @@ class SyntheticTrace final : public TraceSource {
   void refill();
 
   SyntheticConfig cfg_;
-  Rng rng_;
+  State st_;
   /// The compute gap, drawn every record through a threshold table
   /// (derived from mean_gap, never serialized). Built by the first refill()
   /// or unbatched next(), not the constructor: the table costs about half
@@ -97,13 +131,7 @@ class SyntheticTrace final : public TraceSource {
   Bernoulli random_;
   /// Per stream: each delta reduced mod footprint_lines into [0, footprint).
   std::vector<std::vector<std::uint64_t>> steps_;
-  std::vector<std::uint64_t> positions_;  // per-stream line cursor
-  std::vector<std::size_t> delta_idx_;    // per-stream cursor into deltas
-  std::vector<double> credits_;  // weighted round-robin selection state
   double total_weight_ = 0.0;
-  std::uint64_t ops_until_idle_ = 0;
-  std::vector<TraceRecord> ring_;  // prefilled batch; empty when disabled
-  std::size_t ring_pos_ = 0;       // next record to hand out
 };
 
 }  // namespace rop::workload

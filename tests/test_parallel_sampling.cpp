@@ -10,15 +10,19 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
+#include "energy/dram_power.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/parallel_sampling.h"
 #include "sim/sampling.h"
+#include "sim/sim_instance.h"
+#include "sim/snapshot.h"
 #include "sim/worker_budget.h"
 
 namespace rop::sim {
@@ -177,6 +181,215 @@ TEST(ParallelSampling, AutoStopPicksSameWindowCountAtEveryWorkerCount) {
   expect_same_observations(seq.sampling, par.sampling);
   // Auto-stop fired well before the full horizon.
   EXPECT_LT(seq.run.cores[0].instructions, spec.instructions_per_core);
+}
+
+// ---------------------------------------------------------------------------
+// The pipelined backbone: the planner applies chunks a walker thread walked
+// ahead (sim/backbone_walker.h). Re-enacting the plan serially through
+// public calls — System::functional_window(chunk, penalty) on a backbone,
+// save_snapshot_buffer at each planned window, a replica restore and
+// advance_until — must give bit-equal observations.
+
+struct SerialPlan {
+  std::vector<WindowObservation> observations;
+  std::uint64_t functional_cpu_cycles = 0;
+  cpu::RunResult run;
+  std::map<std::string, std::uint64_t> counters;  // the backbone's
+};
+
+/// The planner and one window worker of sim/parallel_sampling.cpp, run on
+/// the calling thread, with the backbone advanced by
+/// Core::functional_advance. Uniform or stratified placement; no window
+/// cap and no auto-stop.
+SerialPlan replay_plan_serially(const ExperimentSpec& spec) {
+  const SamplingSpec& s = spec.sampling;
+  const std::uint64_t fp = config_fingerprint(spec_canonical(spec));
+  SimInstance backbone = build_sim_instance(spec);
+  cpu::System& system = *backbone.system;
+  system.begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+  const SnapshotContext ctx = backbone.snapshot_context();
+
+  SimInstance replica = build_sim_instance(spec);
+  cpu::System& rs = *replica.system;
+  rs.begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+  const SnapshotContext replica_ctx = replica.snapshot_context();
+  const energy::DramPowerModel power(energy::DramEnergyParams{},
+                                     replica.memory->config().timings);
+  Counter* const blocked =
+      replica.memory->stats()->counter_handle("mem.refresh_blocked_cycles");
+  const auto instructions = [&rs] {
+    std::uint64_t n = 0;
+    for (CoreId c = 0; c < rs.num_cores(); ++c) {
+      n += rs.core(c).stats().instructions;
+    }
+    return n;
+  };
+
+  const std::uint64_t chunk = std::max<std::uint64_t>(
+      1, s.functional_instructions / kPlannerOversample);
+  const std::uint64_t planned =
+      (spec.instructions_per_core + chunk - 1) / chunk;
+  double credit = 0.0;
+  double total_weight = 0.0;
+  std::uint32_t prev_stratum = ~0u;
+  std::uint64_t miss_prev = system.llc_misses();
+  std::uint64_t placed = 0;
+  SerialPlan out;
+  for (std::uint64_t i = 0; i < planned; ++i) {
+    if (system.cores_remaining() == 0 ||
+        system.cpu_cycle() >= system.max_cpu_cycles()) {
+      break;
+    }
+    const std::uint32_t stratum =
+        s.strata == 0 ? 0
+                      : static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                            s.strata - 1, i * s.strata / planned));
+    bool place;
+    if (s.strata == 0) {
+      place = i % kPlannerOversample == 0;
+    } else if (stratum != prev_stratum) {
+      place = true;
+      credit = 0.0;
+    } else {
+      place = credit >= static_cast<double>(kPlannerOversample);
+      if (place) credit -= static_cast<double>(kPlannerOversample);
+    }
+    prev_stratum = stratum;
+
+    if (place) {
+      std::string err;
+      const bool ok = load_snapshot_buffer(save_snapshot_buffer(ctx, fp),
+                                           replica_ctx, fp, &err);
+      EXPECT_TRUE(ok) << err;
+      WindowObservation obs;
+      obs.index = placed++;
+      obs.stratum = stratum;
+      if (!rs.advance_until(rs.cpu_cycle() + s.warmup_cycles)) {
+        const std::uint64_t c0 = rs.cpu_cycle();
+        const std::uint64_t i0 = instructions();
+        const std::uint64_t b0 = blocked->value();
+        const double e0 = sampled_window_energy_mj(*replica.memory, power,
+                                                   c0 / rs.cpu_ratio());
+        (void)rs.advance_until(c0 + s.detail_cycles);
+        const std::uint64_t c1 = rs.cpu_cycle();
+        if (c1 > c0) {
+          const double dc = static_cast<double>(c1 - c0);
+          const double dm = dc / static_cast<double>(rs.cpu_ratio());
+          obs.cpu_cycles = c1 - c0;
+          obs.ipc = static_cast<double>(instructions() - i0) / dc;
+          obs.refresh_blocked_per_mem_cycle =
+              static_cast<double>(blocked->value() - b0) / dm;
+          const double e1 = sampled_window_energy_mj(*replica.memory, power,
+                                                     c1 / rs.cpu_ratio());
+          obs.energy_mj_per_mcycle = (e1 - e0) * 1e6 / dm;
+          out.observations.push_back(obs);
+        }
+      }
+    }
+
+    out.functional_cpu_cycles +=
+        system.functional_window(chunk, s.critical_penalty);
+    const std::uint64_t miss_now = system.llc_misses();
+    const double w = 1.0 + static_cast<double>(miss_now - miss_prev);
+    miss_prev = miss_now;
+    total_weight += w;
+    if (s.strata > 0) {
+      credit += w / (total_weight / static_cast<double>(i + 1));
+    }
+  }
+  out.run = system.finish_run();
+  for (const auto& [name, counter] : backbone.registry->counters()) {
+    out.counters[name] = counter.value();
+  }
+  return out;
+}
+
+TEST(ParallelSampling, WalkerBackboneMatchesSerialBackbone) {
+  ExperimentSpec lbm = planned_spec("lbm", MemoryMode::kRop, 1);
+  ExperimentSpec wl1 = multi_core_spec(1, MemoryMode::kDarp,
+                                       /*rank_partition=*/false);
+  wl1.instructions_per_core = 1'000'000;
+  wl1.sampling.enabled = true;
+  for (ExperimentSpec spec : {lbm, wl1}) {
+    for (const std::uint32_t strata : {0u, 4u}) {
+      spec.sampling.strata = strata;
+      SCOPED_TRACE(spec.benchmarks[0] + " cores=" +
+                   std::to_string(spec.benchmarks.size()) +
+                   " strata=" + std::to_string(strata));
+      const SerialPlan serial = replay_plan_serially(spec);
+      ASSERT_GT(serial.observations.size(), 4u);
+      for (const std::uint32_t jobs : {1u, 3u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        spec.sampling.jobs = jobs;
+        const ExperimentResult planned = run_experiment(spec);
+        EXPECT_EQ(planned.sampling.functional_cpu_cycles,
+                  serial.functional_cpu_cycles);
+        const std::vector<WindowObservation>& obs =
+            planned.sampling.observations;
+        ASSERT_EQ(obs.size(), serial.observations.size());
+        for (std::size_t i = 0; i < obs.size(); ++i) {
+          const WindowObservation& x = obs[i];
+          const WindowObservation& y = serial.observations[i];
+          EXPECT_EQ(x.index, y.index) << "window " << i;
+          EXPECT_EQ(x.stratum, y.stratum) << "window " << i;
+          EXPECT_EQ(x.cpu_cycles, y.cpu_cycles) << "window " << i;
+          EXPECT_EQ(x.ipc, y.ipc) << "window " << i;
+          EXPECT_EQ(x.energy_mj_per_mcycle, y.energy_mj_per_mcycle)
+              << "window " << i;
+          EXPECT_EQ(x.refresh_blocked_per_mem_cycle,
+                    y.refresh_blocked_per_mem_cycle)
+              << "window " << i;
+        }
+        EXPECT_EQ(planned.run.cpu_cycles, serial.run.cpu_cycles);
+        ASSERT_EQ(planned.run.cores.size(), serial.run.cores.size());
+        for (std::size_t c = 0; c < serial.run.cores.size(); ++c) {
+          EXPECT_EQ(planned.run.cores[c].instructions,
+                    serial.run.cores[c].instructions);
+          EXPECT_EQ(planned.run.cores[c].cpu_cycles,
+                    serial.run.cores[c].cpu_cycles);
+        }
+        // Every backbone counter, the LLC's included.
+        for (const auto& [name, value] : serial.counters) {
+          const auto it = planned.stats.counters().find(name);
+          ASSERT_NE(it, planned.stats.counters().end()) << name;
+          EXPECT_EQ(it->second.value(), value) << name;
+        }
+      }
+    }
+  }
+}
+
+// Every exit from the planning loop stops and joins the walker, which may
+// be blocked on a full ring at that moment: the run must end, and its stats
+// agree across worker counts. Auto-stop and the cycle limit leave the loop
+// early; a window cap stops placement while the backbone runs on.
+TEST(ParallelSampling, EveryEarlyExitJoinsTheWalker) {
+  ExperimentSpec auto_stop =
+      planned_spec("libquantum", MemoryMode::kBaseline, 1);
+  auto_stop.instructions_per_core = 20'000'000;
+  auto_stop.sampling.min_windows = 4;
+  auto_stop.sampling.target_ci_frac = 0.10;
+  ExperimentSpec window_cap = planned_spec("lbm", MemoryMode::kRop, 1);
+  window_cap.sampling.max_windows = 3;
+  ExperimentSpec cycle_limit = planned_spec("lbm", MemoryMode::kRop, 1);
+  cycle_limit.max_cpu_cycles = 300'000;
+  for (ExperimentSpec spec : {auto_stop, window_cap, cycle_limit}) {
+    ExperimentResult seq = run_experiment(spec);
+    spec.sampling.jobs = 3;
+    ExperimentResult par = run_experiment(spec);
+    if (spec.sampling.target_ci_frac > 0.0) {
+      EXPECT_TRUE(seq.sampling.ci_converged);
+      EXPECT_LT(seq.run.cores[0].instructions, spec.instructions_per_core);
+    } else if (spec.sampling.max_windows > 0) {
+      EXPECT_EQ(seq.sampling.windows, spec.sampling.max_windows);
+    } else {
+      EXPECT_TRUE(seq.run.hit_cycle_limit);
+      EXPECT_LT(seq.run.cores[0].instructions, spec.instructions_per_core);
+    }
+    seq.wall_seconds = par.wall_seconds = 0.0;
+    par.sampling.workers = seq.sampling.workers;
+    EXPECT_EQ(seq.to_json(), par.to_json());
+  }
 }
 
 // ---------------------------------------------------------------------------
