@@ -98,33 +98,36 @@ Address System::relocate(CoreId core, Address local) const {
   return (reloc_base_line_[core] + offset) << kLineShift;
 }
 
-std::optional<RequestId> System::issue_read(CoreId core, Address addr) {
-  const Address phys = relocate(core, addr);
-  if (!memory_.can_accept(phys, mem::ReqType::kRead)) return std::nullopt;
-  ChannelId ch = 0;
-  const auto id =
-      memory_.enqueue(phys, mem::ReqType::kRead, core, mem_now_, &ch);
-  // The cached next-event answer is stale the moment a request lands; the
-  // next boundary tick must execute to observe it. Sharded: only the
-  // channel that accepted the request needs re-arming.
-  if (id) {
+void System::note_enqueue(ChannelId ch) {
+  // The cached next-event answer is stale the moment a request lands.
+  // Serial: the next boundary tick must execute to observe it. Sharded:
+  // only the accepting channel is re-armed, and the loop need not visit
+  // before that channel's fresh delivery bound.
+  if (pool_ != nullptr) {
+    enqueue_bound_ =
+        std::min(enqueue_bound_, pool_->note_enqueue(ch, mem_now_));
+  } else {
     mem_dirty_ = true;
-    if (pool_ != nullptr) pool_->note_enqueue(ch, mem_now_);
   }
+}
+
+std::optional<RequestId> System::issue_read(CoreId core, Address addr) {
+  // MemorySystem::enqueue runs the controller's admission check first, so
+  // a full queue rejects the request with no side effects.
+  ChannelId ch = 0;
+  const auto id = memory_.enqueue(relocate(core, addr), mem::ReqType::kRead,
+                                  core, mem_now_, &ch);
+  if (id) note_enqueue(ch);
   return id;
 }
 
 bool System::issue_write(CoreId core, Address addr) {
-  const Address phys = relocate(core, addr);
-  if (!memory_.can_accept(phys, mem::ReqType::kWrite)) return false;
   ChannelId ch = 0;
-  const bool ok =
-      memory_.enqueue(phys, mem::ReqType::kWrite, core, mem_now_, &ch)
-          .has_value();
-  if (ok) {
-    mem_dirty_ = true;
-    if (pool_ != nullptr) pool_->note_enqueue(ch, mem_now_);
-  }
+  const bool ok = memory_
+                      .enqueue(relocate(core, addr), mem::ReqType::kWrite,
+                               core, mem_now_, &ch)
+                      .has_value();
+  if (ok) note_enqueue(ch);
   return ok;
 }
 
@@ -228,6 +231,7 @@ void System::begin_run(std::uint64_t target_instructions,
   loop_.partial.assign(cores_.size(), CoreResult{});
   mem_now_ = 0;
   mem_dirty_ = false;
+  enqueue_bound_ = kNeverCycle;
   if (cfg_.shard_channels > 0) {
     // See mem/shard_pool.h for why per-channel advancement is
     // bit-identical to the serial loop.
@@ -237,7 +241,7 @@ void System::begin_run(std::uint64_t target_instructions,
                "sharded channels must not share a registry");
     ROP_ASSERT(memory_.controller(0).trace() == nullptr &&
                "the trace sink interleaves channels and is order-sensitive");
-    pool_ = std::make_unique<mem::ShardPool>(memory_, cfg_.shard_channels);
+    pool_ = std::make_unique<mem::ShardPool>(memory_);
   } else {
     ROP_ASSERT(!memory_.per_channel_stats() &&
                "per-channel registries are only folded by the sharded loop");
@@ -281,7 +285,7 @@ bool System::advance_until(std::uint64_t stop_cpu) {
           cores_[req.core]->on_read_complete(req.id, cpu_cycle,
                                              make_fill(req));
         });
-        mem_dirty_ = false;
+        mem_dirty_ = false;  // a snapshot from an older build may carry it
         mem_next_event = pool_->next_required_boundary(mem_now_);
       } else {
         if (sampler != nullptr) sampler->advance_to(mem_now_);
@@ -309,6 +313,10 @@ bool System::advance_until(std::uint64_t stop_cpu) {
       }
     }
     ++cpu_cycle;
+    // Sharded: fold the delivery bounds of this cycle's enqueues into the
+    // next visit (the serial loop's mem_dirty_ forces the next boundary).
+    if (enqueue_bound_ < mem_next_event) mem_next_event = enqueue_bound_;
+    enqueue_bound_ = kNeverCycle;
 
     // -- Bulk advance: jump the whole system across a span every party has
     // proven pure: the event loop and the sharded loop fold per-core next

@@ -45,8 +45,9 @@ struct SystemConfig {
   bool rank_partition = false;  // paper §IV-A rank-aware mapping
   /// See LoopMode; kNaive is the cross-checking reference.
   LoopMode loop = LoopMode::kEventDriven;
-  /// > 0: run the channel-sharded loop with this many shards (clamped to
-  /// the channel count). Requires kEventDriven, per-channel stats on the
+  /// > 0: run the channel-sharded loop, which advances each channel on
+  /// its own event clock, all on the calling thread (any value > 0 runs
+  /// the same loop). Requires kEventDriven, per-channel stats on the
   /// memory system, and no trace sink; bit-identical to the serial loop
   /// (see mem/shard_pool.h). 0 = the serial loops above.
   std::uint32_t shard_channels = 0;
@@ -236,6 +237,10 @@ class System final : public MemoryPort {
   /// Core::attribute_critical_span (pure function of the request).
   [[nodiscard]] FillInfo make_fill(const mem::Request& req) const;
 
+  /// Re-arm the memory event clock after channel `ch` accepted a request
+  /// at mem_now_ (see mem_dirty_ and enqueue_bound_).
+  void note_enqueue(ChannelId ch);
+
   /// Relocate a core-local address into the physical address space (bases
   /// precomputed at construction; see reloc_base_line_).
   [[nodiscard]] Address relocate(CoreId core, Address local) const;
@@ -291,9 +296,14 @@ class System final : public MemoryPort {
   std::uint64_t cas_cpu_ = 0;
   std::uint64_t bus_cpu_ = 0;
   Cycle mem_now_ = 0;
-  /// Set by issue_read/issue_write when a request lands: the cached
-  /// next-event cycle is stale and the next boundary tick must execute.
+  /// Set by issue_read/issue_write when a request lands in the serial
+  /// loop: the cached next-event cycle is stale and the next boundary tick
+  /// must execute.
   bool mem_dirty_ = false;
+  /// Sharded loop: the earliest delivery bound of the requests accepted in
+  /// the CPU cycle being executed; advance_until folds it into
+  /// mem_next_event right after the cycle (kNeverCycle between cycles).
+  Cycle enqueue_bound_ = kNeverCycle;
   /// Live between begin_run and finish_run when cfg_.shard_channels > 0:
   /// lets the issue hooks re-arm just the channel that accepted the
   /// request, and carries the per-channel event clocks across snapshots.

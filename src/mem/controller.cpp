@@ -892,7 +892,9 @@ void Controller::step(Cycle now) {
   if (write_q_.size() >= cfg_.sched.write_drain_high) draining_writes_ = true;
   if (write_q_.size() <= cfg_.sched.write_drain_low) draining_writes_ = false;
 
-  if (cfg_.refresh_enabled) {
+  // Inside the refresh-quiet window every manage_refresh_* variant would
+  // find nothing owed on any rank and return without a side effect.
+  if (cfg_.refresh_enabled && now >= refresh_quiet_until_) {
     bool refresh_cmd = false;
     if (cfg_.per_bank_refresh) {
       refresh_cmd = manage_refresh_per_bank(now);
@@ -905,6 +907,7 @@ void Controller::step(Cycle now) {
     } else {
       refresh_cmd = manage_refresh(now);
     }
+    refresh_quiet_until_ = refresh_quiet_end(now);
     if (refresh_cmd) return;
   }
 
@@ -1017,6 +1020,20 @@ void Controller::audit_horizon(Cycle now, bool drain,
         *this, now,
         "cached horizon " + std::to_string(cached) + " != rescanned " +
             std::to_string(fresh));
+  }
+}
+
+void Controller::audit_quiet_window(Cycle now) const {
+  Cycle fresh = kNeverCycle;
+  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
+    fresh = std::min(fresh, refresh_event_cycle(r, now));
+  }
+  if (fresh != refresh_quiet_until_) {
+    auditor_->on_scheduler_mismatch(
+        *this, now,
+        "refresh-quiet window ends at " +
+            std::to_string(refresh_quiet_until_) +
+            " != per-rank refresh event " + std::to_string(fresh));
   }
 }
 
@@ -1224,9 +1241,30 @@ Cycle Controller::refresh_event_cycle(RankId r, Cycle now) const {
   return seal_ready_cycle(r);
 }
 
+Cycle Controller::refresh_quiet_end(Cycle now) const {
+  // owed() only grows at a tREFI boundary and only a refresh issue (which
+  // needs something owed) lowers it, so with nothing owed and no pausing
+  // refresh in progress, no rank's refresh machinery can act before the
+  // earliest next boundary. (Pausing credits the refresh manager only when
+  // refresh_remaining_ reaches 0, so today owed == 0 implies it; the test
+  // keeps a change to that crediting from opening a window mid-refresh.)
+  Cycle end = kNeverCycle;
+  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
+    if (rm_.owed(r, now) > 0 || refresh_remaining_[r] > 0) return 0;
+    end = std::min(end, rm_.next_owed_increase(r, now));
+  }
+  return end;
+}
+
 Cycle Controller::next_event_cycle(Cycle now) const {
   // Completed requests await drain on the very next tick.
   if (!completed_.empty()) return now + 1;
+
+  // Refresh-quiet window: every rank's refresh_event_cycle is its next
+  // boundary, so the earliest of them stands in for the per-rank calls
+  // (refreshing ranks included: conservative-early at worst).
+  const bool quiet = now < refresh_quiet_until_;
+  if (quiet && audit_scheduler_ != nullptr) audit_quiet_window(now);
 
   const Cycle soonest = now + 1;
   Cycle next = kNeverCycle;
@@ -1247,9 +1285,12 @@ Cycle Controller::next_event_cycle(Cycle now) const {
       continue;  // the refresh machinery skips refreshing ranks
     }
     if (rank.pb_refreshing()) consider(rank.earliest_pb_release());
-    if (cfg_.refresh_enabled) consider(refresh_event_cycle(r, now));
+    if (cfg_.refresh_enabled && !quiet) {
+      consider(refresh_event_cycle(r, now));
+    }
     if (next == soonest) return next;
   }
+  if (quiet) consider(refresh_quiet_until_);
 
   if (read_q_.empty() && write_q_.empty() && prefetch_q_.empty()) {
     return next;

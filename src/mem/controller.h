@@ -402,6 +402,7 @@ class Controller {
       // The candidate table is never serialized: a restored state must
       // rescan, even if the counts the table was keyed on happen to match.
       sched_stale_ = true;
+      refresh_quiet_until_ = 0;
       write_index_.clear();
       for (const RequestIndex idx : write_q_) {
         write_index_.insert(arena_[idx].line_addr);
@@ -433,6 +434,9 @@ class Controller {
                   const std::optional<SchedulerPick>& cached) const;
   void audit_horizon(Cycle now, bool drain, const BlockedRanks& blocked,
                      Cycle cached) const;
+  /// Quiet-window audit (same opt-in): the per-rank refresh_event_cycle
+  /// minimum must equal refresh_quiet_until_.
+  void audit_quiet_window(Cycle now) const;
   void issue_pick(const SchedulerPick& pick, Cycle now);
   void complete_bursts(Cycle now);
   /// Flush queued prefetches for a rank (urgent refresh override).
@@ -477,6 +481,10 @@ class Controller {
   /// for `r` given frozen bank state.
   [[nodiscard]] Cycle refresh_event_cycle(RankId r, Cycle now) const;
   [[nodiscard]] Cycle seal_ready_cycle(RankId r) const;
+  /// End of the refresh-quiet window starting at `now`: the earliest next
+  /// tREFI boundary over the ranks when no rank owes a refresh or has a
+  /// pausing refresh in progress, else 0 (not quiet).
+  [[nodiscard]] Cycle refresh_quiet_end(Cycle now) const;
 
   /// Remove `idx` from rank `r`'s read index and from the drain counter
   /// when the request predates the rank's lock.
@@ -544,6 +552,12 @@ class Controller {
   mutable bool sched_drain_ = false;
   mutable BlockedRanks sched_blocked_{};
   mutable std::uint64_t sched_commands_ = 0;
+  /// Refresh-quiet window: while now < refresh_quiet_until_, no rank owes
+  /// a refresh, so step() skips refresh management and next_event_cycle()
+  /// takes this one cycle for every rank's refresh event. Recomputed each
+  /// time refresh management runs; derived, so not serialized (the reader
+  /// resets it). 0 = not quiet.
+  Cycle refresh_quiet_until_ = 0;
   RefreshBlockingStats blocking_;
   StatRegistry* stats_;
   StatHandles h_;

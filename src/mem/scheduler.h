@@ -115,8 +115,8 @@ class Scheduler {
   }
 
  private:
-  /// One pickable command. Cache-line sized and aligned so the tables of
-  /// controllers stepped by different shard threads never share a line.
+  /// One pickable command, cache-line sized and aligned (one candidate per
+  /// line).
   struct alignas(64) Candidate {
     dram::Command cmd;
     Cycle earliest = kNeverCycle;  // Channel::earliest_issue(cmd)

@@ -6,10 +6,8 @@
 
 namespace rop::mem {
 
-ShardPool::ShardPool(MemorySystem& memory, std::uint32_t num_shards)
-    : memory_(memory),
-      shared_(memory.stats()),
-      num_shards_(std::clamp(num_shards, 1u, memory.num_channels())) {
+ShardPool::ShardPool(MemorySystem& memory)
+    : memory_(memory), shared_(memory.stats()) {
   // Backstop: the sampler should already have seen the mirrored names (see
   // MemorySystem::mirror_channel_stats), but late assembly paths that skip
   // the sampler still need the shared-registry destinations for the folds.
@@ -29,93 +27,19 @@ ShardPool::ShardPool(MemorySystem& memory, std::uint32_t num_shards)
       }
     }
   }
-
-  for (std::uint32_t w = 1; w < num_shards_; ++w) {
-    workers_.emplace_back([this, w] { worker_main(w); });
-  }
-}
-
-ShardPool::~ShardPool() {
-  {
-    std::lock_guard<std::mutex> lk(job_mu_);
-    stop_ = true;
-  }
-  job_cv_.notify_all();
-  for (auto& t : workers_) t.join();
-}
-
-void ShardPool::advance_channel(ChannelState& cs, Cycle target) {
-  if (cs.next_due > target) return;
-  Controller& ctrl = *cs.ctrl;
-  Cycle due = cs.next_due;
-  do {
-    ctrl.tick(due);
-    due = ctrl.next_event_cycle(due);
-  } while (due <= target);
-  cs.next_due = due;
-  cs.bound_stale = true;
-}
-
-void ShardPool::advance_shard(std::uint32_t shard, Cycle target) {
-  for (std::uint32_t ch = shard;
-       ch < static_cast<std::uint32_t>(channels_.size());
-       ch += num_shards_) {
-    advance_channel(channels_[ch], target);
-  }
 }
 
 void ShardPool::advance_all(Cycle target) {
-  // Dispatch the worker threads only when at least two shards have a span
-  // of due work long enough to amortize the wakeup; the common short hop
-  // (one boundary, one busy channel) runs inline.
-  if (num_shards_ > 1) {
-    std::uint32_t due_shards = 0;
-    Cycle min_due = kNeverCycle;
-    for (std::uint32_t w = 0; w < num_shards_ && due_shards < 2; ++w) {
-      for (std::uint32_t ch = w;
-           ch < static_cast<std::uint32_t>(channels_.size());
-           ch += num_shards_) {
-        if (channels_[ch].next_due <= target) {
-          ++due_shards;
-          min_due = std::min(min_due, channels_[ch].next_due);
-          break;
-        }
-      }
-    }
-    if (due_shards >= 2 && target - min_due >= kParallelSpan) {
-      {
-        std::lock_guard<std::mutex> lk(job_mu_);
-        job_target_ = target;
-        done_count_ = 0;
-        ++job_gen_;
-      }
-      job_cv_.notify_all();
-      advance_shard(0, target);
-      std::unique_lock<std::mutex> lk(job_mu_);
-      done_cv_.wait(lk, [this] { return done_count_ == num_shards_ - 1; });
-      return;
-    }
-  }
-  for (auto& cs : channels_) advance_channel(cs, target);
-}
-
-void ShardPool::worker_main(std::uint32_t shard) {
-  std::uint64_t seen_gen = 0;
-  for (;;) {
-    Cycle target;
-    {
-      std::unique_lock<std::mutex> lk(job_mu_);
-      job_cv_.wait(lk, [&] { return stop_ || job_gen_ > seen_gen; });
-      if (stop_) return;
-      seen_gen = job_gen_;
-      target = job_target_;
-    }
-    advance_shard(shard, target);
-    {
-      std::lock_guard<std::mutex> lk(job_mu_);
-      ++done_count_;
-    }
-    done_cv_.notify_one();
+  for (auto& cs : channels_) {
+    if (cs.next_due > target) continue;
+    Controller& ctrl = *cs.ctrl;
+    Cycle due = cs.next_due;
+    do {
+      ctrl.tick(due);
+      due = ctrl.next_event_cycle(due);
+    } while (due <= target);
+    cs.next_due = due;
+    cs.bound_stale = true;
   }
 }
 
@@ -144,16 +68,19 @@ void ShardPool::fold_epochs_through(Cycle target) {
 void ShardPool::advance_to(Cycle target) {
   fold_epochs_through(target);
   advance_all(target);
+  advanced_to_ = target;
 }
 
 void ShardPool::sample_to(Cycle target) { fold_epochs_through(target); }
 
-void ShardPool::note_enqueue(ChannelId ch, Cycle now) {
+Cycle ShardPool::note_enqueue(ChannelId ch, Cycle now) {
   ChannelState& cs = channels_.at(ch);
   // The first tick that can observe an arrival stamped `now` is now + 1
   // (the naive tick(M) only sees arrivals <= M - 1).
   cs.next_due = std::min(cs.next_due, now + 1);
-  cs.bound_stale = true;
+  cs.bound = cs.ctrl->completion_lower_bound(now);
+  cs.bound_stale = false;
+  return cs.bound;
 }
 
 Cycle ShardPool::next_required_boundary(Cycle pos) {

@@ -1,4 +1,4 @@
-// ShardPool: per-channel lazy advancement of the memory system, the engine
+// ShardPool: per-channel event clocks for the memory system, the engine
 // behind cpu::System's `--shard-channels` loop.
 //
 // Channels are independent timing domains: a controller's tick touches only
@@ -14,12 +14,17 @@
 // boundary when some channel could *deliver* a completion
 // (Controller::completion_lower_bound — typically CAS-latency-many cycles
 // later than next_event_cycle, which also fires for internal activity like
-// command issues and refresh phases). Two consequences:
+// command issues and refresh phases). Three consequences:
 //
-//  * an enqueue re-arms only the target channel (note_enqueue), where the
-//    serial loop's global mem_dirty_ re-ticks every channel;
+//  * an enqueue re-arms only the target channel (note_enqueue) and lowers
+//    the loop's next visit to that channel's delivery bound, where the
+//    serial loop's global mem_dirty_ re-ticks every channel at the next
+//    boundary;
 //  * between deliveries, channels that are idle are not ticked at all, and
-//    busy channels batch their whole tick recurrence in one advance_to.
+//    busy channels batch their whole tick recurrence in one advance_to;
+//  * a channel whose completions were just drained takes its next event
+//    from the drained state, as the serial loop does, instead of re-ticking
+//    the following cycle to notice the queue is empty.
 //
 // Bit-identity with the serial event loop follows from the no-op-tick
 // invariance the determinism suite already pins (naive == event): both
@@ -36,19 +41,12 @@
 // finalize, where Scalar's order-independent exact summation makes the
 // merged values bit-identical to serial interleaved recording.
 //
-// Threading: shard w owns channels {ch : ch % num_shards == w}. Worker 0
-// is the calling thread; workers 1..n-1 park on a condition variable and
-// are dispatched only when at least two shards have due work over a span
-// worth the wakeup (kParallelSpan). All controller state is quiescent
-// outside advance_to — the job mutex orders every hand-off, so the main
-// thread may freely read controllers (drain, bounds, finalize) between
-// calls.
+// Every channel advances inline on the calling thread: any
+// `shard_channels > 0` selects this loop and the count itself changes
+// nothing (docs/PERFORMANCE.md §7 has the measurement behind that).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/stats.h"
@@ -59,14 +57,12 @@ namespace rop::mem {
 
 class ShardPool {
  public:
-  /// `num_shards` is clamped to the channel count. The pool snapshots the
-  /// per-channel registries at construction, so build it after the full
-  /// system (engines included) has registered its stats; it mirrors the
-  /// channel stat names into the shared registry as a backstop (see
-  /// MemorySystem::mirror_channel_stats for why the sampler needs them
-  /// earlier).
-  ShardPool(MemorySystem& memory, std::uint32_t num_shards);
-  ~ShardPool();
+  /// The pool snapshots the per-channel registries at construction, so
+  /// build it after the full system (engines included) has registered its
+  /// stats; it mirrors the channel stat names into the shared registry as
+  /// a backstop (see MemorySystem::mirror_channel_stats for why the sampler
+  /// needs them earlier).
+  explicit ShardPool(MemorySystem& memory);
 
   ShardPool(const ShardPool&) = delete;
   ShardPool& operator=(const ShardPool&) = delete;
@@ -82,9 +78,10 @@ class ShardPool {
   void sample_to(Cycle target);
 
   /// A request was accepted by channel `ch` at memory cycle `now`: its
-  /// first observing tick is now + 1, and the cached delivery bound for
-  /// the channel is stale.
-  void note_enqueue(ChannelId ch, Cycle now);
+  /// first observing tick is now + 1. Returns the channel's fresh delivery
+  /// bound (completion_lower_bound(now)), which the caller folds into its
+  /// next visit.
+  Cycle note_enqueue(ChannelId ch, Cycle now);
 
   /// Earliest memory cycle > pos at which any channel could hold a
   /// deliverable completion — the sharded loop's mem_next_event.
@@ -93,10 +90,18 @@ class ShardPool {
   [[nodiscard]] Cycle next_required_boundary(Cycle pos);
 
   /// Drain completed demand reads, channels in order — the serial
-  /// MemorySystem::for_each_completed sequence.
+  /// MemorySystem::for_each_completed sequence. Call right after
+  /// advance_to(M): a channel holding completions has ticked every cycle
+  /// up to M (completions keep its clock at d + 1), so its next event is
+  /// recomputed from the drained state at M, as the serial loop does.
   template <typename Fn>
   void for_each_completed(Fn&& fn) {
-    for (auto& cs : channels_) cs.ctrl->drain_completed_into(fn);
+    for (auto& cs : channels_) {
+      if (!cs.ctrl->has_completed()) continue;
+      ROP_ASSERT(cs.next_due == advanced_to_ + 1);
+      cs.ctrl->drain_completed_into(fn);
+      cs.next_due = cs.ctrl->next_event_cycle(advanced_to_);
+    }
   }
 
   /// End of run: finalize every controller (channel order), fold the final
@@ -104,8 +109,6 @@ class ShardPool {
   /// and close the sampler — the sharded replacement for
   /// MemorySystem::finalize.
   void finalize_run(Cycle end);
-
-  [[nodiscard]] std::uint32_t num_shards() const { return num_shards_; }
 
   /// Snapshot serialization: the per-channel event clocks (next_due) and
   /// the counter-fold baselines. Cached delivery bounds are recomputed
@@ -142,35 +145,16 @@ class ShardPool {
     std::uint64_t prev = 0;
   };
 
-  /// Dispatch spans at least this long (memory cycles) to the worker
-  /// threads; shorter ones run inline — a wakeup costs more than a few
-  /// ticks.
-  static constexpr Cycle kParallelSpan = 64;
-
   void advance_all(Cycle target);
-  void advance_shard(std::uint32_t shard, Cycle target);
-  static void advance_channel(ChannelState& cs, Cycle target);
   void fold_counters();
   void fold_epochs_through(Cycle target);
-  void worker_main(std::uint32_t shard);
 
   MemorySystem& memory_;
   StatRegistry* shared_;
-  std::uint32_t num_shards_;
   std::vector<ChannelState> channels_;
   std::vector<CounterFold> folds_;
-
-  // Job hand-off: main publishes job_target_ under job_mu_ and bumps
-  // job_gen_; workers run their shard and count themselves done. The mutex
-  // carries all happens-before edges for the controller state.
-  std::vector<std::thread> workers_;
-  std::mutex job_mu_;
-  std::condition_variable job_cv_;   // workers wait for a new generation
-  std::condition_variable done_cv_;  // main waits for done_count_
-  std::uint64_t job_gen_ = 0;
-  Cycle job_target_ = 0;
-  std::uint32_t done_count_ = 0;
-  bool stop_ = false;
+  /// Target of the last advance_to: the cycle for_each_completed drains at.
+  Cycle advanced_to_ = 0;
 };
 
 }  // namespace rop::mem

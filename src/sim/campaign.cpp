@@ -705,9 +705,8 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
     if (!done[i]) pending.push_back(i);
   }
 
-  // Budget against the widest cell: sharded cells bring shard workers and
-  // planned-sampled cells bring window workers, so jobs * width never
-  // exceeds the machine (a 4-cell sweep of sampling.jobs=4 cells on an
+  // Budget against the widest cell: planned-sampled cells bring window
+  // workers, so jobs * width never exceeds the machine (a 4-cell sweep of sampling.jobs=4 cells on an
   // 8-thread budget runs 2 cells at a time, not 4).
   unsigned max_width = 1;
   for (const CampaignCell& cell : cells) {

@@ -1,6 +1,6 @@
 // Campaign engine: expand a JSON sweep spec into a grid of
 // ExperimentSpecs, run them on a bounded worker pool (budgeted against
-// per-run channel shards; see sim/worker_budget.h), checkpoint every
+// per-run sampling window workers; see sim/worker_budget.h), checkpoint every
 // completed cell into a resumable manifest, and merge the per-cell stats
 // documents into one aggregate JSON the figure harnesses can consume.
 //
@@ -51,7 +51,7 @@ struct CampaignOptions {
   std::string spec_path;  // JSON sweep spec
   std::string out_dir;    // manifest + per-cell + merged documents
   /// Concurrent cells; 0 derives jobs from hardware_concurrency divided by
-  /// the widest cell's shard count (worker_budget).
+  /// the widest cell's worker width (worker_budget).
   unsigned jobs = 0;
   /// Reuse completed cells from an existing manifest (same spec only —
   /// a fingerprint mismatch starts over).

@@ -611,14 +611,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
 }
 
 unsigned experiment_worker_width(const ExperimentSpec& spec) {
-  unsigned width = 1;
-  if (spec.shard_channels > 0) {
-    width = std::max(width, std::min(spec.shard_channels, spec.channels));
-  }
   if (spec.sampling.enabled && spec.sampling.jobs > 0) {
-    width = std::max(width, spec.sampling.jobs);
+    return spec.sampling.jobs;
   }
-  return width;
+  return 1;
 }
 
 ExperimentSpec single_core_spec(std::string benchmark, MemoryMode mode,

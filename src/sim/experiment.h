@@ -55,8 +55,10 @@ struct ExperimentSpec {
   /// Memory channels (the paper's Table III point is 1; the sharded loop
   /// and campaign sweeps extend it).
   std::uint32_t channels = 1;
-  /// > 0: run the channel-sharded loop with this many shards (clamped to
-  /// the channel count); bit-identical to the serial event loop.
+  /// > 0: run the channel-sharded loop, each channel on its own event
+  /// clock; bit-identical to the serial event loop. The value names the
+  /// run (campaign specs, snapshot fingerprints) but does not change how
+  /// it executes: every channel advances on the calling thread.
   std::uint32_t shard_channels = 0;
   std::uint64_t llc_bytes = 2ull << 20;
   engine::RopConfig rop{};  // consulted when mode == kRop
@@ -172,8 +174,9 @@ struct ExperimentResult {
 /// ExperimentResult::error.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec);
 
-/// Worker threads one run of `spec` occupies: the shard count for a
-/// sharded run, the sampling job count for a planned-sampled run, else 1.
+/// Worker threads one run of `spec` occupies: the sampling job count for a
+/// planned-sampled run, else 1 (a sharded run advances every channel on
+/// its calling thread).
 /// The runner and the campaign engine divide the machine budget by the
 /// widest pending spec so jobs * width never oversubscribes (see
 /// sim/worker_budget.h). A planned-sampled run occupies jobs + 2 threads

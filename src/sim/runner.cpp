@@ -13,10 +13,9 @@ std::vector<ExperimentResult> run_experiments(
   std::vector<ExperimentResult> results(specs.size());
   if (specs.empty()) return results;
 
-  // Budget the pool against nested parallelism: a spec that runs the
-  // channel-sharded loop brings its own shard workers, and a
-  // planned-sampled spec brings its own window workers, so the default
-  // (n_threads == 0) divides hardware_concurrency by the widest spec.
+  // Budget the pool against nested parallelism: a planned-sampled spec
+  // brings its own window workers, so the default (n_threads == 0)
+  // divides hardware_concurrency by the widest spec.
   unsigned max_width = 1;
   for (const ExperimentSpec& spec : specs) {
     max_width = std::max(max_width, experiment_worker_width(spec));

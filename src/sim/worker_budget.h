@@ -1,10 +1,10 @@
 // Worker-budget policy shared by the experiment runner and the campaign
 // engine: one place that answers "how many concurrent jobs?" so that jobs
-// times per-job shards never oversubscribes the machine.
+// times per-job workers never oversubscribes the machine.
 //
-// The rule: jobs * shards_per_job <= hardware_concurrency (floored at one
+// The rule: jobs * workers_per_job <= hardware_concurrency (floored at one
 // job — a single job may still oversubscribe a tiny machine with its own
-// shards; that is the user's explicit choice via --shard-channels). An
+// workers; that is the user's explicit choice via --sample-jobs). An
 // explicit request is honored verbatim except for the task-count clamp, so
 // `--jobs 1` always means serial.
 #pragma once
@@ -16,15 +16,14 @@
 namespace rop::sim {
 
 /// Number of worker threads to launch for `n_tasks` independent jobs, each
-/// of which may internally run `shards_per_job` shard workers (channel
-/// shards or parallel-sampling window workers — whichever width the job's
-/// spec implies; see experiment_worker_width in sim/experiment.h).
+/// of which may internally run `workers_per_job` workers (parallel-sampling
+/// window workers; see experiment_worker_width in sim/experiment.h).
 /// `requested_jobs` = 0 derives the budget from the machine; any other
 /// value is the user's call. `hardware` = 0 queries
 /// hardware_concurrency(); tests pass an explicit value to pin the policy.
 /// Always in [1, n_tasks] for n_tasks >= 1.
 [[nodiscard]] inline unsigned worker_budget(unsigned requested_jobs,
-                                            unsigned shards_per_job,
+                                            unsigned workers_per_job,
                                             std::size_t n_tasks,
                                             unsigned hardware = 0) {
   if (n_tasks == 0) return 1;
@@ -33,8 +32,8 @@ namespace rop::sim {
     const unsigned hw = hardware > 0
                             ? hardware
                             : std::max(1u, std::thread::hardware_concurrency());
-    const unsigned shards = std::max(1u, shards_per_job);
-    jobs = std::max(1u, hw / shards);
+    const unsigned width = std::max(1u, workers_per_job);
+    jobs = std::max(1u, hw / width);
   }
   return static_cast<unsigned>(
       std::min<std::size_t>(jobs, n_tasks));

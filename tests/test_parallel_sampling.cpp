@@ -408,15 +408,15 @@ TEST(WorkerBudget, SampledCellCountsItsWindowJobs) {
 
   ExperimentSpec sharded = single_core_spec("lbm", MemoryMode::kBaseline);
   sharded.channels = 4;
-  sharded.shard_channels = 2;
-  EXPECT_EQ(experiment_worker_width(sharded), 2u);
+  sharded.shard_channels = 2;  // channels advance on the calling thread
+  EXPECT_EQ(experiment_worker_width(sharded), 1u);
 }
 
 TEST(WorkerBudget, FourSampledCellsOnAnEightBudgetRunTwoAtATime) {
   // 4 campaign cells, each a planned-sampled run with 4 window workers, on
   // a machine budget of 8 hardware threads: the derived job count must be
   // 2 (2 cells x 4 window workers = 8), never 4 (16 threads).
-  EXPECT_EQ(worker_budget(/*requested_jobs=*/0, /*shards_per_job=*/4,
+  EXPECT_EQ(worker_budget(/*requested_jobs=*/0, /*workers_per_job=*/4,
                           /*n_tasks=*/4, /*hardware=*/8),
             2u);
   // An explicit request is honored (the user's call), only task-clamped.

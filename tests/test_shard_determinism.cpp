@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "mem/memory_system.h"
+#include "mem/shard_pool.h"
 #include "sim/experiment.h"
 
 namespace rop::sim {
@@ -153,6 +155,50 @@ TEST(ShardDeterminism, ShardCountClampsToChannels) {
   const ExperimentResult sharded =
       run_experiment(sharded_spec(MemoryMode::kBaseline, 2, 8));
   expect_identical(serial, sharded);
+}
+
+/// Counts the ticks a controller executes.
+class TickCounter final : public mem::ControllerAuditor {
+ public:
+  void on_tick_end(const mem::Controller&, Cycle) override { ++ticks; }
+  void on_retired(const mem::Request&) override {}
+  std::uint64_t ticks = 0;
+};
+
+TEST(ShardPool, DeliveryLeavesNoEchoTick) {
+  // The channel's next event after a delivery comes from the drained
+  // state, as in the serial loop: the cycle after the delivery is not
+  // ticked just to find the completion queue empty.
+  mem::MemoryConfig cfg;
+  cfg.timings = dram::make_ddr4_1600_timings();
+  cfg.org.channels = 2;
+  cfg.per_channel_stats = true;
+  StatRegistry stats;
+  mem::MemorySystem memory(cfg, &stats);
+  mem::ShardPool pool(memory);
+
+  ChannelId ch = 0;
+  ASSERT_TRUE(memory.enqueue(0x40, mem::ReqType::kRead, 0, 0, &ch));
+  pool.note_enqueue(ch, 0);
+  TickCounter counter;
+  memory.controller(ch).set_auditor(&counter);
+
+  // Visit the delivery bounds the sharded loop would visit until the read
+  // is delivered.
+  Cycle d = 0;
+  std::uint64_t delivered = 0;
+  while (delivered == 0) {
+    d = pool.next_required_boundary(d);
+    ASSERT_LT(d, cfg.timings.tREFI) << "the read never completed";
+    pool.advance_to(d);
+    pool.for_each_completed([&](const mem::Request&) { ++delivered; });
+  }
+  EXPECT_EQ(delivered, 1u);
+
+  const std::uint64_t before = counter.ticks;
+  pool.advance_to(d + 1);
+  EXPECT_EQ(counter.ticks, before) << "echo tick at " << d + 1;
+  memory.controller(ch).set_auditor(nullptr);
 }
 
 }  // namespace

@@ -92,9 +92,10 @@ struct Options {
       "  --cores N            number of cores (default 1; wl mixes force 4)\n"
       "  --ranks N            DRAM ranks (default 1)\n"
       "  --channels N         memory channels (default 1)\n"
-      "  --shard-channels N   run the channel-sharded simulation loop with N\n"
-      "                       shard workers (bit-identical to the serial\n"
-      "                       loop; incompatible with --trace-out/--loop)\n"
+      "  --shard-channels N   N > 0: advance each channel on its own event\n"
+      "                       clock, on one thread; N itself changes nothing\n"
+      "                       (bit-identical to the serial loop;\n"
+      "                       incompatible with --trace-out/--loop)\n"
       "  --llc-mb N           shared LLC size in MiB (default 2)\n"
       "  --instructions N     per-core instruction target (default 10M)\n"
       "  --buffer-lines N     ROP SRAM capacity (default 64)\n"
