@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the aggregation machinery the
-// channel-sharded loop and the campaign engine lean on: exact-summation
-// Scalar recording/merging, histogram and registry folds, and the JSON
-// parse of a per-run stats document. Gated numbers live in
-// BENCH_campaign.json (ci_baseline_ns); the end-to-end serial-vs-sharded
-// wall-clock rows in that file come from ropsim runs, not this binary.
+// campaign engine leans on: exact-summation Scalar recording/merging,
+// histogram and registry merges, and the JSON parse of a per-run stats
+// document. Gated numbers live in BENCH_campaign.json (ci_baseline_ns);
+// the end-to-end wall-clock rows in that file come from ropsim runs, not
+// this binary.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -70,9 +70,7 @@ StatRegistry representative_registry() {
   return reg;
 }
 
-// The per-epoch cost of the sharded loop's counter fold is bounded by this
-// (the fold walks registered handles, not the maps, but merge_from is what
-// finalize and the campaign aggregate pay per channel/cell).
+// What the campaign aggregate pays per merged cell.
 void BM_RegistryMergeFrom(benchmark::State& state) {
   const StatRegistry src = representative_registry();
   StatRegistry dst = representative_registry();

@@ -326,7 +326,7 @@ void SimChecker::finalize() {
   finalized_ = true;
   // Conservation is a whole-memory identity against the shared registry;
   // channel-scoped checkers delegate it to the channel-0 instance so the
-  // sharded run audits it exactly once (after the final stat fold).
+  // run audits it exactly once.
   if (scope_ == kAllChannels || scope_ == 0) check_conservation();
   // Final deadline sweep: a backlog beyond the budget at end of run means
   // some tREFI interval was never covered.

@@ -60,11 +60,10 @@ class SimChecker final : public mem::ControllerAuditor {
   /// outlive the ticking of `mem` (the destructor detaches defensively).
   void attach(mem::MemorySystem& mem);
 
-  /// Channel-scoped variant for the sharded loop: audit only channel `ch`,
-  /// so each shard's ticks call into a checker owned by that shard and no
-  /// checker state is shared across workers. The global conservation audit
-  /// in finalize() runs only on the channel-0 checker (it reads the folded
-  /// shared registry, so it must run after the run's stat fold).
+  /// Channel-scoped variant, the layout run_experiment uses: audit only
+  /// channel `ch`, so the counters (ticks audited, last tick) are that
+  /// channel's. The global conservation audit in finalize() runs only on
+  /// the channel-0 checker.
   void attach(mem::MemorySystem& mem, ChannelId ch);
 
   /// Include a ROP engine's SRAM buffer in the per-tick coherence sweep.

@@ -21,7 +21,7 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const { return value_; }
   void reset() { value_ = 0; }
 
-  /// Fold another counter in (channel-shard and campaign aggregation).
+  /// Fold another counter in (campaign aggregation).
   void merge(const Counter& other) { value_ += other.value_; }
 
   /// Snapshot serialization (see common/snapshot_io.h).
@@ -40,9 +40,9 @@ class Counter {
 /// (Shewchuk error-free accumulation — the algorithm behind math.fsum),
 /// so the represented value is the true real-number sum of the recorded
 /// samples and therefore independent of recording order. That is what
-/// makes merge() exact: folding per-channel shards, or per-run campaign
-/// results, yields bit-identical sum()/mean() no matter how the samples
-/// were interleaved in a serial run. For integral samples (latencies in
+/// makes merge() exact, and lets every channel record into one registry in
+/// any tick order: folding per-run campaign results, or interleaving the
+/// channels differently, yields bit-identical sum()/mean(). For integral samples (latencies in
 /// cycles) the expansion stays at a single partial until the running sum
 /// crosses 2^53, so record() costs one extra compare on the hot path.
 class Scalar {
@@ -257,8 +257,7 @@ class StatRegistry {
   /// Fold every stat of `other` into this registry, creating any missing
   /// entries (histograms adopt the source geometry). Counters add,
   /// scalars merge exactly (see Scalar), histograms add bucket-wise —
-  /// the aggregation primitive behind channel-shard folds and campaign
-  /// stats merging.
+  /// the aggregation primitive behind campaign stats merging.
   void merge_from(const StatRegistry& other);
 
   /// Render "name value" lines, sorted by name, for debugging dumps.

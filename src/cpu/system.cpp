@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <string>
 
-#include "mem/shard_pool.h"
 #include "telemetry/epoch_sampler.h"
 
 namespace rop::cpu {
 
 System::System(const SystemConfig& cfg, mem::MemorySystem& memory,
                std::vector<workload::TraceSource*> traces)
-    : cfg_(cfg), memory_(memory) {
+    : cfg_(cfg), memory_(memory), clocks_(memory) {
   ROP_ASSERT(!traces.empty());
   ROP_ASSERT(cfg.cpu_ratio >= 1);
   StatRegistry& reg = *memory_.stats();
@@ -99,16 +98,12 @@ Address System::relocate(CoreId core, Address local) const {
 }
 
 void System::note_enqueue(ChannelId ch) {
-  // The cached next-event answer is stale the moment a request lands.
-  // Serial: the next boundary tick must execute to observe it. Sharded:
-  // only the accepting channel is re-armed, and the loop need not visit
-  // before that channel's fresh delivery bound.
-  if (pool_ != nullptr) {
-    enqueue_bound_ =
-        std::min(enqueue_bound_, pool_->note_enqueue(ch, mem_now_));
-  } else {
-    mem_dirty_ = true;
-  }
+  // Only the accepting channel is re-armed, and the loop need not visit
+  // before that channel's fresh delivery bound. The naive loop ticks every
+  // boundary and keeps no clocks.
+  if (cfg_.loop == LoopMode::kNaive) return;
+  enqueue_bound_ =
+      std::min(enqueue_bound_, clocks_.note_enqueue(ch, mem_now_));
 }
 
 std::optional<RequestId> System::issue_read(CoreId core, Address addr) {
@@ -132,18 +127,14 @@ bool System::issue_write(CoreId core, Address addr) {
 }
 
 std::uint64_t System::skip_target(std::uint64_t cpu_cycle,
-                                  std::uint64_t next_window_cpu,
                                   Cycle mem_next_event,
                                   std::uint64_t target_instructions,
                                   std::uint64_t max_cpu_cycles,
                                   const std::vector<bool>& crossed) const {
   std::uint64_t target = max_cpu_cycles;
-  // Memory cap. A dirty queue forces the next boundary tick (the first
-  // tick that can observe the new request); otherwise every boundary
-  // before mem_next_event is a provable no-op tick and needs no visit.
-  if (mem_dirty_) {
-    target = std::min(target, next_window_cpu);
-  } else if (mem_next_event <= max_cpu_cycles / cfg_.cpu_ratio) {
+  // Memory cap: no boundary before mem_next_event can deliver a completion,
+  // so none needs a visit (the channels catch up lazily at the next one).
+  if (mem_next_event <= max_cpu_cycles / cfg_.cpu_ratio) {
     target = std::min(target, mem_next_event * cfg_.cpu_ratio);
   }
   // Per-core caps: a sleeping core imposes none (its wake bounds the span
@@ -230,36 +221,23 @@ void System::begin_run(std::uint64_t target_instructions,
   loop_.remaining = cores_.size();
   loop_.partial.assign(cores_.size(), CoreResult{});
   mem_now_ = 0;
-  mem_dirty_ = false;
   enqueue_bound_ = kNeverCycle;
-  if (cfg_.shard_channels > 0) {
-    // See mem/shard_pool.h for why per-channel advancement is
-    // bit-identical to the serial loop.
-    ROP_ASSERT(cfg_.loop == LoopMode::kEventDriven &&
-               "channel sharding builds on the event-driven loop");
-    ROP_ASSERT(memory_.per_channel_stats() &&
-               "sharded channels must not share a registry");
-    ROP_ASSERT(memory_.controller(0).trace() == nullptr &&
-               "the trace sink interleaves channels and is order-sensitive");
-    pool_ = std::make_unique<mem::ShardPool>(memory_);
-  } else {
-    ROP_ASSERT(!memory_.per_channel_stats() &&
-               "per-channel registries are only folded by the sharded loop");
-  }
+  // The trace sink records events in tick order, and the per-channel
+  // clocks tick one channel at a time.
+  ROP_ASSERT((memory_.num_channels() == 1 ||
+              memory_.controller(0).trace() == nullptr) &&
+             "an event trace needs one channel");
 }
 
 bool System::advance_until(std::uint64_t stop_cpu) {
   ROP_ASSERT(loop_.active);
-  // The sharded loop is an event loop (begin_run asserts it).
   const bool naive = cfg_.loop == LoopMode::kNaive;
-  const bool sharded = pool_ != nullptr;
   // Event-loop sleep/wake: a core blocked on a critical load is not
   // executed (nor billed) per cycle; its cycles/stall_cycles lag until the
   // wake back-fill in Core::on_read_complete or a bulk run_until catches
   // it up. The naive loop bills stalled cores every cycle, so the
   // back-fill is zero there.
   const bool lazy_sleep = !naive;
-  telemetry::EpochSampler* const sampler = memory_.sampler();
   const std::uint64_t stop = std::min(stop_cpu, loop_.max_cpu_cycles);
 
   // Hot locals, copied in at the segment edge and back out at exit.
@@ -270,36 +248,25 @@ bool System::advance_until(std::uint64_t stop_cpu) {
   while (cpu_cycle < stop && loop_.remaining > 0) {
     // -- Memory-window entry: visit the boundary once per window. A
     // mid-window entry (a bulk advance or a segment stop landed between
-    // boundaries) never ticks in the event modes: the skip caps guarantee
-    // the current window's boundary tick was a provable no-op, so only
-    // mem_now_/sampler bookkeeping runs.
+    // boundaries) ticks nothing in the event loop: the skip caps guarantee
+    // no completion is due in the current window, so only mem_now_
+    // bookkeeping runs.
     if (cpu_cycle >= next_window_cpu) {
       mem_now_ = cpu_cycle / cfg_.cpu_ratio;
       next_window_cpu = (mem_now_ + 1) * cfg_.cpu_ratio;
-      if (sharded) {
-        // Advance every channel through its own due ticks (folding epoch
-        // boundaries on the way), then drain. A conservative-early bound
-        // just makes this a cheap no-op visit.
-        pool_->advance_to(mem_now_);
-        pool_->for_each_completed([&](const mem::Request& req) {
-          cores_[req.core]->on_read_complete(req.id, cpu_cycle,
-                                             make_fill(req));
-        });
-        mem_dirty_ = false;  // a snapshot from an older build may carry it
-        mem_next_event = pool_->next_required_boundary(mem_now_);
+      const auto deliver = [&](const mem::Request& req) {
+        cores_[req.core]->on_read_complete(req.id, cpu_cycle, make_fill(req));
+      };
+      if (naive) {
+        memory_.tick(mem_now_);
+        memory_.for_each_completed(deliver);
       } else {
-        if (sampler != nullptr) sampler->advance_to(mem_now_);
-        if (naive || mem_dirty_ || mem_now_ >= mem_next_event) {
-          memory_.tick(mem_now_);
-          memory_.for_each_completed([&](const mem::Request& req) {
-            cores_[req.core]->on_read_complete(req.id, cpu_cycle,
-                                               make_fill(req));
-          });
-          mem_dirty_ = false;
-          if (!naive) {
-            mem_next_event = memory_.next_event_cycle(mem_now_);
-          }
-        }
+        // Advance every channel through its own due ticks (emitting epoch
+        // samples on the way), then drain. A conservative-early bound just
+        // makes this a cheap no-op visit.
+        clocks_.advance_to(mem_now_);
+        clocks_.for_each_completed(deliver);
+        mem_next_event = clocks_.next_required_boundary(mem_now_);
       }
     }
 
@@ -313,20 +280,19 @@ bool System::advance_until(std::uint64_t stop_cpu) {
       }
     }
     ++cpu_cycle;
-    // Sharded: fold the delivery bounds of this cycle's enqueues into the
-    // next visit (the serial loop's mem_dirty_ forces the next boundary).
+    // Fold the delivery bounds of this cycle's enqueues into the next visit.
     if (enqueue_bound_ < mem_next_event) mem_next_event = enqueue_bound_;
     enqueue_bound_ = kNeverCycle;
 
     // -- Bulk advance: jump the whole system across a span every party has
-    // proven pure: the event loop and the sharded loop fold per-core next
-    // events into the jump target.
+    // proven pure: the event loop folds per-core next events into the jump
+    // target.
     // Clamping the jump at the segment stop is exact: run_until composes
     // over pure spans, and the re-entry window visit is a provable no-op.
     if (loop_.remaining == 0) continue;
     if (naive) continue;
     const std::uint64_t target = std::min(
-        stop, skip_target(cpu_cycle, next_window_cpu, mem_next_event,
+        stop, skip_target(cpu_cycle, mem_next_event,
                           loop_.target_instructions, loop_.max_cpu_cycles,
                           loop_.crossed));
     if (target <= cpu_cycle) continue;
@@ -340,6 +306,13 @@ bool System::advance_until(std::uint64_t stop_cpu) {
     cpu_cycle = target;
   }
 
+  // Run every channel tick due before the exit cycle, as the naive loop
+  // has: state read between segments (a sampled window's energy and
+  // counters, a snapshot) must not lag behind the clock. The next visit
+  // would run these ticks at the same cycles, so the run is unchanged.
+  if (!naive && cpu_cycle > 0) {
+    clocks_.catch_up((cpu_cycle - 1) / cfg_.cpu_ratio);
+  }
   loop_.cpu_cycle = cpu_cycle;
   loop_.next_window_cpu = next_window_cpu;
   loop_.mem_next_event = mem_next_event;
@@ -363,16 +336,14 @@ RunResult System::finish_run() {
   // loop, which sampled those boundaries pre-mirror. The trailing partial
   // epoch (emitted by close() in finalize) captures the mirror in both
   // modes.
-  if (pool_ != nullptr) {
-    // Catch up with everything the serial loop would have ticked: every
-    // due event E with E * cpu_ratio < cpu_cycle was executed there (the
-    // skip cap lands the loop on each such window before exiting), while
-    // events at or past the exit cycle never run. Completions produced
-    // here stay undrained, exactly like the serial exit.
-    if (cpu_cycle > 0) pool_->advance_to((cpu_cycle - 1) / cfg_.cpu_ratio);
-    pool_->sample_to(cpu_cycle / cfg_.cpu_ratio);
-  } else if (telemetry::EpochSampler* const s = memory_.sampler()) {
-    s->advance_to(cpu_cycle / cfg_.cpu_ratio);
+  if (cfg_.loop == LoopMode::kNaive) {
+    if (telemetry::EpochSampler* const s = memory_.sampler()) {
+      s->advance_to(cpu_cycle / cfg_.cpu_ratio);
+    }
+  } else {
+    // The channels already ran every tick before cpu_cycle (advance_until
+    // and functional_window leave them caught up), like the naive loop.
+    clocks_.sample_to(cpu_cycle / cfg_.cpu_ratio);
   }
 
   // Freeze any core that never crossed (cycle-limit safety net).
@@ -418,12 +389,7 @@ RunResult System::finish_run() {
 
   result.cpu_cycles = cpu_cycle;
   result.mem_cycles = cpu_cycle / cfg_.cpu_ratio;
-  if (pool_ != nullptr) {
-    pool_->finalize_run(result.mem_cycles);
-    pool_.reset();
-  } else {
-    memory_.finalize(result.mem_cycles);
-  }
+  memory_.finalize(result.mem_cycles);
   loop_.active = false;
   return result;
 }
@@ -444,32 +410,36 @@ std::uint64_t System::functional_window(std::uint64_t instructions_per_core,
 
 std::uint64_t System::functional_window(const FunctionalStep& step) {
   ROP_ASSERT(loop_.active);
-  ROP_ASSERT(pool_ == nullptr && "sampled execution is a serial-loop mode");
-  telemetry::EpochSampler* const sampler = memory_.sampler();
+  ROP_ASSERT(cfg_.loop == LoopMode::kEventDriven &&
+             "sampled execution runs on the event-driven loop");
   const std::uint64_t start_cpu = loop_.cpu_cycle;
 
-  // 1. Drain: tick the memory event-driven (no new arrivals) until every
-  // core's outstanding misses have completed. Completions deliver at the
-  // CPU cycle of the producing memory window; critical sleepers back-fill
-  // their slept span exactly as in detailed execution.
+  // 1. Drain: advance the memory (no new arrivals) until every core's
+  // outstanding misses have completed. Completions deliver at the CPU
+  // cycle of the producing memory window; critical sleepers back-fill
+  // their slept span exactly as in detailed execution. A window entered on
+  // a boundary with nothing to drain leaves that boundary unticked.
   auto outstanding_total = [&] {
     std::uint64_t n = 0;
     for (const auto& core : cores_) n += core->outstanding();
     return n;
   };
   Cycle m = start_cpu / cfg_.cpu_ratio;
+  if (outstanding_total() == 0 && start_cpu % cfg_.cpu_ratio == 0) {
+    clocks_.pass(m);
+  }
   std::uint64_t drained_cpu = start_cpu;
   while (outstanding_total() > 0) {
-    memory_.tick(m);
+    clocks_.advance_to(m);
     const std::uint64_t deliver_cpu =
         std::max(start_cpu, m * static_cast<std::uint64_t>(cfg_.cpu_ratio));
-    memory_.for_each_completed([&](const mem::Request& req) {
+    clocks_.for_each_completed([&](const mem::Request& req) {
       cores_[req.core]->on_read_complete(req.id, deliver_cpu,
                                          make_fill(req));
     });
     drained_cpu = deliver_cpu;
     if (outstanding_total() == 0) break;
-    const Cycle next = memory_.next_event_cycle(m);
+    const Cycle next = clocks_.next_required_boundary(m);
     ROP_ASSERT(next != kNeverCycle && "outstanding reads must complete");
     m = std::max(m + 1, next);
   }
@@ -487,37 +457,30 @@ std::uint64_t System::functional_window(const FunctionalStep& step) {
   }
 
   // 3. Land the whole system on one memory-window boundary at or past the
-  // slowest core's estimate, then advance the memory event-driven through
-  // the span: refreshes and write drains happen at their natural times.
+  // slowest core's estimate, then advance the memory through the span:
+  // refreshes and write drains happen at their natural times.
   const std::uint64_t end_cpu_raw = std::max(
       {start_cpu + 1, drained_cpu, max_core_cycles});
   const Cycle end_mem =
       (end_cpu_raw + cfg_.cpu_ratio - 1) / cfg_.cpu_ratio;
   const std::uint64_t end_cpu =
       end_mem * static_cast<std::uint64_t>(cfg_.cpu_ratio);
-  Cycle due = memory_.next_event_cycle(m);
-  while (due < end_mem) {
-    if (sampler != nullptr) sampler->advance_to(due);
-    memory_.tick(due);
-    // Demand reads were drained above and functional cores issue nothing,
-    // so completions cannot appear here.
-    memory_.for_each_completed([](const mem::Request&) {
-      ROP_ASSERT(false && "no demand reads in flight during warming");
-    });
-    due = memory_.next_event_cycle(due);
-  }
-  if (sampler != nullptr) sampler->advance_to(end_mem);
+  if (end_mem > m) clocks_.advance_to(end_mem - 1);
+  // Demand reads were drained above and functional cores issue nothing,
+  // so completions cannot appear here.
+  clocks_.for_each_completed([](const mem::Request&) {
+    ROP_ASSERT(false && "no demand reads in flight during warming");
+  });
+  clocks_.sample_to(end_mem);
 
   // 4. Re-align every clock to the window boundary so detailed execution
   // resumes from a consistent state. The alignment span is billed as
-  // stall; the next window visit must re-tick (the no-op-skip proof does
-  // not cover a functional jump), so mark the memory dirty.
+  // stall; the next window visit runs whatever the channels have due.
   for (auto& core : cores_) core->align_cycles(end_cpu);
   loop_.cpu_cycle = end_cpu;
   loop_.next_window_cpu = end_cpu;  // forces a window visit on resume
   loop_.mem_next_event = 0;
   mem_now_ = end_mem;
-  mem_dirty_ = true;
   return end_cpu - start_cpu;
 }
 

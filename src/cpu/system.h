@@ -12,12 +12,9 @@
 #include "cache/llc.h"
 #include "common/types.h"
 #include "cpu/core.h"
+#include "mem/channel_clocks.h"
 #include "mem/memory_system.h"
 #include "workload/trace.h"
-
-namespace rop::mem {
-class ShardPool;
-}
 
 namespace rop::cpu {
 
@@ -32,8 +29,9 @@ enum class LoopMode : std::uint8_t {
   kNaive = 0,
   /// Unified next-event loop: per-core next events (closed-form compute-gap
   /// retirement, sleeping stalled cores with wake back-fill) folded with
-  /// the memory next-event bound, so the clock jumps whenever *each* core
-  /// is individually in a provably pure span.
+  /// the memory's next delivery bound, so the clock jumps whenever *each*
+  /// core is individually in a provably pure span. Every channel advances
+  /// on its own event clock (see mem/channel_clocks.h).
   kEventDriven = 2,
 };
 
@@ -45,12 +43,6 @@ struct SystemConfig {
   bool rank_partition = false;  // paper §IV-A rank-aware mapping
   /// See LoopMode; kNaive is the cross-checking reference.
   LoopMode loop = LoopMode::kEventDriven;
-  /// > 0: run the channel-sharded loop, which advances each channel on
-  /// its own event clock, all on the calling thread (any value > 0 runs
-  /// the same loop). Requires kEventDriven, per-channel stats on the
-  /// memory system, and no trace sink; bit-identical to the serial loop
-  /// (see mem/shard_pool.h). 0 = the serial loops above.
-  std::uint32_t shard_channels = 0;
 };
 
 /// Per-core results frozen the cycle the core crossed its instruction
@@ -127,8 +119,7 @@ class System final : public MemoryPort {
                 std::uint64_t max_cpu_cycles);
 
   /// Segmented execution, the substrate for checkpoints and sampling.
-  /// begin_run arms the loop (and builds the shard pool when sharded);
-  /// advance_until executes until `stop_cpu` (clamped to the cycle limit)
+  /// begin_run arms the loop; advance_until executes until `stop_cpu` (clamped to the cycle limit)
   /// or until every core crossed the target, returning true when the run
   /// is over (all crossed, or limit hit); finish_run settles cores,
   /// sampler, and memory, and produces the result. A run split at any
@@ -148,8 +139,8 @@ class System final : public MemoryPort {
   /// no memory requests), advance the memory event-driven through the
   /// estimated span (refreshes fire at their natural times with no demand
   /// arrivals), then re-align all clocks to one window boundary so
-  /// detailed execution can resume. Serial loops only (no shard pool).
-  /// Returns the CPU cycles the window consumed.
+  /// detailed execution can resume. Event-driven loop only. Returns the
+  /// CPU cycles the window consumed.
   std::uint64_t functional_window(std::uint64_t instructions_per_core,
                                   Cycle critical_penalty);
 
@@ -190,17 +181,16 @@ class System final : public MemoryPort {
   [[nodiscard]] Cycle mem_now() const { return mem_now_; }
   [[nodiscard]] std::uint32_t cpu_ratio() const { return cfg_.cpu_ratio; }
 
-  /// Snapshot serialization: the live loop cursor, partial results, memory
-  /// clock flags, the shared LLC (if any), every core, and (when sharded)
-  /// the pool's per-channel event clocks. Legal only between advance_until
-  /// calls of an active run; the restoring side must have called begin_run
-  /// with the same spec so the pool exists on both sides.
+  /// Snapshot serialization: the live loop cursor, partial results, the
+  /// memory clock, the shared LLC (if any), every core, and the
+  /// per-channel event clocks. Legal only between advance_until calls of
+  /// an active event-driven run.
   template <class Ar>
   void io(Ar& ar) {
-    ar(loop_, mem_now_, mem_dirty_);
+    ar(loop_, mem_now_);
     if (shared_llc_ != nullptr) ar.field(*shared_llc_);
     for (auto& core : cores_) ar.field(*core);
-    if (pool_ != nullptr) ar.field(*pool_);
+    ar.field(clocks_);
   }
 
  private:
@@ -237,8 +227,8 @@ class System final : public MemoryPort {
   /// Core::attribute_critical_span (pure function of the request).
   [[nodiscard]] FillInfo make_fill(const mem::Request& req) const;
 
-  /// Re-arm the memory event clock after channel `ch` accepted a request
-  /// at mem_now_ (see mem_dirty_ and enqueue_bound_).
+  /// Re-arm channel `ch`'s event clock after it accepted a request at
+  /// mem_now_ (see enqueue_bound_).
   void note_enqueue(ChannelId ch);
 
   /// Relocate a core-local address into the physical address space (bases
@@ -246,13 +236,13 @@ class System final : public MemoryPort {
   [[nodiscard]] Address relocate(CoreId core, Address local) const;
 
   /// Highest CPU cycle the whole system can be bulk-advanced to from
-  /// `cpu_cycle` (exclusive caps folded: memory next event / dirty
-  /// boundary, per-core next events, instruction-target crossings). A
+  /// `cpu_cycle` (exclusive caps folded: the memory's next required visit,
+  /// per-core next events, instruction-target crossings). A
   /// result <= cpu_cycle means the next cycle must execute.
   [[nodiscard]] std::uint64_t skip_target(
-      std::uint64_t cpu_cycle, std::uint64_t next_window_cpu,
-      Cycle mem_next_event, std::uint64_t target_instructions,
-      std::uint64_t max_cpu_cycles, const std::vector<bool>& crossed) const;
+      std::uint64_t cpu_cycle, Cycle mem_next_event,
+      std::uint64_t target_instructions, std::uint64_t max_cpu_cycles,
+      const std::vector<bool>& crossed) const;
 
   /// Per-core registry mirrors ("coreN.*"), resolved at construction and
   /// published once at the end of run().
@@ -296,18 +286,13 @@ class System final : public MemoryPort {
   std::uint64_t cas_cpu_ = 0;
   std::uint64_t bus_cpu_ = 0;
   Cycle mem_now_ = 0;
-  /// Set by issue_read/issue_write when a request lands in the serial
-  /// loop: the cached next-event cycle is stale and the next boundary tick
-  /// must execute.
-  bool mem_dirty_ = false;
-  /// Sharded loop: the earliest delivery bound of the requests accepted in
-  /// the CPU cycle being executed; advance_until folds it into
-  /// mem_next_event right after the cycle (kNeverCycle between cycles).
+  /// The earliest delivery bound of the requests accepted in the CPU cycle
+  /// being executed; advance_until folds it into mem_next_event right
+  /// after the cycle (kNeverCycle between cycles).
   Cycle enqueue_bound_ = kNeverCycle;
-  /// Live between begin_run and finish_run when cfg_.shard_channels > 0:
-  /// lets the issue hooks re-arm just the channel that accepted the
-  /// request, and carries the per-channel event clocks across snapshots.
-  std::unique_ptr<mem::ShardPool> pool_;
+  /// The event-driven loop's per-channel memory clocks (unused by kNaive,
+  /// which ticks every channel at every boundary).
+  mem::ChannelClocks clocks_;
   LoopState loop_;
 };
 

@@ -359,14 +359,14 @@ class Controller {
   /// True when completed demand reads await drain.
   [[nodiscard]] bool has_completed() const { return !completed_.empty(); }
 
-  /// Delivery bound for the channel-sharded loop: the earliest tick cycle
-  /// >= `pos` + 1 at which completed_ could gain an entry, given that no
-  /// further request is enqueued (an enqueue invalidates the answer; the
-  /// shard pool tracks that per channel). Unlike next_event_cycle this
-  /// ignores channel-internal activity (command issues, refresh phases) —
-  /// those advance inside the shard without the CPU having to observe
-  /// them. Conservative-early is harmless (the pool re-advances and
-  /// recomputes); late would mis-deliver a completion and is never
+  /// Delivery bound for the event loop: the earliest tick cycle >= `pos`
+  /// + 1 at which completed_ could gain an entry, given that no further
+  /// request is enqueued (an enqueue invalidates the answer; the channel
+  /// clocks track that per channel). Unlike next_event_cycle this ignores
+  /// channel-internal activity (command issues, refresh phases) — those
+  /// advance on the channel's own clock without the CPU having to observe
+  /// them. Conservative-early is harmless (the clocks re-advance and
+  /// recompute); late would mis-deliver a completion and is never
   /// returned. kNeverCycle when no queued or in-flight read exists.
   ///
   /// Soundness: completed_ gains entries during tick(T) only via

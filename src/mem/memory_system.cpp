@@ -9,31 +9,9 @@ MemorySystem::MemorySystem(const MemoryConfig& cfg, StatRegistry* stats)
   ROP_ASSERT(stats != nullptr);
   ROP_ASSERT(dram::validate(cfg_.timings));
   controllers_.reserve(cfg_.org.channels);
-  if (cfg_.per_channel_stats) channel_stats_.reserve(cfg_.org.channels);
   for (ChannelId ch = 0; ch < cfg_.org.channels; ++ch) {
-    StatRegistry* reg = stats_;
-    if (cfg_.per_channel_stats) {
-      channel_stats_.push_back(std::make_unique<StatRegistry>());
-      reg = channel_stats_.back().get();
-    }
     controllers_.push_back(std::make_unique<Controller>(
-        ch, cfg_.timings, cfg_.org, cfg_.ctrl, reg));
-  }
-}
-
-void MemorySystem::mirror_channel_stats() {
-  for (const auto& reg : channel_stats_) {
-    for (const auto& [name, c] : reg->counters()) {
-      (void)c;
-      stats_->counter(name);
-    }
-    for (const auto& [name, s] : reg->scalars()) {
-      (void)s;
-      stats_->scalar(name);
-    }
-    for (const auto& [name, h] : reg->histograms()) {
-      stats_->histogram(name, h.bucket_width(), h.num_buckets() - 1);
-    }
+        ch, cfg_.timings, cfg_.org, cfg_.ctrl, stats_));
   }
 }
 

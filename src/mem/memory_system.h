@@ -2,10 +2,9 @@
 //
 // This is the public substrate API the CPU layer and the examples talk to:
 // enqueue line-granular requests, tick once per controller clock, drain
-// completions.
+// completions. Every channel records into the one shared StatRegistry.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -28,12 +27,6 @@ struct MemoryConfig {
   dram::DramOrganization org{};
   MapScheme scheme = MapScheme::kRowRankBankColumn;
   ControllerConfig ctrl{};
-  /// Give every channel its own StatRegistry instead of recording into the
-  /// shared one. Required by the channel-sharded event loop (shards must
-  /// not contend on one registry); the shard pool folds the per-channel
-  /// registries into the shared registry at epoch boundaries and at
-  /// finalize, reproducing the serial stats bit-for-bit.
-  bool per_channel_stats = false;
 };
 
 class MemorySystem {
@@ -49,13 +42,13 @@ class MemorySystem {
   /// Enqueue a demand access. Returns the request id on acceptance, or
   /// nullopt when the target queue is full (caller retries next cycle).
   /// When `channel` is non-null it receives the channel the address maps
-  /// to (on acceptance only) — the sharded loop uses it to re-arm just
-  /// that channel's shard instead of dirtying all of them.
+  /// to (on acceptance only) — the event loop uses it to re-arm just that
+  /// channel's clock.
   std::optional<RequestId> enqueue(Address byte_addr, ReqType type,
                                    CoreId core, Cycle now,
                                    ChannelId* channel = nullptr);
 
-  /// Advance all channels one controller clock.
+  /// Advance all channels one controller clock (the naive loop's step).
   void tick(Cycle now);
 
   /// All demand reads completed since the last call (any channel).
@@ -84,8 +77,8 @@ class MemorySystem {
 
   /// Attach an epoch sampler (non-owning; nullptr detaches). tick() then
   /// advances it to every executed cycle and finalize() closes it; the
-  /// event-driven loop in cpu::System additionally advances it at skipped
-  /// boundaries so sampling points stay exact (see telemetry/epoch_sampler).
+  /// channel clocks of the event-driven loop advance it at every boundary
+  /// they cross (see mem/channel_clocks.h).
   void set_sampler(telemetry::EpochSampler* sampler) { sampler_ = sampler; }
   [[nodiscard]] telemetry::EpochSampler* sampler() const { return sampler_; }
 
@@ -100,64 +93,24 @@ class MemorySystem {
   /// True when every queue and in-flight buffer is empty.
   [[nodiscard]] bool idle() const;
 
-  /// The shared registry (never null). The CPU layer resolves its own stat
-  /// handles from it at construction. With per_channel_stats the channels
-  /// record into their own registries instead; this one then holds the
-  /// mirrored names (see mirror_channel_stats) plus everything non-channel
-  /// (llc.*, coreN.*), and receives the folds.
+  /// The shared registry (never null) every channel records into. The CPU
+  /// layer resolves its own stat handles from it at construction.
   [[nodiscard]] StatRegistry* stats() const { return stats_; }
 
-  /// True when each channel records into a private registry.
-  [[nodiscard]] bool per_channel_stats() const {
-    return cfg_.per_channel_stats;
-  }
-
-  /// The registry channel `ch` records into: its private registry under
-  /// per_channel_stats, otherwise the shared one — so assembly code
-  /// (engines, checkers) can target the right registry unconditionally.
-  [[nodiscard]] StatRegistry& channel_stats(ChannelId ch) {
-    return cfg_.per_channel_stats ? *channel_stats_.at(ch) : *stats_;
-  }
-  [[nodiscard]] const StatRegistry& channel_stats(ChannelId ch) const {
-    return cfg_.per_channel_stats ? *channel_stats_.at(ch) : *stats_;
-  }
-
-  /// Register every stat name that exists in any per-channel registry into
-  /// the shared registry with a zero value (histograms adopt the source
-  /// geometry). Idempotent; no-op without per_channel_stats. Must run
-  /// before an EpochSampler is constructed over the shared registry so the
-  /// sampler resolves handles for the channel counters it will observe via
-  /// folds.
-  void mirror_channel_stats();
-
-  /// Earliest controller cycle > `now` at which any channel can act — see
-  /// Controller::next_event_cycle. kNeverCycle when the memory is idle with
-  /// refresh disabled.
-  [[nodiscard]] Cycle next_event_cycle(Cycle now) const {
-    Cycle next = kNeverCycle;
-    for (const auto& ctrl : controllers_) {
-      next = std::min(next, ctrl->next_event_cycle(now));
-    }
-    return next;
-  }
-
-  /// Snapshot serialization: the request-id source, every controller, and
-  /// (under per_channel_stats) the per-channel registries. The shared
-  /// registry is serialized separately by sim/snapshot.cpp — before this
-  /// object, so handle-preserving registry restore precedes everything
-  /// that might read a counter.
+  /// Snapshot serialization: the request-id source and every controller.
+  /// The registry is serialized separately by sim/snapshot.cpp — before
+  /// this object, so handle-preserving registry restore precedes
+  /// everything that might read a counter.
   template <class Ar>
   void io(Ar& ar) {
     ar(next_id_);
     for (auto& ctrl : controllers_) ar.field(*ctrl);
-    for (auto& reg : channel_stats_) ar.field(*reg);
   }
 
  private:
   MemoryConfig cfg_;  // owns the timings the channels reference
   AddressMap map_;
   StatRegistry* stats_;
-  std::vector<std::unique_ptr<StatRegistry>> channel_stats_;
   std::vector<std::unique_ptr<Controller>> controllers_;
   RequestId next_id_ = 1;
   telemetry::EpochSampler* sampler_ = nullptr;

@@ -498,11 +498,11 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
 
   // Top-level "sampling" object: its presence switches every cell to
   // sampled execution (sim/sampling.h knobs; "jobs"/"strata" select the
-  // planned parallel mode). Conflicts with checkpoints, shards and
-  // telemetry are validate()'s, checked per cell below. Epoch telemetry is
-  // a campaign-format rule on top: validate() admits a chained sampled
-  // run's epoch series (ropsim --loop sampled --stats-json), campaigns
-  // never have.
+  // planned parallel mode). Conflicts with checkpoints and telemetry are
+  // validate()'s, checked per cell below. Epoch telemetry is a
+  // campaign-format rule on top: validate() admits a chained sampled run's
+  // epoch series (ropsim --loop sampled --stats-json), campaigns never
+  // have.
   SamplingSpec sampling;
   if (const json::Value* sv = spec.find("sampling"); sv != nullptr) {
     if (!sv->is_object()) {

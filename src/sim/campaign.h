@@ -11,7 +11,7 @@
 //     "instructions_per_core": 200000,
 //     "epoch_cycles": 0,             // > 0 turns on epoch sampling
 //     "check": false,                // SimChecker per cell
-//     "shard_channels": 0,           // per-run channel shards
+//     "shard_channels": 0,           // accepted and ignored
 //     "axes": {
 //       "benchmark": ["lbm", "wl1"], // names or wl1..wl6 4-core mixes
 //       "mode": ["baseline", "rop"],

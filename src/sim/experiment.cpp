@@ -259,7 +259,6 @@ std::string ExperimentResult::to_json() const {
 }
 
 std::optional<std::string> validate(const ExperimentSpec& spec) {
-  const bool sharded = spec.shard_channels > 0;
   const SnapshotSpec& snap = spec.snapshot;
   const bool checkpointed = snap.any() || snap.every > 0 || snap.stop_at > 0;
   const SamplingSpec& sampling = spec.sampling;
@@ -278,11 +277,11 @@ std::optional<std::string> validate(const ExperimentSpec& spec) {
     if (spec.trace_files.size() != spec.benchmarks.size()) {
       return "trace_files needs one file per core";
     }
-    if (spec.channels > 1 || sharded || checkpointed || sampling.enabled ||
+    if (spec.channels > 1 || checkpointed || sampling.enabled ||
         !spec.progress_file.empty()) {
       return "a trace-file workload runs only as an exact single-channel "
-             "run (no channels > 1, shards, snapshots, sampling or "
-             "progress heartbeat)";
+             "run (no channels > 1, snapshots, sampling or progress "
+             "heartbeat)";
     }
   }
   // The controller keeps one bit per rank in its scheduler masks.
@@ -293,13 +292,11 @@ std::optional<std::string> validate(const ExperimentSpec& spec) {
     return "the LLC size must be a power of two of at least 1 MiB";
   }
   if (spec.loop == cpu::LoopMode::kNaive &&
-      (spec.channels > 1 || sharded || checkpointed)) {
-    return "channels > 1, shard_channels and snapshots require the event "
-           "loop";
+      (checkpointed || sampling.enabled)) {
+    return "snapshots and sampled execution require the event loop";
   }
-  if (sharded && spec.telemetry.tracing()) {
-    return "the event trace interleaves channels; it needs the serial loop "
-           "(no shard_channels)";
+  if (spec.channels > 1 && spec.telemetry.tracing()) {
+    return "an event trace needs one channel";
   }
   if ((snap.stop_at > 0 || snap.every > 0) && snap.out.empty()) {
     return "snapshot.stop_at and snapshot.every require snapshot.out";
@@ -313,9 +310,6 @@ std::optional<std::string> validate(const ExperimentSpec& spec) {
   if (sampling.enabled && checkpointed) {
     return "snapshots and sampled execution are mutually exclusive";
   }
-  if (sampling.enabled && sharded) {
-    return "sampled execution requires the serial loop (no shard_channels)";
-  }
   if (planned && (spec.telemetry.tracing() || spec.telemetry.sampling())) {
     return "planned sampling (sampling.jobs) runs without telemetry sinks: "
            "no epoch sampling or event trace";
@@ -325,7 +319,6 @@ std::optional<std::string> validate(const ExperimentSpec& spec) {
 
 ExperimentResult run_experiment(const ExperimentSpec& spec) {
   ROP_ASSERT(!validate(spec) && "run_experiment requires a valid spec");
-  const bool sharded = spec.shard_channels > 0;
   const bool snap_active = spec.snapshot.any();
   ExperimentResult result;
 
@@ -344,10 +337,10 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   //
   // Checkers: opt-in invariant auditor — per-tick structural checks plus an
   // end-of-run conservation audit; any violation aborts the experiment with
-  // a report. Sharded runs get one checker per channel so each shard's
-  // ticks audit into shard-owned state. Their counters ride in snapshots,
-  // so a checked run spans a restore. Disabled while sampling: a
-  // functional jump skips the ticks the audit counts.
+  // a report. One checker per channel, each watching its channel's engine.
+  // Their counters ride in snapshots, so a checked run spans a restore.
+  // Disabled while sampling: a functional jump skips the ticks the audit
+  // counts.
   hooks.post_memory = [&](mem::MemorySystem& memory) {
     if (spec.telemetry.tracing()) {
       telemetry::TraceConfig trace_cfg = spec.telemetry.trace;
@@ -357,14 +350,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     }
     if ((spec.check || checker_enabled_by_environment()) &&
         !spec.sampling.enabled) {
-      if (sharded) {
-        for (ChannelId ch = 0; ch < memory.num_channels(); ++ch) {
-          checkers.push_back(std::make_unique<check::SimChecker>());
-          checkers.back()->attach(memory, ch);
-        }
-      } else {
+      for (ChannelId ch = 0; ch < memory.num_channels(); ++ch) {
         checkers.push_back(std::make_unique<check::SimChecker>());
-        checkers.back()->attach(memory);
+        checkers.back()->attach(memory, ch);
         if (result.trace) checkers.back()->set_trace(result.trace.get());
       }
     }
@@ -372,14 +360,9 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   hooks.post_engines =
       [&](std::vector<std::unique_ptr<engine::RopEngine>>& engines) {
         if (checkers.empty()) return;
-        if (sharded) {
-          // Channel-scoped checkers watch only their channel's engine.
-          for (ChannelId ch = 0;
-               ch < static_cast<ChannelId>(engines.size()); ++ch) {
-            checkers[ch]->watch(*engines[ch]);
-          }
-        } else {
-          for (const auto& eng : engines) checkers.front()->watch(*eng);
+        for (ChannelId ch = 0; ch < static_cast<ChannelId>(engines.size());
+             ++ch) {
+          checkers[ch]->watch(*engines[ch]);
         }
       };
 

@@ -52,13 +52,13 @@ struct ExperimentSpec {
   MemoryMode mode = MemoryMode::kBaseline;
   bool rank_partition = false;
   std::uint32_t ranks = 1;
-  /// Memory channels (the paper's Table III point is 1; the sharded loop
-  /// and campaign sweeps extend it).
+  /// Memory channels (the paper's Table III point is 1; campaign sweeps
+  /// extend it). The event loop advances each channel on its own event
+  /// clock; the naive loop ticks all of them at every boundary.
   std::uint32_t channels = 1;
-  /// > 0: run the channel-sharded loop, each channel on its own event
-  /// clock; bit-identical to the serial event loop. The value names the
-  /// run (campaign specs, snapshot fingerprints) but does not change how
-  /// it executes: every channel advances on the calling thread.
+  /// Ignored. Kept so specs and command lines that still set it (campaign
+  /// "shard_channels", ropsim --shard-channels) parse; every event-driven
+  /// run already uses the per-channel clocks, and no output depends on it.
   std::uint32_t shard_channels = 0;
   std::uint64_t llc_bytes = 2ull << 20;
   engine::RopConfig rop{};  // consulted when mode == kRop
@@ -82,7 +82,7 @@ struct ExperimentSpec {
   /// spans a restore; sampled runs stay unchecked (a functional jump skips
   /// the ticks the audit would count).
   SnapshotSpec snapshot{};
-  /// SMARTS-style sampled execution (serial loops only; see sim/sampling.h).
+  /// SMARTS-style sampled execution (event loop only; see sim/sampling.h).
   SamplingSpec sampling{};
   /// Live-ops heartbeat: when non-empty, append one JSONL progress line to
   /// this file every `progress_every` CPU cycles and once at the end (see
@@ -175,8 +175,8 @@ struct ExperimentResult {
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec);
 
 /// Worker threads one run of `spec` occupies: the sampling job count for a
-/// planned-sampled run, else 1 (a sharded run advances every channel on
-/// its calling thread).
+/// planned-sampled run, else 1 (every channel advances on the calling
+/// thread).
 /// The runner and the campaign engine divide the machine budget by the
 /// widest pending spec so jobs * width never oversubscribes (see
 /// sim/worker_budget.h). A planned-sampled run occupies jobs + 2 threads

@@ -208,8 +208,6 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
                                     SamplingSummary* out) {
   const SamplingSpec& s = spec.sampling;
   ROP_ASSERT(s.enabled && s.jobs >= 1);
-  ROP_ASSERT(spec.shard_channels == 0 &&
-             "planned sampling runs on the serial loop only");
   cpu::System& system = *backbone.system;
 
   const std::uint64_t fp = config_fingerprint(spec_canonical(spec));

@@ -66,7 +66,7 @@ inline constexpr std::uint64_t kAutoStopLookahead = 8;
 /// (spec.sampling.jobs >= 1). `backbone` is the instance run_experiment
 /// built; it executes the functional-only pass and is finish_run()'d for
 /// the returned RunResult. Workers build their own replicas from `spec`.
-/// Serial loop only; tracing/epoch sampling must be off. Fills `out`.
+/// Event loop only; tracing/epoch sampling must be off. Fills `out`.
 [[nodiscard]] cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
                                                   SimInstance& backbone,
                                                   SamplingSummary* out);

@@ -60,8 +60,8 @@ inline constexpr std::array<MemoryMode, 9> kAllMemoryModes = {
     std::string_view name);
 
 /// DDR4-1600, `channels` channels of `ranks` ranks of 8 banks (Table III
-/// is the 1-channel point; multi-channel extends it for the sharded loop
-/// and the campaign sweeps).
+/// is the 1-channel point; multi-channel extends it for the campaign
+/// sweeps).
 [[nodiscard]] mem::MemoryConfig make_memory_config(
     std::uint32_t ranks, MemoryMode mode,
     dram::RefreshMode refresh_mode = dram::RefreshMode::k1x,

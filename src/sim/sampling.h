@@ -148,7 +148,7 @@ struct SamplingSummary {
 /// Drive `system` (already constructed, not yet begun) through a sampled
 /// run: begin_run, alternate measured and functional windows until every
 /// core crosses `target_instructions` (or the CI target / window cap /
-/// cycle limit hits), finish_run. Serial loops only. Fills `out` when
+/// cycle limit hits), finish_run. Event loop only. Fills `out` when
 /// non-null.
 [[nodiscard]] cpu::RunResult run_sampled(cpu::System& system,
                                          mem::MemorySystem& memory,

@@ -11,7 +11,6 @@ SimInstance build_sim_instance(const ExperimentSpec& spec,
                                StatRegistry* external_stats,
                                const SimInstanceHooks& hooks) {
   ROP_ASSERT(!spec.benchmarks.empty());
-  const bool sharded = spec.shard_channels > 0;
 
   SimInstance inst;
   std::vector<std::vector<workload::TraceRecord>> recorded;
@@ -30,30 +29,25 @@ SimInstance build_sim_instance(const ExperimentSpec& spec,
     inst.registry = inst.owned_stats.get();
   }
 
-  mem::MemoryConfig mem_cfg = make_memory_config(
+  const mem::MemoryConfig mem_cfg = make_memory_config(
       spec.ranks, spec.mode, spec.refresh_mode, spec.channels);
-  mem_cfg.per_channel_stats = sharded;
   inst.memory = std::make_unique<mem::MemorySystem>(mem_cfg, inst.registry);
 
   if (hooks.post_memory) hooks.post_memory(*inst.memory);
 
-  // ROP engines attach one per channel and live for the whole run. Each
-  // records into its channel's registry (the shared one when not sharded).
+  // ROP engines attach one per channel and live for the whole run, all
+  // recording into the shared registry.
   if (spec.mode == MemoryMode::kRop) {
     for (ChannelId ch = 0; ch < inst.memory->num_channels(); ++ch) {
       engine::RopConfig rop_cfg = spec.rop;
       rop_cfg.seed ^= spec.seed_salt * 0x9e3779b97f4a7c15ULL + ch;
       inst.engines.push_back(std::make_unique<engine::RopEngine>(
           rop_cfg, inst.memory->controller(ch), inst.memory->address_map(),
-          &inst.memory->channel_stats(ch)));
+          inst.registry));
     }
   }
 
   if (hooks.post_engines) hooks.post_engines(inst.engines);
-
-  // All channel-side registrations are done; publish the names into the
-  // shared registry so samplers resolve handles for them.
-  if (sharded) inst.memory->mirror_channel_stats();
 
   std::vector<workload::TraceSource*> trace_ptrs;
   for (std::size_t c = 0; c < spec.benchmarks.size(); ++c) {
@@ -71,7 +65,6 @@ SimInstance build_sim_instance(const ExperimentSpec& spec,
   cpu::SystemConfig sys_cfg =
       make_system_config(spec.llc_bytes, spec.rank_partition);
   sys_cfg.loop = spec.loop;
-  sys_cfg.shard_channels = spec.shard_channels;
   inst.cpu_ratio = sys_cfg.cpu_ratio;
   inst.system =
       std::make_unique<cpu::System>(sys_cfg, *inst.memory, trace_ptrs);

@@ -73,8 +73,7 @@ struct SimInstanceHooks {
 
 /// Build the full simulator for `spec` in the canonical registration order:
 /// memory system -> [hooks.post_memory] -> ROP engines ->
-/// [hooks.post_engines] -> channel-stat mirror (sharded only) -> traces ->
-/// CPU system. Trace files are read first, so an unreadable one returns
+/// [hooks.post_engines] -> traces -> CPU system. Trace files are read first, so an unreadable one returns
 /// an instance holding only `error`. `external_stats` non-null routes
 /// every registration into the caller's registry (run_experiment's
 /// result.stats); null gives the instance its own.

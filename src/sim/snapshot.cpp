@@ -9,7 +9,6 @@
 #include "common/types.h"
 #include "cpu/system.h"
 #include "mem/memory_system.h"
-#include "mem/shard_pool.h"
 #include "rop/rop_engine.h"
 #include "sim/experiment.h"
 #include "telemetry/epoch_sampler.h"
@@ -24,15 +23,27 @@ namespace {
 constexpr std::uint64_t kMagic = 0x3150414E53504F52ULL;
 // "CHECKER1": tag of the optional trailing checker section.
 constexpr std::uint64_t kCheckerTag = 0x3152454B43454843ULL;
+// Bytes of the header (magic, version, fingerprint) and of the checksum
+// that ends a snapshot file.
+constexpr std::size_t kHeaderBytes = 20;
+constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
+
+std::uint64_t fnv1a(const char* data, std::size_t size) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
+  for (std::size_t i = 0; i < size; ++i) {
+    h ^= static_cast<std::uint8_t>(data[i]);
+    h *= 1099511628211ULL;  // FNV prime
+  }
+  return h;
+}
 
 template <class Ar>
 void serialize_sections(Ar& ar, const SnapshotContext& ctx) {
   ROP_ASSERT(ctx.system != nullptr && ctx.memory != nullptr &&
              ctx.stats != nullptr);
-  // Restore-dependency order (see the header comment): registries first,
-  // then the memory system (whose per-channel registries ride inside its
-  // io), then the CPU system (loop cursor, cores, shard-pool event clocks
-  // and fold baselines), then the attachments.
+  // Restore-dependency order (see the header comment): the registry first,
+  // then the memory system, then the CPU system (loop cursor, cores,
+  // channel clocks), then the attachments.
   ar.field(*ctx.stats);
   ar.field(*ctx.memory);
   ar.field(*ctx.system);
@@ -40,6 +51,25 @@ void serialize_sections(Ar& ar, const SnapshotContext& ctx) {
   for (workload::SyntheticTrace* t : ctx.traces) ar.field(*t);
   if (ctx.sampler != nullptr) ar.field(*ctx.sampler);
   if (ctx.trace != nullptr) ar.field(*ctx.trace);
+}
+
+/// Read and check the header: magic, format version, spec fingerprint.
+bool read_header(snap::Reader& r, std::uint64_t fingerprint,
+                 std::string* error) {
+  std::uint64_t magic = 0;
+  std::uint32_t version = 0;
+  std::uint64_t fp = 0;
+  r(magic, version, fp);
+  const char* why = nullptr;
+  if (!r.ok() || magic != kMagic) {
+    why = "not a ROPSNAP1 snapshot";
+  } else if (version != kSnapshotFormatVersion) {
+    why = "unsupported snapshot format version";
+  } else if (fp != fingerprint) {
+    why = "snapshot was taken under a different experiment spec";
+  }
+  if (why != nullptr && error != nullptr) *error = why;
+  return why == nullptr;
 }
 
 }  // namespace
@@ -57,8 +87,7 @@ std::string spec_canonical(const ExperimentSpec& spec) {
   }
   os << ";mode=" << static_cast<int>(spec.mode)
      << ";rank_partition=" << spec.rank_partition << ";ranks=" << spec.ranks
-     << ";channels=" << spec.channels << ";shards=" << spec.shard_channels
-     << ";llc=" << spec.llc_bytes
+     << ";channels=" << spec.channels << ";llc=" << spec.llc_bytes
      << ";refresh=" << static_cast<int>(spec.refresh_mode)
      << ";instr=" << spec.instructions_per_core
      << ";max=" << spec.max_cpu_cycles << ";salt=" << spec.seed_salt
@@ -94,12 +123,7 @@ std::string spec_canonical(const ExperimentSpec& spec) {
 }
 
 std::uint64_t config_fingerprint(const std::string& canonical) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  for (const char c : canonical) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
+  return fnv1a(canonical.data(), canonical.size());
 }
 
 std::string save_snapshot_buffer(const SnapshotContext& ctx,
@@ -122,24 +146,7 @@ std::string save_snapshot_buffer(const SnapshotContext& ctx,
 bool load_snapshot_buffer(const std::string& buf, const SnapshotContext& ctx,
                           std::uint64_t fingerprint, std::string* error) {
   snap::Reader r(buf);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::uint64_t fp = 0;
-  r(magic, version, fp);
-  if (!r.ok() || magic != kMagic) {
-    if (error != nullptr) *error = "not a ROPSNAP1 snapshot";
-    return false;
-  }
-  if (version != kSnapshotFormatVersion) {
-    if (error != nullptr) *error = "unsupported snapshot format version";
-    return false;
-  }
-  if (fp != fingerprint) {
-    if (error != nullptr) {
-      *error = "snapshot was taken under a different experiment spec";
-    }
-    return false;
-  }
+  if (!read_header(r, fingerprint, error)) return false;
   serialize_sections(r, ctx);
   const auto fail = [error](const char* why) {
     if (error != nullptr) *error = why;
@@ -165,20 +172,19 @@ bool load_snapshot_buffer(const std::string& buf, const SnapshotContext& ctx,
 bool snapshot_compatible(const std::string& path, std::uint64_t fingerprint) {
   std::ifstream is(path, std::ios::binary);
   if (!is) return false;
-  char header[20];
+  char header[kHeaderBytes];
   if (!is.read(header, sizeof header)) return false;
   snap::Reader r(header, sizeof header);
-  std::uint64_t magic = 0;
-  std::uint32_t version = 0;
-  std::uint64_t fp = 0;
-  r(magic, version, fp);
-  return r.ok() && magic == kMagic && version == kSnapshotFormatVersion &&
-         fp == fingerprint;
+  return read_header(r, fingerprint, nullptr);
 }
 
 bool write_snapshot_file(const std::string& path, const SnapshotContext& ctx,
                          std::uint64_t fingerprint) {
-  const std::string bytes = save_snapshot_buffer(ctx, fingerprint);
+  std::string bytes = save_snapshot_buffer(ctx, fingerprint);
+  snap::Writer tail;
+  std::uint64_t sum = fnv1a(bytes.data(), bytes.size());
+  tail(sum);
+  bytes += tail.take();
   const std::string tmp = path + ".tmp";
   {
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
@@ -200,7 +206,21 @@ bool read_snapshot_file(const std::string& path, const SnapshotContext& ctx,
   }
   std::ostringstream ss;
   ss << is.rdbuf();
-  return load_snapshot_buffer(ss.str(), ctx, fingerprint, error);
+  std::string bytes = std::move(ss).str();
+  // Nothing is restored until the header and the checksum both hold. A
+  // header that reads leaves at least kHeaderBytes >= kChecksumBytes.
+  snap::Reader header(bytes);
+  if (!read_header(header, fingerprint, error)) return false;
+  const std::size_t payload = bytes.size() - kChecksumBytes;
+  std::uint64_t sum = 0;
+  snap::Reader tail(bytes.data() + payload, kChecksumBytes);
+  tail(sum);
+  if (payload < kHeaderBytes || sum != fnv1a(bytes.data(), payload)) {
+    if (error != nullptr) *error = "snapshot checksum mismatch";
+    return false;
+  }
+  bytes.resize(payload);
+  return load_snapshot_buffer(bytes, ctx, fingerprint, error);
 }
 
 }  // namespace rop::sim

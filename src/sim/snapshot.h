@@ -9,23 +9,26 @@
 // run split at any snapshot boundary executes literally the same
 // operations as the unbroken run — Controller::tick is not idempotent, so
 // the serialized surface includes the exact loop cursor (cpu_cycle,
-// next_window_cpu, mem_next_event, mem_dirty) rather than just "a state at
-// cycle N".
+// next_window_cpu, mem_next_event) and every channel's event clock rather
+// than just "a state at cycle N".
 //
 // File format: "ROPSNAP1" magic (as a little-endian u64), a format version,
 // and an FNV-1a fingerprint of the canonical spec string — both sides of a
 // save/restore must describe the identical experiment, since all
 // config-derived structure (geometry, table sizes, trace profiles) is
 // rebuilt from the spec, not the file. Sections, in restore-dependency
-// order: shared registry, memory system (controllers + per-channel
-// registries), CPU system (loop cursor, cores, shard-pool event clocks
-// and counter-fold baselines), ROP engines, workload traces, epoch
-// sampler, trace sink, and — only when a checker audits the run — a
+// order: the stat registry, memory system (controllers), CPU system (loop
+// cursor, cores, per-channel event clocks), ROP engines, workload traces,
+// epoch sampler, trace sink, and — only when a checker audits the run — a
 // trailing checker section. An unchecked run's bytes never change; a
 // checked snapshot restores into an unchecked run by dropping the section.
 //
-// Writes are atomic (tmp file + rename), so a kill mid-write leaves the
-// previous checkpoint intact — what the campaign resume path relies on.
+// Snapshot files end in a 64-bit FNV-1a checksum of everything before it,
+// so a truncated or bit-flipped file fails the restore with an error
+// instead of feeding corrupt state to the simulator. In-memory buffers
+// (save/load_snapshot_buffer) carry no checksum. Writes are atomic (tmp
+// file + rename), so a kill mid-write leaves the previous checkpoint
+// intact — what the campaign resume path relies on.
 #pragma once
 
 #include <cstdint>
@@ -64,12 +67,14 @@ struct ExperimentSpec;
 ///       ledger, Core critical_since_, CoreResult CPI stack.
 ///   v3: LLC as flat tag/recency/dirty/fill arrays.
 ///   v4: only the LLCs a run uses (the shared one, or one per core).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+///   v5: one stat registry (no per-channel registries), the channel clocks
+///       always present, no memory dirty flag; files end in a checksum.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /// Everything a snapshot touches. Engine/trace/checker vectors follow
 /// channel / core order; sampler and trace may be null (their presence is
 /// config-derived, so both sides of a save/restore agree). `checkers` is
-/// empty on unchecked runs (one entry per channel when sharded).
+/// empty on unchecked runs, else one entry per channel.
 struct SnapshotContext {
   cpu::System* system = nullptr;
   mem::MemorySystem* memory = nullptr;
@@ -108,7 +113,9 @@ struct SnapshotContext {
 [[nodiscard]] bool snapshot_compatible(const std::string& path,
                                        std::uint64_t fingerprint);
 
-/// Atomic file I/O wrappers (tmp + rename on write).
+/// File I/O wrappers: the buffer plus a trailing checksum, written
+/// atomically (tmp + rename); a read verifies the checksum before
+/// restoring anything.
 [[nodiscard]] bool write_snapshot_file(const std::string& path,
                                        const SnapshotContext& ctx,
                                        std::uint64_t fingerprint);

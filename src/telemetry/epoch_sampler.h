@@ -60,9 +60,9 @@ class EpochSampler {
   /// Idempotent; the sampler ignores advance_to after close.
   void close(Cycle end);
 
-  /// Next epoch boundary the sampler will emit at. The channel-sharded
-  /// loop folds per-channel counter deltas into the sampled registry just
-  /// before each boundary so the series matches the serial interleaving.
+  /// Next epoch boundary the sampler will emit at. The event loop's
+  /// channel clocks run every tick before it, then emit, so the series
+  /// matches the naive loop's.
   [[nodiscard]] Cycle next_boundary() const { return next_boundary_; }
 
   [[nodiscard]] const std::vector<std::string>& counter_names() const {

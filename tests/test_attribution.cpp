@@ -1,6 +1,6 @@
 // Cycle-accounting attribution: the CPI stack must be a *disjoint, total*
 // decomposition of every core's cycles — categories sum bit-exactly to the
-// cycle count on every scheme, every simulation loop, and every shard
+// cycle count on every scheme, every simulation loop, and every channel
 // count — and the derived exports (stats JSON attribution block, progress
 // heartbeat JSONL) must carry it faithfully.
 #include <gtest/gtest.h>
@@ -76,14 +76,14 @@ TEST(CpiStack, SumsToCyclesOnEveryModeAndLoop) {
   }
 }
 
+// Named after the retired shard counts; it now covers the channel counts.
 TEST(CpiStack, IsShardInvariant) {
-  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+  for (const std::uint32_t channels : {1u, 4u}) {
     ExperimentSpec spec = single_core_spec("omnetpp", MemoryMode::kRop);
     spec.instructions_per_core = 120'000;
-    spec.channels = 4;
-    spec.shard_channels = shards;
+    spec.channels = channels;
     const ExperimentResult r = run_experiment(spec);
-    expect_stack_total(r, "sharded run");
+    expect_stack_total(r, "multi-channel run");
   }
 }
 

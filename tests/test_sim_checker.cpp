@@ -177,7 +177,7 @@ TEST_F(SimCheckerTest, SnapshotLoadInvalidatesSchedulerTable) {
   ASSERT_TRUE(loaded.enqueue(addr, mem::ReqType::kRead, 0, 0).has_value());
   ASSERT_TRUE(source.enqueue(other, mem::ReqType::kRead, 0, 0).has_value());
   // Scan `loaded`'s table without issuing anything.
-  (void)loaded.next_event_cycle(0);
+  (void)loaded.controller(0).next_event_cycle(0);
 
   snap::Writer w;
   w.field(source);

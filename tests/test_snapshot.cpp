@@ -2,7 +2,7 @@
 // (snapshot written by the first half, restored by the second) must produce
 // the byte-identical final stats document — every counter, Shewchuk scalar
 // sum, histogram, epoch row, and run metric — as the unbroken run, across
-// every refresh scheme, the event loop, and every shard count. Aggregate
+// every refresh scheme and channel count. Aggregate
 // identity here is strict: Controller::tick is not idempotent, so any
 // state the snapshot missed (a queue index, an RNG word, a refresh phase,
 // the loop cursor itself) diverges the tail of the run and shows up in the
@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -249,18 +250,25 @@ TEST(SnapshotHeader, FingerprintCoversBehaviorShapingFields) {
   c.snapshot.stop_at = 123;
   EXPECT_EQ(config_fingerprint(spec_canonical(a)),
             config_fingerprint(spec_canonical(c)));
+
+  // Nor does the ignored shard count.
+  ExperimentSpec d = a;
+  d.shard_channels = 4;
+  EXPECT_EQ(config_fingerprint(spec_canonical(a)),
+            config_fingerprint(spec_canonical(d)));
 }
 
 // Golden values: any drift in the canonical string (a renamed field, a
 // renumbered enum such as cpu::LoopMode) would orphan every snapshot
-// already on disk, so it must fail here first.
+// already on disk, so it must fail here first. (Format v5 dropped the
+// ignored shard count from the string.)
 TEST(SnapshotHeader, FingerprintIsPinned) {
   EXPECT_EQ(config_fingerprint(spec_canonical(
                 single_core_spec("lbm", MemoryMode::kRop))),
-            0xce76d399e2d2765eULL);
+            0x43b75c92cd5d1b11ULL);
   EXPECT_EQ(config_fingerprint(spec_canonical(
                 multi_core_spec(1, MemoryMode::kDarp, true))),
-            0xfb39ce2f8012e7abULL);
+            0xbdd4acf9364e8270ULL);
 }
 
 // ---------------------------------------------------------------------------
@@ -325,17 +333,19 @@ TEST_P(SnapshotSplit, EventLoopSerial) {
                      memory_mode_name(GetParam())));
 }
 
+// Named after the retired shard counts; the split now runs the per-channel
+// clocks of one and of four channels (the snapshot carries every clock).
 TEST_P(SnapshotSplit, ShardedTwoAndFour) {
-  for (const std::uint32_t shards : {2u, 4u}) {
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+  for (const std::uint32_t channels : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "channels=" << channels);
     ExperimentSpec spec = matrix_spec(GetParam());
     spec.ranks = 2;
-    spec.channels = 4;
-    spec.shard_channels = shards;
+    spec.channels = channels;
     spec.rank_partition = false;
     expect_split_identical(
-        spec, tmp_path(std::string("sharded_") + memory_mode_name(GetParam()) +
-                       "_" + std::to_string(shards)));
+        spec, tmp_path(std::string("channels_") +
+                       memory_mode_name(GetParam()) + "_" +
+                       std::to_string(channels)));
   }
 }
 
@@ -414,16 +424,15 @@ TEST(SnapshotSplit, RestoreIntoUsedReplicaMatchesFreshReplica) {
 // A checked run spans a restore: the checker's counters travel in the
 // snapshot, so the split run reports the unbroken run's audit totals.
 TEST(SnapshotSplit, CheckedSplitCarriesTheAudit) {
-  for (const std::uint32_t shards : {0u, 2u}) {
-    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+  for (const std::uint32_t channels : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "channels=" << channels);
     ExperimentSpec spec = matrix_spec(MemoryMode::kRop);
     spec.check = true;
-    spec.channels = shards > 0 ? 2 : 1;
-    spec.shard_channels = shards;
+    spec.channels = channels;
     const ExperimentResult ref = run_experiment(spec);
     ASSERT_GT(ref.checker_ticks, 0u);
     expect_split_identical(spec,
-                           tmp_path("checked_" + std::to_string(shards)));
+                           tmp_path("checked_" + std::to_string(channels)));
   }
 }
 
@@ -487,6 +496,64 @@ TEST(SnapshotChecker, SectionIsOptionalAndTrailing) {
   EXPECT_EQ(err, "snapshot truncated or corrupt");
 }
 
+// Snapshot files end in a checksum of everything before it: a truncated
+// or bit-flipped file fails the restore with an error before any section
+// is read, instead of feeding corrupt state to the simulator.
+TEST(SnapshotFile, CorruptFilesFailTheRestoreCleanly) {
+  ExperimentSpec spec = single_core_spec("lbm", MemoryMode::kRop);
+  spec.instructions_per_core = 200'000;
+  const std::uint64_t fp = config_fingerprint(spec_canonical(spec));
+  const std::string path = tmp_path("fuzz");
+  ExperimentSpec first = spec;
+  first.snapshot.out = path;
+  first.snapshot.stop_at = 40'001;
+  ASSERT_TRUE(run_experiment(first).interrupted);
+  std::string good;
+  {
+    std::ifstream is(path, std::ios::binary);
+    good.assign(std::istreambuf_iterator<char>(is),
+                std::istreambuf_iterator<char>());
+  }
+  constexpr std::size_t kHeader = 20;  // magic, version, fingerprint
+  ASSERT_GT(good.size(), kHeader + 64);
+
+  SimInstance inst = build_sim_instance(spec);
+  inst.system->begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+  const SnapshotContext ctx = inst.snapshot_context();
+  const auto restore = [&](const std::string& bytes, std::string* err) {
+    {
+      std::ofstream os(path, std::ios::binary | std::ios::trunc);
+      os << bytes;
+    }
+    return read_snapshot_file(path, ctx, fp, err);
+  };
+
+  Rng rng(2024);
+  std::string err;
+  for (int i = 0; i < 10; ++i) {
+    const std::size_t size =
+        kHeader + rng.next_below(good.size() - kHeader);
+    SCOPED_TRACE(testing::Message() << "truncated to " << size);
+    err.clear();
+    EXPECT_FALSE(restore(good.substr(0, size), &err));
+    EXPECT_FALSE(err.empty());
+  }
+  for (int i = 0; i < 50; ++i) {
+    std::string bad = good;
+    const std::size_t byte = kHeader + rng.next_below(good.size() - kHeader);
+    const auto bit = static_cast<unsigned>(rng.next_below(8));
+    bad[byte] = static_cast<char>(bad[byte] ^ (1u << bit));
+    SCOPED_TRACE(testing::Message() << "bit " << bit << " of byte " << byte);
+    err.clear();
+    EXPECT_FALSE(restore(bad, &err));
+    EXPECT_EQ(err, "snapshot checksum mismatch");
+  }
+
+  // The intact file still restores.
+  EXPECT_TRUE(restore(good, &err)) << err;
+  std::remove(path.c_str());
+}
+
 // Splitting twice (restore, run, checkpoint again, restore again) composes:
 // the second restore starts from a snapshot written by a restored run.
 TEST(SnapshotSplit, DoubleSplitComposes) {
@@ -535,7 +602,7 @@ TEST(SnapshotSplit, PeriodicCheckpointThenResume) {
   EXPECT_EQ(unbroken, json_of(run_experiment(resumed)));
 }
 
-// The trace sink rides along (serial loops only): ring contents, head, and
+// The trace sink rides along (one channel only): ring contents, head, and
 // drop counter survive the split — checked implicitly through the trace
 // block of the JSON document plus the event-count fields.
 TEST(SnapshotSplit, TraceSinkSurvivesSplit) {

@@ -1,7 +1,7 @@
-// Aggregation primitives behind channel-shard folds and the campaign
-// merge: Counter/Scalar/Histogram::merge, StatRegistry::merge_from, and
-// the shared worker-budget policy. The load-bearing property is exactness:
-// merging shards must reproduce the pooled single-stream result bit for
+// Aggregation primitives behind the campaign merge:
+// Counter/Scalar/Histogram::merge, StatRegistry::merge_from, and the shared
+// worker-budget policy. The load-bearing property is exactness: merging
+// partial streams must reproduce the pooled single-stream result bit for
 // bit, not approximately.
 #include <gtest/gtest.h>
 

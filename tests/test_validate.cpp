@@ -73,12 +73,12 @@ const std::vector<Row>& rows() {
          s.channels = 2;
        },
        "trace-file workload"},
-      {"trace file with shards",
+      {"trace file with shards (ignored)",
        [](ExperimentSpec& s) {
          trace_files(s);
          s.shard_channels = 1;
        },
-       "trace-file workload"},
+       nullptr},
       {"trace file with a snapshot",
        [](ExperimentSpec& s) {
          trace_files(s);
@@ -120,17 +120,23 @@ const std::vector<Row>& rows() {
          s.loop = cpu::LoopMode::kNaive;
          s.channels = 2;
        },
-       "event loop"},
-      {"naive loop with shards",
+       nullptr},
+      {"naive loop with shards (ignored)",
        [](ExperimentSpec& s) {
          s.loop = cpu::LoopMode::kNaive;
          s.shard_channels = 1;
        },
-       "event loop"},
+       nullptr},
       {"naive loop with a snapshot",
        [](ExperimentSpec& s) {
          s.loop = cpu::LoopMode::kNaive;
          s.snapshot.in = "x.snap";
+       },
+       "event loop"},
+      {"naive loop with sampling",
+       [](ExperimentSpec& s) {
+         s.loop = cpu::LoopMode::kNaive;
+         s.sampling.enabled = true;
        },
        "event loop"},
       {"naive loop with a heartbeat and epochs",
@@ -148,13 +154,18 @@ const std::vector<Row>& rows() {
        nullptr},
       {"more shards than channels (clamped)",
        [](ExperimentSpec& s) { s.shard_channels = 8; }, nullptr},
-      {"event trace with shards",
+      {"event trace on 2 channels",
        [](ExperimentSpec& s) {
          s.channels = 2;
+         s.telemetry.trace.categories = telemetry::kCatAll;
+       },
+       "one channel"},
+      {"event trace on 1 channel with shards (ignored)",
+       [](ExperimentSpec& s) {
          s.shard_channels = 2;
          s.telemetry.trace.categories = telemetry::kCatAll;
        },
-       "serial loop"},
+       nullptr},
       {"event trace across a snapshot",
        [](ExperimentSpec& s) {
          s.telemetry.trace.categories = telemetry::kCatAll;
@@ -192,14 +203,14 @@ const std::vector<Row>& rows() {
          s.snapshot.in = "x.snap";
        },
        "mutually exclusive"},
-      {"sampling with shards",
+      {"sampling with shards (ignored)",
        [](ExperimentSpec& s) {
          s.sampling.enabled = true;
          s.channels = 2;
          s.shard_channels = 2;
        },
-       "serial loop"},
-      {"sampling on 2 serial channels",
+       nullptr},
+      {"sampling on 2 channels",
        [](ExperimentSpec& s) {
          s.sampling.enabled = true;
          s.channels = 2;

@@ -48,14 +48,13 @@ set(cases
   "--benchmark|lbm|--snapshot-in|${dir}/truncated.snap"
   "--benchmark|lbm|--mode|rop|--snapshot-in|${dir}/good.snap"
   "--loop|frozen"
-  "--loop|naive|--channels|2"
+  "--loop|naive|--snapshot-out|${dir}/x.snap|--snapshot-stop-at|1001"
   "--loop|sampled|--snapshot-out|${dir}/x.snap"
   "--snapshot-stop-at|1001"
   "--trace-out|${dir}/x.json|--channels|2"
   "--trace|${dir}/empty.trace|--progress|${dir}/p.jsonl"
   "--sample-jobs|2"
   "--loop|sampled|--sample-jobs|2|--epoch|100"
-  "--compare|--loop|naive|--channels|2|--shard-channels|2"
 )
 
 set(failures 0)

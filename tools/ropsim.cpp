@@ -9,7 +9,7 @@
 //   ropsim --benchmark libquantum --mode rop --instructions 20000000
 //   ropsim --benchmark wl1 --mode rop --cores 4 --ranks 4 --llc-mb 4
 //   ropsim --benchmark lbm --compare --jobs 4
-//   ropsim --benchmark wl1 --channels 4 --shard-channels 4
+//   ropsim --benchmark wl1 --channels 4 --check
 //   ropsim --trace /path/app.trace --mode baseline
 //   ropsim campaign sweep.json --out results/
 //   ropsim --help
@@ -92,10 +92,8 @@ struct Options {
       "  --cores N            number of cores (default 1; wl mixes force 4)\n"
       "  --ranks N            DRAM ranks (default 1)\n"
       "  --channels N         memory channels (default 1)\n"
-      "  --shard-channels N   N > 0: advance each channel on its own event\n"
-      "                       clock, on one thread; N itself changes nothing\n"
-      "                       (bit-identical to the serial loop;\n"
-      "                       incompatible with --trace-out/--loop)\n"
+      "  --shard-channels N   accepted and ignored (every event-driven run\n"
+      "                       advances each channel on its own clock)\n"
       "  --llc-mb N           shared LLC size in MiB (default 2)\n"
       "  --instructions N     per-core instruction target (default 10M)\n"
       "  --buffer-lines N     ROP SRAM capacity (default 64)\n"
@@ -672,10 +670,9 @@ void print_report(const Options& opt, const sim::ExperimentSpec& spec,
 
 /// One run through run_experiment: header, report, trace and stats files.
 int run_single(const Options& opt, const sim::ExperimentSpec& spec) {
-  std::printf("ropsim: mode=%s ranks=%u channels=%u shards=%u llc=%lluMiB "
+  std::printf("ropsim: mode=%s ranks=%u channels=%u llc=%lluMiB "
               "refresh=%s cores=%zu\n",
               opt.mode.c_str(), spec.ranks, spec.channels,
-              spec.shard_channels,
               static_cast<unsigned long long>(opt.llc_mb),
               opt.refresh_mode.c_str(), spec.benchmarks.size());
   const sim::ExperimentResult result = sim::run_experiment(spec);
