@@ -32,9 +32,9 @@ sim::ExperimentSpec lbm_spec(std::uint64_t instructions) {
 }
 
 // The per-window estimator update: mean, stderr, and the t-quantile CI
-// over a realistic window count. run_sampled pays this once per window
-// when a CI target is set, so it must stay trivially cheap next to the
-// detailed window it summarizes.
+// over a realistic window count. The planner pays this once per placed
+// window when a CI target is set, so it must stay trivially cheap next to
+// the detailed window it summarizes.
 void BM_EstimatorFromWindows(benchmark::State& state) {
   std::vector<double> obs;
   obs.reserve(256);
@@ -61,8 +61,9 @@ void BM_ExactExperiment(benchmark::State& state) {
   }
 }
 
-// Full sampled run at tuned defaults: alternating warmup/detail windows
-// and functional fast-forward, estimator folds included.
+// Full sampled run at tuned defaults: the planner's functional-only
+// backbone, one snapshot save + restore per window, warmup/detail windows
+// on its one default window worker, estimator folds included.
 void BM_SampledExperiment(benchmark::State& state) {
   sim::ExperimentSpec spec = lbm_spec(2'000'000);
   spec.sampling.enabled = true;
@@ -96,8 +97,8 @@ void BM_SnapshotSaveRestore(benchmark::State& state) {
 
 // Planned parallel sampling at the same scale: one functional-only
 // planner pass dropping in-memory snapshots, windows dispatched to a
-// 4-worker pool (sim/parallel_sampling). On a single hardware thread
-// this measures the dispatch overhead over BM_SampledExperiment; the
+// 4-worker pool (sim/parallel_sampling). Against BM_SampledExperiment's
+// one worker this measures the extra replicas and the dispatch; the
 // speedup itself needs real cores (see end_to_end_seconds).
 void BM_ParallelSampledExperiment(benchmark::State& state) {
   sim::ExperimentSpec spec = lbm_spec(2'000'000);

@@ -414,35 +414,17 @@ std::uint64_t System::functional_window(const FunctionalStep& step) {
              "sampled execution runs on the event-driven loop");
   const std::uint64_t start_cpu = loop_.cpu_cycle;
 
-  // 1. Drain: advance the memory (no new arrivals) until every core's
-  // outstanding misses have completed. Completions deliver at the CPU
-  // cycle of the producing memory window; critical sleepers back-fill
-  // their slept span exactly as in detailed execution. A window entered on
-  // a boundary with nothing to drain leaves that boundary unticked.
-  auto outstanding_total = [&] {
-    std::uint64_t n = 0;
-    for (const auto& core : cores_) n += core->outstanding();
-    return n;
-  };
-  Cycle m = start_cpu / cfg_.cpu_ratio;
-  if (outstanding_total() == 0 && start_cpu % cfg_.cpu_ratio == 0) {
-    clocks_.pass(m);
+  // 1. Every caller (the sampling planner's backbone) enters on a
+  // memory-window boundary with no demand reads in flight, so there is
+  // nothing to drain. The entry boundary itself is left unticked.
+  ROP_ASSERT(start_cpu % cfg_.cpu_ratio == 0 &&
+             "functional windows start on a memory-window boundary");
+  for (const auto& core : cores_) {
+    ROP_ASSERT(core->outstanding() == 0 &&
+               "functional windows start with no reads in flight");
   }
-  std::uint64_t drained_cpu = start_cpu;
-  while (outstanding_total() > 0) {
-    clocks_.advance_to(m);
-    const std::uint64_t deliver_cpu =
-        std::max(start_cpu, m * static_cast<std::uint64_t>(cfg_.cpu_ratio));
-    clocks_.for_each_completed([&](const mem::Request& req) {
-      cores_[req.core]->on_read_complete(req.id, deliver_cpu,
-                                         make_fill(req));
-    });
-    drained_cpu = deliver_cpu;
-    if (outstanding_total() == 0) break;
-    const Cycle next = clocks_.next_required_boundary(m);
-    ROP_ASSERT(next != kNeverCycle && "outstanding reads must complete");
-    m = std::max(m + 1, next);
-  }
+  const Cycle m = start_cpu / cfg_.cpu_ratio;
+  clocks_.pass(m);
 
   // 2. Functional warming: every core retires the window's instructions
   // with no memory requests (see Core::functional_advance).
@@ -459,15 +441,14 @@ std::uint64_t System::functional_window(const FunctionalStep& step) {
   // 3. Land the whole system on one memory-window boundary at or past the
   // slowest core's estimate, then advance the memory through the span:
   // refreshes and write drains happen at their natural times.
-  const std::uint64_t end_cpu_raw = std::max(
-      {start_cpu + 1, drained_cpu, max_core_cycles});
+  const std::uint64_t end_cpu_raw = std::max(start_cpu + 1, max_core_cycles);
   const Cycle end_mem =
       (end_cpu_raw + cfg_.cpu_ratio - 1) / cfg_.cpu_ratio;
   const std::uint64_t end_cpu =
       end_mem * static_cast<std::uint64_t>(cfg_.cpu_ratio);
   if (end_mem > m) clocks_.advance_to(end_mem - 1);
-  // Demand reads were drained above and functional cores issue nothing,
-  // so completions cannot appear here.
+  // No demand read was in flight and functional cores issue nothing, so
+  // completions cannot appear here.
   clocks_.for_each_completed([](const mem::Request&) {
     ROP_ASSERT(false && "no demand reads in flight during warming");
   });

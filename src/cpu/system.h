@@ -133,14 +133,15 @@ class System final : public MemoryPort {
   bool advance_until(std::uint64_t stop_cpu);
   RunResult finish_run();
 
-  /// Sampled-execution fast-forward (SMARTS functional warming): drain the
-  /// cores' outstanding misses, retire `instructions_per_core` on every
-  /// core via Core::functional_advance (LLC warmed, RNG stream preserved,
-  /// no memory requests), advance the memory event-driven through the
-  /// estimated span (refreshes fire at their natural times with no demand
-  /// arrivals), then re-align all clocks to one window boundary so
-  /// detailed execution can resume. Event-driven loop only. Returns the
-  /// CPU cycles the window consumed.
+  /// Sampled-execution fast-forward (SMARTS functional warming): retire
+  /// `instructions_per_core` on every core via Core::functional_advance
+  /// (LLC warmed, RNG stream preserved, no memory requests), advance the
+  /// memory event-driven through the estimated span (refreshes fire at
+  /// their natural times with no demand arrivals), then re-align all
+  /// clocks to one window boundary. Must be entered on a memory-window
+  /// boundary with no reads in flight, as the sampling planner's
+  /// functional-only backbone always is. Event-driven loop only. Returns
+  /// the CPU cycles the window consumed.
   std::uint64_t functional_window(std::uint64_t instructions_per_core,
                                   Cycle critical_penalty);
 

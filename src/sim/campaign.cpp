@@ -497,22 +497,14 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
                      check_v->as_bool();
 
   // Top-level "sampling" object: its presence switches every cell to
-  // sampled execution (sim/sampling.h knobs; "jobs"/"strata" select the
-  // planned parallel mode). Conflicts with checkpoints and telemetry are
-  // validate()'s, checked per cell below. Epoch telemetry is a
-  // campaign-format rule on top: validate() admits a chained sampled run's
-  // epoch series (ropsim --loop sampled --stats-json), campaigns never
-  // have.
+  // sampled execution (sim/sampling.h knobs; without
+  // "functional_instructions" the stride follows the horizon, as in
+  // ropsim). Conflicts with checkpoints and telemetry are validate()'s,
+  // checked per cell below.
   SamplingSpec sampling;
   if (const json::Value* sv = spec.find("sampling"); sv != nullptr) {
     if (!sv->is_object()) {
       if (error != nullptr) *error = "'sampling' must be a JSON object";
-      return std::nullopt;
-    }
-    if (epoch_cycles > 0) {
-      if (error != nullptr) {
-        *error = "'sampling' cannot be combined with epoch_cycles";
-      }
       return std::nullopt;
     }
     sampling.enabled = true;

@@ -262,7 +262,6 @@ std::optional<std::string> validate(const ExperimentSpec& spec) {
   const SnapshotSpec& snap = spec.snapshot;
   const bool checkpointed = snap.any() || snap.every > 0 || snap.stop_at > 0;
   const SamplingSpec& sampling = spec.sampling;
-  const bool planned = sampling.enabled && sampling.jobs > 0;
 
   if (spec.benchmarks.empty()) return "the spec has no cores";
   if (spec.trace_files.empty()) {
@@ -301,18 +300,14 @@ std::optional<std::string> validate(const ExperimentSpec& spec) {
   if ((snap.stop_at > 0 || snap.every > 0) && snap.out.empty()) {
     return "snapshot.stop_at and snapshot.every require snapshot.out";
   }
-  if (sampling.jobs > 0 && !sampling.enabled) {
-    return "sampling.jobs requires sampled execution (--loop sampled)";
-  }
-  if (sampling.strata > 0 && sampling.jobs == 0) {
-    return "sampling.strata requires sampling.jobs >= 1";
-  }
-  if (sampling.enabled && checkpointed) {
+  if (!sampling.enabled) return std::nullopt;
+  if (sampling.jobs == 0) return "sampling.jobs must be at least 1";
+  if (checkpointed) {
     return "snapshots and sampled execution are mutually exclusive";
   }
-  if (planned && (spec.telemetry.tracing() || spec.telemetry.sampling())) {
-    return "planned sampling (sampling.jobs) runs without telemetry sinks: "
-           "no epoch sampling or event trace";
+  if (spec.telemetry.tracing() || spec.telemetry.sampling()) {
+    return "sampled execution runs without telemetry sinks: no epoch "
+           "sampling or event trace";
   }
   return std::nullopt;
 }
@@ -389,16 +384,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   const bool progress_active =
       !spec.progress_file.empty() && !spec.sampling.enabled;
   const auto wall_start = std::chrono::steady_clock::now();
-  if (spec.sampling.enabled && spec.sampling.jobs > 0) {
-    // Planned parallel mode: the instance above becomes the functional-only
-    // backbone; workers replicate it from the spec. Telemetry sinks hold
+  if (spec.sampling.enabled) {
+    // The instance above becomes the functional-only backbone; window
+    // workers replicate it from the spec. Telemetry sinks hold
     // single-threaded ring state and the backbone never runs a detailed
     // cycle, so validate() keeps them off.
     result.run = run_parallel_sampled(spec, inst, &result.sampling);
-  } else if (spec.sampling.enabled) {
-    result.run =
-        run_sampled(system, memory, spec.sampling, spec.instructions_per_core,
-                    spec.max_cpu_cycles, &result.sampling);
   } else if (!snap_active && !progress_active) {
     result.run = system.run(spec.instructions_per_core, spec.max_cpu_cycles);
   } else {
@@ -594,10 +585,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
 }
 
 unsigned experiment_worker_width(const ExperimentSpec& spec) {
-  if (spec.sampling.enabled && spec.sampling.jobs > 0) {
-    return spec.sampling.jobs;
-  }
-  return 1;
+  return spec.sampling.enabled ? spec.sampling.jobs : 1;
 }
 
 ExperimentSpec single_core_spec(std::string benchmark, MemoryMode mode,

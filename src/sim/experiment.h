@@ -175,14 +175,15 @@ struct ExperimentResult {
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec);
 
 /// Worker threads one run of `spec` occupies: the sampling job count for a
-/// planned-sampled run, else 1 (every channel advances on the calling
-/// thread).
+/// sampled run, else 1 (every channel advances on the calling thread).
 /// The runner and the campaign engine divide the machine budget by the
 /// widest pending spec so jobs * width never oversubscribes (see
-/// sim/worker_budget.h). A planned-sampled run occupies jobs + 2 threads
+/// sim/worker_budget.h). A sampled run occupies jobs + 2 threads
 /// (the window workers, the planner and the backbone walker), but its
 /// width stays `jobs`: the planner and the walker each spend part of
 /// their time waiting on the other, and the budget counts the workers.
+/// Counting them (jobs + 1 or jobs + 2) made an 8-cell sampled lbm grid
+/// 1.4x-2.7x slower on 4 hardware threads (docs/PERFORMANCE.md §17).
 [[nodiscard]] unsigned experiment_worker_width(const ExperimentSpec& spec);
 
 /// True when runs should be audited: spec-independent part of the

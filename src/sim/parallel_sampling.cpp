@@ -145,8 +145,8 @@ class WindowPool {
       job.snapshot.clear();
       job.snapshot.shrink_to_fit();
 
-      // Same measured-window body as the chained loop (sim/sampling.cpp):
-      // excluded warmup, then one measured detailed window.
+      // One sampling unit (sim/sampling.h): excluded warmup, then one
+      // measured detailed window.
       WindowSlot slot;
       slot.obs.index = job.ordinal;
       slot.obs.stratum = job.stratum;
@@ -215,12 +215,12 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
   const SnapshotContext ctx = backbone.snapshot_context();
 
   // Planning grid: the backbone advances in chunks of 1/kPlannerOversample
-  // of the legacy inter-window spacing, so placement resolves finer than
+  // of the inter-window spacing, so placement resolves finer than
   // the uniform grid without changing the mean window density. The chunk
   // count is known a priori — stratum membership is a pure function of the
   // chunk index.
-  const std::uint64_t chunk =
-      std::max<std::uint64_t>(1, s.functional_instructions / kPlannerOversample);
+  const std::uint64_t chunk = std::max<std::uint64_t>(
+      1, sampling_stride(s, spec.instructions_per_core) / kPlannerOversample);
   const std::uint64_t planned_chunks =
       (spec.instructions_per_core + chunk - 1) / chunk;
   const std::uint32_t strata = s.strata;
@@ -294,8 +294,9 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
     if (place && s.target_ci_frac > 0.0 && placed >= kAutoStopLookahead) {
       // Deterministic auto-stop: the decision for ordinal `placed` sees the
       // completed prefix 0..placed-kAutoStopLookahead-1 and applies the
-      // chained loop's convergence rule to exactly those observations.
-      // Content-only dependence -> identical for every worker count.
+      // convergence rule (ci95_half / mean <= target) to exactly those
+      // observations. Content-only dependence -> identical for every
+      // worker count.
       const std::vector<double> prefix =
           pool.wait_prefix_ipc(placed - kAutoStopLookahead);
       if (prefix.size() >= s.min_windows) {

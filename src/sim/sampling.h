@@ -1,8 +1,9 @@
 // SMARTS-style statistical sampling (Wunderlich et al., ISCA'03 adapted to
-// this simulator): alternate short *detailed* measurement windows with long
-// *functional-warming* fast-forward windows, and report each metric as a
-// mean with a standard error and a 95% confidence interval instead of an
-// exact total.
+// this simulator): place short *detailed* measurement windows along a
+// *functional-warming* fast-forward of the run, and report each metric as
+// a mean with a standard error and a 95% confidence interval instead of an
+// exact total. The one engine that runs them is the planner of
+// sim/parallel_sampling.h.
 //
 // A sampling unit is one detailed window: after `warmup_cycles` of detailed
 // execution (excluded — it re-fills queues, row buffers, and the MLP window
@@ -12,7 +13,7 @@
 // core: trace streams advance, LLCs stay warm, the criticality RNG keeps
 // its draw order, refreshes fire at their natural times — but no demand
 // request is simulated cycle-accurately, which is where the speedup comes
-// from (the detailed fraction of the run is detail/(detail + functional)).
+// from.
 //
 // Per-window observations:
 //   * IPC: aggregate retired instructions / CPU cycles,
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "cpu/system.h"
 #include "energy/dram_power.h"
 #include "mem/memory_system.h"
 
@@ -44,9 +44,9 @@ struct SamplingSpec {
   /// Measured detailed cycles per window.
   std::uint64_t detail_cycles = 40'000;
   /// Instructions fast-forwarded per core between windows. Larger jumps
-  /// raise the speedup but thin the window count; at long horizons the
-  /// real win comes from `target_ci_frac` stopping the run outright.
-  std::uint64_t functional_instructions = 100'000;
+  /// raise the speedup but thin the window count. 0 lets the stride follow
+  /// the horizon (sampling_stride).
+  std::uint64_t functional_instructions = 0;
   /// CPU-cycle charge per critical demand-read miss during warming
   /// (a loaded-latency stand-in for the memory the fast-forward skips).
   Cycle critical_penalty = 160;
@@ -56,15 +56,15 @@ struct SamplingSpec {
   std::uint32_t min_windows = 8;
   std::uint32_t max_windows = 0;
   double target_ci_frac = 0.0;
-  /// Parallel planned mode (sim/parallel_sampling.h). 0 keeps the legacy
-  /// chained loop above; >= 1 plans window placement on a functional-only
-  /// backbone and dispatches each window to a pool of `jobs` workers. The
-  /// observation set is identical for every jobs >= 1 at a fixed placement.
-  std::uint32_t jobs = 0;
-  /// Stratified placement (planned mode only): > 0 splits the instruction
-  /// horizon into `strata` equal slices, allocates windows to each slice in
-  /// proportion to its observed memory traffic (LLC misses during the
-  /// functional pass), and combines per-stratum means with Neyman-style
+  /// Window workers (sim/parallel_sampling.h): window placement is planned
+  /// on a functional-only backbone and each window is dispatched to a pool
+  /// of `jobs` workers. Must be >= 1 when `enabled`; read only then. The
+  /// observation set is identical for every jobs at a fixed placement.
+  std::uint32_t jobs = 1;
+  /// Stratified placement: > 0 splits the instruction horizon into
+  /// `strata` equal slices, allocates windows to each slice in proportion
+  /// to its observed memory traffic (LLC misses during the functional
+  /// pass), and combines per-stratum means with Neyman-style
   /// cycle-share weights. 0 keeps uniform placement.
   std::uint32_t strata = 0;
 };
@@ -76,19 +76,29 @@ struct SamplingEstimate {
   double ci95_half = 0.0;  // t_{0.975, n-1} * stderr
 };
 
+/// Windows per run that the default stride aims for.
+inline constexpr std::uint64_t kDefaultSampledWindows = 100;
+
+/// The functional stride a run of `instructions_per_core` takes: the
+/// spec's `functional_instructions` when set, else
+/// max(100k, ceil(N / kDefaultSampledWindows)), which keeps the window
+/// count (and so the detailed work) bounded as the horizon grows. The
+/// planner and spec_canonical both resolve it here, so every entry point
+/// gets the same default and the same fingerprint.
+[[nodiscard]] std::uint64_t sampling_stride(
+    const SamplingSpec& s, std::uint64_t instructions_per_core);
+
 /// How measurement windows were placed along the run.
 enum class SamplingPlacement : std::uint8_t {
-  kChained,     // legacy loop: windows chained inline with the warming
-  kUniform,     // planned mode, evenly spaced windows
-  kStratified,  // planned mode, traffic-proportional per-stratum allocation
+  kUniform,     // evenly spaced windows
+  kStratified,  // traffic-proportional per-stratum allocation
 };
 
 [[nodiscard]] const char* sampling_placement_name(SamplingPlacement p);
 
 /// One measured window's raw observation. The full vector is kept on the
 /// summary (not emitted to JSON) so determinism tests can compare the
-/// exact per-window values across worker counts and against the legacy
-/// chained loop.
+/// exact per-window values across worker counts.
 struct WindowObservation {
   std::uint64_t index = 0;    // placement ordinal (merge order)
   std::uint32_t stratum = 0;  // 0 when placement is not stratified
@@ -104,7 +114,7 @@ struct SamplingSummary {
   std::uint64_t measured_cpu_cycles = 0;
   std::uint64_t functional_cpu_cycles = 0;
   bool ci_converged = false;  // target_ci_frac was set and reached
-  SamplingPlacement placement = SamplingPlacement::kChained;
+  SamplingPlacement placement = SamplingPlacement::kUniform;
   /// Worker threads that executed the windows (operational, like
   /// wall_seconds: every statistical field above/below is identical for any
   /// worker count at a fixed placement — that is the determinism contract).
@@ -113,7 +123,7 @@ struct SamplingSummary {
   SamplingEstimate ipc;
   SamplingEstimate energy_mj_per_mcycle;          // mJ per 1e6 mem cycles
   SamplingEstimate refresh_blocked_per_mem_cycle;
-  /// Per-window raw observations in placement order (all modes).
+  /// Per-window raw observations in placement order.
   std::vector<WindowObservation> observations;
 };
 
@@ -140,21 +150,9 @@ struct SamplingSummary {
 
 /// Settle every rank's accounting to memory cycle `now` and total the DRAM
 /// energy across channels (piecewise-safe; used at measured-window edges by
-/// both the chained loop and the parallel-sampling workers).
+/// the window workers).
 [[nodiscard]] double sampled_window_energy_mj(
     mem::MemorySystem& memory, const energy::DramPowerModel& power,
     Cycle now);
-
-/// Drive `system` (already constructed, not yet begun) through a sampled
-/// run: begin_run, alternate measured and functional windows until every
-/// core crosses `target_instructions` (or the CI target / window cap /
-/// cycle limit hits), finish_run. Event loop only. Fills `out` when
-/// non-null.
-[[nodiscard]] cpu::RunResult run_sampled(cpu::System& system,
-                                         mem::MemorySystem& memory,
-                                         const SamplingSpec& spec,
-                                         std::uint64_t target_instructions,
-                                         std::uint64_t max_cpu_cycles,
-                                         SamplingSummary* out);
 
 }  // namespace rop::sim

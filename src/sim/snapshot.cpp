@@ -105,16 +105,23 @@ std::string spec_canonical(const ExperimentSpec& spec) {
   for (const std::string& c : spec.telemetry.sampler.counters) os << c << '+';
   os << ";trace=" << spec.telemetry.trace.categories << ','
      << spec.telemetry.trace.capacity;
+  // The resolved stride: a spec that names none and one that names the
+  // stride it resolves to share a fingerprint. An exact spec resolves
+  // against a zero horizon, to 100k, which keeps the exact fingerprints
+  // that snapshots on disk carry (SnapshotHeader.FingerprintIsPinned).
+  const std::uint64_t stride = sampling_stride(
+      spec.sampling, spec.sampling.enabled ? spec.instructions_per_core : 0);
   os << ";sampling=" << spec.sampling.enabled << ','
      << spec.sampling.warmup_cycles << ',' << spec.sampling.detail_cycles
-     << ',' << spec.sampling.functional_instructions << ','
-     << spec.sampling.critical_penalty << ',' << spec.sampling.min_windows
-     << ',' << spec.sampling.max_windows << ','
+     << ',' << stride << ',' << spec.sampling.critical_penalty << ','
+     << spec.sampling.min_windows << ',' << spec.sampling.max_windows << ','
      << spec.sampling.target_ci_frac;
-  // Planned mode and the stratum count both shape the output (placement
-  // grid, estimator); the worker count deliberately does not — jobs=1 and
-  // jobs=8 must interchange snapshots and produce identical stats.
-  os << ";planned=" << (spec.sampling.jobs > 0) << ','
+  // The stratum count shapes the output (placement grid, estimator); the
+  // worker count deliberately does not — jobs=1 and jobs=8 must interchange
+  // snapshots and produce identical stats. `planned=` repeats `enabled`
+  // (every sampled run is planned) so existing fingerprints keep their
+  // bytes.
+  os << ";planned=" << spec.sampling.enabled << ','
      << spec.sampling.strata;
   // Snapshot paths and the checker flag are deliberately absent: they do
   // not shape simulated behavior, and the save/restore sides differ in

@@ -138,6 +138,8 @@ TEST(ParallelSampling, StratifiedBeatsUniformUnderWindowBudget) {
 
   ExperimentSpec uniform = planned_spec("lbm", MemoryMode::kRop, 2);
   uniform.instructions_per_core = 40'000'000;
+  // The stride of the measurement quoted below, not the horizon's 400k.
+  uniform.sampling.functional_instructions = 100'000;
   uniform.sampling.max_windows = 24;
   ExperimentSpec stratified = uniform;
   stratified.sampling.strata = 8;
@@ -226,7 +228,7 @@ SerialPlan replay_plan_serially(const ExperimentSpec& spec) {
   };
 
   const std::uint64_t chunk = std::max<std::uint64_t>(
-      1, s.functional_instructions / kPlannerOversample);
+      1, sampling_stride(s, spec.instructions_per_core) / kPlannerOversample);
   const std::uint64_t planned =
       (spec.instructions_per_core + chunk - 1) / chunk;
   double credit = 0.0;
@@ -400,9 +402,6 @@ TEST(WorkerBudget, SampledCellCountsItsWindowJobs) {
   ExperimentSpec spec = planned_spec("lbm", MemoryMode::kRop, 4);
   EXPECT_EQ(experiment_worker_width(spec), 4u);
 
-  spec.sampling.jobs = 0;  // chained sampling: serial, width 1
-  EXPECT_EQ(experiment_worker_width(spec), 1u);
-
   spec.sampling.enabled = false;
   EXPECT_EQ(experiment_worker_width(spec), 1u);
 
@@ -481,8 +480,9 @@ TEST(ParallelSampledCampaign, ExpandsSamplingBlockAndRejectsConflicts) {
   }
 
   // Sampling is mutually exclusive with intra-cell checkpoints and epoch
-  // telemetry; strata without a planner is also an error. shard_channels
-  // is ignored, so it no longer conflicts.
+  // telemetry, and needs at least one window worker. shard_channels is
+  // ignored, so it no longer conflicts. Each rejection is validate()'s,
+  // naming the cell.
   const auto with_snap = json::parse(
       R"({"snapshot_every": 1000, "sampling": {"jobs": 2},
           "axes": {"benchmark": ["lbm"]}})");
@@ -496,11 +496,27 @@ TEST(ParallelSampledCampaign, ExpandsSamplingBlockAndRejectsConflicts) {
   ASSERT_TRUE(with_shards.has_value());
   EXPECT_TRUE(expand_campaign(*with_shards, &err).has_value()) << err;
 
+  const auto with_epochs = json::parse(
+      R"({"epoch_cycles": 1000, "sampling": {},
+          "axes": {"benchmark": ["lbm"]}})");
+  ASSERT_TRUE(with_epochs.has_value());
+  EXPECT_FALSE(expand_campaign(*with_epochs, &err).has_value());
+  EXPECT_NE(err.find("cell 0"), std::string::npos) << err;
+  EXPECT_NE(err.find("without telemetry sinks"), std::string::npos) << err;
+
+  const auto no_workers = json::parse(
+      R"({"sampling": {"jobs": 0}, "axes": {"benchmark": ["lbm"]}})");
+  ASSERT_TRUE(no_workers.has_value());
+  EXPECT_FALSE(expand_campaign(*no_workers, &err).has_value());
+  EXPECT_NE(err.find("sampling.jobs"), std::string::npos) << err;
+
+  // Without "jobs" a sampled cell runs the planner with one worker.
   const auto bare_strata = json::parse(
       R"({"sampling": {"strata": 4}, "axes": {"benchmark": ["lbm"]}})");
   ASSERT_TRUE(bare_strata.has_value());
-  EXPECT_FALSE(expand_campaign(*bare_strata, &err).has_value());
-  EXPECT_NE(err.find("strata"), std::string::npos);
+  const auto one_worker = expand_campaign(*bare_strata, &err);
+  ASSERT_TRUE(one_worker.has_value()) << err;
+  EXPECT_EQ(one_worker->at(0).spec.sampling.jobs, 1u);
 }
 
 TEST(ParallelSampledCampaign, KillAndResumeStaysByteIdentical) {

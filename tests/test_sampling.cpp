@@ -1,8 +1,9 @@
 // SMARTS-style sampled execution: statistical machinery (t quantiles, the
-// mean/stderr/CI estimator), determinism of the sampled loop, and the
-// headline accuracy contract — on every SPEC-like profile, the sampled
-// IPC and energy estimates must contain the exact event-driven run's value
-// inside their emitted 95% confidence interval.
+// mean/stderr/CI estimator), the horizon-derived default stride,
+// determinism of a sampled run (the planner with its default one window
+// worker), and the headline accuracy contract — on every SPEC-like
+// profile, the sampled IPC and energy estimates must contain the exact
+// event-driven run's value inside their emitted 95% confidence interval.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,8 +11,11 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+#include "sim/campaign.h"
 #include "sim/experiment.h"
 #include "sim/sampling.h"
+#include "sim/snapshot.h"
 #include "workload/spec_profiles.h"
 
 namespace rop::sim {
@@ -43,6 +47,45 @@ TEST(SamplingMath, EstimatorMeanStderrCI) {
   const SamplingEstimate c = estimate_from({7.0, 7.0, 7.0});
   EXPECT_DOUBLE_EQ(c.mean, 7.0);
   EXPECT_DOUBLE_EQ(c.ci95_half, 0.0);  // zero variance -> degenerate CI
+}
+
+TEST(Sampling, DefaultStrideFollowsTheHorizon) {
+  // max(100k, ceil(N / 100)) for a spec that names no stride: 100k up to
+  // 10M instructions, then one stride per hundredth of the horizon.
+  const SamplingSpec unset;
+  EXPECT_EQ(sampling_stride(unset, 2'000'000), 100'000u);
+  EXPECT_EQ(sampling_stride(unset, 10'000'000), 100'000u);
+  EXPECT_EQ(sampling_stride(unset, 10'000'001), 100'001u);
+  EXPECT_EQ(sampling_stride(unset, 200'000'000), 2'000'000u);
+  SamplingSpec named;
+  named.functional_instructions = 5'000;
+  EXPECT_EQ(sampling_stride(named, 200'000'000), 5'000u);
+
+  // A campaign cell without "functional_instructions" takes the horizon's
+  // stride; an explicit one wins. The fingerprint carries the resolved
+  // stride, so naming the stride the horizon picks changes nothing.
+  const auto cell_of = [](const char* text) {
+    const auto doc = json::parse(text);
+    EXPECT_TRUE(doc.has_value());
+    std::string err;
+    const auto cells = expand_campaign(*doc, &err);
+    EXPECT_TRUE(cells.has_value()) << err;
+    return cells ? cells->at(0).spec : ExperimentSpec{};
+  };
+  const ExperimentSpec unnamed = cell_of(
+      R"({"instructions_per_core": 200000000, "sampling": {}})");
+  const ExperimentSpec horizon = cell_of(
+      R"({"instructions_per_core": 200000000,
+          "sampling": {"functional_instructions": 2000000}})");
+  const ExperimentSpec fine = cell_of(
+      R"({"instructions_per_core": 200000000,
+          "sampling": {"functional_instructions": 5000}})");
+  EXPECT_EQ(sampling_stride(unnamed.sampling, unnamed.instructions_per_core),
+            2'000'000u);
+  EXPECT_EQ(sampling_stride(fine.sampling, fine.instructions_per_core),
+            5'000u);
+  EXPECT_EQ(spec_canonical(unnamed), spec_canonical(horizon));
+  EXPECT_NE(spec_canonical(unnamed), spec_canonical(fine));
 }
 
 ExperimentSpec sampled_spec(const std::string& bench) {

@@ -183,14 +183,14 @@ const std::vector<Row>& rows() {
          s.snapshot.every = 1000;
        },
        nullptr},
-      {"sampling jobs without sampling",
-       [](ExperimentSpec& s) { s.sampling.jobs = 2; }, "sampling.jobs"},
-      {"strata without jobs",
+      {"exact spec with default jobs",
+       [](ExperimentSpec& s) { s.sampling = SamplingSpec{}; }, nullptr},
+      {"sampling with jobs 0",
        [](ExperimentSpec& s) {
          s.sampling.enabled = true;
-         s.sampling.strata = 4;
+         s.sampling.jobs = 0;
        },
-       "sampling.strata"},
+       "sampling.jobs"},
       {"stratified planned sampling",
        [](ExperimentSpec& s) {
          planned(s);
@@ -228,12 +228,12 @@ const std::vector<Row>& rows() {
          s.telemetry.trace.categories = telemetry::kCatCmds;
        },
        "telemetry"},
-      {"chained sampling with epochs",
+      {"sampling with default jobs and epochs",
        [](ExperimentSpec& s) {
          s.sampling.enabled = true;
          s.telemetry.sampler.epoch_cycles = 1000;
        },
-       nullptr},
+       "telemetry"},
   };
   return kRows;
 }

@@ -54,6 +54,12 @@ set(cases
   "--trace-out|${dir}/x.json|--channels|2"
   "--trace|${dir}/empty.trace|--progress|${dir}/p.jsonl"
   "--sample-jobs|2"
+  "--benchmark|lbm|--instructions|20000|--sample-functional|1000"
+  "--benchmark|lbm|--instructions|20000|--sample-warmup|1000"
+  "--benchmark|lbm|--instructions|20000|--sample-detail|1000"
+  "--benchmark|lbm|--instructions|20000|--sample-min-windows|2"
+  "--benchmark|lbm|--instructions|20000|--sample-max-windows|2"
+  "--benchmark|lbm|--instructions|20000|--sample-target-ci|0.05"
   "--loop|sampled|--sample-jobs|2|--epoch|100"
 )
 

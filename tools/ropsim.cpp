@@ -67,8 +67,9 @@ struct Options {
   std::uint32_t sample_min_windows = 0;   // --sample-min-windows N
   std::uint32_t sample_max_windows = 0;   // --sample-max-windows N
   double sample_target_ci = 0.0;      // --sample-target-ci FRAC
-  std::uint32_t sample_jobs = 0;      // --sample-jobs N (planned parallel)
+  std::uint32_t sample_jobs = 1;      // --sample-jobs N (window workers)
   std::uint32_t sample_strata = 0;    // --sample-strata N (stratified)
+  std::string sample_flag;            // the first --sample-* flag given
   std::string stats_json;             // --stats-json PATH
   std::string trace_out;              // --trace-out PATH
   std::string trace_cats = "all";     // --trace-cats CATS
@@ -120,7 +121,8 @@ struct Options {
       "                       docs/OBSERVABILITY.md); with --compare, one\n"
       "                       document keyed by mode\n"
       "  --epoch N            epoch-sampling period in controller cycles\n"
-      "                       (default: tREFI when --stats-json is given)\n"
+      "                       (default: tREFI when --stats-json is given\n"
+      "                       on an exact run)\n"
       "  --trace-out PATH     write a Chrome trace-event timeline of the run\n"
       "                       (open in chrome://tracing or ui.perfetto.dev)\n"
       "  --trace-cats CATS    trace categories, comma-separated from\n"
@@ -144,16 +146,15 @@ struct Options {
       "  --sample-warmup N        detailed-but-unmeasured CPU cycles per unit\n"
       "  --sample-detail N        measured CPU cycles per unit\n"
       "  --sample-functional N    instructions fast-forwarded between units\n"
+      "                           (default max(100000, instructions / 100))\n"
       "  --sample-min-windows N   observations before auto-stop may fire\n"
       "  --sample-max-windows N   hard cap on window count\n"
       "  --sample-target-ci F     stop when IPC ci95/mean <= F (e.g. 0.05)\n"
-      "  --sample-jobs N          plan windows on a functional-only pass and\n"
-      "                           run them on N snapshot-restoring workers\n"
-      "                           (estimates are identical for every N >= 1;\n"
-      "                           see docs/PERFORMANCE.md §9)\n"
+      "  --sample-jobs N          window workers (default 1; estimates are\n"
+      "                           identical for every N >= 1; see\n"
+      "                           docs/PERFORMANCE.md §9)\n"
       "  --sample-strata N        stratified window placement over N horizon\n"
       "                           slices, traffic-proportional allocation\n"
-      "                           (requires --sample-jobs >= 1)\n"
       "  --help\n"
       "\n"
       "campaign mode — expand a JSON sweep spec into a grid of runs with\n"
@@ -234,6 +235,9 @@ Options parse(int argc, char** argv) {
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg.starts_with("--sample-") && opt.sample_flag.empty()) {
+      opt.sample_flag = arg;
+    }
     if (arg == "--benchmark") {
       opt.benchmark = need(i);
     } else if (arg == "--trace") {
@@ -344,7 +348,8 @@ dram::RefreshMode parse_refresh(const std::string& s) {
 cpu::LoopMode parse_loop(const std::string& s) {
   if (s == "event") return cpu::LoopMode::kEventDriven;
   if (s == "naive") return cpu::LoopMode::kNaive;
-  if (s == "sampled") return cpu::LoopMode::kEventDriven;  // serial detail loop
+  // A sampled run executes its windows on the event loop.
+  if (s == "sampled") return cpu::LoopMode::kEventDriven;
   std::fprintf(stderr, "unknown loop mode: %s\n", s.c_str());
   usage(2);
 }
@@ -412,34 +417,33 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
   spec.snapshot.stop_at = opt.snapshot_stop;
   spec.progress_file = opt.progress;
   if (opt.progress_every > 0) spec.progress_every = opt.progress_every;
-  spec.sampling.jobs = opt.sample_jobs;
-  spec.sampling.strata = opt.sample_strata;
   if (opt.loop == "sampled") {
     spec.sampling.enabled = true;
+    spec.sampling.jobs = opt.sample_jobs;
+    spec.sampling.strata = opt.sample_strata;
     if (opt.sample_warmup > 0) spec.sampling.warmup_cycles = opt.sample_warmup;
     if (opt.sample_detail > 0) spec.sampling.detail_cycles = opt.sample_detail;
-    if (opt.sample_functional > 0) {
-      spec.sampling.functional_instructions = opt.sample_functional;
-    }
+    spec.sampling.functional_instructions = opt.sample_functional;
     if (opt.sample_min_windows > 0) {
       spec.sampling.min_windows = opt.sample_min_windows;
     }
     spec.sampling.max_windows = opt.sample_max_windows;
     spec.sampling.target_ci_frac = opt.sample_target_ci;
   }
+  // Epoch period: --epoch, else tREFI when --stats-json asks for a document
+  // (sampled runs carry no epoch series; an explicit --epoch there is
+  // rejected by validate()).
+  if (opt.epoch != 0 || (!opt.stats_json.empty() && !spec.sampling.enabled)) {
+    spec.telemetry.sampler.epoch_cycles =
+        opt.epoch != 0 ? opt.epoch
+                       : sim::make_memory_config(spec.ranks, spec.mode,
+                                                 spec.refresh_mode)
+                             .timings.tREFI;
+  }
   if (!opt.trace_out.empty()) {
     spec.telemetry.trace.categories = parse_categories(opt.trace_cats);
   }
   return spec;
-}
-
-/// Epoch period for a stats document: --epoch, else tREFI.
-std::uint64_t epoch_cycles(const Options& opt,
-                           const sim::ExperimentSpec& spec) {
-  return opt.epoch != 0 ? opt.epoch
-                        : sim::make_memory_config(spec.ranks, spec.mode,
-                                                  spec.refresh_mode)
-                              .timings.tREFI;
 }
 
 /// The first invalid spec's reason on stderr; true when all are valid.
@@ -479,11 +483,7 @@ int run_compare(const Options& opt) {
   std::vector<sim::ExperimentSpec> specs;
   for (const auto& m : kAllModes) {
     specs.push_back(spec_from_options(opt, m.mode));
-    sim::ExperimentSpec& spec = specs.back();
-    spec.progress_file.clear();
-    if (!opt.stats_json.empty() || opt.epoch != 0) {
-      spec.telemetry.sampler.epoch_cycles = epoch_cycles(opt, spec);
-    }
+    specs.back().progress_file.clear();
   }
   if (!specs_valid(specs)) return 2;
   std::printf("ropsim: comparing %zu modes on %s (%llu instructions/core, "
@@ -587,14 +587,12 @@ void print_report(const Options& opt, const sim::ExperimentSpec& spec,
                 static_cast<unsigned long long>(s.measured_cpu_cycles),
                 static_cast<unsigned long long>(s.functional_cpu_cycles),
                 s.ci_converged ? " — CI target reached" : "");
-    if (s.placement != sim::SamplingPlacement::kChained) {
-      std::printf("  placement %s, %u worker%s%s\n",
-                  sim::sampling_placement_name(s.placement), s.workers,
-                  s.workers == 1 ? "" : "s",
-                  s.strata > 0
-                      ? (", " + std::to_string(s.strata) + " strata").c_str()
-                      : "");
-    }
+    std::printf("  placement %s, %u worker%s%s\n",
+                sim::sampling_placement_name(s.placement), s.workers,
+                s.workers == 1 ? "" : "s",
+                s.strata > 0
+                    ? (", " + std::to_string(s.strata) + " strata").c_str()
+                    : "");
     std::printf("  IPC                 %.4f +/- %.4f (95%% CI)\n",
                 s.ipc.mean, s.ipc.ci95_half);
     std::printf("  energy mJ/Mcycle    %.4f +/- %.4f\n",
@@ -783,6 +781,11 @@ int main(int argc, char** argv) {
                  opt.trace_format.c_str());
     usage(2);
   }
+  if (!opt.sample_flag.empty() && opt.loop != "sampled") {
+    std::fprintf(stderr, "%s requires --loop sampled\n",
+                 opt.sample_flag.c_str());
+    return 2;
+  }
   if (opt.compare) {
     if (!opt.trace_path.empty()) {
       std::fprintf(stderr, "--compare does not support --trace\n");
@@ -795,13 +798,8 @@ int main(int argc, char** argv) {
     }
     return run_compare(opt);
   }
-  sim::ExperimentSpec spec = spec_from_options(opt, parse_mode(opt.mode));
-  // --stats-json turns on tREFI epochs, except for planned sampling, which
-  // runs without telemetry sinks (an explicit --epoch there is rejected).
-  const bool planned = spec.sampling.enabled && spec.sampling.jobs > 0;
-  if (opt.epoch != 0 || (!opt.stats_json.empty() && !planned)) {
-    spec.telemetry.sampler.epoch_cycles = epoch_cycles(opt, spec);
-  }
+  const sim::ExperimentSpec spec =
+      spec_from_options(opt, parse_mode(opt.mode));
   if (!specs_valid({spec})) return 2;
   // The CLI offers --trace-out only on exact single-channel runs without
   // checkpoints or a heartbeat (the API also traces across a snapshot).
