@@ -94,11 +94,23 @@ class Parser {
     return false;
   }
 
+  /// Enter an array or object; false (with an error at its byte) past
+  /// kMaxDepth, which bounds the recursion on hostile input.
+  bool nest() {
+    if (++depth_ <= kMaxDepth) return true;
+    fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    return false;
+  }
+
   std::optional<Value> parse_object() {
+    if (!nest()) return std::nullopt;
     ++pos_;  // '{'
     Object obj;
     skip_ws();
-    if (eat('}')) return Value(std::move(obj));
+    if (eat('}')) {
+      --depth_;
+      return Value(std::move(obj));
+    }
     for (;;) {
       skip_ws();
       std::optional<std::string> key = parse_string();
@@ -111,15 +123,20 @@ class Parser {
       skip_ws();
       if (eat(',')) continue;
       if (!expect('}')) return std::nullopt;
+      --depth_;
       return Value(std::move(obj));
     }
   }
 
   std::optional<Value> parse_array() {
+    if (!nest()) return std::nullopt;
     ++pos_;  // '['
     Array arr;
     skip_ws();
-    if (eat(']')) return Value(std::move(arr));
+    if (eat(']')) {
+      --depth_;
+      return Value(std::move(arr));
+    }
     for (;;) {
       std::optional<Value> val = parse_value();
       if (!val) return std::nullopt;
@@ -127,6 +144,7 @@ class Parser {
       skip_ws();
       if (eat(',')) continue;
       if (!expect(']')) return std::nullopt;
+      --depth_;
       return Value(std::move(arr));
     }
   }
@@ -255,8 +273,12 @@ class Parser {
     return Value(d);
   }
 
+  /// Far beyond any campaign spec or stats document, far below the stack.
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
   std::string error_;
 };
 

@@ -85,6 +85,37 @@ TEST(JsonParser, RejectsMalformedDocuments) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(JsonParser, BoundsNestingDepth) {
+  // Campaign specs are outside input: a million unclosed brackets must
+  // come back as an error naming the byte, not overflow the stack.
+  std::string err;
+  EXPECT_FALSE(json::parse(std::string(1'000'000, '['), &err).has_value());
+  EXPECT_EQ(err, "nesting deeper than 256 levels at byte 256");
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += R"({"a": )";
+  err.clear();
+  EXPECT_FALSE(json::parse(objects, &err).has_value());
+  EXPECT_NE(err.find("nesting deeper than 256 levels"), std::string::npos)
+      << err;
+  // The limit itself still parses.
+  const auto deepest =
+      json::parse(std::string(256, '[') + std::string(256, ']'), &err);
+  EXPECT_TRUE(deepest.has_value()) << err;
+}
+
+TEST(JsonParser, NamesTheByteOfAMalformedString) {
+  const auto error_of = [](std::string_view text) {
+    std::string err;
+    EXPECT_FALSE(json::parse(text, &err).has_value()) << text;
+    return err;
+  };
+  EXPECT_EQ(error_of(R"("abc)"), "unterminated string at byte 4");
+  EXPECT_EQ(error_of(R"({"a": "b\)"), "unterminated string at byte 9");
+  EXPECT_EQ(error_of(R"("a\qb")"), "invalid escape at byte 4");
+  EXPECT_EQ(error_of(R"("\u12")"), "truncated \\u escape at byte 3");
+  EXPECT_EQ(error_of(R"("\u12zz")"), "invalid \\u escape at byte 6");
+}
+
 TEST(CampaignExpand, NineCellGridWithStableIndices) {
   std::string err;
   const auto spec = json::parse(kNineCellSpec, &err);
