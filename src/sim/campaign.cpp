@@ -540,7 +540,8 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
   std::vector<std::uint64_t> ranks, channels, llc_mb;
   std::vector<bool> partitions;
   if (!axis_strings(axes, "benchmark", {"lbm"}, &benchmarks, &err) ||
-      !axis_strings(axes, "mode", {"baseline"}, &modes, &err) ||
+      !axis_strings(axes, "mode", {memory_mode_name(MemoryMode::kBaseline)},
+                    &modes, &err) ||
       !axis_u64(axes, "ranks", {1}, &ranks, &err) ||
       !axis_strings(axes, "refresh", {"1x"}, &refreshes, &err) ||
       !axis_bools(axes, "rank_partition", {false}, &partitions, &err) ||
@@ -629,26 +630,31 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
 // Execution.
 
 std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
-                                            std::string* error) {
+                                            std::string* error,
+                                            bool* bad_spec) {
   const auto fail = [error](std::string msg) -> std::optional<CampaignSummary> {
     if (error != nullptr) *error = std::move(msg);
     return std::nullopt;
   };
+  const auto spec_fail = [&](std::string msg) {
+    if (bad_spec != nullptr) *bad_spec = true;
+    return fail(std::move(msg));
+  };
 
   std::string spec_text;
   if (!read_file(opts.spec_path, &spec_text)) {
-    return fail("cannot read campaign spec: " + opts.spec_path);
+    return spec_fail("cannot read campaign spec: " + opts.spec_path);
   }
   std::string parse_err;
   const std::optional<json::Value> spec = json::parse(spec_text, &parse_err);
-  if (!spec) return fail("spec parse error: " + parse_err);
+  if (!spec) return spec_fail("spec parse error: " + parse_err);
 
   std::string expand_err;
   std::optional<std::vector<CampaignCell>> cells_opt =
       expand_campaign(*spec, &expand_err);
-  if (!cells_opt) return fail(expand_err);
+  if (!cells_opt) return spec_fail(expand_err);
   std::vector<CampaignCell>& cells = *cells_opt;
-  if (cells.empty()) return fail("campaign expands to zero cells");
+  if (cells.empty()) return spec_fail("campaign expands to zero cells");
 
   const json::Value* name_v = spec->find("name");
   const std::string name =

@@ -88,10 +88,12 @@ struct CampaignSummary {
     const json::Value& spec, std::string* error);
 
 /// Run (or resume) a campaign end to end. Returns nullopt and sets
-/// `error` on spec/IO failures. An intra-cell checkpoint that does not
-/// restore is discarded and its cell rerun from cycle 0; checker
-/// violations still abort (the checker's contract).
+/// `error` on spec/IO failures; `bad_spec`, when given, tells the two
+/// apart (true: the spec did not read, parse or expand). An intra-cell
+/// checkpoint that does not restore is discarded and its cell rerun from
+/// cycle 0; checker violations still abort (the checker's contract).
 [[nodiscard]] std::optional<CampaignSummary> run_campaign(
-    const CampaignOptions& opts, std::string* error);
+    const CampaignOptions& opts, std::string* error,
+    bool* bad_spec = nullptr);
 
 }  // namespace rop::sim

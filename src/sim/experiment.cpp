@@ -302,6 +302,14 @@ std::optional<std::string> validate(const ExperimentSpec& spec) {
   }
   if (!sampling.enabled) return std::nullopt;
   if (sampling.jobs == 0) return "sampling.jobs must be at least 1";
+  if (sampling.detail_cycles == 0) {
+    return "sampling.detail_cycles must be at least 1 (a window of 0 "
+           "cycles measures nothing)";
+  }
+  if (sampling.min_windows < 2) {
+    return "sampling.min_windows must be at least 2 (a confidence interval "
+           "needs two windows)";
+  }
   if (checkpointed) {
     return "snapshots and sampled execution are mutually exclusive";
   }

@@ -37,11 +37,11 @@ namespace rop::sim {
 
 struct SamplingSpec {
   bool enabled = false;
-  /// Detailed-but-unmeasured cycles after each functional jump. Tuned so
-  /// the post-jump transient (empty queues, closed rows) is fully absorbed
-  /// before measurement on every SPEC-like profile.
+  /// Detailed-but-unmeasured cycles after each functional jump (0: none).
+  /// Tuned so the post-jump transient (empty queues, closed rows) is fully
+  /// absorbed before measurement on every SPEC-like profile.
   std::uint64_t warmup_cycles = 40'000;
-  /// Measured detailed cycles per window.
+  /// Measured detailed cycles per window; validate() requires >= 1.
   std::uint64_t detail_cycles = 40'000;
   /// Instructions fast-forwarded per core between windows. Larger jumps
   /// raise the speedup but thin the window count. 0 lets the stride follow
@@ -50,7 +50,8 @@ struct SamplingSpec {
   /// CPU-cycle charge per critical demand-read miss during warming
   /// (a loaded-latency stand-in for the memory the fast-forward skips).
   Cycle critical_penalty = 160;
-  /// CI machinery: never auto-stop before `min_windows` observations;
+  /// CI machinery: never auto-stop before `min_windows` observations
+  /// (validate() requires >= 2);
   /// `max_windows` > 0 hard-caps the window count; `target_ci_frac` > 0
   /// stops once ci95_half / mean <= target for IPC.
   std::uint32_t min_windows = 8;

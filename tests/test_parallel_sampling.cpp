@@ -510,6 +510,28 @@ TEST(ParallelSampledCampaign, ExpandsSamplingBlockAndRejectsConflicts) {
   EXPECT_FALSE(expand_campaign(*no_workers, &err).has_value());
   EXPECT_NE(err.find("sampling.jobs"), std::string::npos) << err;
 
+  // Explicit zeros are taken as written, never replaced by a default:
+  // no warmup runs; a zero-cycle window or a zero window minimum is
+  // rejected, as on the command line.
+  const auto no_warmup = json::parse(
+      R"({"sampling": {"warmup_cycles": 0}, "axes": {"benchmark": ["lbm"]}})");
+  ASSERT_TRUE(no_warmup.has_value());
+  const auto warm = expand_campaign(*no_warmup, &err);
+  ASSERT_TRUE(warm.has_value()) << err;
+  EXPECT_EQ(warm->at(0).spec.sampling.warmup_cycles, 0u);
+
+  const auto no_detail = json::parse(
+      R"({"sampling": {"detail_cycles": 0}, "axes": {"benchmark": ["lbm"]}})");
+  ASSERT_TRUE(no_detail.has_value());
+  EXPECT_FALSE(expand_campaign(*no_detail, &err).has_value());
+  EXPECT_NE(err.find("sampling.detail_cycles"), std::string::npos) << err;
+
+  const auto no_minimum = json::parse(
+      R"({"sampling": {"min_windows": 0}, "axes": {"benchmark": ["lbm"]}})");
+  ASSERT_TRUE(no_minimum.has_value());
+  EXPECT_FALSE(expand_campaign(*no_minimum, &err).has_value());
+  EXPECT_NE(err.find("sampling.min_windows"), std::string::npos) << err;
+
   // Without "jobs" a sampled cell runs the planner with one worker.
   const auto bare_strata = json::parse(
       R"({"sampling": {"strata": 4}, "axes": {"benchmark": ["lbm"]}})");

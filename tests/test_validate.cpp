@@ -191,6 +191,42 @@ const std::vector<Row>& rows() {
          s.sampling.jobs = 0;
        },
        "sampling.jobs"},
+      {"sampling with no warmup",
+       [](ExperimentSpec& s) {
+         s.sampling.enabled = true;
+         s.sampling.warmup_cycles = 0;
+       },
+       nullptr},
+      {"sampling with a zero-cycle window",
+       [](ExperimentSpec& s) {
+         s.sampling.enabled = true;
+         s.sampling.detail_cycles = 0;
+       },
+       "sampling.detail_cycles"},
+      {"sampling with a one-cycle window",
+       [](ExperimentSpec& s) {
+         s.sampling.enabled = true;
+         s.sampling.detail_cycles = 1;
+       },
+       nullptr},
+      {"sampling with min_windows 0",
+       [](ExperimentSpec& s) {
+         s.sampling.enabled = true;
+         s.sampling.min_windows = 0;
+       },
+       "sampling.min_windows"},
+      {"sampling with min_windows 1",
+       [](ExperimentSpec& s) {
+         s.sampling.enabled = true;
+         s.sampling.min_windows = 1;
+       },
+       "sampling.min_windows"},
+      {"sampling with min_windows 2",
+       [](ExperimentSpec& s) {
+         s.sampling.enabled = true;
+         s.sampling.min_windows = 2;
+       },
+       nullptr},
       {"stratified planned sampling",
        [](ExperimentSpec& s) {
          planned(s);

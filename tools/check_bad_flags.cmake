@@ -24,6 +24,12 @@ endif()
 execute_process(
   COMMAND head -c 4096 "${dir}/good.snap"
   OUTPUT_FILE "${dir}/truncated.snap")
+# Campaign specs that do not parse (nesting far past the parser's limit)
+# or hold a sampling knob validate() rejects.
+string(REPEAT "[" 1000000 deep)
+file(WRITE "${dir}/deep.json" "${deep}")
+file(WRITE "${dir}/zero_detail.json"
+  "{\"sampling\": {\"detail_cycles\": 0}, \"axes\": {\"benchmark\": [\"lbm\"]}}")
 
 # One invocation per entry, its arguments separated by '|'.
 set(cases
@@ -61,6 +67,12 @@ set(cases
   "--benchmark|lbm|--instructions|20000|--sample-max-windows|2"
   "--benchmark|lbm|--instructions|20000|--sample-target-ci|0.05"
   "--loop|sampled|--sample-jobs|2|--epoch|100"
+  "--loop|sampled|--benchmark|lbm|--instructions|20000|--sample-detail|0"
+  "--loop|sampled|--benchmark|lbm|--instructions|20000|--sample-min-windows|0"
+  "--loop|sampled|--benchmark|lbm|--instructions|20000|--sample-min-windows|1"
+  "campaign|${dir}/missing.json|--out|${dir}/camp"
+  "campaign|${dir}/deep.json|--out|${dir}/camp"
+  "campaign|${dir}/zero_detail.json|--out|${dir}/camp"
 )
 
 set(failures 0)

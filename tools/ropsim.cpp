@@ -61,14 +61,9 @@ struct Options {
   std::string snapshot_out;           // --snapshot-out PATH
   std::uint64_t snapshot_every = 0;   // --snapshot-every N (CPU cycles)
   std::uint64_t snapshot_stop = 0;    // --snapshot-stop-at N (CPU cycles)
-  std::uint64_t sample_warmup = 0;    // --sample-warmup N; 0 = default
-  std::uint64_t sample_detail = 0;    // --sample-detail N
-  std::uint64_t sample_functional = 0;  // --sample-functional N
-  std::uint32_t sample_min_windows = 0;   // --sample-min-windows N
-  std::uint32_t sample_max_windows = 0;   // --sample-max-windows N
-  double sample_target_ci = 0.0;      // --sample-target-ci FRAC
-  std::uint32_t sample_jobs = 1;      // --sample-jobs N (window workers)
-  std::uint32_t sample_strata = 0;    // --sample-strata N (stratified)
+  /// --sample-* values over SamplingSpec's defaults; an explicit value,
+  /// zero included, is passed on for validate() to judge.
+  sim::SamplingSpec sampling{};
   std::string sample_flag;            // the first --sample-* flag given
   std::string stats_json;             // --stats-json PATH
   std::string trace_out;              // --trace-out PATH
@@ -287,21 +282,21 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--snapshot-stop-at") {
       opt.snapshot_stop = count(i, 0, kU64Max);
     } else if (arg == "--sample-warmup") {
-      opt.sample_warmup = count(i, 0, kU64Max);
+      opt.sampling.warmup_cycles = count(i, 0, kU64Max);
     } else if (arg == "--sample-detail") {
-      opt.sample_detail = count(i, 0, kU64Max);
+      opt.sampling.detail_cycles = count(i, 0, kU64Max);
     } else if (arg == "--sample-functional") {
-      opt.sample_functional = count(i, 0, kU64Max);
+      opt.sampling.functional_instructions = count(i, 0, kU64Max);
     } else if (arg == "--sample-min-windows") {
-      opt.sample_min_windows = count32(i, 0);
+      opt.sampling.min_windows = count32(i, 0);
     } else if (arg == "--sample-max-windows") {
-      opt.sample_max_windows = count32(i, 0);
+      opt.sampling.max_windows = count32(i, 0);
     } else if (arg == "--sample-target-ci") {
-      opt.sample_target_ci = fraction(i);
+      opt.sampling.target_ci_frac = fraction(i);
     } else if (arg == "--sample-jobs") {
-      opt.sample_jobs = count32(i, 0);
+      opt.sampling.jobs = count32(i, 0);
     } else if (arg == "--sample-strata") {
-      opt.sample_strata = count32(i, 0);
+      opt.sampling.strata = count32(i, 0);
     } else if (arg == "--stats-json") {
       opt.stats_json = need(i);
     } else if (arg == "--epoch") {
@@ -418,17 +413,8 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
   spec.progress_file = opt.progress;
   if (opt.progress_every > 0) spec.progress_every = opt.progress_every;
   if (opt.loop == "sampled") {
+    spec.sampling = opt.sampling;
     spec.sampling.enabled = true;
-    spec.sampling.jobs = opt.sample_jobs;
-    spec.sampling.strata = opt.sample_strata;
-    if (opt.sample_warmup > 0) spec.sampling.warmup_cycles = opt.sample_warmup;
-    if (opt.sample_detail > 0) spec.sampling.detail_cycles = opt.sample_detail;
-    spec.sampling.functional_instructions = opt.sample_functional;
-    if (opt.sample_min_windows > 0) {
-      spec.sampling.min_windows = opt.sample_min_windows;
-    }
-    spec.sampling.max_windows = opt.sample_max_windows;
-    spec.sampling.target_ci_frac = opt.sample_target_ci;
   }
   // Epoch period: --epoch, else tREFI when --stats-json asks for a document
   // (sampled runs carry no epoch series; an explicit --epoch there is
@@ -460,29 +446,14 @@ bool specs_valid(const std::vector<sim::ExperimentSpec>& specs) {
 /// --compare: the same workload under every memory mode, fanned out over
 /// the parallel experiment runner, summarized against the baseline.
 int run_compare(const Options& opt) {
-  static constexpr struct {
-    const char* name;
-    sim::MemoryMode mode;
-  } kAllModes[] = {
-      {"baseline", sim::MemoryMode::kBaseline},
-      {"rop", sim::MemoryMode::kRop},
-      {"elastic", sim::MemoryMode::kElastic},
-      {"pausing", sim::MemoryMode::kPausing},
-      {"per-bank", sim::MemoryMode::kPerBank},
-      {"darp", sim::MemoryMode::kDarp},
-      {"sarp", sim::MemoryMode::kSarp},
-      {"hira", sim::MemoryMode::kHira},
-      {"no-refresh", sim::MemoryMode::kNoRefresh},
-  };
-
   if (!opt.progress.empty()) {
     std::fprintf(stderr, "ropsim: --progress is ignored with --compare (nine "
                          "concurrent runs would race on one heartbeat "
                          "file)\n");
   }
   std::vector<sim::ExperimentSpec> specs;
-  for (const auto& m : kAllModes) {
-    specs.push_back(spec_from_options(opt, m.mode));
+  for (const sim::MemoryMode mode : sim::kAllMemoryModes) {
+    specs.push_back(spec_from_options(opt, mode));
     specs.back().progress_file.clear();
   }
   if (!specs_valid(specs)) return 2;
@@ -504,7 +475,8 @@ int run_compare(const Options& opt) {
     for (const auto& core : r.run.cores) sum += core.ipc;
     return sum;
   };
-  const sim::ExperimentResult& base = results[0];
+  const sim::ExperimentResult& base =
+      results[static_cast<std::size_t>(sim::MemoryMode::kBaseline)];
 
   TextTable table("mode comparison");
   table.set_header({"mode", "IPC", "speedup", "energy (mJ)", "energy ratio",
@@ -517,7 +489,8 @@ int run_compare(const Options& opt) {
       return lat != nullptr ? TextTable::fmt(lat->percentile(p), 1)
                             : std::string("-");
     };
-    table.add_row({kAllModes[i].name, TextTable::fmt(total_ipc(r), 4),
+    table.add_row({sim::memory_mode_name(sim::kAllMemoryModes[i]),
+                   TextTable::fmt(total_ipc(r), 4),
                    TextTable::fmt(total_ipc(r) / total_ipc(base), 4),
                    TextTable::fmt(r.total_energy_mj(), 2),
                    TextTable::fmt(r.total_energy_mj() / base.total_energy_mj(),
@@ -533,7 +506,8 @@ int run_compare(const Options& opt) {
               "second per mode\n(timed inside System::run; --jobs overlap "
               "makes per-mode wall time conservative)\n");
 
-  const sim::ExperimentResult& rop = results[1];
+  const sim::ExperimentResult& rop =
+      results[static_cast<std::size_t>(sim::MemoryMode::kRop)];
   if (rop.sram_hit_rate > 0.0) {
     std::printf("\nROP: sram-hit-rate=%.3f lambda=%.2f beta=%.2f\n",
                 rop.sram_hit_rate, rop.lambda, rop.beta);
@@ -551,7 +525,7 @@ int run_compare(const Options& opt) {
         sub.pop_back();
       }
       doc += '"';
-      doc += kAllModes[i].name;
+      doc += sim::memory_mode_name(sim::kAllMemoryModes[i]);
       doc += "\": ";
       doc += sub;
       doc += (i + 1 < results.size()) ? ",\n" : "\n";
@@ -750,10 +724,11 @@ int run_campaign_cli(int argc, char** argv) {
   }
 
   std::string err;
-  const auto summary = sim::run_campaign(opts, &err);
+  bool bad_spec = false;
+  const auto summary = sim::run_campaign(opts, &err, &bad_spec);
   if (!summary) {
     std::fprintf(stderr, "campaign failed: %s\n", err.c_str());
-    return 1;
+    return bad_spec ? 2 : 1;  // a bad spec is bad input, like a bad flag
   }
   std::printf("campaign: %zu/%zu cells complete (%zu ran, %zu resumed)\n",
               summary->completed_cells, summary->total_cells,
