@@ -19,25 +19,15 @@ int main() {
   using namespace rop;
   const std::uint64_t instr = bench::instructions_per_core(15'000'000);
 
-  const std::pair<const char*, sim::MemoryMode> systems[] = {
-      {"baseline", sim::MemoryMode::kBaseline},
-      {"elastic", sim::MemoryMode::kElastic},
-      {"pausing", sim::MemoryMode::kPausing},
-      {"per-bank", sim::MemoryMode::kPerBank},
-      {"darp", sim::MemoryMode::kDarp},
-      {"sarp", sim::MemoryMode::kSarp},
-      {"hira", sim::MemoryMode::kHira},
-      {"ROP", sim::MemoryMode::kRop},
-      {"no-refresh", sim::MemoryMode::kNoRefresh},
-  };
-
   bench::StatsSidecar sidecar("bench_comparison_schemes");
 
   TextTable table("refresh schemes — IPC normalized to auto-refresh baseline");
   TextTable blocking(
       "refresh-blocked request-cycles (x1000) — lower is better");
   std::vector<std::string> header{"benchmark"};
-  for (const auto& [label, mode] : systems) header.push_back(label);
+  for (const sim::MemoryMode mode : sim::kAllMemoryModes) {
+    header.push_back(sim::memory_mode_name(mode));
+  }
   std::vector<std::string> blocking_header = header;
   table.set_header(std::move(header));
   blocking.set_header(std::move(blocking_header));
@@ -46,7 +36,7 @@ int main() {
     double base_ipc = 0.0;
     std::vector<std::string> row{std::string(name)};
     std::vector<std::string> blocked_row{std::string(name)};
-    for (const auto& [label, mode] : systems) {
+    for (const sim::MemoryMode mode : sim::kAllMemoryModes) {
       auto res = sim::run_experiment(
           bench::bench_spec(std::string(name), mode, instr));
       if (mode == sim::MemoryMode::kBaseline) base_ipc = res.ipc();
@@ -56,7 +46,7 @@ int main() {
               res.stats.counter("mem.refresh_blocked_cycles").value()) /
           1000.0;
       blocked_row.push_back(TextTable::fmt(blocked_k, 1));
-      sidecar.add(std::string(name) + "/" + label, res);
+      sidecar.add(std::string(name) + "/" + sim::memory_mode_name(mode), res);
     }
     table.add_row(std::move(row));
     blocking.add_row(std::move(blocked_row));

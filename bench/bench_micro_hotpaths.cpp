@@ -138,7 +138,7 @@ void BM_ControllerEnqueueComplete(benchmark::State& state) {
   dram::DramOrganization org;
   org.ranks = 4;
   mem::ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = mem::RefreshScheme::kNoRefresh;
   StatRegistry stats;
   mem::Controller ctrl(0, t, org, cfg, &stats);
   Cycle now = 0;
@@ -170,7 +170,7 @@ void BM_ControllerPendingDemand(benchmark::State& state) {
   dram::DramOrganization org;
   org.ranks = 4;
   mem::ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = mem::RefreshScheme::kNoRefresh;
   StatRegistry stats;
   mem::Controller ctrl(0, t, org, cfg, &stats);
   for (std::uint64_t i = 0; i < 56; ++i) {

@@ -41,14 +41,15 @@ int main(int argc, char** argv) {
   TextTable table("4-core consolidation: baseline vs rank partitioning vs ROP");
   table.set_header({"system", "WS (Eq. 4)", "core0", "core1", "core2",
                     "core3", "energy (mJ)", "SRAM hit"});
-  for (const auto& [label, mode, rp] :
-       {std::tuple{"baseline", sim::MemoryMode::kBaseline, false},
-        std::tuple{"baseline-RP", sim::MemoryMode::kBaseline, true},
-        std::tuple{"ROP", sim::MemoryMode::kRop, true}}) {
+  for (const auto& [mode, rp] :
+       {std::pair{sim::MemoryMode::kBaseline, false},
+        std::pair{sim::MemoryMode::kBaseline, true},
+        std::pair{sim::MemoryMode::kRop, true}}) {
     sim::ExperimentSpec spec = sim::multi_core_spec(wl, mode, rp);
     spec.instructions_per_core = instructions;
     const auto res = sim::run_experiment(spec);
-    std::vector<std::string> row{label,
+    std::vector<std::string> row{std::string(sim::memory_mode_name(mode)) +
+                                     (rp ? "-RP" : ""),
                                  TextTable::fmt(res.weighted_speedup(alone),
                                                 3)};
     for (std::size_t c = 0; c < 4; ++c) {

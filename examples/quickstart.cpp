@@ -30,10 +30,9 @@ int main(int argc, char** argv) {
 
   double base_ipc = 0.0;
   double base_energy = 0.0;
-  for (const auto& [name, mode] :
-       {std::pair{"baseline", sim::MemoryMode::kBaseline},
-        std::pair{"no-refresh", sim::MemoryMode::kNoRefresh},
-        std::pair{"ROP", sim::MemoryMode::kRop}}) {
+  for (const sim::MemoryMode mode :
+       {sim::MemoryMode::kBaseline, sim::MemoryMode::kNoRefresh,
+        sim::MemoryMode::kRop}) {
     sim::ExperimentSpec spec = sim::single_core_spec(benchmark, mode);
     spec.instructions_per_core = instructions;
     const sim::ExperimentResult res = sim::run_experiment(spec);
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
       base_ipc = res.ipc();
       base_energy = res.total_energy_mj();
     }
-    table.add_row({name, TextTable::fmt(res.ipc(), 4),
+    table.add_row({sim::memory_mode_name(mode), TextTable::fmt(res.ipc(), 4),
                    TextTable::fmt(res.ipc() / base_ipc, 4),
                    TextTable::fmt(res.total_energy_mj(), 3),
                    TextTable::fmt(res.total_energy_mj() / base_energy, 4),
@@ -53,7 +52,7 @@ int main(int argc, char** argv) {
   table.print();
 
   std::printf(
-      "\nExpected shape: no-refresh > ROP > baseline in IPC;\n"
+      "\nExpected shape: no-refresh > rop > baseline in IPC;\n"
       "ROP recovers most of the refresh-induced loss (paper Fig. 7).\n");
   return 0;
 }

@@ -87,12 +87,11 @@ int main(int argc, char** argv) {
   TextTable table("scan latency under refresh (controller clock cycles)");
   table.set_header({"memory", "IPC", "mean", "p95", "p99", "max",
                     "SRAM-served"});
-  for (const auto& [label, mode] :
-       {std::pair{"baseline", sim::MemoryMode::kBaseline},
-        std::pair{"no-refresh", sim::MemoryMode::kNoRefresh},
-        std::pair{"ROP", sim::MemoryMode::kRop}}) {
+  for (const sim::MemoryMode mode :
+       {sim::MemoryMode::kBaseline, sim::MemoryMode::kNoRefresh,
+        sim::MemoryMode::kRop}) {
     const ScanResult r = run(mode, instructions);
-    table.add_row({label, TextTable::fmt(r.ipc, 4),
+    table.add_row({sim::memory_mode_name(mode), TextTable::fmt(r.ipc, 4),
                    TextTable::fmt(r.mean_latency, 1),
                    TextTable::fmt(r.p95_latency, 0),
                    TextTable::fmt(r.p99_latency, 0),

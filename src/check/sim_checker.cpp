@@ -168,7 +168,9 @@ void SimChecker::check_queue_counters(const mem::Controller& c, Cycle now) {
 
 void SimChecker::check_refresh_deadlines(const mem::Controller& c,
                                          Cycle now) {
-  if (!c.config().refresh_enabled) return;
+  if (mem::scheme_info(c.config().refresh).unit == mem::RefreshUnit::kNone) {
+    return;
+  }
   const auto& rm = c.refresh_manager();
   const std::uint32_t budget =
       c.channel().timings().max_postponed_refreshes;

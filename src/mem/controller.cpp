@@ -14,9 +14,7 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
       cfg_(cfg),
       channel_(timings, org),
       rm_(timings, org.ranks,
-          cfg.per_bank_refresh || policy_uses_bank_units(cfg.policy)
-              ? org.banks
-              : 1,
+          scheme_info(cfg.refresh).unit == RefreshUnit::kBank ? org.banks : 1,
           stats),
       scheduler_(channel_),
       blocking_(org.ranks, timings.tRFC),
@@ -43,11 +41,8 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
   ROP_ASSERT(stats != nullptr);
   // BlockedRanks and the pausing urgency scan hold one bit per rank.
   ROP_ASSERT(org.ranks <= 32);
-  // Per-bank refresh replaces the whole-rank policies.
-  ROP_ASSERT(!cfg.per_bank_refresh ||
-             cfg.policy == RefreshPolicy::kAutoRefresh);
-  // Subarray-targeted policies need the subarray-aware bank model.
-  ROP_ASSERT(!policy_uses_subarrays(cfg.policy) || org.subarrays > 1);
+  // Subarray-targeted schemes need the subarray-aware bank model.
+  ROP_ASSERT(scheme_info(cfg.refresh).subarrays == 1 || org.subarrays > 1);
   h_.reads = stats->counter_handle("mem.reads");
   h_.writes = stats->counter_handle("mem.writes");
   h_.sram_serviced = stats->counter_handle("mem.sram_serviced");
@@ -232,7 +227,7 @@ bool Controller::enqueue(Request req, Cycle now) {
       if (rank.refresh_done() > now) {
         const Cycle span = rank.refresh_done() - now;
         charge_refresh_blocking(1, span);
-        if (cfg_.policy == RefreshPolicy::kPausing) {
+        if (cfg_.refresh == RefreshScheme::kPausing) {
           qr.blocked_pause += static_cast<std::uint32_t>(span);
         } else {
           qr.blocked_rank += static_cast<std::uint32_t>(span);
@@ -380,266 +375,404 @@ void Controller::complete_bursts(Cycle now) {
   inflight_min_completion_ = min_completion;
 }
 
-bool Controller::issue_refresh_commands(RankId r, Cycle now) {
-  dram::Rank& rank = channel_.rank(r);
-  dram::Command ref{dram::CmdType::kRefresh, DramCoord{id_, r, 0, 0, 0}, 0};
-  if (channel_.can_issue(ref, now)) {
-    // Any prefetch that failed to issue before the seal is pointless now.
-    drop_prefetches(r);
-    // Snapshot before the bookkeeping resets: postponement depth at issue
-    // and the due-time lock this REF closes.
-    if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
-      telemetry::TraceEvent e;
-      e.category = telemetry::kCatRefresh;
-      e.channel = static_cast<std::uint16_t>(id_);
-      e.rank = static_cast<std::uint16_t>(r);
-      if (locked_at_[r] != kNeverCycle && now > locked_at_[r]) {
-        e.ts = locked_at_[r];
-        e.dur = now - locked_at_[r];
-        e.kind = telemetry::EventKind::kRankLock;
-        trace_->record(e);
-      }
-      e.ts = now;
-      e.dur = channel_.timings().tRFC;
-      e.kind = telemetry::EventKind::kRefreshWindow;
-      e.arg = rm_.owed(r, now);
-      trace_->record(e);
-    }
-    channel_.issue(ref, now);
-    rm_.on_refresh_issued(r);
-    blocking_.on_refresh_start(r, now);
-    // Every read still queued to the rank is frozen for the full tRFC.
-    charge_refresh_blocking(pending_reads_[r], channel_.timings().tRFC);
-    for (const RequestIndex qidx : reads_by_rank_[r]) {
-      arena_[qidx].blocked_rank +=
-          static_cast<std::uint32_t>(channel_.timings().tRFC);
-    }
-    h_.refreshes->inc();
-    phase_[r] = RefreshPhase::kIdle;
-    locked_at_[r] = kNeverCycle;
-    drain_pending_[r] = 0;
-    if (listener_ != nullptr) {
-      listener_->on_refresh_issued(r, now, rank.refresh_done());
-    }
-    return true;
-  }
-  // Close open banks so REF becomes legal.
-  for (BankId b = 0; b < rank.num_banks(); ++b) {
-    if (rank.bank(b).state() != dram::BankState::kActive) continue;
-    dram::Command pre{dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0},
-                      0};
-    if (channel_.can_issue(pre, now)) {
-      channel_.issue(pre, now);
-      return true;
-    }
-  }
-  return false;
-}
+// -- Refresh ----------------------------------------------------------------
+// Each scheme decides in one function (its *_step below) what a rank does
+// next and from which cycle; manage_refresh runs the steps that are due and
+// next_event_cycle wakes at the cycles they name, so the executed decision
+// and the event horizon cannot disagree.
 
 bool Controller::manage_refresh(Cycle now) {
   bool issued = false;
   for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;
-    const std::uint32_t owed = rm_.owed(r, now);
-    if (owed == 0) continue;
-
-    const bool urgent = rm_.urgent(r, now);
-
-    if (phase_[r] == RefreshPhase::kIdle) {
-      switch (cfg_.policy) {
-        case RefreshPolicy::kAutoRefresh:
-          locked_at_[r] = now;
-          phase_[r] = RefreshPhase::kSealing;
-          break;
-        case RefreshPolicy::kElastic: {
-          // Wait for a rank-idle window whose required length shrinks as
-          // the postponement backlog grows; force at the JEDEC budget.
-          if (!urgent) {
-            const std::uint32_t budget =
-                channel_.timings().max_postponed_refreshes;
-            const std::uint32_t slack = owed >= budget ? 0 : budget - owed;
-            const Cycle threshold =
-                cfg_.elastic_base_idle * slack / budget;
-            if (now - last_arrival_[r] < threshold) continue;
-          }
-          locked_at_[r] = now;
-          phase_[r] = RefreshPhase::kSealing;
-          break;
-        }
-        case RefreshPolicy::kRopDrain:
-          locked_at_[r] = now;
-          phase_[r] = RefreshPhase::kDraining;
-          break;
-        case RefreshPolicy::kPausing:
-        case RefreshPolicy::kDarp:
-        case RefreshPolicy::kSarp:
-        case RefreshPolicy::kHira:
-          ROP_ASSERT(false && "policy has a dedicated manage path");
-          break;
+    if (channel_.rank(r).refreshing()) continue;
+    // Phase changes run at once and re-decide. A command ends the rank's
+    // turn; once the bus is taken, later ranks only change phase.
+    for (;;) {
+      const RefreshStep s = next_refresh_step(r, now);
+      if (s.at > now) break;
+      if (s.action >= Action::kPrecharge) {
+        if (!issued) run_refresh_step(r, s, now);
+        issued = true;
+        break;
       }
-      if (phase_[r] != RefreshPhase::kIdle) {
-        // Snapshot the drain target: every queued read to this rank
-        // arrived strictly before `now`, so all of them predate the lock
-        // (same-cycle arrivals land after this tick and bump the counter
-        // in enqueue).
-        drain_pending_[r] = pending_reads_[r];
-      }
+      run_refresh_step(r, s, now);
     }
-
-    const bool within_bound = now < locked_at_[r] + cfg_.drain_bound;
-
-    if (phase_[r] == RefreshPhase::kDraining) {
-      if (!urgent && within_bound && drain_pending_[r] > 0) {
-        continue;  // drain still in progress; demand keeps flowing
-      }
-      // Drain complete: seal the rank. Demand freezes here, which makes
-      // this the moment the ROP engine stages its prefetch round — the
-      // prediction tables reflect the final pre-refresh stream position.
-      phase_[r] = RefreshPhase::kSealing;
-      if (listener_ != nullptr) listener_->on_rank_locked(r, now);
-    }
-
-    // While sealing, staged prefetches own the bus for this rank; REF goes
-    // out once they land (or the budget runs out).
-    if (cfg_.policy == RefreshPolicy::kRopDrain && !urgent && within_bound &&
-        pending_prefetches(r) > 0) {
-      continue;
-    }
-    if (urgent) drop_prefetches(r);
-
-    if (issued) continue;  // command bus already used this cycle
-    issued = issue_refresh_commands(r, now);
   }
   return issued;
 }
 
-bool Controller::manage_refresh_pausing(Cycle now) {
-  bool issued = false;
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;  // a segment is executing
+Controller::RefreshStep Controller::next_refresh_step(RankId r,
+                                                      Cycle now) const {
+  if (cfg_.refresh == RefreshScheme::kNoRefresh) return RefreshStep{};
+  // Nothing owed means no lock or pausing obligation is open either (a
+  // refresh is credited only once done): every scheme idles until owed()
+  // next grows, at a tREFI boundary.
+  if (rm_.owed(r, now) == 0) {
+    return RefreshStep::wait_until(rm_.next_owed_increase(r, now));
+  }
+  switch (cfg_.refresh) {
+    case RefreshScheme::kBaseline: return baseline_step(r, now);
+    case RefreshScheme::kNoRefresh: break;
+    case RefreshScheme::kRop: return rop_step(r, now);
+    case RefreshScheme::kElastic: return elastic_step(r, now);
+    case RefreshScheme::kPausing: return pausing_step(r, now);
+    case RefreshScheme::kPerBank: return per_bank_step(r, now);
+    case RefreshScheme::kDarp: return darp_step(r, now);
+    case RefreshScheme::kSarp:
+    case RefreshScheme::kHira: return subarray_step(r, now);
+  }
+  return RefreshStep{};
+}
 
-    if (refresh_remaining_[r] == 0) {
-      if (rm_.owed(r, now) == 0) continue;
+Controller::RefreshStep Controller::baseline_step(RankId r, Cycle now) const {
+  // Lock the moment a refresh is owed; the rank seals at once.
+  if (phase_[r] != RefreshPhase::kIdle) return seal_step(r, now);
+  return RefreshStep::of(Action::kLock, now);
+}
+
+Controller::RefreshStep Controller::elastic_step(RankId r, Cycle now) const {
+  if (phase_[r] != RefreshPhase::kIdle) return seal_step(r, now);
+  // Lock once the rank has been idle for a threshold that shrinks linearly
+  // with the backlog, reaching zero (forced) at the JEDEC budget. An
+  // arrival resets the idle clock and re-decides; the threshold next
+  // shrinks at the boundary.
+  const std::uint32_t owed = rm_.owed(r, now);
+  const std::uint32_t budget = channel_.timings().max_postponed_refreshes;
+  const std::uint32_t slack = owed >= budget ? 0 : budget - owed;
+  const Cycle threshold = cfg_.elastic_base_idle * slack / budget;
+  if (now - last_arrival_[r] >= threshold) {
+    return RefreshStep::of(Action::kLock, now);
+  }
+  return RefreshStep::of(Action::kLock,
+                         std::min(last_arrival_[r] + threshold,
+                                  rm_.next_owed_increase(r, now)));
+}
+
+Controller::RefreshStep Controller::rop_step(RankId r, Cycle now) const {
+  // Lock at due time and drain the reads queued before the lock while
+  // demand keeps flowing; then seal (the engine stages its prefetch round
+  // against the final pre-refresh stream position) and hold REF until the
+  // prefetches land. The drain bound and the JEDEC budget cut both waits.
+  if (phase_[r] == RefreshPhase::kIdle) {
+    return RefreshStep::of(Action::kLock, now);
+  }
+  const bool draining = phase_[r] == RefreshPhase::kDraining;
+  const Cycle bound_end = locked_at_[r] + cfg_.drain_bound;
+  const std::size_t waiting =
+      draining ? drain_pending_[r] : pending_prefetches(r);
+  if (waiting > 0 && now < bound_end && !rm_.urgent(r, now)) {
+    // Progress comes from commands (the scheduler scan and in-flight
+    // completions wake the loop); failing that, the bound or a budget flip.
+    return RefreshStep::wait_until(
+        std::min(bound_end, rm_.next_owed_increase(r, now)));
+  }
+  if (draining) return RefreshStep::of(Action::kSeal, now);
+  return seal_step(r, now);
+}
+
+Controller::RefreshStep Controller::seal_step(RankId r, Cycle now) const {
+  if (queued_prefetches_[r] > 0 && rm_.urgent(r, now)) {
+    return RefreshStep::of(Action::kDropPrefetches, now);
+  }
+  return rank_refresh_step(r, now, Action::kRefresh);
+}
+
+Controller::RefreshStep Controller::pausing_step(RankId r, Cycle now) const {
+  // An owed refresh becomes tRFC of segment work. While demand is pending
+  // and the budget allows, the rank stays available between segments; each
+  // resume after a pause pays the re-lock overhead. Urgent work finishes
+  // in one segment.
+  if (refresh_remaining_[r] == 0) return RefreshStep::of(Action::kOpen, now);
+  if (pending_demand(r) > 0 && !rm_.urgent(r, now)) {
+    if (refresh_started_[r]) return RefreshStep::of(Action::kPause, now);
+    // Paused: urgency, which forces the finish, can only flip at the next
+    // boundary crossing.
+    return RefreshStep::wait_until(rm_.next_owed_increase(r, now));
+  }
+  return rank_refresh_step(r, now, Action::kSegment);
+}
+
+bool Controller::pausing_holds(RankId r, Cycle now) const {
+  // Urgent pausing refreshes must be allowed to close: new demand to the
+  // rank keeps re-activating rows, which can hold off the forced-full REF
+  // past the next boundary and blow the JEDEC postponement budget.
+  return cfg_.refresh == RefreshScheme::kPausing && rm_.urgent(r, now);
+}
+
+Controller::RefreshStep Controller::rank_refresh_step(RankId r, Cycle now,
+                                                      Action action) const {
+  // While rows are open the step is a PRE: the first bank whose PRE is
+  // legal now, else the one legal soonest. REF needs every bank closed.
+  const dram::Rank& rank = channel_.rank(r);
+  RefreshStep pre = RefreshStep::wait_until(kNeverCycle);
+  for (BankId b = 0; b < rank.num_banks(); ++b) {
+    if (rank.bank(b).state() != dram::BankState::kActive) continue;
+    const RefreshStep s = bank_step(Action::kPrecharge, r, b);
+    if (s.at <= now) return s;
+    if (s.at < pre.at) pre = s;
+  }
+  if (pre.action == Action::kPrecharge) return pre;
+  return RefreshStep::of(action, rank.earliest_refresh_ready());
+}
+
+Controller::RefreshStep Controller::per_bank_step(RankId r, Cycle) const {
+  // Round-robin REFpb, one bank at a time.
+  const BankId b = next_refresh_bank_[r];
+  const dram::Bank& bank = channel_.rank(r).bank(b);
+  if (bank.state() == dram::BankState::kRefreshing) {
+    // Cursor bank still locked: the machinery idles until it releases.
+    return RefreshStep::wait_until(bank.next_activate());
+  }
+  return whole_bank_step(r, b);
+}
+
+Controller::RefreshStep Controller::darp_step(RankId r, Cycle now) const {
+  // The boundary crossing can flip urgency and change the pick, so it
+  // bounds every wait. A postponed refresh (every candidate bank has
+  // demand) also re-decides as queues drain (the scheduler scan) or a
+  // per-bank lock releases (earliest_pb_release).
+  const Cycle boundary = rm_.next_owed_increase(r, now);
+  const BankId b = darp_pick_bank(r, rm_.urgent(r, now));
+  if (b >= channel_.rank(r).num_banks()) {
+    return RefreshStep::wait_until(boundary);
+  }
+  // An idle-but-open bank (or the forced fallback) is closed first.
+  RefreshStep s = whole_bank_step(r, b);
+  s.at = std::min(s.at, boundary);
+  return s;
+}
+
+Controller::RefreshStep Controller::subarray_step(RankId r, Cycle now) const {
+  // Round-robin over banks, and over subarrays within each bank. SARP waits
+  // for a precharged bank; HiRA also overlaps the refresh with an open row
+  // in a *different* subarray. An urgent refresh forces the row closed.
+  const Cycle boundary = rm_.next_owed_increase(r, now);
+  const BankId b = next_refresh_bank_[r];
+  const dram::Bank& bank = channel_.rank(r).bank(b);
+  const std::uint32_t sub = next_refresh_sub_[bank_slot(r, b)];
+  const bool conflict =
+      bank.state() == dram::BankState::kActive &&
+      (cfg_.refresh != RefreshScheme::kHira ||
+       (bank.open_row() && bank.subarray_of(*bank.open_row()) == sub));
+  // A conflict postpones the refresh until the row closes (a command) or
+  // urgency flips at the boundary.
+  if (conflict && !rm_.urgent(r, now)) return RefreshStep::wait_until(boundary);
+  RefreshStep s = conflict ? bank_step(Action::kPrecharge, r, b)
+                           : bank_step(Action::kRefreshBank, r, b, sub);
+  s.at = std::min(s.at, boundary);
+  return s;
+}
+
+Controller::RefreshStep Controller::whole_bank_step(RankId r, BankId b) const {
+  return bank_step(channel_.rank(r).bank(b).state() == dram::BankState::kActive
+                       ? Action::kPrecharge
+                       : Action::kRefreshBank,
+                   r, b);
+}
+
+Controller::RefreshStep Controller::bank_step(Action action, RankId r,
+                                              BankId b,
+                                              std::uint32_t sub) const {
+  RefreshStep s{action, b, sub, kNeverCycle};
+  s.at = channel_.earliest_issue(bank_command(s, r));
+  return s;
+}
+
+dram::Command Controller::bank_command(const RefreshStep& s, RankId r) const {
+  if (s.action == Action::kPrecharge) {
+    return dram::Command{dram::CmdType::kPrecharge,
+                         DramCoord{id_, r, s.bank, 0, 0}, 0};
+  }
+  const RowId row = channel_.rank(r).bank(s.bank).subarray_row(s.sub);
+  return dram::Command{dram::CmdType::kRefreshBank,
+                       DramCoord{id_, r, s.bank, row, 0}, 0};
+}
+
+void Controller::run_refresh_step(RankId r, const RefreshStep& s, Cycle now) {
+  switch (s.action) {
+    case Action::kWait:
+      ROP_ASSERT(false && "a wait step is never due");
+      break;
+    case Action::kLock:
+      locked_at_[r] = now;
+      phase_[r] = cfg_.refresh == RefreshScheme::kRop ? RefreshPhase::kDraining
+                                                      : RefreshPhase::kSealing;
+      // Snapshot the drain target: every queued read to this rank arrived
+      // strictly before `now`, so all of them predate the lock (same-cycle
+      // arrivals land after this tick and bump the counter in enqueue).
+      drain_pending_[r] = pending_reads_[r];
+      break;
+    case Action::kSeal:
+      // Demand freezes here: the moment the ROP engine stages its prefetch
+      // round.
+      phase_[r] = RefreshPhase::kSealing;
+      if (listener_ != nullptr) listener_->on_rank_locked(r, now);
+      break;
+    case Action::kDropPrefetches:
+      drop_prefetches(r);
+      break;
+    case Action::kOpen:
       refresh_remaining_[r] = channel_.timings().tRFC;
       refresh_started_[r] = false;
       refresh_window_opened_[r] = false;
-    }
-
-    const bool urgent = rm_.urgent(r, now);
-    // Pause: while demand is pending and the budget allows, the rank stays
-    // available and the scheduler services requests between segments. Each
-    // resume pays the re-lock overhead.
-    if (!urgent && pending_demand(r) > 0) {
-      if (refresh_started_[r]) {
-        h_.refresh_pauses->inc();
-        refresh_remaining_[r] += cfg_.pause_overhead;
-        refresh_started_[r] = false;  // count one pause per gap
-      }
-      continue;
-    }
-
-    if (issued) continue;
-
-    // All banks must be precharged before a segment may begin.
-    dram::Command ref{dram::CmdType::kRefresh, DramCoord{id_, r, 0, 0, 0}, 0};
-    if (!channel_.can_issue(ref, now)) {
-      for (BankId b = 0; b < rank.num_banks(); ++b) {
-        if (rank.bank(b).state() != dram::BankState::kActive) continue;
-        dram::Command pre{dram::CmdType::kPrecharge,
-                          DramCoord{id_, r, b, 0, 0}, 0};
-        if (channel_.can_issue(pre, now)) {
-          channel_.issue(pre, now);
-          issued = true;
-          break;
-        }
-      }
-      continue;
-    }
-
-    const Cycle duration =
-        urgent ? refresh_remaining_[r]
-               : std::min<Cycle>(cfg_.pause_quantum, refresh_remaining_[r]);
-    // Open the blocking window exactly once per refresh obligation. The
-    // first-segment test must not be inferred from refresh_remaining_:
-    // pause overhead grows it, so with pause_overhead >= pause_quantum it
-    // can return to (or overshoot) tRFC mid-refresh and the sentinel
-    // mis-counts window starts.
-    if (!refresh_window_opened_[r]) {
-      blocking_.on_refresh_start(r, now);
-      refresh_window_opened_[r] = true;
-      // Nominal tRFC span; the actual segments (and their pause gaps) are
-      // traced individually via begin_refresh_segment.
-      if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
-        telemetry::TraceEvent e;
-        e.ts = now;
-        e.dur = channel_.timings().tRFC;
-        e.arg = rm_.owed(r, now);
-        e.kind = telemetry::EventKind::kRefreshWindow;
-        e.category = telemetry::kCatRefresh;
-        e.channel = static_cast<std::uint16_t>(id_);
-        e.rank = static_cast<std::uint16_t>(r);
-        trace_->record(e);
-      }
-    }
-    channel_.begin_refresh_segment(r, now, duration);
-    charge_refresh_blocking(pending_reads_[r], duration);
-    for (const RequestIndex qidx : reads_by_rank_[r]) {
-      arena_[qidx].blocked_pause += static_cast<std::uint32_t>(duration);
-    }
-    refresh_started_[r] = true;
-    refresh_remaining_[r] -= duration;
-    if (refresh_remaining_[r] == 0) {
-      rm_.on_refresh_issued(r);
-      h_.refreshes->inc();
-      refresh_started_[r] = false;
-    }
-    issued = true;
+      break;
+    case Action::kPause:
+      h_.refresh_pauses->inc();
+      refresh_remaining_[r] += cfg_.pause_overhead;
+      refresh_started_[r] = false;  // count one pause per gap
+      break;
+    case Action::kPrecharge:
+      channel_.issue(bank_command(s, r), now);
+      break;
+    case Action::kRefresh:
+      issue_rank_refresh(r, now);
+      break;
+    case Action::kSegment:
+      issue_refresh_segment(r, now);
+      break;
+    case Action::kRefreshBank:
+      issue_bank_refresh(r, s.bank, s.sub, now);
+      break;
   }
-  return issued;
 }
 
-bool Controller::manage_refresh_per_bank(Cycle now) {
-  bool issued = false;
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;
-    if (rm_.owed(r, now) == 0) continue;
-
-    const BankId b = next_refresh_bank_[r];
-    dram::Bank& bank = rank.bank(b);
-    if (bank.state() == dram::BankState::kRefreshing) continue;
-    if (issued) continue;
-
-    if (bank.state() == dram::BankState::kActive) {
-      dram::Command pre{dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0},
-                        0};
-      if (channel_.can_issue(pre, now)) {
-        channel_.issue(pre, now);
-        issued = true;
-      }
-      continue;
+void Controller::issue_rank_refresh(RankId r, Cycle now) {
+  // Any prefetch that failed to issue before the seal is pointless now.
+  drop_prefetches(r);
+  // Snapshot before the bookkeeping resets: postponement depth at issue
+  // and the due-time lock this REF closes.
+  if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
+    telemetry::TraceEvent e;
+    e.category = telemetry::kCatRefresh;
+    e.channel = static_cast<std::uint16_t>(id_);
+    e.rank = static_cast<std::uint16_t>(r);
+    if (locked_at_[r] != kNeverCycle && now > locked_at_[r]) {
+      e.ts = locked_at_[r];
+      e.dur = now - locked_at_[r];
+      e.kind = telemetry::EventKind::kRankLock;
+      trace_->record(e);
     }
-    dram::Command refpb{dram::CmdType::kRefreshBank,
-                        DramCoord{id_, r, b, 0, 0}, 0};
-    if (channel_.can_issue(refpb, now)) {
-      channel_.issue(refpb, now);
-      rm_.on_refresh_issued(r);
-      h_.bank_refreshes->inc();
-      charge_refresh_blocking(reads_by_bank_count_[bank_slot(r, b)],
-                              channel_.timings().tRFCpb);
-      for (const RequestIndex qidx : reads_by_rank_[r]) {
-        if (arena_[qidx].coord.bank != b) continue;
-        arena_[qidx].blocked_bank +=
-            static_cast<std::uint32_t>(channel_.timings().tRFCpb);
-      }
-      next_refresh_bank_[r] =
-          static_cast<BankId>((b + 1) % rank.num_banks());
-      issued = true;
+    e.ts = now;
+    e.dur = channel_.timings().tRFC;
+    e.kind = telemetry::EventKind::kRefreshWindow;
+    e.arg = rm_.owed(r, now);
+    trace_->record(e);
+  }
+  channel_.issue(dram::Command{dram::CmdType::kRefresh,
+                               DramCoord{id_, r, 0, 0, 0}, 0},
+                 now);
+  rm_.on_refresh_issued(r);
+  blocking_.on_refresh_start(r, now);
+  // Every read still queued to the rank is frozen for the full tRFC.
+  charge_refresh_blocking(pending_reads_[r], channel_.timings().tRFC);
+  for (const RequestIndex qidx : reads_by_rank_[r]) {
+    arena_[qidx].blocked_rank +=
+        static_cast<std::uint32_t>(channel_.timings().tRFC);
+  }
+  h_.refreshes->inc();
+  phase_[r] = RefreshPhase::kIdle;
+  locked_at_[r] = kNeverCycle;
+  drain_pending_[r] = 0;
+  if (listener_ != nullptr) {
+    listener_->on_refresh_issued(r, now, channel_.rank(r).refresh_done());
+  }
+}
+
+void Controller::issue_refresh_segment(RankId r, Cycle now) {
+  const Cycle duration =
+      rm_.urgent(r, now)
+          ? refresh_remaining_[r]
+          : std::min<Cycle>(cfg_.pause_quantum, refresh_remaining_[r]);
+  // Open the blocking window exactly once per refresh obligation. The
+  // first-segment test must not be inferred from refresh_remaining_:
+  // pause overhead grows it, so with pause_overhead >= pause_quantum it
+  // can return to (or overshoot) tRFC mid-refresh and the sentinel
+  // mis-counts window starts.
+  if (!refresh_window_opened_[r]) {
+    blocking_.on_refresh_start(r, now);
+    refresh_window_opened_[r] = true;
+    // Nominal tRFC span; the actual segments (and their pause gaps) are
+    // traced individually via begin_refresh_segment.
+    if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
+      telemetry::TraceEvent e;
+      e.ts = now;
+      e.dur = channel_.timings().tRFC;
+      e.arg = rm_.owed(r, now);
+      e.kind = telemetry::EventKind::kRefreshWindow;
+      e.category = telemetry::kCatRefresh;
+      e.channel = static_cast<std::uint16_t>(id_);
+      e.rank = static_cast<std::uint16_t>(r);
+      trace_->record(e);
     }
   }
-  return issued;
+  channel_.begin_refresh_segment(r, now, duration);
+  charge_refresh_blocking(pending_reads_[r], duration);
+  for (const RequestIndex qidx : reads_by_rank_[r]) {
+    arena_[qidx].blocked_pause += static_cast<std::uint32_t>(duration);
+  }
+  refresh_started_[r] = true;
+  refresh_remaining_[r] -= duration;
+  if (refresh_remaining_[r] == 0) {
+    rm_.on_refresh_issued(r);
+    h_.refreshes->inc();
+    refresh_started_[r] = false;
+  }
+}
+
+void Controller::issue_bank_refresh(RankId r, BankId b, std::uint32_t sub,
+                                    Cycle now) {
+  const RefreshStep s{Action::kRefreshBank, b, sub, now};
+  channel_.issue(bank_command(s, r), now);
+  rm_.on_refresh_issued(r);
+  h_.bank_refreshes->inc();
+  const dram::Rank& rank = channel_.rank(r);
+  const dram::Bank& bank = rank.bank(b);
+  const Cycle trfcpb = channel_.timings().tRFCpb;
+  if (scheme_info(cfg_.refresh).subarrays > 1) {
+    // Only reads into the locked subarray are blocked; the rest of the
+    // bank keeps serving (that asymmetry vs. whole-bank REFpb is SARP's
+    // win).
+    std::uint64_t blocked = 0;
+    for (const RequestIndex idx : reads_by_rank_[r]) {
+      Request& req = arena_[idx];
+      if (req.coord.bank != b || bank.subarray_of(req.coord.row) != sub) {
+        continue;
+      }
+      req.blocked_sub += static_cast<std::uint32_t>(trfcpb);
+      ++blocked;
+    }
+    charge_refresh_blocking(blocked, trfcpb);
+    if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
+      telemetry::TraceEvent e;
+      e.ts = now;
+      e.dur = trfcpb;
+      e.arg = sub;
+      e.kind = telemetry::EventKind::kSubarrayRefresh;
+      e.category = telemetry::kCatRefresh;
+      e.channel = static_cast<std::uint16_t>(id_);
+      e.rank = static_cast<std::uint16_t>(r);
+      e.bank = static_cast<std::uint16_t>(b);
+      trace_->record(e);
+    }
+    // Rotate subarrays within the bank, banks within the rank.
+    next_refresh_sub_[bank_slot(r, b)] =
+        (sub + 1) % std::max<std::uint32_t>(1, bank.subarrays());
+    next_refresh_bank_[r] = static_cast<BankId>((b + 1) % rank.num_banks());
+    return;
+  }
+  // Whole-bank REFpb: every read queued to the bank waits out tRFCpb.
+  charge_refresh_blocking(reads_by_bank_count_[bank_slot(r, b)], trfcpb);
+  for (const RequestIndex qidx : reads_by_rank_[r]) {
+    if (arena_[qidx].coord.bank != b) continue;
+    arena_[qidx].blocked_bank += static_cast<std::uint32_t>(trfcpb);
+  }
+  if (cfg_.refresh == RefreshScheme::kDarp) {
+    darp_round_mask_[r] |= 1u << b;
+    const std::uint32_t full = (1u << rank.num_banks()) - 1u;
+    if (darp_round_mask_[r] == full) darp_round_mask_[r] = 0;
+  } else {
+    next_refresh_bank_[r] = static_cast<BankId>((b + 1) % rank.num_banks());
+  }
 }
 
 bool Controller::darp_bank_idle(RankId r, BankId b) const {
@@ -667,151 +800,6 @@ BankId Controller::darp_pick_bank(RankId r, bool urgent) const {
     if (fallback == nb) fallback = b;
   }
   return urgent ? fallback : static_cast<BankId>(nb);
-}
-
-bool Controller::manage_refresh_darp(Cycle now) {
-  bool issued = false;
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;
-    if (rm_.owed(r, now) == 0) continue;
-
-    const bool urgent = rm_.urgent(r, now);
-    const BankId b = darp_pick_bank(r, urgent);
-    if (b >= rank.num_banks()) continue;  // postponed: every candidate busy
-    if (issued) continue;
-
-    dram::Bank& bank = rank.bank(b);
-    if (bank.state() == dram::BankState::kActive) {
-      // An idle-but-open bank (or the forced fallback) is precharged so
-      // REFpb becomes legal next.
-      dram::Command pre{dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0},
-                        0};
-      if (channel_.can_issue(pre, now)) {
-        channel_.issue(pre, now);
-        issued = true;
-      }
-      continue;
-    }
-    dram::Command refpb{dram::CmdType::kRefreshBank,
-                        DramCoord{id_, r, b, 0, 0}, 0};
-    if (channel_.can_issue(refpb, now)) {
-      channel_.issue(refpb, now);
-      rm_.on_refresh_issued(r);
-      h_.bank_refreshes->inc();
-      charge_refresh_blocking(reads_by_bank_count_[bank_slot(r, b)],
-                              channel_.timings().tRFCpb);
-      for (const RequestIndex qidx : reads_by_rank_[r]) {
-        if (arena_[qidx].coord.bank != b) continue;
-        arena_[qidx].blocked_bank +=
-            static_cast<std::uint32_t>(channel_.timings().tRFCpb);
-      }
-      darp_round_mask_[r] |= 1u << b;
-      const std::uint32_t full = (1u << rank.num_banks()) - 1u;
-      if (darp_round_mask_[r] == full) darp_round_mask_[r] = 0;
-      issued = true;
-    }
-  }
-  return issued;
-}
-
-std::uint64_t Controller::queued_reads_in_subarray(RankId r, BankId b,
-                                                   std::uint32_t sub) const {
-  const dram::Bank& bank = channel_.rank(r).bank(b);
-  std::uint64_t n = 0;
-  for (const RequestIndex idx : reads_by_rank_[r]) {
-    const Request& req = arena_[idx];
-    if (req.coord.bank == b && bank.subarray_of(req.coord.row) == sub) ++n;
-  }
-  return n;
-}
-
-void Controller::record_subarray_refresh(RankId r, BankId b, std::uint32_t sub,
-                                         Cycle now) {
-  // Only reads into the locked subarray are blocked; the rest of the bank
-  // keeps serving (that asymmetry vs. whole-bank REFpb is SARP's win).
-  {
-    const dram::Bank& bank = channel_.rank(r).bank(b);
-    std::uint64_t n = 0;
-    for (const RequestIndex idx : reads_by_rank_[r]) {
-      Request& req = arena_[idx];
-      if (req.coord.bank != b || bank.subarray_of(req.coord.row) != sub) {
-        continue;
-      }
-      req.blocked_sub += static_cast<std::uint32_t>(channel_.timings().tRFCpb);
-      ++n;
-    }
-    charge_refresh_blocking(n, channel_.timings().tRFCpb);
-  }
-  if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
-    telemetry::TraceEvent e;
-    e.ts = now;
-    e.dur = channel_.timings().tRFCpb;
-    e.arg = sub;
-    e.kind = telemetry::EventKind::kSubarrayRefresh;
-    e.category = telemetry::kCatRefresh;
-    e.channel = static_cast<std::uint16_t>(id_);
-    e.rank = static_cast<std::uint16_t>(r);
-    e.bank = static_cast<std::uint16_t>(b);
-    trace_->record(e);
-  }
-}
-
-bool Controller::manage_refresh_subarray(Cycle now) {
-  const bool hira = cfg_.policy == RefreshPolicy::kHira;
-  bool issued = false;
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) continue;
-    if (rm_.owed(r, now) == 0) continue;
-
-    const bool urgent = rm_.urgent(r, now);
-    const BankId b = next_refresh_bank_[r];
-    dram::Bank& bank = rank.bank(b);
-    const std::uint32_t sub = next_refresh_sub_[bank_slot(r, b)];
-    const RowId row = bank.subarray_row(sub);
-
-    bool attempt = false;
-    if (bank.state() == dram::BankState::kActive) {
-      // SARP waits for a precharged bank; HiRA additionally overlaps the
-      // refresh with an open row in a *different* subarray.
-      const bool conflict =
-          !hira ||
-          (bank.open_row() && bank.subarray_of(*bank.open_row()) == sub);
-      if (conflict) {
-        if (urgent && !issued) {
-          // Budget exhausted: force the row closed so REFpb can go out.
-          dram::Command pre{dram::CmdType::kPrecharge,
-                            DramCoord{id_, r, b, 0, 0}, 0};
-          if (channel_.can_issue(pre, now)) {
-            channel_.issue(pre, now);
-            issued = true;
-          }
-        }
-        continue;  // postponed until the row closes (or urgency forces it)
-      }
-      attempt = true;
-    } else if (bank.state() == dram::BankState::kPrecharged) {
-      attempt = true;
-    }
-    if (!attempt || issued) continue;
-
-    dram::Command refpb{dram::CmdType::kRefreshBank,
-                        DramCoord{id_, r, b, row, 0}, 0};
-    if (channel_.can_issue(refpb, now)) {
-      channel_.issue(refpb, now);
-      rm_.on_refresh_issued(r);
-      h_.bank_refreshes->inc();
-      record_subarray_refresh(r, b, sub, now);
-      // Rotate subarrays within the bank, banks within the rank.
-      next_refresh_sub_[bank_slot(r, b)] =
-          (sub + 1) % std::max<std::uint32_t>(1, bank.subarrays());
-      next_refresh_bank_[r] =
-          static_cast<BankId>((b + 1) % rank.num_banks());
-      issued = true;
-    }
-  }
-  return issued;
 }
 
 void Controller::charge_refresh_blocking(std::uint64_t requests,
@@ -892,21 +880,10 @@ void Controller::step(Cycle now) {
   if (write_q_.size() >= cfg_.sched.write_drain_high) draining_writes_ = true;
   if (write_q_.size() <= cfg_.sched.write_drain_low) draining_writes_ = false;
 
-  // Inside the refresh-quiet window every manage_refresh_* variant would
-  // find nothing owed on any rank and return without a side effect.
-  if (cfg_.refresh_enabled && now >= refresh_quiet_until_) {
-    bool refresh_cmd = false;
-    if (cfg_.per_bank_refresh) {
-      refresh_cmd = manage_refresh_per_bank(now);
-    } else if (cfg_.policy == RefreshPolicy::kDarp) {
-      refresh_cmd = manage_refresh_darp(now);
-    } else if (policy_uses_subarrays(cfg_.policy)) {
-      refresh_cmd = manage_refresh_subarray(now);
-    } else if (cfg_.policy == RefreshPolicy::kPausing) {
-      refresh_cmd = manage_refresh_pausing(now);
-    } else {
-      refresh_cmd = manage_refresh(now);
-    }
+  // Inside the refresh-quiet window every rank's next refresh step waits
+  // for a boundary at or after the window's end.
+  if (now >= refresh_quiet_until_) {
+    const bool refresh_cmd = manage_refresh(now);
     refresh_quiet_until_ = refresh_quiet_end(now);
     if (refresh_cmd) return;
   }
@@ -922,15 +899,10 @@ void Controller::step(Cycle now) {
 }
 
 BlockedRanks Controller::blocked_ranks(Cycle now) const {
-  // Urgent pausing refreshes must be allowed to close: new demand to the
-  // rank keeps re-activating rows, which can hold off the forced-full REF
-  // past the next boundary and blow the JEDEC postponement budget.
-  const bool pausing =
-      cfg_.refresh_enabled && cfg_.policy == RefreshPolicy::kPausing;
   std::uint32_t held = 0;     // every queue
   std::uint32_t sealing = 0;  // demand only: prefetches flow through the lock
   for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    if (channel_.rank(r).refreshing() || (pausing && rm_.urgent(r, now))) {
+    if (channel_.rank(r).refreshing() || pausing_holds(r, now)) {
       held |= 1u << r;
     }
     // Demand is held only while the rank seals for the REF command
@@ -1026,14 +998,14 @@ void Controller::audit_horizon(Cycle now, bool drain,
 void Controller::audit_quiet_window(Cycle now) const {
   Cycle fresh = kNeverCycle;
   for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    fresh = std::min(fresh, refresh_event_cycle(r, now));
+    fresh = std::min(fresh, next_refresh_step(r, now).at);
   }
   if (fresh != refresh_quiet_until_) {
     auditor_->on_scheduler_mismatch(
         *this, now,
         "refresh-quiet window ends at " +
             std::to_string(refresh_quiet_until_) +
-            " != per-rank refresh event " + std::to_string(fresh));
+            " != earliest next refresh step " + std::to_string(fresh));
   }
 }
 
@@ -1097,150 +1069,6 @@ void Controller::finalize(Cycle now) {
   blocking_.finalize();
 }
 
-Cycle Controller::seal_ready_cycle(RankId r) const {
-  // Mirrors issue_refresh_commands: while rows are open the next action is
-  // one PRE per tick (the earliest legal one); once all banks are closed
-  // (and any per-bank locks have released) the REF itself goes out.
-  const dram::Rank& rank = channel_.rank(r);
-  Cycle pre = kNeverCycle;
-  bool any_active = false;
-  for (BankId b = 0; b < rank.num_banks(); ++b) {
-    if (rank.bank(b).state() != dram::BankState::kActive) continue;
-    any_active = true;
-    pre = std::min(pre,
-                   channel_.earliest_issue(dram::Command{
-                       dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0},
-                       0}));
-  }
-  if (any_active) return pre;
-  return rank.earliest_refresh_ready();
-}
-
-Cycle Controller::refresh_event_cycle(RankId r, Cycle now) const {
-  // Earliest cycle the refresh machinery for (non-refreshing) rank `r` can
-  // act or change eligibility. Waiting states return the cycle the wait
-  // can end *without any command landing first*; progress that comes from
-  // commands (drains, prefetch fills) is covered by the scheduler scan and
-  // in-flight completions, and every executed tick recomputes this.
-  if (cfg_.per_bank_refresh) {
-    if (rm_.owed(r, now) == 0) return rm_.next_owed_increase(r, now);
-    const dram::Rank& rank = channel_.rank(r);
-    const BankId b = next_refresh_bank_[r];
-    const dram::Bank& bank = rank.bank(b);
-    if (bank.state() == dram::BankState::kRefreshing) {
-      // Cursor bank still locked: the machinery idles until it releases.
-      return bank.next_activate();
-    }
-    const dram::CmdType type = bank.state() == dram::BankState::kActive
-                                   ? dram::CmdType::kPrecharge
-                                   : dram::CmdType::kRefreshBank;
-    return channel_.earliest_issue(
-        dram::Command{type, DramCoord{id_, r, b, 0, 0}, 0});
-  }
-
-  if (cfg_.policy == RefreshPolicy::kDarp) {
-    if (rm_.owed(r, now) == 0) return rm_.next_owed_increase(r, now);
-    const bool urgent = rm_.urgent(r, now);
-    const BankId b = darp_pick_bank(r, urgent);
-    const dram::Rank& rank = channel_.rank(r);
-    if (b >= rank.num_banks()) {
-      // Postponed: eligibility changes through commands (queues draining —
-      // the scheduler scan covers those), a per-bank lock release (covered
-      // by earliest_pb_release in next_event_cycle), or the urgency flip
-      // at the next boundary.
-      return rm_.next_owed_increase(r, now);
-    }
-    const dram::CmdType type = rank.bank(b).state() == dram::BankState::kActive
-                                   ? dram::CmdType::kPrecharge
-                                   : dram::CmdType::kRefreshBank;
-    // The boundary crossing can flip urgency and change the pick, so it
-    // bounds the wait even when the chosen command is further out.
-    return std::min(channel_.earliest_issue(
-                        dram::Command{type, DramCoord{id_, r, b, 0, 0}, 0}),
-                    rm_.next_owed_increase(r, now));
-  }
-
-  if (policy_uses_subarrays(cfg_.policy)) {
-    if (rm_.owed(r, now) == 0) return rm_.next_owed_increase(r, now);
-    const dram::Rank& rank = channel_.rank(r);
-    const BankId b = next_refresh_bank_[r];
-    const dram::Bank& bank = rank.bank(b);
-    const std::uint32_t sub = next_refresh_sub_[bank_slot(r, b)];
-    const RowId row = bank.subarray_row(sub);
-    if (bank.state() == dram::BankState::kActive) {
-      const bool conflict =
-          cfg_.policy != RefreshPolicy::kHira ||
-          (bank.open_row() && bank.subarray_of(*bank.open_row()) == sub);
-      if (conflict) {
-        if (!rm_.urgent(r, now)) {
-          // Postponed until the open row closes (a command) or urgency
-          // flips at the next boundary.
-          return rm_.next_owed_increase(r, now);
-        }
-        return std::min(
-            channel_.earliest_issue(dram::Command{
-                dram::CmdType::kPrecharge, DramCoord{id_, r, b, 0, 0}, 0}),
-            rm_.next_owed_increase(r, now));
-      }
-    }
-    return std::min(
-        channel_.earliest_issue(dram::Command{dram::CmdType::kRefreshBank,
-                                              DramCoord{id_, r, b, row, 0},
-                                              0}),
-        rm_.next_owed_increase(r, now));
-  }
-
-  if (cfg_.policy == RefreshPolicy::kPausing) {
-    if (refresh_remaining_[r] == 0) {
-      if (rm_.owed(r, now) == 0) return rm_.next_owed_increase(r, now);
-      return now + 1;  // the obligation opens on the next tick
-    }
-    if (!rm_.urgent(r, now) && pending_demand(r) > 0) {
-      // Paused: demand progress comes from the scan; urgency (which forces
-      // the finish) can only flip at the next boundary crossing.
-      return rm_.next_owed_increase(r, now);
-    }
-    // Resuming or forced: the next segment begins once the rank seals.
-    return seal_ready_cycle(r);
-  }
-
-  if (phase_[r] == RefreshPhase::kIdle) {
-    const std::uint32_t owed = rm_.owed(r, now);
-    if (owed == 0) return rm_.next_owed_increase(r, now);
-    if (cfg_.policy == RefreshPolicy::kElastic && !rm_.urgent(r, now)) {
-      // Locks once the rank has been idle for the backlog-scaled
-      // threshold. Arrivals reset the idle clock (and dirty-force a
-      // tick); the threshold shrinks at the next boundary.
-      const std::uint32_t budget = channel_.timings().max_postponed_refreshes;
-      const std::uint32_t slack = owed >= budget ? 0 : budget - owed;
-      const Cycle threshold = cfg_.elastic_base_idle * slack / budget;
-      return std::min(std::max(last_arrival_[r] + threshold, now + 1),
-                      rm_.next_owed_increase(r, now));
-    }
-    return now + 1;  // the lock engages on the next tick
-  }
-
-  const bool urgent = rm_.urgent(r, now);
-  const Cycle bound_end = locked_at_[r] + cfg_.drain_bound;
-
-  if (phase_[r] == RefreshPhase::kDraining) {
-    if (!urgent && now < bound_end && drain_pending_[r] > 0) {
-      // Reads drain through the scheduler (scan) or the SRAM buffer (tick
-      // events); failing that, the bound or a budget flip forces the seal.
-      return std::min(bound_end, rm_.next_owed_increase(r, now));
-    }
-    return now + 1;  // the seal transition happens on the next tick
-  }
-
-  // kSealing. ROP holds the REF while staged prefetches are still in the
-  // queue or in the air (their progress is scan/in-flight events).
-  if (cfg_.policy == RefreshPolicy::kRopDrain && !urgent &&
-      now < bound_end && pending_prefetches(r) > 0) {
-    return std::min(bound_end, rm_.next_owed_increase(r, now));
-  }
-  return seal_ready_cycle(r);
-}
-
 Cycle Controller::refresh_quiet_end(Cycle now) const {
   // owed() only grows at a tREFI boundary and only a refresh issue (which
   // needs something owed) lowers it, so with nothing owed and no pausing
@@ -1249,6 +1077,7 @@ Cycle Controller::refresh_quiet_end(Cycle now) const {
   // refresh_remaining_ reaches 0, so today owed == 0 implies it; the test
   // keeps a change to that crediting from opening a window mid-refresh.)
   Cycle end = kNeverCycle;
+  if (scheme_info(cfg_.refresh).unit == RefreshUnit::kNone) return end;
   for (RankId r = 0; r < channel_.num_ranks(); ++r) {
     if (rm_.owed(r, now) > 0 || refresh_remaining_[r] > 0) return 0;
     end = std::min(end, rm_.next_owed_increase(r, now));
@@ -1260,9 +1089,9 @@ Cycle Controller::next_event_cycle(Cycle now) const {
   // Completed requests await drain on the very next tick.
   if (!completed_.empty()) return now + 1;
 
-  // Refresh-quiet window: every rank's refresh_event_cycle is its next
-  // boundary, so the earliest of them stands in for the per-rank calls
-  // (refreshing ranks included: conservative-early at worst).
+  // Refresh-quiet window: every rank's next refresh step waits for its
+  // next boundary, so the earliest of them stands in for the per-rank
+  // calls (refreshing ranks included: conservative-early at worst).
   const bool quiet = now < refresh_quiet_until_;
   if (quiet && audit_scheduler_ != nullptr) audit_quiet_window(now);
 
@@ -1285,9 +1114,7 @@ Cycle Controller::next_event_cycle(Cycle now) const {
       continue;  // the refresh machinery skips refreshing ranks
     }
     if (rank.pb_refreshing()) consider(rank.earliest_pb_release());
-    if (cfg_.refresh_enabled && !quiet) {
-      consider(refresh_event_cycle(r, now));
-    }
+    if (!quiet) consider(next_refresh_step(r, now).at);
     if (next == soonest) return next;
   }
   if (quiet) consider(refresh_quiet_until_);
@@ -1335,7 +1162,8 @@ Cycle Controller::completion_lower_bound(Cycle pos) const {
     // A refresh issue can probe the SRAM buffer and service queued reads
     // via the ROP listener. With the rank idle and nothing owed, that
     // cannot happen before the next tREFI boundary.
-    if (listener_ != nullptr && cfg_.refresh_enabled) {
+    if (listener_ != nullptr &&
+        scheme_info(cfg_.refresh).unit != RefreshUnit::kNone) {
       for (RankId r = 0; r < channel_.num_ranks(); ++r) {
         if (pending_reads_[r] == 0) continue;
         if (phase_[r] != RefreshPhase::kIdle || refresh_remaining_[r] > 0 ||

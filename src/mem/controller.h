@@ -18,6 +18,7 @@
 #include "common/types.h"
 #include "dram/channel.h"
 #include "mem/refresh_manager.h"
+#include "mem/refresh_scheme.h"
 #include "mem/refresh_stats.h"
 #include "mem/request.h"
 #include "mem/scheduler.h"
@@ -105,62 +106,10 @@ class ControllerAuditor {
   }
 };
 
-/// How the controller schedules due refreshes. kAutoRefresh is the
-/// paper's baseline; kRopDrain is the ROP controller behaviour (§IV-D);
-/// kElastic and kPausing implement the two refresh-hiding schemes the
-/// paper's related work compares against conceptually (§VI).
-enum class RefreshPolicy : std::uint8_t {
-  /// Issue REF the moment it is due; the rank blocks immediately.
-  kAutoRefresh,
-  /// Elastic Refresh (Stuecheli et al., MICRO'10): postpone a due refresh
-  /// until the rank has been idle for a threshold that shrinks as the
-  /// postponement backlog grows; forced at the JEDEC budget.
-  kElastic,
-  /// Refresh Pausing (Nair et al., HPCA'13): execute the refresh in
-  /// segments; between segments, pending demand is serviced. Pausing adds
-  /// a small re-lock overhead per resume and is abandoned for a straight
-  /// finish when the postponement budget nears exhaustion.
-  kPausing,
-  /// ROP (paper §IV-D): drain queued demand, seal the rank, stage the
-  /// engine's prefetches, then refresh. Requires an attached RopEngine to
-  /// be useful (without one it degrades to drain-then-refresh).
-  kRopDrain,
-  /// DARP (Chang et al., HPCA'14): out-of-order per-bank refresh scheduled
-  /// into idle-bank and write-drain windows. A due REFpb goes to a bank
-  /// with no pending demand (during write drain, no pending *reads*);
-  /// when every un-refreshed bank has demand the refresh is postponed,
-  /// forced at the JEDEC budget. A round bitmask keeps the out-of-order
-  /// selection fair: each bank is refreshed once per round of 8.
-  kDarp,
-  /// SARP (same paper): per-bank refresh targets one *subarray* at a time;
-  /// the bank keeps serving accesses to its other subarrays during the
-  /// tRFCpb lock. Requires DramOrganization::subarrays > 1.
-  kSarp,
-  /// HiRA-style overlap (Yaglikci et al., MICRO'22): like kSarp, but the
-  /// subarray refresh (a hidden row activation) may issue while a row is
-  /// open in a *different* subarray of the same bank, overlapping refresh
-  /// with activation instead of waiting for a precharged bank.
-  kHira,
-};
-
-/// Policies that retire refresh obligations one bank-unit at a time
-/// (RefreshManager runs at banks-per-tREFI cadence, like per_bank_refresh).
-[[nodiscard]] constexpr bool policy_uses_bank_units(RefreshPolicy p) {
-  return p == RefreshPolicy::kDarp || p == RefreshPolicy::kSarp ||
-         p == RefreshPolicy::kHira;
-}
-
-/// Policies that target individual subarrays (need org.subarrays > 1).
-[[nodiscard]] constexpr bool policy_uses_subarrays(RefreshPolicy p) {
-  return p == RefreshPolicy::kSarp || p == RefreshPolicy::kHira;
-}
-
 struct ControllerConfig {
   SchedulerConfig sched{};
-  /// false models the idealized no-refresh memory of Figs 1 and 7.
-  bool refresh_enabled = true;
-  RefreshPolicy policy = RefreshPolicy::kAutoRefresh;
-  /// kRopDrain: bound on the drain+staging window past due time.
+  RefreshScheme refresh = RefreshScheme::kBaseline;
+  /// kRop: bound on the drain+staging window past due time.
   Cycle drain_bound = 1024;
   /// kElastic: rank-idle threshold at zero backlog; the threshold decays
   /// linearly to zero as owed refreshes approach the JEDEC budget.
@@ -169,11 +118,6 @@ struct ControllerConfig {
   /// resume.
   Cycle pause_quantum = 48;
   Cycle pause_overhead = 8;
-  /// Refresh one bank at a time (tRFCpb lock per bank, 8x the cadence)
-  /// instead of freezing the whole rank — the finer-granularity mode the
-  /// paper's future work (§VII) targets. Only meaningful with
-  /// kAutoRefresh; other banks keep servicing demand during the lock.
-  bool per_bank_refresh = false;
 };
 
 class Controller {
@@ -413,10 +357,11 @@ class Controller {
  private:
   /// tick() body; split out so the auditor hook runs after every exit path.
   void step(Cycle now);
-  /// Returns true when a refresh-related command (PRE or REF) was issued.
+  /// Runs every rank's due refresh steps; true when one put a command (PRE,
+  /// REF, REFpb or a pausing segment) on the bus.
   bool manage_refresh(Cycle now);
   /// Ranks whose requests the scheduler must skip at `now`, per queue: a
-  /// refreshing rank or an urgent pausing refresh holds every queue;
+  /// refreshing rank or a pausing hold (pausing_holds) blocks every queue;
   /// demand is also held while the rank seals for its REF command.
   [[nodiscard]] BlockedRanks blocked_ranks(Cycle now) const;
   /// The queues the scheduler draws from, in priority order.
@@ -434,8 +379,8 @@ class Controller {
                   const std::optional<SchedulerPick>& cached) const;
   void audit_horizon(Cycle now, bool drain, const BlockedRanks& blocked,
                      Cycle cached) const;
-  /// Quiet-window audit (same opt-in): the per-rank refresh_event_cycle
-  /// minimum must equal refresh_quiet_until_.
+  /// Quiet-window audit (same opt-in): the minimum over the ranks' next
+  /// refresh step cycles must equal refresh_quiet_until_.
   void audit_quiet_window(Cycle now) const;
   void issue_pick(const SchedulerPick& pick, Cycle now);
   void complete_bursts(Cycle now);
@@ -444,13 +389,75 @@ class Controller {
   /// Latency bookkeeping + a kReadSpan trace event for a serviced demand
   /// read; `req` must have arrival and completion set.
   void record_read_latency(const Request& req);
-  /// Issue PRE for an open bank or the REF itself; true when a command
-  /// went out this cycle.
-  bool issue_refresh_commands(RankId rank, Cycle now);
-  bool manage_refresh_per_bank(Cycle now);
-  bool manage_refresh_pausing(Cycle now);
-  bool manage_refresh_darp(Cycle now);
-  bool manage_refresh_subarray(Cycle now);
+
+  /// One rank's next refresh step: what its scheme does next and the
+  /// earliest cycle it can. step() runs every step whose cycle has come
+  /// (phase changes at once, at most one command per tick across ranks);
+  /// next_event_cycle() wakes at the cycle. For a step that cannot happen
+  /// yet, `at` may be earlier than the step itself: it is the first cycle
+  /// at which the decision can change without a command landing (a tREFI
+  /// boundary flipping urgency, a drain bound, a lock release), so the
+  /// event loop re-decides there.
+  struct RefreshStep {
+    enum class Action : std::uint8_t {
+      kWait,            // nothing before `at`
+      kLock,            // refresh due: lock the rank (ROP drains first)
+      kSeal,            // ROP drain done: seal; the engine stages prefetches
+      kDropPrefetches,  // urgent while sealing: flush staged prefetches
+      kOpen,            // pausing: take on an owed refresh as tRFC of work
+      kPause,           // pausing: demand arrived between segments
+      // Commands from here on: one per tick on the command bus.
+      kPrecharge,    // close `bank` so the refresh command becomes legal
+      kRefresh,      // REF: freeze the rank for tRFC
+      kSegment,      // pausing: the next refresh segment
+      kRefreshBank,  // REFpb on `bank` (subarray `sub` under SARP/HiRA)
+    };
+    Action action = Action::kWait;
+    BankId bank = 0;
+    std::uint32_t sub = 0;
+    Cycle at = kNeverCycle;
+
+    static RefreshStep wait_until(Cycle cycle) {
+      return {Action::kWait, 0, 0, cycle};
+    }
+    static RefreshStep of(Action what, Cycle cycle) {
+      return {what, 0, 0, cycle};
+    }
+  };
+  using Action = RefreshStep::Action;
+
+  /// The scheme's decision function for rank `r` (not refreshing) at `now`.
+  [[nodiscard]] RefreshStep next_refresh_step(RankId r, Cycle now) const;
+  [[nodiscard]] RefreshStep baseline_step(RankId r, Cycle now) const;
+  [[nodiscard]] RefreshStep elastic_step(RankId r, Cycle now) const;
+  [[nodiscard]] RefreshStep rop_step(RankId r, Cycle now) const;
+  [[nodiscard]] RefreshStep pausing_step(RankId r, Cycle now) const;
+  [[nodiscard]] RefreshStep per_bank_step(RankId r, Cycle now) const;
+  [[nodiscard]] RefreshStep darp_step(RankId r, Cycle now) const;
+  [[nodiscard]] RefreshStep subarray_step(RankId r, Cycle now) const;
+  /// A sealed rank's REF (baseline, elastic, ROP): an urgent refresh first
+  /// flushes the rank's staged prefetches.
+  [[nodiscard]] RefreshStep seal_step(RankId r, Cycle now) const;
+  /// REF or a pausing segment (`action`): close open banks one PRE at a
+  /// time, then refresh once every bank has recovered.
+  [[nodiscard]] RefreshStep rank_refresh_step(RankId r, Cycle now,
+                                              Action action) const;
+  /// Whole-bank REFpb on (r, b), closing the bank first if a row is open.
+  [[nodiscard]] RefreshStep whole_bank_step(RankId r, BankId b) const;
+  /// kPrecharge or kRefreshBank on (r, b), at its earliest legal cycle.
+  [[nodiscard]] RefreshStep bank_step(Action action, RankId r, BankId b,
+                                      std::uint32_t sub = 0) const;
+  /// The DRAM command a kPrecharge / kRefreshBank step issues.
+  [[nodiscard]] dram::Command bank_command(const RefreshStep& s,
+                                           RankId r) const;
+  /// Carry out a step that is due at `now`.
+  void run_refresh_step(RankId r, const RefreshStep& s, Cycle now);
+  /// REF, pausing segment and REFpb issue with their blocking charges.
+  void issue_rank_refresh(RankId r, Cycle now);
+  void issue_refresh_segment(RankId r, Cycle now);
+  void issue_bank_refresh(RankId r, BankId b, std::uint32_t sub, Cycle now);
+  /// Refresh Pausing holds every queue to a rank whose refresh is urgent.
+  [[nodiscard]] bool pausing_holds(RankId r, Cycle now) const;
 
   /// DARP: pick the bank to refresh next on rank `r`, honouring the round
   /// mask and the idle-bank / write-drain heuristics. Returns num_banks
@@ -468,22 +475,11 @@ class Controller {
   /// Charge `cycles` of refresh-induced demand blocking for each of
   /// `requests` queued reads (see mem.refresh_blocked_cycles).
   void charge_refresh_blocking(std::uint64_t requests, Cycle cycles);
-  /// Queued reads on rank `r` whose target subarray is `sub` of bank `b`.
-  [[nodiscard]] std::uint64_t queued_reads_in_subarray(RankId r, BankId b,
-                                                      std::uint32_t sub) const;
-  /// Subarray-refresh trace event + blocking charge at REFpb issue.
-  void record_subarray_refresh(RankId r, BankId b, std::uint32_t sub,
-                               Cycle now);
 
-  /// next_event_cycle helpers: earliest cycle the refresh machinery for
-  /// rank `r` can act or change eligibility (policy-specific), and the
-  /// earliest cycle issue_refresh_commands could put a command on the bus
-  /// for `r` given frozen bank state.
-  [[nodiscard]] Cycle refresh_event_cycle(RankId r, Cycle now) const;
-  [[nodiscard]] Cycle seal_ready_cycle(RankId r) const;
   /// End of the refresh-quiet window starting at `now`: the earliest next
   /// tREFI boundary over the ranks when no rank owes a refresh or has a
-  /// pausing refresh in progress, else 0 (not quiet).
+  /// pausing refresh in progress, else 0 (not quiet); kNeverCycle for a
+  /// scheme that never refreshes.
   [[nodiscard]] Cycle refresh_quiet_end(Cycle now) const;
 
   /// Remove `idx` from rank `r`'s read index and from the drain counter
@@ -554,7 +550,7 @@ class Controller {
   mutable std::uint64_t sched_commands_ = 0;
   /// Refresh-quiet window: while now < refresh_quiet_until_, no rank owes
   /// a refresh, so step() skips refresh management and next_event_cycle()
-  /// takes this one cycle for every rank's refresh event. Recomputed each
+  /// takes this one cycle for every rank's next refresh step. Recomputed each
   /// time refresh management runs; derived, so not serialized (the reader
   /// resets it). 0 = not quiet.
   Cycle refresh_quiet_until_ = 0;
@@ -623,7 +619,7 @@ class Controller {
   /// refresh_remaining_, so "remaining == tRFC" is not a reliable
   /// first-segment test (see docs/CORRECTNESS.md).
   std::vector<bool> refresh_window_opened_;
-  /// per_bank_refresh / kSarp / kHira: round-robin cursor of the next bank
+  /// kPerBank / kSarp / kHira: round-robin cursor of the next bank
   /// to refresh.
   std::vector<BankId> next_refresh_bank_;
   /// Banks per rank (sizes the flat per-bank counter vectors below).

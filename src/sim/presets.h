@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -11,46 +12,38 @@
 #include "cpu/system.h"
 #include "dram/timing.h"
 #include "mem/memory_system.h"
+#include "mem/refresh_scheme.h"
 #include "rop/rop_engine.h"
 
 namespace rop::sim {
 
-/// Which memory system variant to run. The first three are the paper's
-/// §V-A comparison set; the rest are the related-work refresh schemes
-/// (§VI), the finer-granularity mode of §VII, and the refresh–access
-/// parallelism competitors (DARP/SARP, Chang et al. HPCA'14; HiRA,
-/// Yaglikci et al. MICRO'22), implemented here as additional baselines.
-enum class MemoryMode : std::uint8_t {
-  kBaseline,   // auto-refresh, refresh issued the moment it is due
-  kNoRefresh,  // idealized memory without refresh (upper bound)
-  kRop,        // auto-refresh + ROP engine (drain + prefetch + SRAM buffer)
-  kElastic,    // Elastic Refresh (Stuecheli et al., MICRO'10)
-  kPausing,    // Refresh Pausing (Nair et al., HPCA'13)
-  kPerBank,    // per-bank refresh (REFpb), 8x cadence at tRFCpb per bank
-  kDarp,       // DARP: out-of-order REFpb into idle-bank/write-drain windows
-  kSarp,       // SARP: refresh one subarray while the rest of the bank serves
-  kHira,       // HiRA-style refresh/activation overlap within a bank
-};
+/// Which memory system variant to run: the controller's refresh scheme
+/// (mem/refresh_scheme.h holds the one table of names and properties).
+using MemoryMode = mem::RefreshScheme;
 
-/// Every mode, in canonical (display) order. New schemes must be added here
-/// so the comparison bench, --compare, and the round-trip tests pick them
-/// up automatically.
-inline constexpr std::array<MemoryMode, 9> kAllMemoryModes = {
-    MemoryMode::kBaseline, MemoryMode::kNoRefresh, MemoryMode::kRop,
-    MemoryMode::kElastic,  MemoryMode::kPausing,   MemoryMode::kPerBank,
-    MemoryMode::kDarp,     MemoryMode::kSarp,      MemoryMode::kHira,
-};
+/// Every mode, in canonical (display) order: the scheme table's rows, so
+/// the comparison bench, --compare, and the round-trip tests pick a new
+/// scheme up automatically.
+inline constexpr std::array<MemoryMode, mem::kRefreshSchemes.size()>
+    kAllMemoryModes = [] {
+      std::array<MemoryMode, mem::kRefreshSchemes.size()> modes{};
+      for (std::size_t i = 0; i < modes.size(); ++i) {
+        modes[i] = mem::kRefreshSchemes[i].scheme;
+      }
+      return modes;
+    }();
 
-/// Canonical (hyphenated, CLI-facing) name of a mode: "baseline",
-/// "no-refresh", "rop", "elastic", "pausing", "per-bank", "darp", "sarp",
-/// "hira".
-[[nodiscard]] const char* memory_mode_name(MemoryMode mode);
+/// Canonical (hyphenated, CLI-facing) name of a mode.
+[[nodiscard]] inline const char* memory_mode_name(MemoryMode mode) {
+  return mem::scheme_info(mode).name.data();
+}
 
-/// Parse a scheme name. Accepts the canonical names plus the compact
-/// aliases historically used in campaign specs ("norefresh", "perbank").
-/// Returns nullopt for unknown names.
-[[nodiscard]] std::optional<MemoryMode> parse_memory_mode(
-    std::string_view name);
+/// Parse a scheme name: a canonical name or an alias ("norefresh",
+/// "perbank"). Returns nullopt for unknown names.
+[[nodiscard]] inline std::optional<MemoryMode> parse_memory_mode(
+    std::string_view name) {
+  return mem::parse_refresh_scheme(name);
+}
 
 /// Canonical name of a fine-grained refresh mode: "1x" / "2x" / "4x".
 [[nodiscard]] const char* refresh_mode_name(dram::RefreshMode mode);

@@ -54,7 +54,7 @@ class ControllerTest : public ::testing::Test {
 
 TEST_F(ControllerTest, ReadCompletesWithDramLatency) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   ASSERT_TRUE(c->enqueue(read_req(0x1000, 0, 0, 5, 3), 0));
   std::vector<Request> done;
@@ -72,7 +72,7 @@ TEST_F(ControllerTest, ReadCompletesWithDramLatency) {
 
 TEST_F(ControllerTest, WritesArePostedAndRetireSilently) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   ASSERT_TRUE(c->enqueue(write_req(0x2000, 0, 1, 2, 0), 0));
   run_until(*c, 0, 2000, [&] { return c->idle(); });
@@ -83,7 +83,7 @@ TEST_F(ControllerTest, WritesArePostedAndRetireSilently) {
 
 TEST_F(ControllerTest, ReadAfterWriteForwards) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   ASSERT_TRUE(c->enqueue(write_req(0x3000, 0, 0, 1, 1), 0));
   ASSERT_TRUE(c->enqueue(read_req(0x3000, 0, 0, 1, 1), 0));
@@ -95,7 +95,7 @@ TEST_F(ControllerTest, ReadAfterWriteForwards) {
 
 TEST_F(ControllerTest, DuplicateWritesCoalesce) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   ASSERT_TRUE(c->enqueue(write_req(0x4000), 0));
   ASSERT_TRUE(c->enqueue(write_req(0x4000), 0));
@@ -105,7 +105,7 @@ TEST_F(ControllerTest, DuplicateWritesCoalesce) {
 
 TEST_F(ControllerTest, ReadQueueCapacityEnforced) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   cfg.sched.read_queue_capacity = 4;
   auto c = make(cfg);
   for (int i = 0; i < 4; ++i) {
@@ -128,7 +128,7 @@ TEST_F(ControllerTest, AutoRefreshIssuesOnCadence) {
 
 TEST_F(ControllerTest, NoRefreshModeNeverRefreshes) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   run_until(*c, 0, 3 * t.tREFI, [] { return false; });
   EXPECT_EQ(stats.counter_value("mem.refreshes"), 0u);
@@ -188,7 +188,7 @@ class RecordingListener final : public ControllerListener {
 
 TEST_F(ControllerTest, ListenerSeesLockBeforeRefresh) {
   ControllerConfig cfg;
-  cfg.policy = RefreshPolicy::kRopDrain;
+  cfg.refresh = RefreshScheme::kRop;
   auto c = make(cfg);
   RecordingListener listener;
   c->set_listener(&listener);
@@ -201,7 +201,7 @@ TEST_F(ControllerTest, ListenerSeesLockBeforeRefresh) {
 
 TEST_F(ControllerTest, PrefetchFillsFlowThroughListener) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   RecordingListener listener;
   c->set_listener(&listener);
@@ -217,7 +217,7 @@ TEST_F(ControllerTest, PrefetchFillsFlowThroughListener) {
 
 TEST_F(ControllerTest, StalePrefetchFillDropped) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   RecordingListener listener;
   c->set_listener(&listener);
@@ -255,7 +255,7 @@ TEST_F(ControllerTest, StalePrefetchFillDropped) {
 // be SRAM-served, because no fill was ever delivered to the buffer.
 TEST_F(ControllerTest, ReadAfterStaleDropForwardsNeverSramServed) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   RecordingListener listener;
   c->set_listener(&listener);
@@ -296,7 +296,7 @@ TEST_F(ControllerTest, ReadAfterStaleDropForwardsNeverSramServed) {
 // a no-longer-queued write — otherwise its data would be silently lost.
 TEST_F(ControllerTest, WriteAfterOlderWriteIssuedIsNotCoalesced) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   ASSERT_TRUE(c->enqueue(write_req(0x9000, 0, 0, 3), 0));
   Cycle now = 0;
@@ -314,7 +314,7 @@ TEST_F(ControllerTest, WriteAfterOlderWriteIssuedIsNotCoalesced) {
 
 TEST_F(ControllerTest, CompleteMatchingReadsServicesQueued) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
   ASSERT_TRUE(c->enqueue(read_req(0xA000, 0, 0, 1), 0));
   ASSERT_TRUE(c->enqueue(read_req(0xB000, 0, 0, 2), 0));

@@ -14,7 +14,8 @@ class DynamicsTest : public ::testing::Test {
     MemoryConfig cfg;
     cfg.timings = dram::make_ddr4_1600_timings();
     cfg.org.ranks = 1;
-    cfg.ctrl.refresh_enabled = false;  // isolate scheduling behaviour
+    // Isolate scheduling behaviour.
+    cfg.ctrl.refresh = RefreshScheme::kNoRefresh;
     return cfg;
   }
 };
@@ -111,8 +112,7 @@ TEST_F(DynamicsTest, RowLocalityImprovesLatency) {
 
 TEST_F(DynamicsTest, UrgentRefreshPreemptsRopDrain) {
   MemoryConfig cfg = config();
-  cfg.ctrl.refresh_enabled = true;
-  cfg.ctrl.policy = RefreshPolicy::kRopDrain;
+  cfg.ctrl.refresh = RefreshScheme::kRop;
   cfg.ctrl.drain_bound = 100'000'000;  // effectively unbounded drain
   StatRegistry stats;
   MemorySystem mem(cfg, &stats);
@@ -158,7 +158,7 @@ TEST_F(DynamicsTest, ReadLatencyBoundedWithoutRefresh) {
 TEST_F(DynamicsTest, PerRankQueuesIsolateUnderPartitionedTraffic) {
   MemoryConfig cfg = config();
   cfg.org.ranks = 4;
-  cfg.ctrl.refresh_enabled = true;
+  cfg.ctrl.refresh = RefreshScheme::kBaseline;
   StatRegistry stats;
   MemorySystem mem(cfg, &stats);
   // Traffic only to rank 2's address range (via compose_in_rank).

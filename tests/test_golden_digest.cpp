@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <ostream>
 #include <string>
 
 #include "sim/experiment.h"
@@ -110,6 +111,10 @@ std::string golden_name(const Golden& g) {
   return std::string(memory_mode_name(g.mode)) + "_" +
          refresh_mode_name(g.refresh);
 }
+
+// Names the parameter in test listings (the default prints its bytes,
+// pointer included, which differ from run to run).
+void PrintTo(const Golden& g, std::ostream* os) { *os << golden_name(g); }
 
 class GoldenDigest : public ::testing::TestWithParam<Golden> {};
 

@@ -12,7 +12,8 @@ MemoryConfig small_config(bool refresh = true) {
   cfg.org.channels = 1;
   cfg.org.ranks = 2;
   cfg.org.banks = 8;
-  cfg.ctrl.refresh_enabled = refresh;
+  cfg.ctrl.refresh =
+      refresh ? RefreshScheme::kBaseline : RefreshScheme::kNoRefresh;
   return cfg;
 }
 

@@ -16,7 +16,8 @@ MemoryConfig two_channel_config(bool refresh = true) {
   cfg.timings = dram::make_ddr4_1600_timings();
   cfg.org.channels = 2;
   cfg.org.ranks = 2;
-  cfg.ctrl.refresh_enabled = refresh;
+  cfg.ctrl.refresh =
+      refresh ? RefreshScheme::kBaseline : RefreshScheme::kNoRefresh;
   return cfg;
 }
 
@@ -92,7 +93,7 @@ TEST(MultiChannel, ConservationUnderRandomLoad) {
 
 TEST(MultiChannel, PerChannelRopEnginesOperateIndependently) {
   MemoryConfig cfg = two_channel_config();
-  cfg.ctrl.policy = RefreshPolicy::kRopDrain;
+  cfg.ctrl.refresh = RefreshScheme::kRop;
   StatRegistry stats;
   MemorySystem mem(cfg, &stats);
   engine::RopConfig rc;

@@ -97,7 +97,7 @@ TEST_P(RandomRopLoadTest, RopTrafficConservesRequests) {
   mem::MemoryConfig cfg;
   cfg.timings = dram::make_ddr4_1600_timings();
   cfg.org.ranks = p.ranks;
-  cfg.ctrl.policy = mem::RefreshPolicy::kRopDrain;
+  cfg.ctrl.refresh = mem::RefreshScheme::kRop;
   StatRegistry stats;
   mem::MemorySystem mem(cfg, &stats);
   engine::RopConfig rc;

@@ -12,12 +12,11 @@ namespace {
 
 class RefreshPolicyTest : public ::testing::Test {
  protected:
-  MemoryConfig config(RefreshPolicy policy, bool per_bank = false) {
+  MemoryConfig config(RefreshScheme scheme) {
     MemoryConfig cfg;
     cfg.timings = dram::make_ddr4_1600_timings();
     cfg.org.ranks = 1;
-    cfg.ctrl.policy = policy;
-    cfg.ctrl.per_bank_refresh = per_bank;
+    cfg.ctrl.refresh = scheme;
     return cfg;
   }
 
@@ -56,7 +55,7 @@ class RefreshPolicyTest : public ::testing::Test {
 
 TEST_F(RefreshPolicyTest, ElasticMaintainsRefreshAverage) {
   StatRegistry stats;
-  MemorySystem mem(config(RefreshPolicy::kElastic), &stats);
+  MemorySystem mem(config(RefreshScheme::kElastic), &stats);
   const Cycle trefi = mem.config().timings.tREFI;
   const auto out = run_stream(mem, stats, 20 * trefi, 15);
   EXPECT_EQ(out.completed, out.accepted);
@@ -69,7 +68,7 @@ TEST_F(RefreshPolicyTest, ElasticMaintainsRefreshAverage) {
 
 TEST_F(RefreshPolicyTest, ElasticDefersUnderLoadThenForcedByBudget) {
   StatRegistry stats;
-  MemorySystem mem(config(RefreshPolicy::kElastic), &stats);
+  MemorySystem mem(config(RefreshScheme::kElastic), &stats);
   const Cycle trefi = mem.config().timings.tREFI;
   // Saturating traffic: the rank is never idle, so elastic postpones until
   // the budget forces refreshes.
@@ -94,7 +93,7 @@ TEST_F(RefreshPolicyTest, ElasticDefersUnderLoadThenForcedByBudget) {
 
 TEST_F(RefreshPolicyTest, PausingCompletesRefreshWorkInSegments) {
   StatRegistry stats;
-  MemorySystem mem(config(RefreshPolicy::kPausing), &stats);
+  MemorySystem mem(config(RefreshScheme::kPausing), &stats);
   const Cycle trefi = mem.config().timings.tREFI;
   const auto out = run_stream(mem, stats, 20 * trefi, 40);
   EXPECT_EQ(out.completed, out.accepted);
@@ -113,7 +112,7 @@ TEST_F(RefreshPolicyTest, PausingCompletesRefreshWorkInSegments) {
 // phantom windows per refresh).
 TEST_F(RefreshPolicyTest, PausingCountsBlockingWindowOncePerRefresh) {
   StatRegistry stats;
-  MemoryConfig cfg = config(RefreshPolicy::kPausing);
+  MemoryConfig cfg = config(RefreshScheme::kPausing);
   cfg.ctrl.pause_quantum = 48;
   cfg.ctrl.pause_overhead = 48;  // each pause undoes one segment of work
   MemorySystem mem(cfg, &stats);
@@ -142,7 +141,7 @@ TEST_F(RefreshPolicyTest, PausingCountsBlockingWindowOncePerRefresh) {
 // must still be counted exactly once.
 TEST_F(RefreshPolicyTest, PausingPauseBeforeFirstSegmentCountsWindowOnce) {
   StatRegistry stats;
-  MemorySystem mem(config(RefreshPolicy::kPausing), &stats);
+  MemorySystem mem(config(RefreshScheme::kPausing), &stats);
   const Cycle trefi = mem.config().timings.tREFI;
   // Back-to-back reads straddling the first boundary keep pending_demand
   // nonzero at due time; afterwards the queue drains and the refresh runs.
@@ -167,7 +166,7 @@ TEST_F(RefreshPolicyTest, PausingPauseBeforeFirstSegmentCountsWindowOnce) {
 // close, and owed refreshes climbed past the JEDEC 8-postponement budget.
 TEST_F(RefreshPolicyTest, PausingUrgentRefreshNeverExceedsPostponementBudget) {
   StatRegistry stats;
-  MemoryConfig cfg = config(RefreshPolicy::kPausing);
+  MemoryConfig cfg = config(RefreshScheme::kPausing);
   cfg.org.ranks = 2;
   MemorySystem mem(cfg, &stats);
   const Cycle trefi = mem.config().timings.tREFI;
@@ -193,8 +192,8 @@ TEST_F(RefreshPolicyTest, PausingUrgentRefreshNeverExceedsPostponementBudget) {
 
 TEST_F(RefreshPolicyTest, PausingImprovesTailLatencyOverAutoRefresh) {
   StatRegistry stats_auto, stats_pause;
-  MemorySystem auto_mem(config(RefreshPolicy::kAutoRefresh), &stats_auto);
-  MemorySystem pause_mem(config(RefreshPolicy::kPausing), &stats_pause);
+  MemorySystem auto_mem(config(RefreshScheme::kBaseline), &stats_auto);
+  MemorySystem pause_mem(config(RefreshScheme::kPausing), &stats_pause);
   const Cycle trefi = auto_mem.config().timings.tREFI;
   run_stream(auto_mem, stats_auto, 30 * trefi, 60);
   run_stream(pause_mem, stats_pause, 30 * trefi, 60);
@@ -208,7 +207,7 @@ TEST_F(RefreshPolicyTest, PausingImprovesTailLatencyOverAutoRefresh) {
 
 TEST_F(RefreshPolicyTest, PerBankRefreshesEveryBankRoundRobin) {
   StatRegistry stats;
-  MemorySystem mem(config(RefreshPolicy::kAutoRefresh, true), &stats);
+  MemorySystem mem(config(RefreshScheme::kPerBank), &stats);
   const Cycle trefi = mem.config().timings.tREFI;
   for (Cycle now = 0; now < 2 * trefi; ++now) {
     mem.tick(now);
@@ -223,7 +222,7 @@ TEST_F(RefreshPolicyTest, PerBankRefreshesEveryBankRoundRobin) {
 
 TEST_F(RefreshPolicyTest, PerBankKeepsOtherBanksAvailable) {
   StatRegistry stats;
-  MemorySystem mem(config(RefreshPolicy::kAutoRefresh, true), &stats);
+  MemorySystem mem(config(RefreshScheme::kPerBank), &stats);
   const Cycle trefi = mem.config().timings.tREFI;
   const auto out = run_stream(mem, stats, 10 * trefi, 25);
   EXPECT_EQ(out.completed, out.accepted);
@@ -234,7 +233,7 @@ TEST_F(RefreshPolicyTest, PerBankKeepsOtherBanksAvailable) {
 
 TEST_F(RefreshPolicyTest, PerBankConservesRequestsUnderRandomLoad) {
   StatRegistry stats;
-  MemoryConfig cfg = config(RefreshPolicy::kAutoRefresh, true);
+  MemoryConfig cfg = config(RefreshScheme::kPerBank);
   cfg.org.ranks = 2;
   MemorySystem mem(cfg, &stats);
   Rng rng(99);
@@ -260,9 +259,9 @@ TEST_F(RefreshPolicyTest, PerBankConservesRequestsUnderRandomLoad) {
 }
 
 TEST_F(RefreshPolicyTest, AllPoliciesKeepRefreshAverageOverLongRun) {
-  for (const RefreshPolicy policy :
-       {RefreshPolicy::kAutoRefresh, RefreshPolicy::kElastic,
-        RefreshPolicy::kPausing, RefreshPolicy::kRopDrain}) {
+  for (const RefreshScheme policy :
+       {RefreshScheme::kBaseline, RefreshScheme::kElastic,
+        RefreshScheme::kPausing, RefreshScheme::kRop}) {
     StatRegistry stats;
     MemorySystem mem(config(policy), &stats);
     const Cycle trefi = mem.config().timings.tREFI;
@@ -278,7 +277,7 @@ TEST_F(RefreshPolicyTest, AllPoliciesKeepRefreshAverageOverLongRun) {
 
 TEST_F(RefreshPolicyTest, DarpMaintainsPerBankRefreshAverage) {
   StatRegistry stats;
-  MemorySystem mem(config(RefreshPolicy::kDarp), &stats);
+  MemorySystem mem(config(RefreshScheme::kDarp), &stats);
   const Cycle trefi = mem.config().timings.tREFI;
   const auto out = run_stream(mem, stats, 20 * trefi, 15);
   EXPECT_EQ(out.completed, out.accepted);
@@ -292,8 +291,8 @@ TEST_F(RefreshPolicyTest, DarpMaintainsPerBankRefreshAverage) {
 }
 
 TEST_F(RefreshPolicyTest, SubarrayPoliciesMaintainRefreshAverage) {
-  for (const RefreshPolicy policy :
-       {RefreshPolicy::kSarp, RefreshPolicy::kHira}) {
+  for (const RefreshScheme policy :
+       {RefreshScheme::kSarp, RefreshScheme::kHira}) {
     StatRegistry stats;
     MemoryConfig cfg = config(policy);
     cfg.org.subarrays = 8;
@@ -314,7 +313,7 @@ TEST_F(RefreshPolicyTest, DarpAndSarpReduceRefreshBlockingVsAutoRefresh) {
   // in-flight refresh lock. DARP steers REFpb into idle banks, SARP locks
   // 1/8th of a bank — both must beat the all-rank freeze of auto-refresh
   // on a memory-intensive stream.
-  const auto blocked = [&](RefreshPolicy policy, std::uint32_t subarrays) {
+  const auto blocked = [&](RefreshScheme policy, std::uint32_t subarrays) {
     StatRegistry stats;
     MemoryConfig cfg = config(policy);
     cfg.org.subarrays = subarrays;
@@ -323,10 +322,10 @@ TEST_F(RefreshPolicyTest, DarpAndSarpReduceRefreshBlockingVsAutoRefresh) {
     run_stream(mem, stats, 30 * trefi, 12);
     return stats.counter_value("mem.refresh_blocked_cycles");
   };
-  const auto base = blocked(RefreshPolicy::kAutoRefresh, 1);
-  const auto darp = blocked(RefreshPolicy::kDarp, 1);
-  const auto sarp = blocked(RefreshPolicy::kSarp, 8);
-  const auto hira = blocked(RefreshPolicy::kHira, 8);
+  const auto base = blocked(RefreshScheme::kBaseline, 1);
+  const auto darp = blocked(RefreshScheme::kDarp, 1);
+  const auto sarp = blocked(RefreshScheme::kSarp, 8);
+  const auto hira = blocked(RefreshScheme::kHira, 8);
   EXPECT_GT(base, 0u);
   EXPECT_LT(darp, base);
   EXPECT_LT(sarp, base);
@@ -335,12 +334,12 @@ TEST_F(RefreshPolicyTest, DarpAndSarpReduceRefreshBlockingVsAutoRefresh) {
 
 TEST_F(RefreshPolicyTest, NewSchemesConserveRequestsUnderRandomLoad) {
   struct Case {
-    RefreshPolicy policy;
+    RefreshScheme policy;
     std::uint32_t subarrays;
   };
-  for (const Case c : {Case{RefreshPolicy::kDarp, 1},
-                       Case{RefreshPolicy::kSarp, 8},
-                       Case{RefreshPolicy::kHira, 8}}) {
+  for (const Case c : {Case{RefreshScheme::kDarp, 1},
+                       Case{RefreshScheme::kSarp, 8},
+                       Case{RefreshScheme::kHira, 8}}) {
     StatRegistry stats;
     MemoryConfig cfg = config(c.policy);
     cfg.org.ranks = 2;
@@ -372,7 +371,7 @@ TEST_F(RefreshPolicyTest, NewSchemesConserveRequestsUnderRandomLoad) {
 
 TEST_F(RefreshPolicyTest, DarpNeverExceedsPostponementBudgetUnderSaturation) {
   StatRegistry stats;
-  MemoryConfig cfg = config(RefreshPolicy::kDarp);
+  MemoryConfig cfg = config(RefreshScheme::kDarp);
   cfg.org.ranks = 2;
   MemorySystem mem(cfg, &stats);
   const Cycle trefi = mem.config().timings.tREFI;

@@ -15,8 +15,7 @@ class RopEngineTest : public ::testing::Test {
     cfg.timings = dram::make_ddr4_1600_timings();
     cfg.org.ranks = 1;
     cfg.scheme = mem::MapScheme::kRowRankBankColumn;
-    cfg.ctrl.refresh_enabled = true;
-    cfg.ctrl.policy = mem::RefreshPolicy::kRopDrain;
+    cfg.ctrl.refresh = mem::RefreshScheme::kRop;
     return cfg;
   }
 

@@ -15,7 +15,7 @@ class MultiRankTest : public ::testing::Test {
     mem::MemoryConfig cfg;
     cfg.timings = dram::make_ddr4_1600_timings();
     cfg.org.ranks = ranks;
-    cfg.ctrl.policy = mem::RefreshPolicy::kRopDrain;
+    cfg.ctrl.refresh = mem::RefreshScheme::kRop;
     return cfg;
   }
 

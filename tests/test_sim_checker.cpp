@@ -16,15 +16,15 @@ namespace {
 
 class SimCheckerTest : public ::testing::Test {
  protected:
-  mem::MemoryConfig config(mem::RefreshPolicy policy,
+  mem::MemoryConfig config(mem::RefreshScheme policy,
                            std::uint32_t ranks = 2,
                            std::uint32_t channels = 1) {
     mem::MemoryConfig cfg;
     cfg.timings = dram::make_ddr4_1600_timings();
     cfg.org.ranks = ranks;
     cfg.org.channels = channels;
-    cfg.ctrl.policy = policy;
-    if (mem::policy_uses_subarrays(policy)) cfg.org.subarrays = 8;
+    cfg.ctrl.refresh = policy;
+    if (mem::scheme_info(policy).subarrays > 1) cfg.org.subarrays = 8;
     return cfg;
   }
 
@@ -55,11 +55,11 @@ class SimCheckerTest : public ::testing::Test {
 };
 
 TEST_F(SimCheckerTest, CleanRunUnderEveryPolicy) {
-  const mem::RefreshPolicy policies[] = {
-      mem::RefreshPolicy::kAutoRefresh, mem::RefreshPolicy::kElastic,
-      mem::RefreshPolicy::kPausing,     mem::RefreshPolicy::kRopDrain,
-      mem::RefreshPolicy::kDarp,        mem::RefreshPolicy::kSarp,
-      mem::RefreshPolicy::kHira};
+  const mem::RefreshScheme policies[] = {
+      mem::RefreshScheme::kBaseline, mem::RefreshScheme::kElastic,
+      mem::RefreshScheme::kPausing,     mem::RefreshScheme::kRop,
+      mem::RefreshScheme::kDarp,        mem::RefreshScheme::kSarp,
+      mem::RefreshScheme::kHira};
   for (const auto policy : policies) {
     StatRegistry stats;
     mem::MemorySystem mem(config(policy), &stats);
@@ -79,7 +79,7 @@ TEST_F(SimCheckerTest, CleanRunUnderEveryPolicy) {
 
 TEST_F(SimCheckerTest, CleanRunWithRopEngineAndBufferCoherence) {
   StatRegistry stats;
-  mem::MemorySystem mem(config(mem::RefreshPolicy::kRopDrain), &stats);
+  mem::MemorySystem mem(config(mem::RefreshScheme::kRop), &stats);
   engine::RopConfig rc;
   rc.training_refreshes = 5;
   rc.eval_period_refreshes = 10;
@@ -116,11 +116,11 @@ TEST_F(SimCheckerTest, CleanRunWithRopEngineAndBufferCoherence) {
 // multi-rank and multi-channel organizations. Any bookkeeping drift in the
 // controller fast paths fails this test.
 TEST_F(SimCheckerTest, RandomizedMultiPolicySoak) {
-  const mem::RefreshPolicy policies[] = {
-      mem::RefreshPolicy::kAutoRefresh, mem::RefreshPolicy::kElastic,
-      mem::RefreshPolicy::kPausing,     mem::RefreshPolicy::kRopDrain,
-      mem::RefreshPolicy::kDarp,        mem::RefreshPolicy::kSarp,
-      mem::RefreshPolicy::kHira};
+  const mem::RefreshScheme policies[] = {
+      mem::RefreshScheme::kBaseline, mem::RefreshScheme::kElastic,
+      mem::RefreshScheme::kPausing,     mem::RefreshScheme::kRop,
+      mem::RefreshScheme::kDarp,        mem::RefreshScheme::kSarp,
+      mem::RefreshScheme::kHira};
   for (const auto policy : policies) {
     for (const bool with_rop : {false, true}) {
       for (std::uint64_t seed = 1; seed <= 3; ++seed) {
@@ -160,7 +160,7 @@ TEST_F(SimCheckerTest, RandomizedMultiPolicySoak) {
 // across the load would pick for the wrong bank, which the per-tick
 // scheduler audit reports.
 TEST_F(SimCheckerTest, SnapshotLoadInvalidatesSchedulerTable) {
-  const mem::MemoryConfig cfg = config(mem::RefreshPolicy::kAutoRefresh, 1);
+  const mem::MemoryConfig cfg = config(mem::RefreshScheme::kBaseline, 1);
   StatRegistry stats_loaded;
   StatRegistry stats_source;
   mem::MemorySystem loaded(cfg, &stats_loaded);

@@ -12,7 +12,8 @@ mem::MemoryConfig mem_config(std::uint32_t ranks, bool refresh = true) {
   mem::MemoryConfig cfg;
   cfg.timings = dram::make_ddr4_1600_timings();
   cfg.org.ranks = ranks;
-  cfg.ctrl.refresh_enabled = refresh;
+  cfg.ctrl.refresh = refresh ? mem::RefreshScheme::kBaseline
+                             : mem::RefreshScheme::kNoRefresh;
   return cfg;
 }
 

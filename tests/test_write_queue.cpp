@@ -40,7 +40,7 @@ class WriteQueueTest : public ::testing::Test {
 
 TEST_F(WriteQueueTest, ForwardingReturnsCoalescedNewestWrite) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
 
   ASSERT_TRUE(c->enqueue(req(ReqType::kWrite, 0x1000, 0, 2, 7, 1), 0));
@@ -61,7 +61,7 @@ TEST_F(WriteQueueTest, ForwardingReturnsCoalescedNewestWrite) {
 
 TEST_F(WriteQueueTest, ForwardingStopsOnceTheWriteIssues) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   cfg.sched.write_drain_high = 1;  // drain immediately
   auto c = make(cfg);
 
@@ -80,7 +80,7 @@ TEST_F(WriteQueueTest, ForwardingStopsOnceTheWriteIssues) {
 
 TEST_F(WriteQueueTest, RejectedWriteLeavesStateUntouched) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   cfg.sched.write_queue_capacity = 2;
   // Keep the controller from draining the queue mid-test.
   cfg.sched.write_drain_high = 64;
@@ -107,7 +107,7 @@ TEST_F(WriteQueueTest, RejectedWriteLeavesStateUntouched) {
 
 TEST_F(WriteQueueTest, RejectedReadLeavesStateUntouched) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   cfg.sched.read_queue_capacity = 2;
   auto c = make(cfg);
 
@@ -123,7 +123,7 @@ TEST_F(WriteQueueTest, RejectedReadLeavesStateUntouched) {
 
 TEST_F(WriteQueueTest, PendingDemandTracksPerRankAcrossLifecycle) {
   ControllerConfig cfg;
-  cfg.refresh_enabled = false;
+  cfg.refresh = RefreshScheme::kNoRefresh;
   auto c = make(cfg);
 
   ASSERT_TRUE(c->enqueue(req(ReqType::kRead, 0x100, 0, 0, 1, 0), 0));
