@@ -631,7 +631,7 @@ void Controller::run_refresh_step(RankId r, const RefreshStep& s, Cycle now) {
       issue_refresh_segment(r, now);
       break;
     case Action::kRefreshBank:
-      issue_bank_refresh(r, s.bank, s.sub, now);
+      issue_bank_refresh(r, s, now);
       break;
   }
 }
@@ -719,9 +719,10 @@ void Controller::issue_refresh_segment(RankId r, Cycle now) {
   }
 }
 
-void Controller::issue_bank_refresh(RankId r, BankId b, std::uint32_t sub,
+void Controller::issue_bank_refresh(RankId r, const RefreshStep& s,
                                     Cycle now) {
-  const RefreshStep s{Action::kRefreshBank, b, sub, now};
+  const BankId b = s.bank;
+  const std::uint32_t sub = s.sub;
   channel_.issue(bank_command(s, r), now);
   rm_.on_refresh_issued(r);
   h_.bank_refreshes->inc();

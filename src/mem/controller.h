@@ -455,7 +455,7 @@ class Controller {
   /// REF, pausing segment and REFpb issue with their blocking charges.
   void issue_rank_refresh(RankId r, Cycle now);
   void issue_refresh_segment(RankId r, Cycle now);
-  void issue_bank_refresh(RankId r, BankId b, std::uint32_t sub, Cycle now);
+  void issue_bank_refresh(RankId r, const RefreshStep& s, Cycle now);
   /// Refresh Pausing holds every queue to a rank whose refresh is urgent.
   [[nodiscard]] bool pausing_holds(RankId r, Cycle now) const;
 
