@@ -16,9 +16,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string>
 
+#include "sim/campaign.h"
 #include "sim/experiment.h"
 
 namespace rop::sim {
@@ -148,6 +152,46 @@ TEST(GoldenDigestMultiChannel, Wl1DarpMatchesCapturedDigest) {
   const ExperimentResult r = run_experiment(spec);
   ASSERT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(digest_hex(fnv1a(observable_dump(r))), "39c78a9b01ec4cc7");
+}
+
+TEST(GoldenDigestCampaign, MergedDocumentMatchesCapturedDigest) {
+  // The whole merged.json of a fixed 12-cell campaign: per-cell rows, the
+  // registry fold under "aggregate" (counters, exact scalar sums,
+  // histograms) and the concatenated epoch series (epoch_cycles 2000 gives
+  // every cell several epochs). Wall-clock fields never reach this
+  // document, so the digest covers all of it.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "rop_golden_campaign";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    std::ofstream spec(dir + "/spec.json", std::ios::binary);
+    spec << R"({
+  "name": "golden",
+  "instructions_per_core": 50000,
+  "epoch_cycles": 2000,
+  "axes": {
+    "benchmark": ["lbm", "wl1"],
+    "mode": ["baseline", "rop", "darp"],
+    "refresh": ["1x", "4x"]
+  }
+}
+)";
+  }
+  CampaignOptions opts;
+  opts.spec_path = dir + "/spec.json";
+  opts.out_dir = dir + "/out";
+  opts.jobs = 2;
+  opts.progress = false;
+  std::string err;
+  const auto summary = run_campaign(opts, &err);
+  ASSERT_TRUE(summary.has_value()) << err;
+  ASSERT_TRUE(summary->complete);
+  std::ifstream in(summary->merged_path, std::ios::binary);
+  std::ostringstream merged;
+  merged << in.rdbuf();
+  EXPECT_EQ(digest_hex(fnv1a(merged.str())), "dd2daabf37e375b7");
+  fs::remove_all(dir);
 }
 
 }  // namespace
