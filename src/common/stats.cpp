@@ -71,12 +71,23 @@ const Histogram* StatRegistry::find_histogram(const std::string& name) const {
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void StatRegistry::merge_from(const StatRegistry& other) {
+bool StatRegistry::merge_from(const StatRegistry& other,
+                              std::string* error) {
+  for (const auto& [name, h] : other.histograms_) {
+    const Histogram* mine = find_histogram(name);
+    if (mine != nullptr && !mine->same_geometry(h)) {
+      if (error != nullptr) {
+        *error = "histogram '" + name + "' has another bucket geometry";
+      }
+      return false;
+    }
+  }
   for (const auto& [name, c] : other.counters_) counters_[name].merge(c);
   for (const auto& [name, s] : other.scalars_) scalars_[name].merge(s);
   for (const auto& [name, h] : other.histograms_) {
     histogram(name, h.bucket_width(), h.num_buckets() - 1).merge(h);
   }
+  return true;
 }
 
 void StatRegistry::reset_all() {

@@ -47,6 +47,14 @@ class Counter {
 /// crosses 2^53, so record() costs one extra compare on the hot path.
 class Scalar {
  public:
+  Scalar() = default;
+  /// Reconstruct from exported parts (count, sum, min, max): the expansion
+  /// is the single partial `sum`, so merge() adds exactly that value. The
+  /// campaign reads per-cell JSON back this way; a %.17g-printed sum
+  /// round-trips bit for bit.
+  Scalar(std::uint64_t count, double sum, double min, double max)
+      : count_(count), partials_{sum}, min_(min), max_(max) {}
+
   void record(double v) {
     ++count_;
     accumulate(v);
@@ -191,12 +199,16 @@ class Histogram {
     ar(width_, buckets_, count_, sum_);
   }
 
+  /// Same bucket width and bucket count: what merge() requires.
+  [[nodiscard]] bool same_geometry(const Histogram& other) const {
+    return width_ == other.width_ && buckets_.size() == other.buckets_.size();
+  }
+
   /// Fold another histogram in. Exact for every derived statistic
   /// (percentiles, mean): bucket counts and the integer sample sum add.
   /// Both histograms must share the bucket geometry.
   void merge(const Histogram& other) {
-    ROP_ASSERT(width_ == other.width_);
-    ROP_ASSERT(buckets_.size() == other.buckets_.size());
+    ROP_ASSERT(same_geometry(other));
     for (std::size_t i = 0; i < buckets_.size(); ++i) {
       buckets_[i] += other.buckets_[i];
     }
@@ -257,8 +269,10 @@ class StatRegistry {
   /// Fold every stat of `other` into this registry, creating any missing
   /// entries (histograms adopt the source geometry). Counters add,
   /// scalars merge exactly (see Scalar), histograms add bucket-wise —
-  /// the aggregation primitive behind campaign stats merging.
-  void merge_from(const StatRegistry& other);
+  /// the aggregation primitive behind campaign stats merging. Returns
+  /// false, names the histogram in `error` and changes nothing when a
+  /// histogram on both sides differs in bucket geometry.
+  bool merge_from(const StatRegistry& other, std::string* error = nullptr);
 
   /// Render "name value" lines, sorted by name, for debugging dumps.
   [[nodiscard]] std::string report() const;

@@ -1,20 +1,21 @@
 #include "sim/campaign.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "common/types.h"
 #include "telemetry/attribution.h"
 #include "telemetry/stats_json.h"
+#include "sim/runner.h"
 #include "sim/snapshot.h"
-#include "sim/worker_budget.h"
 #include "workload/spec_profiles.h"
 
 namespace rop::sim {
@@ -25,37 +26,20 @@ namespace fs = std::filesystem;
 // ---------------------------------------------------------------------------
 // Spec parsing helpers.
 
-// Scheme and refresh-mode names delegate to the shared preset-layer parser
-// (sim/presets.h) — the single source of truth the ropsim CLI uses too, so
-// campaign specs and --mode flags cannot drift.
-bool parse_mode(const std::string& s, MemoryMode* out) {
-  const auto mode = parse_memory_mode(s);
-  if (!mode) return false;
-  *out = *mode;
-  return true;
-}
-
-bool parse_refresh(const std::string& s, dram::RefreshMode* out) {
-  const auto mode = parse_refresh_mode(s);
-  if (!mode) return false;
-  *out = *mode;
-  return true;
-}
-
 /// Benchmark axis value -> per-core benchmark list. "wlN" expands to the
 /// 4-program mix of Table II; any other name runs single-core (validate()
 /// rejects names that are not Table I profiles).
 std::vector<std::string> parse_benchmark(const std::string& s) {
-  if (s.size() == 3 && s[0] == 'w' && s[1] == 'l' && s[2] >= '1' &&
-      s[2] <= '0' + static_cast<char>(workload::kNumWorkloadMixes)) {
-    return workload::workload_mix(static_cast<std::uint32_t>(s[2] - '0'));
-  }
-  return {s};
+  const std::uint32_t wl = workload::workload_mix_number(s);
+  return wl > 0 ? workload::workload_mix(wl) : std::vector<std::string>{s};
 }
 
-bool axis_strings(const json::Value& axes, const std::string& key,
-                  std::vector<std::string> fallback,
-                  std::vector<std::string>* out, std::string* error) {
+/// Axis `key` of `axes` into `out`, or `fallback` when the spec omits it.
+/// `get` converts one entry (nullopt: not a `what`).
+template <class T, class Get>
+bool axis(const json::Value& axes, const std::string& key,
+          std::vector<T> fallback, const char* what, Get get,
+          std::vector<T>* out, std::string* error) {
   const json::Value* v = axes.find(key);
   if (v == nullptr) {
     *out = std::move(fallback);
@@ -67,59 +51,27 @@ bool axis_strings(const json::Value& axes, const std::string& key,
   }
   out->clear();
   for (const json::Value& e : v->as_array()) {
-    if (!e.is_string()) {
-      *error = "axis '" + key + "' entries must be strings";
+    const std::optional<T> x = get(e);
+    if (!x) {
+      *error = "axis '" + key + "' entries must be " + what;
       return false;
     }
-    out->push_back(e.as_string());
+    out->push_back(*x);
   }
   return true;
 }
 
-bool axis_u64(const json::Value& axes, const std::string& key,
-              std::vector<std::uint64_t> fallback,
-              std::vector<std::uint64_t>* out, std::string* error) {
-  const json::Value* v = axes.find(key);
-  if (v == nullptr) {
-    *out = std::move(fallback);
-    return true;
-  }
-  if (!v->is_array() || v->as_array().empty()) {
-    *error = "axis '" + key + "' must be a non-empty array";
-    return false;
-  }
-  out->clear();
-  for (const json::Value& e : v->as_array()) {
-    if (!e.has_u64() || e.as_u64() == 0) {
-      *error = "axis '" + key + "' entries must be positive integers";
-      return false;
-    }
-    out->push_back(e.as_u64());
-  }
-  return true;
+std::optional<std::string> string_entry(const json::Value& e) {
+  return e.is_string() ? std::optional(e.as_string()) : std::nullopt;
 }
 
-bool axis_bools(const json::Value& axes, const std::string& key,
-                std::vector<bool> fallback, std::vector<bool>* out,
-                std::string* error) {
-  const json::Value* v = axes.find(key);
-  if (v == nullptr) {
-    *out = std::move(fallback);
-    return true;
-  }
-  if (!v->is_array() || v->as_array().empty()) {
-    *error = "axis '" + key + "' must be a non-empty array";
-    return false;
-  }
-  out->clear();
-  for (const json::Value& e : v->as_array()) {
-    if (!e.is_bool()) {
-      *error = "axis '" + key + "' entries must be booleans";
-      return false;
-    }
-    out->push_back(e.as_bool());
-  }
-  return true;
+std::optional<std::uint64_t> positive_entry(const json::Value& e) {
+  return e.has_u64() && e.as_u64() > 0 ? std::optional(e.as_u64())
+                                       : std::nullopt;
+}
+
+std::optional<bool> bool_entry(const json::Value& e) {
+  return e.is_bool() ? std::optional(e.as_bool()) : std::nullopt;
 }
 
 std::uint64_t scalar_u64(const json::Value& spec, const std::string& key,
@@ -185,7 +137,8 @@ std::string cell_snapname(std::size_t index) {
 }
 
 std::string manifest_text(const std::string& fp, std::size_t total,
-                          const std::vector<bool>& done) {
+                          const std::vector<bool>& done,
+                          const std::map<std::size_t, std::string>& failed) {
   std::ostringstream os;
   telemetry::JsonWriter w(os);
   w.begin_object();
@@ -199,6 +152,20 @@ std::string manifest_text(const std::string& fp, std::size_t total,
     if (done[i]) w.value(static_cast<std::uint64_t>(i));
   }
   w.end_array();
+  // Only a campaign with failed cells carries the key; a resume reruns them.
+  if (!failed.empty()) {
+    w.key("failed");
+    w.begin_array();
+    for (const auto& [index, reason] : failed) {
+      w.begin_object();
+      w.key("index");
+      w.value(static_cast<std::uint64_t>(index));
+      w.key("reason");
+      w.value(std::string_view(reason));
+      w.end_object();
+    }
+    w.end_array();
+  }
   w.end_object();
   os << '\n';
   return os.str();
@@ -259,88 +226,10 @@ std::uint64_t u64_at(const json::Value& doc, const std::string& a,
   return (v != nullptr && v->has_u64()) ? v->as_u64() : 0;
 }
 
-/// Pooled scalar: counts add; per-cell exact sums feed a Scalar so the
-/// pooled sum is itself exact; bounds are the min/max over non-empty cells.
-struct ScalarAgg {
-  std::uint64_t count = 0;
-  Scalar sum_acc;  // record() one exact per-cell sum at a time
-  double min = 0.0;
-  double max = 0.0;
-  bool any = false;
-};
-
-struct MergeState {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, ScalarAgg> scalars;
-  std::map<std::string, Histogram> histograms;
-};
-
-void merge_registry_sections(MergeState* m, const json::Value& doc) {
-  if (const json::Value* cs = doc.find("counters");
-      cs != nullptr && cs->is_object()) {
-    for (const auto& [name, v] : cs->as_object()) {
-      if (v.has_u64()) m->counters[name] += v.as_u64();
-    }
-  }
-  if (const json::Value* ss = doc.find("scalars");
-      ss != nullptr && ss->is_object()) {
-    for (const auto& [name, v] : ss->as_object()) {
-      if (!v.is_object()) continue;
-      const json::Value* cnt = v.find("count");
-      const json::Value* sum = v.find("sum");
-      if (cnt == nullptr || !cnt->has_u64() || sum == nullptr ||
-          !sum->is_number()) {
-        continue;
-      }
-      ScalarAgg& agg = m->scalars[name];
-      const std::uint64_t c = cnt->as_u64();
-      agg.count += c;
-      if (c == 0) continue;
-      agg.sum_acc.record(sum->as_double());
-      const json::Value* mn = v.find("min");
-      const json::Value* mx = v.find("max");
-      const double lo = (mn != nullptr && mn->is_number()) ? mn->as_double()
-                                                           : 0.0;
-      const double hi = (mx != nullptr && mx->is_number()) ? mx->as_double()
-                                                           : 0.0;
-      agg.min = agg.any ? std::min(agg.min, lo) : lo;
-      agg.max = agg.any ? std::max(agg.max, hi) : hi;
-      agg.any = true;
-    }
-  }
-  if (const json::Value* hs = doc.find("histograms");
-      hs != nullptr && hs->is_object()) {
-    for (const auto& [name, v] : hs->as_object()) {
-      if (!v.is_object()) continue;
-      const json::Value* width = v.find("bucket_width");
-      const json::Value* sum = v.find("sum");
-      const json::Value* buckets = v.find("buckets");
-      if (width == nullptr || !width->has_u64() || sum == nullptr ||
-          !sum->has_u64() || buckets == nullptr || !buckets->is_array()) {
-        continue;
-      }
-      std::vector<std::uint64_t> counts;
-      counts.reserve(buckets->as_array().size());
-      for (const json::Value& b : buckets->as_array()) {
-        if (!b.has_u64()) break;
-        counts.push_back(b.as_u64());
-      }
-      if (counts.size() != buckets->as_array().size() || counts.size() < 2) {
-        continue;
-      }
-      Histogram h(width->as_u64(), std::move(counts), sum->as_u64());
-      auto [it, inserted] = m->histograms.try_emplace(name, h);
-      if (!inserted) it->second.merge(h);
-    }
-  }
-}
-
 std::string merged_text(const std::string& name,
                         const std::vector<CampaignCell>& cells,
-                        const std::vector<json::Value>& docs) {
-  MergeState agg;
-  for (const json::Value& doc : docs) merge_registry_sections(&agg, doc);
-
+                        const std::vector<json::Value>& docs,
+                        const StatRegistry& aggregate) {
   std::ostringstream os;
   telemetry::JsonWriter w(os);
   w.begin_object();
@@ -391,66 +280,7 @@ std::string merged_text(const std::string& name,
 
   w.key("aggregate");
   w.begin_object();
-  w.key("counters");
-  w.begin_object();
-  for (const auto& [cname, value] : agg.counters) {
-    w.key(cname);
-    w.value(value);
-  }
-  w.end_object();
-  w.key("scalars");
-  w.begin_object();
-  for (const auto& [sname, s] : agg.scalars) {
-    w.key(sname);
-    w.begin_object();
-    w.key("count");
-    w.value(s.count);
-    const double sum = s.sum_acc.sum();
-    w.key("sum");
-    w.value(sum);
-    w.key("mean");
-    w.value(s.count ? sum / static_cast<double>(s.count) : 0.0);
-    w.key("min");
-    if (s.any) {
-      w.value(s.min);
-    } else {
-      w.null();
-    }
-    w.key("max");
-    if (s.any) {
-      w.value(s.max);
-    } else {
-      w.null();
-    }
-    w.end_object();
-  }
-  w.end_object();
-  w.key("histograms");
-  w.begin_object();
-  for (const auto& [hname, h] : agg.histograms) {
-    w.key(hname);
-    w.begin_object();
-    w.key("count");
-    w.value(h.count());
-    w.key("sum");
-    w.value(h.sum());
-    w.key("mean");
-    w.value(h.mean());
-    w.key("bucket_width");
-    w.value(h.bucket_width());
-    w.key("buckets");
-    w.begin_array();
-    for (std::size_t i = 0; i < h.num_buckets(); ++i) w.value(h.bucket(i));
-    w.end_array();
-    w.key("p50");
-    w.value(h.percentile(50.0));
-    w.key("p95");
-    w.value(h.percentile(95.0));
-    w.key("p99");
-    w.value(h.percentile(99.0));
-    w.end_object();
-  }
-  w.end_object();
+  telemetry::write_registry_sections(w, aggregate);
   w.end_object();  // aggregate
 
   // Epoch series concatenate rather than fold: each cell's time axis is its
@@ -539,14 +369,20 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
   std::vector<std::string> benchmarks, modes, refreshes;
   std::vector<std::uint64_t> ranks, channels, llc_mb;
   std::vector<bool> partitions;
-  if (!axis_strings(axes, "benchmark", {"lbm"}, &benchmarks, &err) ||
-      !axis_strings(axes, "mode", {memory_mode_name(MemoryMode::kBaseline)},
-                    &modes, &err) ||
-      !axis_u64(axes, "ranks", {1}, &ranks, &err) ||
-      !axis_strings(axes, "refresh", {"1x"}, &refreshes, &err) ||
-      !axis_bools(axes, "rank_partition", {false}, &partitions, &err) ||
-      !axis_u64(axes, "channels", {1}, &channels, &err) ||
-      !axis_u64(axes, "llc_mb", {2}, &llc_mb, &err)) {
+  const char* kStrings = "strings";
+  const char* kPositive = "positive integers";
+  if (!axis(axes, "benchmark", {"lbm"}, kStrings, string_entry, &benchmarks,
+            &err) ||
+      !axis(axes, "mode", {memory_mode_name(MemoryMode::kBaseline)},
+            kStrings, string_entry, &modes, &err) ||
+      !axis(axes, "ranks", {1}, kPositive, positive_entry, &ranks, &err) ||
+      !axis(axes, "refresh", {"1x"}, kStrings, string_entry, &refreshes,
+            &err) ||
+      !axis(axes, "rank_partition", {false}, "booleans", bool_entry,
+            &partitions, &err) ||
+      !axis(axes, "channels", {1}, kPositive, positive_entry, &channels,
+            &err) ||
+      !axis(axes, "llc_mb", {2}, kPositive, positive_entry, &llc_mb, &err)) {
     if (error != nullptr) *error = err;
     return std::nullopt;
   }
@@ -560,15 +396,18 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
   for (const std::string& bench : benchmarks) {
     const std::vector<std::string> cores = parse_benchmark(bench);
     for (const std::string& mode_s : modes) {
-      MemoryMode mode{};
-      if (!parse_mode(mode_s, &mode)) {
+      // Scheme and refresh-mode names go through the preset layer's
+      // parsers (sim/presets.h), which the ropsim CLI uses too.
+      const std::optional<MemoryMode> mode = parse_memory_mode(mode_s);
+      if (!mode) {
         if (error != nullptr) *error = "unknown mode '" + mode_s + "'";
         return std::nullopt;
       }
       for (const std::uint64_t r : ranks) {
         for (const std::string& ref_s : refreshes) {
-          dram::RefreshMode refresh{};
-          if (!parse_refresh(ref_s, &refresh)) {
+          const std::optional<dram::RefreshMode> refresh =
+              parse_refresh_mode(ref_s);
+          if (!refresh) {
             if (error != nullptr) {
               *error = "unknown refresh mode '" + ref_s + "'";
             }
@@ -586,16 +425,16 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
                 cell.label = label.str();
                 ExperimentSpec& e = cell.spec;
                 e.benchmarks = cores;
-                e.mode = mode;
+                e.mode = *mode;
                 e.rank_partition = part;
                 e.ranks = static_cast<std::uint32_t>(r);
                 e.channels = static_cast<std::uint32_t>(ch);
                 e.shard_channels = static_cast<std::uint32_t>(
                     std::min<std::uint64_t>(shard_channels, ch));
                 e.llc_bytes = mb << 20;
-                e.refresh_mode = refresh;
+                e.refresh_mode = *refresh;
                 e.instructions_per_core = instructions;
-                e.max_cpu_cycles = instructions * 256;  // ropsim parity
+                e.max_cpu_cycles = instructions * kCpuCyclesPerInstructionCap;
                 e.check = check;
                 e.sampling = sampling;
                 e.telemetry.sampler.epoch_cycles = epoch_cycles;
@@ -698,27 +537,34 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
     }
   }
 
+  // Pending cells, with their checkpoints resolved against the output
+  // directory.
   std::vector<std::size_t> pending;
+  std::vector<ExperimentSpec> specs;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (!done[i]) pending.push_back(i);
+    if (done[i]) continue;
+    pending.push_back(i);
+    ExperimentSpec& e = specs.emplace_back(cells[i].spec);
+    if (e.snapshot.out.empty()) continue;
+    e.snapshot.out = (out_dir / e.snapshot.out).string();
+    // Resume mid-cell from the last periodic checkpoint — but only one
+    // written under this exact spec; a stale file from an earlier sweep is
+    // discarded, not trusted.
+    if (snapshot_compatible(e.snapshot.out,
+                            config_fingerprint(spec_canonical(e)))) {
+      e.snapshot.in = e.snapshot.out;
+    } else {
+      std::error_code rm_ec;
+      fs::remove(e.snapshot.out, rm_ec);
+    }
   }
 
-  // Budget against the widest cell: planned-sampled cells bring window
-  // workers, so jobs * width never exceeds the machine (a 4-cell sweep of sampling.jobs=4 cells on an
-  // 8-thread budget runs 2 cells at a time, not 4).
-  unsigned max_width = 1;
-  for (const CampaignCell& cell : cells) {
-    max_width = std::max(max_width, experiment_worker_width(cell.spec));
-  }
-  const unsigned n_workers =
-      worker_budget(opts.jobs, max_width, pending.size());
-
-  std::mutex mu;  // guards done[], the manifest file, and progress output
-  std::atomic<std::size_t> next{0};
+  // Guards done[], failed, io_error, the manifest file and progress output.
+  std::mutex mu;
+  std::map<std::size_t, std::string> failed;  // cell index -> reason
+  std::string io_error;
   std::atomic<std::size_t> fresh{0};
   std::atomic<std::size_t> running{0};
-  std::atomic<bool> io_failed{false};
-  std::string io_error;
 
   // Live-ops heartbeat (JSONL; one line per cell transition). Holds the
   // manifest mutex while writing, so lines never interleave.
@@ -727,13 +573,15 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
     beat = std::make_unique<telemetry::ProgressWriter>(opts.progress_file);
   }
   const auto t0 = std::chrono::steady_clock::now();
+  const auto count_done = [&done] {
+    return static_cast<std::size_t>(std::count(done.begin(), done.end(), true));
+  };
   const auto emit_beat = [&](const std::string& label) {  // requires mu held
     if (beat == nullptr) return;
     telemetry::ProgressWriter::CampaignHeartbeat hb;
-    std::size_t total_done = 0;
-    for (const bool d : done) total_done += d ? 1 : 0;
+    const std::size_t total_done = count_done();
     hb.done = total_done;
-    hb.failed = io_failed.load(std::memory_order_relaxed) ? 1 : 0;
+    hb.failed = failed.size();
     hb.running = running.load(std::memory_order_relaxed);
     hb.total = cells.size();
     hb.wall_s = std::chrono::duration<double>(
@@ -756,109 +604,91 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
     emit_beat("");  // opening line: totals and restored count
   }
 
-  const auto worker = [&] {
-    for (;;) {
-      if (io_failed.load(std::memory_order_relaxed)) return;
-      if (opts.stop_after > 0 &&
-          fresh.load(std::memory_order_relaxed) >= opts.stop_after) {
-        return;
-      }
-      const std::size_t slot = next.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= pending.size()) return;
-      const std::size_t idx = pending[slot];
-      running.fetch_add(1, std::memory_order_relaxed);
-      if (beat != nullptr) {
-        std::lock_guard<std::mutex> lock(mu);
-        emit_beat(cells[idx].label);
-      }
-      ExperimentSpec cell_spec = cells[idx].spec;
-      fs::path snap_path;
-      if (!cell_spec.snapshot.out.empty()) {
-        snap_path = out_dir / cell_spec.snapshot.out;
-        cell_spec.snapshot.out = snap_path.string();
-        // Resume mid-cell from the last periodic checkpoint — but only one
-        // written under this exact spec; a stale file from an earlier sweep
-        // is discarded, not trusted.
-        if (snapshot_compatible(snap_path.string(),
-                                config_fingerprint(
-                                    spec_canonical(cell_spec)))) {
-          cell_spec.snapshot.in = snap_path.string();
-        } else {
-          std::error_code rm_ec;
-          fs::remove(snap_path, rm_ec);
-        }
-      }
-      ExperimentResult result = run_experiment(cell_spec);
-      if (!result.error.empty() && !cell_spec.snapshot.in.empty()) {
-        // A checkpoint with the right header that still does not restore
-        // (truncated, corrupt): discard it and rerun from cycle 0.
-        std::error_code rm_ec;
-        fs::remove(snap_path, rm_ec);
-        cell_spec.snapshot.in.clear();
-        result = run_experiment(cell_spec);
-      }
-      if (!result.error.empty() ||
-          !write_file_atomic(out_dir / cell_filename(idx), result.to_json())) {
-        std::lock_guard<std::mutex> lock(mu);
-        io_error = result.error.empty() ? "cannot write " + cell_filename(idx)
-                                        : cells[idx].label + ": " +
-                                              result.error;
-        io_failed.store(true, std::memory_order_relaxed);
-        return;
-      }
-      if (!snap_path.empty()) {
-        // The cell JSON landed; the intra-cell checkpoint is obsolete (and
-        // must not leak into the next campaign in this directory).
-        std::error_code rm_ec;
-        fs::remove(snap_path, rm_ec);
-      }
-      const std::size_t n_fresh =
-          fresh.fetch_add(1, std::memory_order_relaxed) + 1;
-      running.fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> lock(mu);
-      done[idx] = true;
-      // Checkpoint after every cell: a kill between two checkpoints loses
-      // at most in-flight cells, never completed ones.
-      if (!write_file_atomic(manifest_path,
-                             manifest_text(fp, cells.size(), done))) {
-        io_error = "cannot write manifest.json";
-        io_failed.store(true, std::memory_order_relaxed);
-        emit_beat(cells[idx].label);
-        return;
-      }
-      if (opts.progress) {
-        std::size_t total_done = 0;
-        for (const bool d : done) total_done += d ? 1 : 0;
-        std::fprintf(stderr, "[campaign %s] %zu/%zu done: %s\n", name.c_str(),
-                     total_done, cells.size(), cells[idx].label.c_str());
-      }
-      emit_beat(cells[idx].label);
-      static_cast<void>(n_fresh);
+  // One cell: run it, write its document, checkpoint the manifest. A cell
+  // that fails records its reason and lets the others finish; only a
+  // manifest write error (returning false) stops the pool.
+  const auto run_cell = [&](std::size_t slot) {
+    if (opts.stop_after > 0 &&
+        fresh.load(std::memory_order_relaxed) >= opts.stop_after) {
+      return false;
     }
+    const std::size_t idx = pending[slot];
+    const std::string& label = cells[idx].label;
+    running.fetch_add(1, std::memory_order_relaxed);
+    if (beat != nullptr) {
+      std::lock_guard<std::mutex> lock(mu);
+      emit_beat(label);
+    }
+    ExperimentSpec e = specs[slot];
+    ExperimentResult result = run_experiment(e);
+    if (!result.error.empty() && !e.snapshot.in.empty()) {
+      // A checkpoint with the right header that still does not restore
+      // (truncated, corrupt): discard it and rerun from cycle 0.
+      std::error_code rm_ec;
+      fs::remove(e.snapshot.in, rm_ec);
+      e.snapshot.in.clear();
+      result = run_experiment(e);
+    }
+    if (result.error.empty() &&
+        !write_file_atomic(out_dir / cell_filename(idx), result.to_json())) {
+      result.error = "cannot write " + cell_filename(idx);
+    }
+    if (result.error.empty() && !e.snapshot.out.empty()) {
+      // The cell JSON landed; the intra-cell checkpoint is obsolete (and
+      // must not leak into the next campaign in this directory).
+      std::error_code rm_ec;
+      fs::remove(e.snapshot.out, rm_ec);
+    }
+    running.fetch_sub(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu);
+    if (result.error.empty()) {
+      done[idx] = true;
+      fresh.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      failed[idx] = result.error;
+    }
+    // Checkpoint after every cell: a kill between two checkpoints loses
+    // at most in-flight cells, never completed ones.
+    if (!write_file_atomic(manifest_path,
+                           manifest_text(fp, cells.size(), done, failed))) {
+      io_error = "cannot write manifest.json";
+      emit_beat(label);
+      return false;
+    }
+    if (opts.progress) {
+      if (result.error.empty()) {
+        std::fprintf(stderr, "[campaign %s] %zu/%zu done: %s\n",
+                     name.c_str(), count_done(), cells.size(), label.c_str());
+      } else {
+        std::fprintf(stderr, "[campaign %s] failed: %s: %s\n", name.c_str(),
+                     label.c_str(), result.error.c_str());
+      }
+    }
+    emit_beat(label);
+    return true;
   };
-
-  std::vector<std::thread> threads;
-  for (unsigned t = 1; t < n_workers; ++t) threads.emplace_back(worker);
-  worker();
-  for (std::thread& t : threads) t.join();
-  if (io_failed.load()) return fail(io_error);
+  run_claimed(specs, opts.jobs, run_cell);
+  if (!io_error.empty()) return fail(io_error);
 
   CampaignSummary summary;
   summary.total_cells = cells.size();
   summary.skipped_cells = restored;
   summary.ran_cells = fresh.load();
-  std::size_t completed = 0;
-  for (const bool d : done) completed += d ? 1 : 0;
-  summary.completed_cells = completed;
-  summary.complete = completed == cells.size();
+  summary.completed_cells = count_done();
+  summary.complete = summary.completed_cells == cells.size();
+  for (const auto& [idx, reason] : failed) {
+    summary.failed_cells.push_back("cell " + std::to_string(idx) + " (" +
+                                   cells[idx].label + "): " + reason);
+  }
   if (!summary.complete) return summary;
 
-  // Merge: parse every per-cell document back and aggregate. Deterministic
-  // (sorted keys, exact integer/scalar folds, no wall-clock fields), so a
-  // resumed campaign reproduces the uninterrupted merged.json byte for
-  // byte.
+  // Merge: read every per-cell document back into a registry and fold it
+  // into one. Deterministic (sorted keys, exact integer/scalar folds, no
+  // wall-clock fields), so a resumed campaign reproduces the uninterrupted
+  // merged.json byte for byte.
   std::vector<json::Value> docs;
   docs.reserve(cells.size());
+  StatRegistry aggregate;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     std::string text;
     if (!read_file(out_dir / cell_filename(i), &text)) {
@@ -866,13 +696,16 @@ std::optional<CampaignSummary> run_campaign(const CampaignOptions& opts,
     }
     std::string cell_err;
     std::optional<json::Value> doc = json::parse(text, &cell_err);
-    if (!doc) {
-      return fail(cell_filename(i) + " parse error: " + cell_err);
+    StatRegistry cell;
+    if (!doc || !telemetry::read_registry_sections(*doc, &cell, &cell_err) ||
+        !aggregate.merge_from(cell, &cell_err)) {
+      return fail(cell_filename(i) + ": " + cell_err);
     }
     docs.push_back(std::move(*doc));
   }
   const fs::path merged_path = out_dir / "merged.json";
-  if (!write_file_atomic(merged_path, merged_text(name, cells, docs))) {
+  if (!write_file_atomic(merged_path,
+                         merged_text(name, cells, docs, aggregate))) {
     return fail("cannot write merged.json");
   }
   summary.merged_path = merged_path.string();

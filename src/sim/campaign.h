@@ -1,8 +1,12 @@
 // Campaign engine: expand a JSON sweep spec into a grid of
-// ExperimentSpecs, run them on a bounded worker pool (budgeted against
-// per-run sampling window workers; see sim/worker_budget.h), checkpoint every
-// completed cell into a resumable manifest, and merge the per-cell stats
-// documents into one aggregate JSON the figure harnesses can consume.
+// ExperimentSpecs, run them on the experiment runner's worker pool
+// (sim/runner.h; budgeted against per-run sampling window workers),
+// checkpoint every completed cell into a resumable manifest, and merge the
+// per-cell stats documents into one aggregate JSON the figure harnesses can
+// consume. The merge reads each cell's registry sections back into a
+// StatRegistry (telemetry::read_registry_sections), folds them with
+// StatRegistry::merge_from and writes the fold with the same
+// write_registry_sections every stats document uses.
 //
 // Spec format (all axes optional; missing axes pin their default):
 //
@@ -28,7 +32,10 @@
 // and labels are stable across invocations: the manifest checkpoints by
 // index, and a resumed campaign reruns only the missing cells. The merged
 // document excludes wall-clock fields, making an interrupted-then-resumed
-// campaign byte-identical to an uninterrupted one.
+// campaign byte-identical to an uninterrupted one. A cell whose run fails
+// is listed in the manifest under "failed" (index and reason) while the
+// other cells finish; the campaign then ends incomplete, without a merged
+// document, and a resume reruns the failed cells.
 #pragma once
 
 #include <cstdint>
@@ -77,6 +84,8 @@ struct CampaignSummary {
   std::size_t skipped_cells = 0;    // restored from the manifest
   bool complete = false;
   std::string merged_path;  // set when complete: out_dir/merged.json
+  /// "cell N (label): reason" for every cell that failed this invocation.
+  std::vector<std::string> failed_cells;
 };
 
 /// Expand a parsed spec into the cell grid. Returns nullopt and sets
@@ -88,8 +97,11 @@ struct CampaignSummary {
     const json::Value& spec, std::string* error);
 
 /// Run (or resume) a campaign end to end. Returns nullopt and sets
-/// `error` on spec/IO failures; `bad_spec`, when given, tells the two
-/// apart (true: the spec did not read, parse or expand). An intra-cell
+/// `error` on spec/IO failures — a manifest or merged-document write, or
+/// a cell document that does not read back (the message names the file);
+/// `bad_spec`, when given, tells the two apart (true: the spec did not
+/// read, parse or expand). A failed cell is not an error here: it is in
+/// the summary's failed_cells and the summary is incomplete. An intra-cell
 /// checkpoint that does not restore is discarded and its cell rerun from
 /// cycle 0; checker violations still abort (the checker's contract).
 [[nodiscard]] std::optional<CampaignSummary> run_campaign(

@@ -40,6 +40,10 @@ struct SnapshotSpec {
   [[nodiscard]] bool any() const { return !in.empty() || !out.empty(); }
 };
 
+/// CPU cycles per instruction at which ropsim and campaign cells cut a run
+/// short: their max_cpu_cycles is instructions_per_core times this.
+inline constexpr std::uint64_t kCpuCyclesPerInstructionCap = 256;
+
 struct ExperimentSpec {
   /// One benchmark name per core (see workload::kBenchmarkNames); with
   /// `trace_files` set, only the cores' labels.

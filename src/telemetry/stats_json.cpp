@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <numeric>
 
 #include "telemetry/epoch_sampler.h"
 
@@ -173,6 +174,83 @@ void write_registry_sections(JsonWriter& w, const StatRegistry& stats) {
     w.end_object();
   }
   w.end_object();
+}
+
+namespace {
+
+/// Member `key` of `v` as an exact unsigned integer / as a number.
+bool member(const json::Value& v, const char* key, std::uint64_t* out) {
+  const json::Value* m = v.find(key);
+  if (m == nullptr || !m->has_u64()) return false;
+  *out = m->as_u64();
+  return true;
+}
+
+bool member(const json::Value& v, const char* key, double* out) {
+  const json::Value* m = v.find(key);
+  if (m == nullptr || !m->is_number()) return false;
+  *out = m->as_double();
+  return true;
+}
+
+}  // namespace
+
+bool read_registry_sections(const json::Value& doc, StatRegistry* stats,
+                            std::string* error) {
+  const auto malformed = [error](const std::string& what) {
+    if (error != nullptr) *error = what + " is malformed";
+    return false;
+  };
+  const json::Value* counters = doc.find("counters");
+  const json::Value* scalars = doc.find("scalars");
+  const json::Value* histograms = doc.find("histograms");
+  if (counters == nullptr || !counters->is_object() || scalars == nullptr ||
+      !scalars->is_object() || histograms == nullptr ||
+      !histograms->is_object()) {
+    return malformed("the counters/scalars/histograms layout");
+  }
+  for (const auto& [name, v] : counters->as_object()) {
+    if (!v.has_u64()) return malformed("counter '" + name + "'");
+    Counter& c = stats->counter(name);
+    c.reset();
+    c.inc(v.as_u64());
+  }
+  for (const auto& [name, v] : scalars->as_object()) {
+    std::uint64_t count = 0;
+    double sum = 0.0, min = 0.0, max = 0.0;
+    // An empty scalar's bounds are null (write_registry_sections).
+    if (!member(v, "count", &count) || !member(v, "sum", &sum) ||
+        (count > 0 && (!member(v, "min", &min) || !member(v, "max", &max)))) {
+      return malformed("scalar '" + name + "'");
+    }
+    stats->scalar(name) = Scalar(count, sum, min, max);
+  }
+  for (const auto& [name, v] : histograms->as_object()) {
+    const std::string what = "histogram '" + name + "'";
+    std::uint64_t count = 0, sum = 0, width = 0;
+    const json::Value* buckets = v.find("buckets");
+    if (!member(v, "count", &count) || !member(v, "sum", &sum) ||
+        !member(v, "bucket_width", &width) || width == 0 ||
+        buckets == nullptr || !buckets->is_array() ||
+        buckets->as_array().size() < 2) {
+      return malformed(what);
+    }
+    std::vector<std::uint64_t> counts;
+    for (const json::Value& b : buckets->as_array()) {
+      if (!b.has_u64()) return malformed(what);
+      counts.push_back(b.as_u64());
+    }
+    // The count is the buckets' total; a document where they disagree
+    // was edited.
+    if (std::accumulate(counts.begin(), counts.end(), std::uint64_t{0}) !=
+        count) {
+      return malformed(what);
+    }
+    const std::size_t n = counts.size() - 1;  // plus the overflow bucket
+    stats->histogram(name, width, n) =
+        Histogram(width, std::move(counts), sum);
+  }
+  return true;
 }
 
 void write_epoch_section(JsonWriter& w, const EpochSampler* sampler) {

@@ -2,14 +2,15 @@
 //
 // JsonWriter is a minimal streaming writer (no DOM, no dependencies) with
 // automatic comma management; the write_* helpers render the registry
-// sections that ExperimentResult::to_json and ropsim --stats-json share.
+// sections that ExperimentResult::to_json and ropsim --stats-json share,
+// and read_registry_sections parses them back (the campaign merge).
 //
 // Schema (docs/OBSERVABILITY.md documents the full document layout):
 //   "counters":   { name: value, ... }
 //   "scalars":    { name: {count, sum, mean, min, max}, ... }
 //                 min/max are null when count == 0 — "no samples" must be
 //                 distinguishable from "observed zero".
-//   "histograms": { name: {count, mean, bucket_width, buckets: [...],
+//   "histograms": { name: {count, sum, mean, bucket_width, buckets: [...],
 //                          p50, p95, p99}, ... }
 //   "epochs":     {epoch_cycles, first_epoch_index, end_cycles: [...],
 //                  series: {name: [deltas...], ...}}
@@ -21,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/json.h"
 #include "common/stats.h"
 #include "common/types.h"
 
@@ -62,6 +64,16 @@ class JsonWriter {
 /// Emit the "counters", "scalars", and "histograms" keys into the current
 /// object.
 void write_registry_sections(JsonWriter& w, const StatRegistry& stats);
+
+/// Inverse of write_registry_sections: set the stats that the "counters",
+/// "scalars" and "histograms" objects of `doc` name in `stats` from their
+/// exported parts (derived fields — mean, percentiles — are not read).
+/// Writing the result back reproduces those sections byte for byte.
+/// Returns false and names the entry in `error` when a section is missing
+/// or an entry is malformed; `stats` may then hold a partial read.
+[[nodiscard]] bool read_registry_sections(const json::Value& doc,
+                                          StatRegistry* stats,
+                                          std::string* error);
 
 /// Emit the "epochs" key into the current object (null sampler or a
 /// disabled one writes `"epochs": null`).

@@ -151,4 +151,10 @@ std::vector<std::string> workload_mix(std::uint32_t wl) {
   return {};
 }
 
+std::uint32_t workload_mix_number(std::string_view name) {
+  if (name.size() != 3 || !name.starts_with("wl")) return 0;
+  const auto wl = static_cast<std::uint32_t>(name[2] - '0');
+  return wl >= 1 && wl <= kNumWorkloadMixes ? wl : 0;
+}
+
 }  // namespace rop::workload

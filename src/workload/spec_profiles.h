@@ -38,4 +38,8 @@ inline constexpr std::array<std::string_view, 12> kBenchmarkNames{
 
 inline constexpr std::uint32_t kNumWorkloadMixes = 6;
 
+/// The mix a benchmark name selects: "wl1".."wl6" give 1..6, any other
+/// name 0. ropsim and campaign specs spell mixes this way.
+[[nodiscard]] std::uint32_t workload_mix_number(std::string_view name);
+
 }  // namespace rop::workload

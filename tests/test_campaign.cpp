@@ -186,6 +186,29 @@ TEST(CampaignExpand, WorkloadMixesAndErrors) {
   EXPECT_NE(err.find("warp-drive"), std::string::npos);
 }
 
+TEST(CampaignExpand, NamesTheMalformedAxis) {
+  const auto error_of = [](const std::string& axes) {
+    std::string err;
+    const auto spec = json::parse(R"({"axes": )" + axes + "}");
+    EXPECT_TRUE(spec.has_value()) << axes;
+    EXPECT_FALSE(expand_campaign(*spec, &err).has_value()) << axes;
+    return err;
+  };
+  EXPECT_EQ(error_of(R"({"mode": []})"),
+            "axis 'mode' must be a non-empty array");
+  EXPECT_EQ(error_of(R"({"refresh": "1x"})"),
+            "axis 'refresh' must be a non-empty array");
+  EXPECT_EQ(error_of(R"({"benchmark": ["lbm", 3]})"),
+            "axis 'benchmark' entries must be strings");
+  EXPECT_EQ(error_of(R"({"ranks": [1, 0]})"),
+            "axis 'ranks' entries must be positive integers");
+  EXPECT_EQ(error_of(R"({"llc_mb": [2.5]})"),
+            "axis 'llc_mb' entries must be positive integers");
+  EXPECT_EQ(error_of(R"({"rank_partition": [1]})"),
+            "axis 'rank_partition' entries must be booleans");
+  EXPECT_EQ(error_of(R"({"refresh": ["8x"]})"), "unknown refresh mode '8x'");
+}
+
 TEST(CampaignRun, InterruptedThenResumedMatchesUninterrupted) {
   const std::string base = ::testing::TempDir() + "rop_campaign_test";
   fs::remove_all(base);
@@ -453,6 +476,141 @@ TEST(CampaignRun, InvalidCellFailsBeforeAnyCellRuns) {
   EXPECT_FALSE(fs::exists(base + "/out/cell_000000.json"));
 
   fs::remove_all(base);
+}
+
+TEST(CampaignRun, FailedCellFailsOnlyItself) {
+  // Cell 1's checkpoint path is a non-empty directory, so its periodic
+  // snapshot cannot be written and its run returns an error. Cells 0 and 2
+  // still finish; the manifest names cell 1 and no merged document is
+  // written. Once the path is clear, a resume reruns only cell 1.
+  const std::string base = ::testing::TempDir() + "rop_campaign_failcell";
+  fs::remove_all(base);
+  const std::string spec_path = write_spec(base, R"({
+    "name": "failcell",
+    "instructions_per_core": 50000,
+    "snapshot_every": 5000,
+    "axes": {"benchmark": ["lbm"], "mode": ["baseline", "rop", "darp"]}
+  })");
+  std::string err;
+  const auto full = run_campaign(quiet_options(spec_path, base + "/full"),
+                                 &err);
+  ASSERT_TRUE(full.has_value()) << err;
+  ASSERT_TRUE(full->complete);
+
+  const std::string out = base + "/out";
+  fs::create_directories(out + "/cell_000001.snap");
+  std::ofstream(out + "/cell_000001.snap/keep") << "x";
+  CampaignOptions opts = quiet_options(spec_path, out);
+  opts.progress_file = base + "/beat.jsonl";
+  const auto failed = run_campaign(opts, &err);
+  ASSERT_TRUE(failed.has_value()) << err;
+  EXPECT_FALSE(failed->complete);
+  EXPECT_EQ(failed->ran_cells, 2u);
+  EXPECT_EQ(failed->completed_cells, 2u);
+  ASSERT_EQ(failed->failed_cells.size(), 1u);
+  EXPECT_EQ(failed->failed_cells[0].rfind(
+                "cell 1 (lbm/rop/r1/1x/part0/ch1/llc2): cannot write snapshot",
+                0),
+            0u)
+      << failed->failed_cells[0];
+  EXPECT_TRUE(fs::exists(out + "/cell_000000.json"));
+  EXPECT_FALSE(fs::exists(out + "/cell_000001.json"));
+  EXPECT_TRUE(fs::exists(out + "/cell_000002.json"));
+  EXPECT_FALSE(fs::exists(out + "/merged.json"));
+
+  const auto manifest = json::parse(slurp(out + "/manifest.json"), &err);
+  ASSERT_TRUE(manifest.has_value()) << err;
+  const json::Array& completed = manifest->find("completed")->as_array();
+  ASSERT_EQ(completed.size(), 2u);
+  EXPECT_EQ(completed[0].as_u64(), 0u);
+  EXPECT_EQ(completed[1].as_u64(), 2u);
+  const json::Array& failed_list = manifest->find("failed")->as_array();
+  ASSERT_EQ(failed_list.size(), 1u);
+  EXPECT_EQ(failed_list[0].find("index")->as_u64(), 1u);
+  EXPECT_NE(failed_list[0].find("reason")->as_string().find(
+                "cannot write snapshot"),
+            std::string::npos);
+
+  // The heartbeat counts failed cells.
+  const std::string beats = slurp(base + "/beat.jsonl");
+  const std::string last = beats.substr(beats.rfind('{'));
+  EXPECT_NE(last.find("\"failed\":1,"), std::string::npos) << last;
+  EXPECT_NE(last.find("\"done\":2,"), std::string::npos) << last;
+
+  fs::remove_all(out + "/cell_000001.snap");
+  const auto resumed = run_campaign(quiet_options(spec_path, out), &err);
+  ASSERT_TRUE(resumed.has_value()) << err;
+  EXPECT_TRUE(resumed->complete);
+  EXPECT_EQ(resumed->skipped_cells, 2u);
+  EXPECT_EQ(resumed->ran_cells, 1u);
+  EXPECT_TRUE(resumed->failed_cells.empty());
+  EXPECT_EQ(slurp(out + "/merged.json"), slurp(full->merged_path));
+  EXPECT_EQ(slurp(out + "/manifest.json"), slurp(base + "/full/manifest.json"));
+
+  fs::remove_all(base);
+}
+
+/// Run the first of two cells, let `tamper` edit its document, resume,
+/// and return the resume's error (the campaign must fail, not abort).
+std::string resume_over_tampered_cell(const std::string& base,
+                                      std::string (*tamper)(std::string)) {
+  fs::remove_all(base);
+  const std::string spec_path = write_spec(base, R"({
+    "instructions_per_core": 20000,
+    "axes": {"benchmark": ["lbm"], "mode": ["baseline", "rop"]}
+  })");
+  CampaignOptions first = quiet_options(spec_path, base + "/out");
+  first.stop_after = 1;
+  std::string err;
+  EXPECT_TRUE(run_campaign(first, &err).has_value()) << err;
+  const std::string cell = base + "/out/cell_000000.json";
+  const std::string edited = tamper(slurp(cell));
+  std::ofstream(cell, std::ios::binary | std::ios::trunc) << edited;
+
+  bool bad_spec = false;
+  EXPECT_FALSE(run_campaign(quiet_options(spec_path, base + "/out"), &err,
+                            &bad_spec)
+                   .has_value());
+  EXPECT_FALSE(bad_spec);  // a bad cell document is not a bad spec
+  EXPECT_FALSE(fs::exists(base + "/out/merged.json"));
+  fs::remove_all(base);
+  return err;
+}
+
+/// Replace the value after the first `key` at or after `from` (up to the
+/// next ',' or '}') with `value`.
+std::string replace_value(std::string doc, std::size_t from,
+                          const std::string& key, const std::string& value) {
+  const std::size_t at = doc.find(key, from);
+  EXPECT_NE(at, std::string::npos) << key;
+  const std::size_t begin = at + key.size();
+  const std::size_t end = doc.find_first_of(",}", begin);
+  return doc.replace(begin, end - begin, value);
+}
+
+TEST(CampaignRun, TamperedCellDocumentFailsTheMerge) {
+  const std::string non_integer = resume_over_tampered_cell(
+      ::testing::TempDir() + "rop_campaign_tamper_counter",
+      [](std::string doc) {
+        // The first counter's value: the first '":' inside "counters".
+        const std::string section = "\"counters\":{";
+        const std::size_t from = doc.find(section) + section.size();
+        return replace_value(std::move(doc), from, "\":", "1.5");
+      });
+  EXPECT_EQ(non_integer.rfind("cell_000000.json: counter '", 0), 0u)
+      << non_integer;
+  EXPECT_NE(non_integer.find("is malformed"), std::string::npos);
+
+  // Bucket geometry that no longer matches the other cell's histogram:
+  // Histogram::merge would assert on it.
+  const std::string geometry = resume_over_tampered_cell(
+      ::testing::TempDir() + "rop_campaign_tamper_width",
+      [](std::string doc) {
+        return replace_value(std::move(doc), 0, "\"bucket_width\":", "3");
+      });
+  EXPECT_EQ(geometry.rfind("cell_000001.json: histogram '", 0), 0u)
+      << geometry;
+  EXPECT_NE(geometry.find("has another bucket geometry"), std::string::npos);
 }
 
 TEST(CampaignRun, FingerprintMismatchStartsOver) {

@@ -1,16 +1,21 @@
 // Aggregation primitives behind the campaign merge:
-// Counter/Scalar/Histogram::merge, StatRegistry::merge_from, and the shared
-// worker-budget policy. The load-bearing property is exactness: merging
+// Counter/Scalar/Histogram::merge, StatRegistry::merge_from, the registry
+// reader that parses stats documents back, and the shared worker-budget
+// policy. The load-bearing property is exactness: merging
 // partial streams must reproduce the pooled single-stream result bit for
 // bit, not approximately.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/stats.h"
 #include "sim/worker_budget.h"
+#include "telemetry/stats_json.h"
 
 namespace rop {
 namespace {
@@ -142,6 +147,86 @@ TEST(RegistryMerge, CreatesMissingAndFoldsExisting) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 1u);
   EXPECT_EQ(h->bucket_width(), 2u);  // adopted source geometry
+}
+
+TEST(RegistryMerge, RefusesAHistogramOfAnotherGeometry) {
+  StatRegistry a, b;
+  a.counter("mem.reads").inc(10);
+  a.histogram("h", 2, 4).record(5);
+  b.counter("mem.reads").inc(5);
+  b.histogram("h", 4, 4).record(5);  // same name, other bucket width
+  std::string err;
+  EXPECT_FALSE(a.merge_from(b, &err));
+  EXPECT_EQ(err, "histogram 'h' has another bucket geometry");
+  EXPECT_EQ(a.counter_value("mem.reads"), 10u);  // nothing merged
+  EXPECT_EQ(a.find_histogram("h")->count(), 1u);
+}
+
+std::string registry_text(const StatRegistry& reg) {
+  std::ostringstream os;
+  telemetry::JsonWriter w(os);
+  w.begin_object();
+  telemetry::write_registry_sections(w, reg);
+  w.end_object();
+  return os.str();
+}
+
+TEST(RegistryJson, ReadBackWritesTheSameBytes) {
+  StatRegistry reg;
+  reg.counter("mem.reads").inc(18'446'744'073'709'551'615ull);
+  reg.counter("mem.writes");
+  reg.scalar("empty");  // no samples: null min/max
+  // 1e16 + 1 is not a double: the exact sum is held in two partials.
+  Scalar& wide = reg.scalar("wide");
+  wide.record(1e16);
+  wide.record(1.0);
+  wide.record(-3.5e-7);
+  Histogram& h = reg.histogram("lat", 4, 8);  // 8 buckets + overflow
+  for (const std::uint64_t v : {0ull, 3ull, 9ull, 31ull, 32ull, 500ull}) {
+    h.record(v);
+  }
+  ASSERT_EQ(h.bucket(8), 2u);  // 32 and 500 land in the overflow bucket
+
+  const std::string first = registry_text(reg);
+  std::string err;
+  const auto doc = json::parse(first, &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  StatRegistry back;
+  ASSERT_TRUE(telemetry::read_registry_sections(*doc, &back, &err)) << err;
+  EXPECT_EQ(registry_text(back), first);
+  EXPECT_NE(first.find(R"("empty":{"count":0,"sum":0,"mean":0,"min":null)"),
+            std::string::npos)
+      << first;
+}
+
+TEST(RegistryJson, RejectsMalformedEntries) {
+  const auto read_error = [](const std::string& text) {
+    const auto doc = json::parse(text);
+    EXPECT_TRUE(doc.has_value()) << text;
+    StatRegistry reg;
+    std::string err;
+    EXPECT_FALSE(telemetry::read_registry_sections(*doc, &reg, &err)) << text;
+    return err;
+  };
+  const std::string empty_scalars = R"("scalars":{},"histograms":{})";
+  EXPECT_EQ(read_error(R"({"counters":{"a":1.5},)" + empty_scalars + "}"),
+            "counter 'a' is malformed");
+  EXPECT_EQ(read_error(R"({"counters":{},"histograms":{}})"),
+            "the counters/scalars/histograms layout is malformed");
+  EXPECT_EQ(read_error(R"({"counters":{},"histograms":{},)"
+                       R"("scalars":{"s":{"count":2,"sum":4,"min":null}}})"),
+            "scalar 's' is malformed");
+  const std::string hist_prefix = R"({"counters":{},"scalars":{},"histograms":)";
+  // A count that disagrees with the buckets, a zero width, one bucket.
+  EXPECT_EQ(read_error(hist_prefix + R"({"h":{"count":3,"sum":4,)"
+                                     R"("bucket_width":2,"buckets":[1,1]}}})"),
+            "histogram 'h' is malformed");
+  EXPECT_EQ(read_error(hist_prefix + R"({"h":{"count":2,"sum":4,)"
+                                     R"("bucket_width":0,"buckets":[1,1]}}})"),
+            "histogram 'h' is malformed");
+  EXPECT_EQ(read_error(hist_prefix + R"({"h":{"count":1,"sum":4,)"
+                                     R"("bucket_width":2,"buckets":[1]}}})"),
+            "histogram 'h' is malformed");
 }
 
 TEST(WorkerBudget, DividesHardwareByShards) {

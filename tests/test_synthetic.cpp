@@ -505,6 +505,15 @@ TEST(SpecProfiles, WorkloadMixesAreFourWide) {
   EXPECT_EQ(all.size(), 12u);  // every benchmark appears somewhere
 }
 
+TEST(SpecProfiles, MixNumbersNameWl1ToWl6Only) {
+  for (std::uint32_t wl = 1; wl <= kNumWorkloadMixes; ++wl) {
+    EXPECT_EQ(workload_mix_number("wl" + std::to_string(wl)), wl);
+  }
+  for (const char* other : {"wl0", "wl7", "wl", "wl12", "lbm", "WL1"}) {
+    EXPECT_EQ(workload_mix_number(other), 0u) << other;
+  }
+}
+
 TEST(SpecProfiles, MixIntensityDecreasesFromWl1ToWl6) {
   const auto count_intensive = [](std::uint32_t wl) {
     int n = 0;

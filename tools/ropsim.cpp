@@ -163,8 +163,10 @@ struct Options {
       "\n"
       "  Writes DIR/cell_NNNNNN.json per run, DIR/manifest.json after every\n"
       "  completed cell, and DIR/merged.json once all cells are done.\n"
-      "  Re-running the same spec resumes from the manifest. See\n"
-      "  docs/PERFORMANCE.md for the spec format.\n");
+      "  A cell whose run fails is listed under \"failed\" in the manifest\n"
+      "  while the others finish; the campaign then exits 1 without a\n"
+      "  merged.json. Re-running the same spec resumes from the manifest\n"
+      "  (failed cells rerun). See docs/PERFORMANCE.md for the spec format.\n");
   std::exit(code);
 }
 
@@ -349,11 +351,6 @@ cpu::LoopMode parse_loop(const std::string& s) {
   usage(2);
 }
 
-bool is_workload_mix(const std::string& name) {
-  return name.size() == 3 && name.compare(0, 2, "wl") == 0 &&
-         name[2] >= '1' && name[2] <= '6';
-}
-
 std::uint32_t parse_categories(const std::string& csv) {
   const auto cats = telemetry::parse_trace_categories(csv);
   if (!cats || *cats == 0) {
@@ -386,8 +383,9 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
     spec.benchmarks.assign(opt.cores, opt.trace_path);
     spec.trace_files = spec.benchmarks;
     spec.ranks = opt.ranks;
-  } else if (is_workload_mix(opt.benchmark)) {
-    spec.benchmarks = workload::workload_mix(opt.benchmark[2] - '0');
+  } else if (const std::uint32_t wl =
+                 workload::workload_mix_number(opt.benchmark)) {
+    spec.benchmarks = workload::workload_mix(wl);
     spec.ranks = std::max(opt.ranks, 4u);
   } else {
     spec.benchmarks.assign(opt.cores, opt.benchmark);
@@ -403,7 +401,7 @@ sim::ExperimentSpec spec_from_options(const Options& opt,
   spec.rop.training_refreshes = opt.training;
   spec.refresh_mode = parse_refresh(opt.refresh_mode);
   spec.instructions_per_core = opt.instructions;
-  spec.max_cpu_cycles = opt.instructions * 256;
+  spec.max_cpu_cycles = opt.instructions * sim::kCpuCyclesPerInstructionCap;
   spec.loop = parse_loop(opt.loop);
   spec.check = opt.check;
   spec.snapshot.in = opt.snapshot_in;
@@ -737,9 +735,12 @@ int run_campaign_cli(int argc, char** argv) {
     std::printf("merged stats: %s\n", summary->merged_path.c_str());
     return 0;
   }
+  for (const std::string& cell : summary->failed_cells) {
+    std::fprintf(stderr, "campaign: failed %s\n", cell.c_str());
+  }
   std::printf("incomplete — re-run the same command to resume\n");
   // stop_after is a deliberate pause, not a failure.
-  return opts.stop_after > 0 ? 0 : 1;
+  return opts.stop_after > 0 && summary->failed_cells.empty() ? 0 : 1;
 }
 
 }  // namespace
