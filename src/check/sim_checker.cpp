@@ -84,17 +84,33 @@ void SimChecker::on_scheduler_mismatch(const mem::Controller& ctrl,
 }
 
 void SimChecker::check_queue_counters(const mem::Controller& c, Cycle now) {
-  const std::uint32_t ranks = c.channel().num_ranks();
-  std::vector<std::uint32_t> reads(ranks, 0);
-  std::vector<std::uint32_t> writes(ranks, 0);
-  std::vector<std::uint32_t> queued_pf(ranks, 0);
-  std::vector<std::uint32_t> inflight_pf(ranks, 0);
-
-  for (const auto& r : c.read_queue()) ++reads.at(r.coord.rank);
-  for (const auto& r : c.write_queue()) ++writes.at(r.coord.rank);
-  for (const auto& r : c.prefetch_queue()) ++queued_pf.at(r.coord.rank);
+  // Each rank's derived fields, recounted from the queues: the read-queue
+  // entries in queue order, the per-bank read and write counts, and the
+  // drain — queued reads that arrived at or before the rank's lock (the
+  // naive definition the event core replaced with incremental updates).
+  const std::uint32_t banks = c.channel().rank(0).num_banks();
+  std::vector<mem::RankState> want(c.channel().num_ranks());
+  for (mem::RankState& w : want) w.banks.resize(banks);
+  const mem::RequestView read_q = c.read_queue();
+  for (std::size_t i = 0; i < read_q.size(); ++i) {
+    const mem::Request& req = read_q[i];
+    mem::RankState& w = want.at(req.coord.rank);
+    w.reads.push_back(read_q.index(i));
+    ++w.banks.at(req.coord.bank).reads;
+    const Cycle lock = c.rank_state(req.coord.rank).locked_at;
+    if (lock != kNeverCycle && req.arrival <= lock) ++w.drain_pending;
+  }
+  for (const auto& r : c.write_queue()) {
+    ++want.at(r.coord.rank).writes;
+    ++want.at(r.coord.rank).banks.at(r.coord.bank).writes;
+  }
+  for (const auto& r : c.prefetch_queue()) {
+    ++want.at(r.coord.rank).queued_prefetches;
+  }
   for (const auto& r : c.in_flight()) {
-    if (r.type == mem::ReqType::kPrefetch) ++inflight_pf.at(r.coord.rank);
+    if (r.type == mem::ReqType::kPrefetch) {
+      ++want.at(r.coord.rank).inflight_prefetches;
+    }
     // Bursts with completion <= now were drained at the top of this tick;
     // anything issued later lands strictly in the future.
     if (r.completion <= now) {
@@ -105,43 +121,35 @@ void SimChecker::check_queue_counters(const mem::Controller& c, Cycle now) {
     }
   }
 
-  const auto mismatch = [&](const char* what, RankId rank,
-                            std::uint64_t cached, std::uint64_t actual) {
-    std::ostringstream os;
-    os << "[counters] ch " << c.id() << " rank " << rank << " cycle " << now
-       << ": " << what << " counter " << cached << " != queue count "
-       << actual;
-    violate(os.str());
-  };
-  for (RankId r = 0; r < ranks; ++r) {
-    if (c.pending_reads(r) != reads[r]) {
-      mismatch("pending_reads", r, c.pending_reads(r), reads[r]);
+  for (RankId r = 0; r < want.size(); ++r) {
+    const auto mismatch = [&](const char* what, std::uint64_t cached,
+                              std::uint64_t actual, BankId bank = ~BankId{0}) {
+      if (cached == actual) return;
+      std::ostringstream os;
+      os << "[counters] ch " << c.id() << " rank " << r << " cycle " << now
+         << ": ";
+      if (bank != ~BankId{0}) os << "bank " << bank << " ";
+      os << what << " " << cached << " != " << actual
+         << " recounted from the queues";
+      violate(os.str());
+    };
+    const mem::RankState& s = c.rank_state(r);
+    const mem::RankState& w = want[r];
+    mismatch("pending_reads", s.reads.size(), w.reads.size());
+    // The rank's list must be its read-queue entries in read-queue order
+    // (its age order): report the first arena slot that differs.
+    const auto [got, exp] = std::ranges::mismatch(s.reads, w.reads);
+    if (got != s.reads.end() && exp != w.reads.end()) {
+      mismatch("read-list arena slot", *got, *exp);
     }
-    if (c.pending_writes(r) != writes[r]) {
-      mismatch("pending_writes", r, c.pending_writes(r), writes[r]);
-    }
-    if (c.queued_prefetches(r) != queued_pf[r]) {
-      mismatch("queued_prefetches", r, c.queued_prefetches(r), queued_pf[r]);
-    }
-    if (c.inflight_prefetches(r) != inflight_pf[r]) {
-      mismatch("inflight_prefetches", r, c.inflight_prefetches(r),
-               inflight_pf[r]);
-    }
-  }
-
-  // Drain bookkeeping: while a rank is locked for refresh, the cached
-  // drain_pending counter must equal the queued reads that arrived at or
-  // before the lock (the naive definition the event core replaced with
-  // incremental updates).
-  for (RankId r = 0; r < ranks; ++r) {
-    const Cycle lock = c.locked_at(r);
-    if (lock == kNeverCycle) continue;
-    std::uint32_t old_reads = 0;
-    for (const auto& req : c.read_queue()) {
-      if (req.coord.rank == r && req.arrival <= lock) ++old_reads;
-    }
-    if (c.drain_pending(r) != old_reads) {
-      mismatch("drain_pending", r, c.drain_pending(r), old_reads);
+    mismatch("pending_writes", s.writes, w.writes);
+    mismatch("queued_prefetches", s.queued_prefetches, w.queued_prefetches);
+    mismatch("inflight_prefetches", s.inflight_prefetches,
+             w.inflight_prefetches);
+    mismatch("drain_pending", s.drain_pending, w.drain_pending);
+    for (BankId b = 0; b < banks; ++b) {
+      mismatch("reads", s.banks.at(b).reads, w.banks[b].reads, b);
+      mismatch("writes", s.banks.at(b).writes, w.banks[b].writes, b);
     }
   }
 

@@ -9,9 +9,11 @@
 // instead of silently skewing results.
 //
 // Invariant families (docs/CORRECTNESS.md has the full catalogue):
-//  (a) counter/index consistency — pending_reads_/pending_writes_/
-//      queued_prefetches_/inflight_prefetches_ equal a fresh count of the
-//      queues, and write_index_ is exactly the set of queued write lines;
+//  (a) counter/index consistency — every derived field of each rank's
+//      record (mem::RankState: the read list, in read-queue order; the
+//      write, prefetch and drain counts; the per-bank read and write
+//      counts) equals a fresh count of the queues, and write_index_ is
+//      exactly the set of queued write lines;
 //  (b) buffer coherence — the SRAM buffer never holds a line with a queued
 //      newer write on its channel;
 //  (c) refresh deadlines — per-rank owed refreshes never exceed the JEDEC

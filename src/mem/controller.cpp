@@ -19,25 +19,8 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
       scheduler_(channel_),
       blocking_(org.ranks, timings.tRFC),
       stats_(stats),
-      reads_by_rank_(org.ranks),
-      pending_reads_(org.ranks, 0),
-      pending_writes_(org.ranks, 0),
-      queued_prefetches_(org.ranks, 0),
-      inflight_prefetches_(org.ranks, 0),
-      phase_(org.ranks, RefreshPhase::kIdle),
-      locked_at_(org.ranks, kNeverCycle),
-      drain_pending_(org.ranks, 0),
-      last_arrival_(org.ranks, 0),
-      refresh_remaining_(org.ranks, 0),
-      refresh_started_(org.ranks, false),
-      refresh_window_opened_(org.ranks, false),
-      next_refresh_bank_(org.ranks, 0),
-      num_banks_(org.banks),
-      reads_by_bank_count_(static_cast<std::size_t>(org.ranks) * org.banks, 0),
-      writes_by_bank_count_(static_cast<std::size_t>(org.ranks) * org.banks,
-                            0),
-      darp_round_mask_(org.ranks, 0),
-      next_refresh_sub_(static_cast<std::size_t>(org.ranks) * org.banks, 0) {
+      ranks_(org.ranks) {
+  for (RankState& rs : ranks_) rs.banks.resize(org.banks);
   ROP_ASSERT(stats != nullptr);
   // BlockedRanks and the pausing urgency scan hold one bit per rank.
   ROP_ASSERT(org.ranks <= 32);
@@ -171,7 +154,7 @@ bool Controller::enqueue(Request req, Cycle now) {
   if (!can_accept(req.type)) return false;
   req.arrival = now;
   req.eligible = now;
-  last_arrival_[req.coord.rank] = now;
+  ranks_[req.coord.rank].last_arrival = now;
 
   if (req.type == ReqType::kRead) {
     h_.reads->inc();
@@ -208,14 +191,7 @@ bool Controller::enqueue(Request req, Cycle now) {
     const RequestIndex idx = arena_.alloc(req);
     read_q_.push_back(idx);
     sched_stale_ = true;
-    reads_by_rank_[r].push_back(idx);
-    ++pending_reads_[r];
-    ++reads_by_bank_count_[bank_slot(r, req.coord.bank)];
-    // A read arriving at the lock cycle itself satisfies `arrival <= lock`
-    // and the drain must wait for it too.
-    if (locked_at_[r] != kNeverCycle && now <= locked_at_[r]) {
-      ++drain_pending_[r];
-    }
+    count_read(idx);
     // Refresh-blocking metric: a read arriving mid-lock is charged the
     // remaining lock span (issue-time charges cover the reads already
     // queued when the lock began). The per-request accumulator records the
@@ -265,9 +241,7 @@ bool Controller::enqueue(Request req, Cycle now) {
     }
     write_q_.push_back(arena_.alloc(req));
     sched_stale_ = true;
-    write_index_.insert(req.line_addr);
-    ++pending_writes_[req.coord.rank];
-    ++writes_by_bank_count_[bank_slot(req.coord.rank, req.coord.bank)];
+    count_write(req);
   }
   return true;
 }
@@ -282,22 +256,53 @@ bool Controller::enqueue_prefetch(Request req, Cycle now) {
   h_.prefetch_enqueued->inc();
   prefetch_q_.push_back(arena_.alloc(req));
   sched_stale_ = true;
-  ++queued_prefetches_[req.coord.rank];
+  ++ranks_[req.coord.rank].queued_prefetches;
   return true;
 }
 
-void Controller::on_read_leaves_queue(RankId r, RequestIndex idx,
-                                      const Request& req) {
-  auto& by_rank = reads_by_rank_[r];
-  const auto it = std::find(by_rank.begin(), by_rank.end(), idx);
-  ROP_ASSERT(it != by_rank.end());
-  by_rank.erase(it);
-  --pending_reads_[r];
-  --reads_by_bank_count_[bank_slot(r, req.coord.bank)];
+void Controller::count_read(RequestIndex idx) {
+  const Request& req = arena_[idx];
+  RankState& rs = ranks_[req.coord.rank];
+  rs.reads.push_back(idx);
+  ++rs.banks[req.coord.bank].reads;
+  // A read arriving at the lock cycle itself satisfies `arrival <= lock`
+  // and the drain must wait for it too.
+  if (rs.locked_at != kNeverCycle && req.arrival <= rs.locked_at) {
+    ++rs.drain_pending;
+  }
+}
+
+void Controller::count_write(const Request& req) {
+  RankState& rs = ranks_[req.coord.rank];
+  ++rs.writes;
+  ++rs.banks[req.coord.bank].writes;
+  write_index_.insert(req.line_addr);
+}
+
+void Controller::on_read_leaves_queue(RankState& rs, const Request& req) {
+  --rs.banks[req.coord.bank].reads;
   // Pre-lock reads count toward the drain the refresh is waiting on.
-  if (locked_at_[r] != kNeverCycle && req.arrival <= locked_at_[r]) {
-    ROP_ASSERT(drain_pending_[r] > 0);
-    --drain_pending_[r];
+  if (rs.locked_at != kNeverCycle && req.arrival <= rs.locked_at) {
+    ROP_ASSERT(rs.drain_pending > 0);
+    --rs.drain_pending;
+  }
+}
+
+void Controller::rebuild_derived() {
+  write_index_.clear();
+  for (const RequestIndex idx : read_q_) count_read(idx);
+  for (const RequestIndex idx : write_q_) count_write(arena_[idx]);
+  for (const RequestIndex idx : prefetch_q_) {
+    ++ranks_[arena_[idx].coord.rank].queued_prefetches;
+  }
+  inflight_min_completion_ = kNeverCycle;
+  for (const RequestIndex idx : in_flight_) {
+    const Request& req = arena_[idx];
+    if (req.type == ReqType::kPrefetch) {
+      ++ranks_[req.coord.rank].inflight_prefetches;
+    }
+    inflight_min_completion_ = std::min(inflight_min_completion_,
+                                        req.completion);
   }
 }
 
@@ -318,7 +323,7 @@ void Controller::drop_prefetches(RankId rank) {
         e.bank = static_cast<std::uint16_t>(req.coord.bank);
         trace_->record(e);
       }
-      --queued_prefetches_[rank];
+      --ranks_[rank].queued_prefetches;
       arena_.release(idx);
     } else {
       prefetch_q_[out++] = idx;
@@ -346,7 +351,7 @@ void Controller::complete_bursts(Cycle now) {
       // Copy out: the fill listener may service queued reads reentrantly.
       const Request req = arena_[idx];
       arena_.release(idx);
-      --inflight_prefetches_[req.coord.rank];
+      --ranks_[req.coord.rank].inflight_prefetches;
       // Drop fills whose line has a newer pending write — the buffer must
       // never hold data staler than the write queue.
       if (write_index_.count(req.line_addr) != 0) {
@@ -426,12 +431,12 @@ Controller::RefreshStep Controller::next_refresh_step(RankId r,
 
 Controller::RefreshStep Controller::baseline_step(RankId r, Cycle now) const {
   // Lock the moment a refresh is owed; the rank seals at once.
-  if (phase_[r] != RefreshPhase::kIdle) return seal_step(r, now);
+  if (ranks_[r].phase != RefreshPhase::kIdle) return seal_step(r, now);
   return RefreshStep::of(Action::kLock, now);
 }
 
 Controller::RefreshStep Controller::elastic_step(RankId r, Cycle now) const {
-  if (phase_[r] != RefreshPhase::kIdle) return seal_step(r, now);
+  if (ranks_[r].phase != RefreshPhase::kIdle) return seal_step(r, now);
   // Lock once the rank has been idle for a threshold that shrinks linearly
   // with the backlog, reaching zero (forced) at the JEDEC budget. An
   // arrival resets the idle clock and re-decides; the threshold next
@@ -440,11 +445,11 @@ Controller::RefreshStep Controller::elastic_step(RankId r, Cycle now) const {
   const std::uint32_t budget = channel_.timings().max_postponed_refreshes;
   const std::uint32_t slack = owed >= budget ? 0 : budget - owed;
   const Cycle threshold = cfg_.elastic_base_idle * slack / budget;
-  if (now - last_arrival_[r] >= threshold) {
+  if (now - ranks_[r].last_arrival >= threshold) {
     return RefreshStep::of(Action::kLock, now);
   }
   return RefreshStep::of(Action::kLock,
-                         std::min(last_arrival_[r] + threshold,
+                         std::min(ranks_[r].last_arrival + threshold,
                                   rm_.next_owed_increase(r, now)));
 }
 
@@ -453,13 +458,14 @@ Controller::RefreshStep Controller::rop_step(RankId r, Cycle now) const {
   // demand keeps flowing; then seal (the engine stages its prefetch round
   // against the final pre-refresh stream position) and hold REF until the
   // prefetches land. The drain bound and the JEDEC budget cut both waits.
-  if (phase_[r] == RefreshPhase::kIdle) {
+  const RankState& rs = ranks_[r];
+  if (rs.phase == RefreshPhase::kIdle) {
     return RefreshStep::of(Action::kLock, now);
   }
-  const bool draining = phase_[r] == RefreshPhase::kDraining;
-  const Cycle bound_end = locked_at_[r] + cfg_.drain_bound;
+  const bool draining = rs.phase == RefreshPhase::kDraining;
+  const Cycle bound_end = rs.locked_at + cfg_.drain_bound;
   const std::size_t waiting =
-      draining ? drain_pending_[r] : pending_prefetches(r);
+      draining ? rs.drain_pending : pending_prefetches(r);
   if (waiting > 0 && now < bound_end && !rm_.urgent(r, now)) {
     // Progress comes from commands (the scheduler scan and in-flight
     // completions wake the loop); failing that, the bound or a budget flip.
@@ -471,7 +477,7 @@ Controller::RefreshStep Controller::rop_step(RankId r, Cycle now) const {
 }
 
 Controller::RefreshStep Controller::seal_step(RankId r, Cycle now) const {
-  if (queued_prefetches_[r] > 0 && rm_.urgent(r, now)) {
+  if (ranks_[r].queued_prefetches > 0 && rm_.urgent(r, now)) {
     return RefreshStep::of(Action::kDropPrefetches, now);
   }
   return rank_refresh_step(r, now, Action::kRefresh);
@@ -482,9 +488,9 @@ Controller::RefreshStep Controller::pausing_step(RankId r, Cycle now) const {
   // and the budget allows, the rank stays available between segments; each
   // resume after a pause pays the re-lock overhead. Urgent work finishes
   // in one segment.
-  if (refresh_remaining_[r] == 0) return RefreshStep::of(Action::kOpen, now);
+  if (ranks_[r].remaining == 0) return RefreshStep::of(Action::kOpen, now);
   if (pending_demand(r) > 0 && !rm_.urgent(r, now)) {
-    if (refresh_started_[r]) return RefreshStep::of(Action::kPause, now);
+    if (ranks_[r].started) return RefreshStep::of(Action::kPause, now);
     // Paused: urgency, which forces the finish, can only flip at the next
     // boundary crossing.
     return RefreshStep::wait_until(rm_.next_owed_increase(r, now));
@@ -517,7 +523,7 @@ Controller::RefreshStep Controller::rank_refresh_step(RankId r, Cycle now,
 
 Controller::RefreshStep Controller::per_bank_step(RankId r, Cycle) const {
   // Round-robin REFpb, one bank at a time.
-  const BankId b = next_refresh_bank_[r];
+  const BankId b = ranks_[r].next_bank;
   const dram::Bank& bank = channel_.rank(r).bank(b);
   if (bank.state() == dram::BankState::kRefreshing) {
     // Cursor bank still locked: the machinery idles until it releases.
@@ -547,9 +553,9 @@ Controller::RefreshStep Controller::subarray_step(RankId r, Cycle now) const {
   // for a precharged bank; HiRA also overlaps the refresh with an open row
   // in a *different* subarray. An urgent refresh forces the row closed.
   const Cycle boundary = rm_.next_owed_increase(r, now);
-  const BankId b = next_refresh_bank_[r];
+  const BankId b = ranks_[r].next_bank;
   const dram::Bank& bank = channel_.rank(r).bank(b);
-  const std::uint32_t sub = next_refresh_sub_[bank_slot(r, b)];
+  const std::uint32_t sub = ranks_[r].banks[b].next_sub;
   const bool conflict =
       bank.state() == dram::BankState::kActive &&
       (cfg_.refresh != RefreshScheme::kHira ||
@@ -589,37 +595,38 @@ dram::Command Controller::bank_command(const RefreshStep& s, RankId r) const {
 }
 
 void Controller::run_refresh_step(RankId r, const RefreshStep& s, Cycle now) {
+  RankState& rs = ranks_[r];
   switch (s.action) {
     case Action::kWait:
       ROP_ASSERT(false && "a wait step is never due");
       break;
     case Action::kLock:
-      locked_at_[r] = now;
-      phase_[r] = cfg_.refresh == RefreshScheme::kRop ? RefreshPhase::kDraining
-                                                      : RefreshPhase::kSealing;
+      rs.locked_at = now;
+      rs.phase = cfg_.refresh == RefreshScheme::kRop ? RefreshPhase::kDraining
+                                                     : RefreshPhase::kSealing;
       // Snapshot the drain target: every queued read to this rank arrived
       // strictly before `now`, so all of them predate the lock (same-cycle
       // arrivals land after this tick and bump the counter in enqueue).
-      drain_pending_[r] = pending_reads_[r];
+      rs.drain_pending = static_cast<std::uint32_t>(rs.reads.size());
       break;
     case Action::kSeal:
       // Demand freezes here: the moment the ROP engine stages its prefetch
       // round.
-      phase_[r] = RefreshPhase::kSealing;
+      rs.phase = RefreshPhase::kSealing;
       if (listener_ != nullptr) listener_->on_rank_locked(r, now);
       break;
     case Action::kDropPrefetches:
       drop_prefetches(r);
       break;
     case Action::kOpen:
-      refresh_remaining_[r] = channel_.timings().tRFC;
-      refresh_started_[r] = false;
-      refresh_window_opened_[r] = false;
+      rs.remaining = channel_.timings().tRFC;
+      rs.started = false;
+      rs.window_opened = false;
       break;
     case Action::kPause:
       h_.refresh_pauses->inc();
-      refresh_remaining_[r] += cfg_.pause_overhead;
-      refresh_started_[r] = false;  // count one pause per gap
+      rs.remaining += cfg_.pause_overhead;
+      rs.started = false;  // count one pause per gap
       break;
     case Action::kPrecharge:
       channel_.issue(bank_command(s, r), now);
@@ -637,6 +644,7 @@ void Controller::run_refresh_step(RankId r, const RefreshStep& s, Cycle now) {
 }
 
 void Controller::issue_rank_refresh(RankId r, Cycle now) {
+  RankState& rs = ranks_[r];
   // Any prefetch that failed to issue before the seal is pointless now.
   drop_prefetches(r);
   // Snapshot before the bookkeeping resets: postponement depth at issue
@@ -646,9 +654,9 @@ void Controller::issue_rank_refresh(RankId r, Cycle now) {
     e.category = telemetry::kCatRefresh;
     e.channel = static_cast<std::uint16_t>(id_);
     e.rank = static_cast<std::uint16_t>(r);
-    if (locked_at_[r] != kNeverCycle && now > locked_at_[r]) {
-      e.ts = locked_at_[r];
-      e.dur = now - locked_at_[r];
+    if (rs.locked_at != kNeverCycle && now > rs.locked_at) {
+      e.ts = rs.locked_at;
+      e.dur = now - rs.locked_at;
       e.kind = telemetry::EventKind::kRankLock;
       trace_->record(e);
     }
@@ -664,33 +672,33 @@ void Controller::issue_rank_refresh(RankId r, Cycle now) {
   rm_.on_refresh_issued(r);
   blocking_.on_refresh_start(r, now);
   // Every read still queued to the rank is frozen for the full tRFC.
-  charge_refresh_blocking(pending_reads_[r], channel_.timings().tRFC);
-  for (const RequestIndex qidx : reads_by_rank_[r]) {
+  charge_refresh_blocking(rs.reads.size(), channel_.timings().tRFC);
+  for (const RequestIndex qidx : rs.reads) {
     arena_[qidx].blocked_rank +=
         static_cast<std::uint32_t>(channel_.timings().tRFC);
   }
   h_.refreshes->inc();
-  phase_[r] = RefreshPhase::kIdle;
-  locked_at_[r] = kNeverCycle;
-  drain_pending_[r] = 0;
+  rs.phase = RefreshPhase::kIdle;
+  rs.locked_at = kNeverCycle;
+  rs.drain_pending = 0;
   if (listener_ != nullptr) {
     listener_->on_refresh_issued(r, now, channel_.rank(r).refresh_done());
   }
 }
 
 void Controller::issue_refresh_segment(RankId r, Cycle now) {
+  RankState& rs = ranks_[r];
   const Cycle duration =
-      rm_.urgent(r, now)
-          ? refresh_remaining_[r]
-          : std::min<Cycle>(cfg_.pause_quantum, refresh_remaining_[r]);
+      rm_.urgent(r, now) ? rs.remaining
+                         : std::min<Cycle>(cfg_.pause_quantum, rs.remaining);
   // Open the blocking window exactly once per refresh obligation. The
-  // first-segment test must not be inferred from refresh_remaining_:
+  // first-segment test must not be inferred from `remaining`:
   // pause overhead grows it, so with pause_overhead >= pause_quantum it
   // can return to (or overshoot) tRFC mid-refresh and the sentinel
   // mis-counts window starts.
-  if (!refresh_window_opened_[r]) {
+  if (!rs.window_opened) {
     blocking_.on_refresh_start(r, now);
-    refresh_window_opened_[r] = true;
+    rs.window_opened = true;
     // Nominal tRFC span; the actual segments (and their pause gaps) are
     // traced individually via begin_refresh_segment.
     if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
@@ -706,16 +714,16 @@ void Controller::issue_refresh_segment(RankId r, Cycle now) {
     }
   }
   channel_.begin_refresh_segment(r, now, duration);
-  charge_refresh_blocking(pending_reads_[r], duration);
-  for (const RequestIndex qidx : reads_by_rank_[r]) {
+  charge_refresh_blocking(rs.reads.size(), duration);
+  for (const RequestIndex qidx : rs.reads) {
     arena_[qidx].blocked_pause += static_cast<std::uint32_t>(duration);
   }
-  refresh_started_[r] = true;
-  refresh_remaining_[r] -= duration;
-  if (refresh_remaining_[r] == 0) {
+  rs.started = true;
+  rs.remaining -= duration;
+  if (rs.remaining == 0) {
     rm_.on_refresh_issued(r);
     h_.refreshes->inc();
-    refresh_started_[r] = false;
+    rs.started = false;
   }
 }
 
@@ -723,6 +731,7 @@ void Controller::issue_bank_refresh(RankId r, const RefreshStep& s,
                                     Cycle now) {
   const BankId b = s.bank;
   const std::uint32_t sub = s.sub;
+  RankState& rs = ranks_[r];
   channel_.issue(bank_command(s, r), now);
   rm_.on_refresh_issued(r);
   h_.bank_refreshes->inc();
@@ -734,7 +743,7 @@ void Controller::issue_bank_refresh(RankId r, const RefreshStep& s,
     // bank keeps serving (that asymmetry vs. whole-bank REFpb is SARP's
     // win).
     std::uint64_t blocked = 0;
-    for (const RequestIndex idx : reads_by_rank_[r]) {
+    for (const RequestIndex idx : rs.reads) {
       Request& req = arena_[idx];
       if (req.coord.bank != b || bank.subarray_of(req.coord.row) != sub) {
         continue;
@@ -756,33 +765,33 @@ void Controller::issue_bank_refresh(RankId r, const RefreshStep& s,
       trace_->record(e);
     }
     // Rotate subarrays within the bank, banks within the rank.
-    next_refresh_sub_[bank_slot(r, b)] =
+    rs.banks[b].next_sub =
         (sub + 1) % std::max<std::uint32_t>(1, bank.subarrays());
-    next_refresh_bank_[r] = static_cast<BankId>((b + 1) % rank.num_banks());
+    rs.next_bank = static_cast<BankId>((b + 1) % rank.num_banks());
     return;
   }
   // Whole-bank REFpb: every read queued to the bank waits out tRFCpb.
-  charge_refresh_blocking(reads_by_bank_count_[bank_slot(r, b)], trfcpb);
-  for (const RequestIndex qidx : reads_by_rank_[r]) {
+  charge_refresh_blocking(rs.banks[b].reads, trfcpb);
+  for (const RequestIndex qidx : rs.reads) {
     if (arena_[qidx].coord.bank != b) continue;
     arena_[qidx].blocked_bank += static_cast<std::uint32_t>(trfcpb);
   }
   if (cfg_.refresh == RefreshScheme::kDarp) {
-    darp_round_mask_[r] |= 1u << b;
+    rs.darp_round_mask |= 1u << b;
     const std::uint32_t full = (1u << rank.num_banks()) - 1u;
-    if (darp_round_mask_[r] == full) darp_round_mask_[r] = 0;
+    if (rs.darp_round_mask == full) rs.darp_round_mask = 0;
   } else {
-    next_refresh_bank_[r] = static_cast<BankId>((b + 1) % rank.num_banks());
+    rs.next_bank = static_cast<BankId>((b + 1) % rank.num_banks());
   }
 }
 
 bool Controller::darp_bank_idle(RankId r, BankId b) const {
-  const std::size_t slot = bank_slot(r, b);
-  if (reads_by_bank_count_[slot] != 0) return false;
+  const BankRecord& bank = ranks_[r].banks[b];
+  if (bank.reads != 0) return false;
   // During write drain reads are off the critical path anyway: a bank with
   // only writes pending is fair game (DARP's write-refresh
   // parallelization). Outside drain mode the bank must be fully idle.
-  return draining_writes_ || writes_by_bank_count_[slot] == 0;
+  return draining_writes_ || bank.writes == 0;
 }
 
 BankId Controller::darp_pick_bank(RankId r, bool urgent) const {
@@ -792,7 +801,7 @@ BankId Controller::darp_pick_bank(RankId r, bool urgent) const {
   // un-refreshed bank is taken regardless.
   const dram::Rank& rank = channel_.rank(r);
   const std::uint32_t nb = rank.num_banks();
-  const std::uint32_t mask = darp_round_mask_[r];
+  const std::uint32_t mask = ranks_[r].darp_round_mask;
   BankId fallback = static_cast<BankId>(nb);
   for (BankId b = 0; b < nb; ++b) {
     if ((mask >> b) & 1u) continue;
@@ -834,14 +843,21 @@ void Controller::issue_pick(const SchedulerPick& pick, Cycle now) {
   q->erase(q->begin() + static_cast<std::ptrdiff_t>(pick.request_index));
   sched_stale_ = true;
   Request& req = arena_[idx];
+  RankState& rs = ranks_[req.coord.rank];
   switch (pick.queue_id) {
-    case 0: on_read_leaves_queue(req.coord.rank, idx, req); break;
+    case 0: {
+      const auto it = std::find(rs.reads.begin(), rs.reads.end(), idx);
+      ROP_ASSERT(it != rs.reads.end());
+      rs.reads.erase(it);
+      on_read_leaves_queue(rs, req);
+      break;
+    }
     case 1:
-      --pending_writes_[req.coord.rank];
-      --writes_by_bank_count_[bank_slot(req.coord.rank, req.coord.bank)];
+      --rs.writes;
+      --rs.banks[req.coord.bank].writes;
       write_index_.erase(req.line_addr);
       break;
-    case 2: --queued_prefetches_[req.coord.rank]; break;
+    case 2: --rs.queued_prefetches; break;
     default: break;
   }
 
@@ -860,7 +876,7 @@ void Controller::issue_pick(const SchedulerPick& pick, Cycle now) {
   in_flight_.push_back(idx);
   inflight_min_completion_ = std::min(inflight_min_completion_, done);
   if (req.type == ReqType::kPrefetch) {
-    ++inflight_prefetches_[req.coord.rank];
+    ++rs.inflight_prefetches;
     h_.prefetch_issued->inc();
   }
 }
@@ -908,7 +924,7 @@ BlockedRanks Controller::blocked_ranks(Cycle now) const {
     }
     // Demand is held only while the rank seals for the REF command
     // (baseline enters sealing immediately at due time).
-    if (phase_[r] == RefreshPhase::kSealing) sealing |= 1u << r;
+    if (ranks_[r].phase == RefreshPhase::kSealing) sealing |= 1u << r;
   }
   return BlockedRanks{{held | sealing, held | sealing, held}};
 }
@@ -1032,26 +1048,21 @@ void Controller::complete_matching_reads(
   // The per-rank index walks exactly the candidates (in age order, which
   // matches read-queue order for one rank) instead of rescanning the whole
   // read queue per probe.
-  auto& by_rank = reads_by_rank_[rank];
+  RankState& rs = ranks_[rank];
   const dram::Rank& rk = channel_.rank(rank);
   std::size_t out = 0;
-  for (const RequestIndex idx : by_rank) {
+  for (const RequestIndex idx : rs.reads) {
     Request& req = arena_[idx];
     const auto done = probe(req);
     if (!done) {
-      by_rank[out++] = idx;
+      rs.reads[out++] = idx;
       continue;
     }
     const auto it = std::find(read_q_.begin(), read_q_.end(), idx);
     ROP_ASSERT(it != read_q_.end());
     read_q_.erase(it);
     sched_stale_ = true;
-    --pending_reads_[rank];
-    --reads_by_bank_count_[bank_slot(rank, req.coord.bank)];
-    if (locked_at_[rank] != kNeverCycle && req.arrival <= locked_at_[rank]) {
-      ROP_ASSERT(drain_pending_[rank] > 0);
-      --drain_pending_[rank];
-    }
+    on_read_leaves_queue(rs, req);
     req.completion = *done;
     req.serviced_by = ServicedBy::kSramBuffer;
     h_.sram_serviced->inc();
@@ -1061,7 +1072,7 @@ void Controller::complete_matching_reads(
     record_read_latency(req);
     completed_.push_back(idx);
   }
-  by_rank.resize(out);
+  rs.reads.resize(out);
 }
 
 void Controller::finalize(Cycle now) {
@@ -1075,12 +1086,12 @@ Cycle Controller::refresh_quiet_end(Cycle now) const {
   // needs something owed) lowers it, so with nothing owed and no pausing
   // refresh in progress, no rank's refresh machinery can act before the
   // earliest next boundary. (Pausing credits the refresh manager only when
-  // refresh_remaining_ reaches 0, so today owed == 0 implies it; the test
+  // `remaining` reaches 0, so today owed == 0 implies it; the test
   // keeps a change to that crediting from opening a window mid-refresh.)
   Cycle end = kNeverCycle;
   if (scheme_info(cfg_.refresh).unit == RefreshUnit::kNone) return end;
   for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    if (rm_.owed(r, now) > 0 || refresh_remaining_[r] > 0) return 0;
+    if (rm_.owed(r, now) > 0 || ranks_[r].remaining > 0) return 0;
     end = std::min(end, rm_.next_owed_increase(r, now));
   }
   return end;
@@ -1166,8 +1177,9 @@ Cycle Controller::completion_lower_bound(Cycle pos) const {
     if (listener_ != nullptr &&
         scheme_info(cfg_.refresh).unit != RefreshUnit::kNone) {
       for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-        if (pending_reads_[r] == 0) continue;
-        if (phase_[r] != RefreshPhase::kIdle || refresh_remaining_[r] > 0 ||
+        const RankState& rs = ranks_[r];
+        if (rs.reads.empty()) continue;
+        if (rs.phase != RefreshPhase::kIdle || rs.remaining > 0 ||
             rm_.owed(r, pos) > 0) {
           consider(pos + 1);
         } else {

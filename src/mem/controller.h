@@ -120,6 +120,79 @@ struct ControllerConfig {
   Cycle pause_overhead = 8;
 };
 
+/// Per-rank refresh progression. kIdle: no refresh pending. kDraining (ROP
+/// only): refresh due; demand keeps flowing while queued requests drain
+/// and staged prefetches fill the buffer. kSealing: demand to the rank is
+/// held while banks are precharged and REF goes out. Baseline auto-refresh
+/// jumps straight from kIdle to kSealing at due time.
+enum class RefreshPhase : std::uint8_t { kIdle, kDraining, kSealing };
+
+/// One bank's share of its rank's record.
+struct BankRecord {
+  /// kSarp / kHira: the next subarray to refresh. Primary.
+  std::uint32_t next_sub = 0;
+  /// Queued demand reads and writes to the bank. Derived: DARP's idle-bank
+  /// pick and the whole-bank REFpb blocking charge read them.
+  std::uint32_t reads = 0;
+  std::uint32_t writes = 0;
+};
+
+/// Everything the controller keeps about one rank. The primary fields are
+/// history (what the refresh schemes decided) and ride in snapshots; the
+/// derived ones are counts and lists the queues determine, kept
+/// incrementally on the hot paths and rebuilt from the queues on load.
+struct RankState {
+  // -- Primary --------------------------------------------------------------
+  RefreshPhase phase = RefreshPhase::kIdle;
+  /// Cycle the pending refresh came due (bounds the drain window);
+  /// kNeverCycle when no lock is active.
+  Cycle locked_at = kNeverCycle;
+  /// kElastic: last demand arrival (idle detection).
+  Cycle last_arrival = 0;
+  /// kPausing: refresh work remaining (0 = none in progress), whether the
+  /// in-progress refresh ran a segment since its last pause, and whether
+  /// blocking stats saw its first segment. The last is tracked explicitly:
+  /// pause overhead grows `remaining`, so "remaining == tRFC" is not a
+  /// reliable first-segment test (see docs/CORRECTNESS.md).
+  Cycle remaining = 0;
+  bool started = false;
+  bool window_opened = false;
+  /// kPerBank / kSarp / kHira: round-robin cursor of the next bank.
+  BankId next_bank = 0;
+  /// kDarp: banks already refreshed in the current round (reset when all
+  /// are set), so out-of-order selection stays fair.
+  std::uint32_t darp_round_mask = 0;
+  /// One entry per bank; next_sub is primary, the counts derived.
+  std::vector<BankRecord> banks;
+
+  // -- Derived --------------------------------------------------------------
+  /// Queued demand reads to the rank, in read-queue order (the rank's age
+  /// order): complete_matching_reads and the refresh charges walk this
+  /// instead of the whole read queue. Its size is the pending-read count.
+  std::vector<RequestIndex> reads;
+  std::uint32_t writes = 0;               // queued writes
+  std::uint32_t queued_prefetches = 0;
+  std::uint32_t inflight_prefetches = 0;
+  /// Queued reads with arrival <= locked_at (0 while unlocked): the drain
+  /// a ROP lock waits on.
+  std::uint32_t drain_pending = 0;
+
+  /// Serializes the primary fields; the bank count is config-derived. A
+  /// load starts from a blank record, derived fields zero, for the
+  /// controller to recount from its queues.
+  template <class Ar>
+  void io(Ar& ar) {
+    if constexpr (Ar::kIsReader) {
+      const std::size_t num_banks = banks.size();
+      *this = RankState{};
+      banks.resize(num_banks);
+    }
+    ar(phase, locked_at, last_arrival, remaining, started, window_opened,
+       next_bank, darp_round_mask);
+    for (BankRecord& b : banks) ar(b.next_sub);
+  }
+};
+
 class Controller {
  public:
   Controller(ChannelId id, const dram::DramTimings& timings,
@@ -207,7 +280,7 @@ class Controller {
   }
   /// True from the refresh-due lock until REF issues.
   [[nodiscard]] bool rank_locked(RankId rank) const {
-    return phase_.at(rank) != RefreshPhase::kIdle;
+    return ranks_[rank].phase != RefreshPhase::kIdle;
   }
   /// True while demand requests to the rank cannot be serviced from DRAM
   /// (locked for refresh or refresh in flight) — the window during which
@@ -216,28 +289,18 @@ class Controller {
     return rank_refreshing(rank) || rank_locked(rank);
   }
   [[nodiscard]] std::size_t pending_demand(RankId rank) const {
-    return pending_reads_[rank] + pending_writes_[rank];
+    return ranks_[rank].reads.size() + ranks_[rank].writes;
   }
   [[nodiscard]] std::size_t pending_prefetches(RankId rank) const {
-    return queued_prefetches_[rank] + inflight_prefetches_[rank];
+    return ranks_[rank].queued_prefetches + ranks_[rank].inflight_prefetches;
   }
   [[nodiscard]] std::size_t read_queue_depth() const { return read_q_.size(); }
   [[nodiscard]] std::size_t write_queue_depth() const {
     return write_q_.size();
   }
-  /// Cycle the pending refresh came due (kNeverCycle when no lock is
-  /// active) and the count of pre-lock reads still draining — exposed for
-  /// the invariant checker and the determinism state dump.
-  [[nodiscard]] Cycle locked_at(RankId rank) const {
-    return locked_at_.at(rank);
-  }
-  [[nodiscard]] std::uint32_t drain_pending(RankId rank) const {
-    return drain_pending_.at(rank);
-  }
-  /// Refresh phase as a raw value (0 idle, 1 draining, 2 sealing) for
-  /// state dumps.
-  [[nodiscard]] std::uint8_t refresh_phase(RankId rank) const {
-    return static_cast<std::uint8_t>(phase_.at(rank));
+  /// One rank's record, for the invariant checker and state dumps.
+  [[nodiscard]] const RankState& rank_state(RankId rank) const {
+    return ranks_.at(rank);
   }
 
   /// True when no demand work is queued, in flight, or awaiting drain.
@@ -266,24 +329,6 @@ class Controller {
   [[nodiscard]] const std::unordered_set<Address>& write_index() const {
     return write_index_;
   }
-  [[nodiscard]] std::uint32_t pending_reads(RankId rank) const {
-    return pending_reads_.at(rank);
-  }
-  [[nodiscard]] std::uint32_t pending_writes(RankId rank) const {
-    return pending_writes_.at(rank);
-  }
-  [[nodiscard]] std::uint32_t queued_prefetches(RankId rank) const {
-    return queued_prefetches_.at(rank);
-  }
-  [[nodiscard]] std::uint32_t inflight_prefetches(RankId rank) const {
-    return inflight_prefetches_.at(rank);
-  }
-  /// kPausing: refresh work (cycles) outstanding for the in-progress
-  /// obligation; 0 when none.
-  [[nodiscard]] Cycle refresh_remaining(RankId rank) const {
-    return refresh_remaining_.at(rank);
-  }
-
   /// Settle cycle accounting (energy) at end of run.
   void finalize(Cycle now);
 
@@ -328,29 +373,24 @@ class Controller {
   [[nodiscard]] Cycle completion_lower_bound(Cycle pos) const;
 
   /// Snapshot serialization (see common/snapshot_io.h): the channel, the
-  /// refresh bookkeeping, the arena-backed queues, and every incrementally
-  /// maintained counter. write_index_ is a derived view of write_q_ and is
-  /// rebuilt on restore instead of being serialized (unordered containers
-  /// have no canonical byte order). Stat handles, the listener/auditor and
-  /// the trace sink are runtime wiring and do not ride.
+  /// refresh bookkeeping, the arena-backed queues and each rank's primary
+  /// state. Whatever the queues determine (each rank's read list and
+  /// counts, the drain count, write_index_, the in-flight minimum) is
+  /// rebuilt on load instead: unordered containers have no canonical byte
+  /// order, and a count that travels could disagree with its queue. Stat
+  /// handles, the listener/auditor and the trace sink are runtime wiring
+  /// and do not ride.
   template <class Ar>
   void io(Ar& ar) {
     ar(channel_, rm_, blocking_, arena_, read_q_, write_q_, prefetch_q_,
-       in_flight_, completed_, reads_by_rank_, inflight_min_completion_,
-       pending_reads_, pending_writes_, queued_prefetches_,
-       inflight_prefetches_, draining_writes_, phase_, locked_at_,
-       drain_pending_, last_arrival_, refresh_remaining_, refresh_started_,
-       refresh_window_opened_, next_refresh_bank_, reads_by_bank_count_,
-       writes_by_bank_count_, darp_round_mask_, next_refresh_sub_);
+       in_flight_, completed_, draining_writes_);
+    for (RankState& rs : ranks_) rs.io(ar);
     if constexpr (Ar::kIsReader) {
       // The candidate table is never serialized: a restored state must
       // rescan, even if the counts the table was keyed on happen to match.
       sched_stale_ = true;
       refresh_quiet_until_ = 0;
-      write_index_.clear();
-      for (const RequestIndex idx : write_q_) {
-        write_index_.insert(arena_[idx].line_addr);
-      }
+      rebuild_derived();
     }
   }
 
@@ -467,11 +507,6 @@ class Controller {
   /// while the controller drains writes.
   [[nodiscard]] bool darp_bank_idle(RankId r, BankId b) const;
 
-  /// Flat per-(rank, bank) slot index for the demand-occupancy counters.
-  [[nodiscard]] std::size_t bank_slot(RankId r, BankId b) const {
-    return static_cast<std::size_t>(r) * num_banks_ + b;
-  }
-
   /// Charge `cycles` of refresh-induced demand blocking for each of
   /// `requests` queued reads (see mem.refresh_blocked_cycles).
   void charge_refresh_blocking(std::uint64_t requests, Cycle cycles);
@@ -482,9 +517,16 @@ class Controller {
   /// scheme that never refreshes.
   [[nodiscard]] Cycle refresh_quiet_end(Cycle now) const;
 
-  /// Remove `idx` from rank `r`'s read index and from the drain counter
-  /// when the request predates the rank's lock.
-  void on_read_leaves_queue(RankId r, RequestIndex idx, const Request& req);
+  /// A request joins the read or write queue: add it to its rank's list
+  /// and counts (enqueue, and the recount on load).
+  void count_read(RequestIndex idx);
+  void count_write(const Request& req);
+  /// A queued read left the read queue and its rank's list: drop it from
+  /// the rank's counts. The one removal path of issue_pick and
+  /// complete_matching_reads.
+  void on_read_leaves_queue(RankState& rs, const Request& req);
+  /// Recount every derived field from the queues (snapshot load).
+  void rebuild_derived();
 
   /// Hot-path statistics, resolved to stable pointers once at construction.
   /// Event code must go through these — a string-keyed registry lookup per
@@ -570,10 +612,6 @@ class Controller {
   std::vector<RequestIndex> prefetch_q_;
   std::vector<RequestIndex> in_flight_;  // reads/prefetches waiting on data
   std::vector<RequestIndex> completed_;
-  /// Queued demand reads per rank, in age order — the per-rank view of
-  /// read_q_ that complete_matching_reads and the drain machinery use
-  /// instead of rescanning the whole read queue.
-  std::vector<std::vector<RequestIndex>> reads_by_rank_;
 
   /// Min completion cycle over in_flight_, maintained incrementally
   /// (tightened on push, rebuilt during the complete_bursts sweep) so
@@ -585,56 +623,11 @@ class Controller {
   /// coalescing, and stale-prefetch checks without index fix-ups when
   /// issue_pick erases from the middle of the queue.
   std::unordered_set<Address> write_index_;
-  /// Incrementally-maintained per-rank queue occupancy, replacing the
-  /// count_if scans the refresh machinery used to run every tick.
-  std::vector<std::uint32_t> pending_reads_;
-  std::vector<std::uint32_t> pending_writes_;
-  std::vector<std::uint32_t> queued_prefetches_;
-  std::vector<std::uint32_t> inflight_prefetches_;
 
   bool draining_writes_ = false;
 
-  /// Per-rank refresh progression. kIdle: no refresh pending. kDraining
-  /// (ROP only): refresh due; demand keeps flowing while queued requests
-  /// drain and staged prefetches fill the buffer. kSealing: demand to the
-  /// rank is held while banks are precharged and REF goes out. Baseline
-  /// auto-refresh jumps straight from kIdle to kSealing at due time.
-  enum class RefreshPhase : std::uint8_t { kIdle, kDraining, kSealing };
-  std::vector<RefreshPhase> phase_;
-  /// Cycle the pending refresh came due (bounds the drain window).
-  std::vector<Cycle> locked_at_;
-  /// Queued reads that predate the rank's lock and still await service —
-  /// the count the ROP drain waits on. Snapshot of pending_reads_ at lock
-  /// time, incremented by lock-cycle arrivals, decremented as pre-lock
-  /// reads leave the queue. Replaces a per-tick count_if over read_q_.
-  std::vector<std::uint32_t> drain_pending_;
-  /// kElastic: last demand arrival per rank (idle detection).
-  std::vector<Cycle> last_arrival_;
-  /// kPausing: refresh work remaining per rank (0 = none in progress) and
-  /// whether the in-progress refresh has been paused at least once.
-  std::vector<Cycle> refresh_remaining_;
-  std::vector<bool> refresh_started_;
-  /// kPausing: whether blocking stats saw the first segment of the
-  /// in-progress refresh. Tracked explicitly — pause overhead mutates
-  /// refresh_remaining_, so "remaining == tRFC" is not a reliable
-  /// first-segment test (see docs/CORRECTNESS.md).
-  std::vector<bool> refresh_window_opened_;
-  /// kPerBank / kSarp / kHira: round-robin cursor of the next bank
-  /// to refresh.
-  std::vector<BankId> next_refresh_bank_;
-  /// Banks per rank (sizes the flat per-bank counter vectors below).
-  std::uint32_t num_banks_ = 0;
-  /// Per-(rank, bank) queued-demand occupancy, maintained alongside the
-  /// per-rank counters. DARP's idle-bank selection reads these; they are
-  /// cheap enough to keep exact under every policy.
-  std::vector<std::uint32_t> reads_by_bank_count_;
-  std::vector<std::uint32_t> writes_by_bank_count_;
-  /// kDarp: bitmask of banks already refreshed in the current round (reset
-  /// when all banks are set) — out-of-order selection stays fair.
-  std::vector<std::uint32_t> darp_round_mask_;
-  /// kSarp / kHira: per-(rank, bank) cursor of the next subarray to
-  /// refresh (flat bank_slot indexing).
-  std::vector<std::uint32_t> next_refresh_sub_;
+  /// One record per rank (see RankState).
+  std::vector<RankState> ranks_;
 
   /// Event recorder for the telemetry timelines; null in the common case
   /// (every hook is a pointer compare). Kept at the cold end of the class

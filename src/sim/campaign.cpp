@@ -5,12 +5,13 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
 
+#include "common/file_io.h"
+#include "common/fnv1a.h"
 #include "common/types.h"
 #include "telemetry/attribution.h"
 #include "telemetry/stats_json.h"
@@ -86,40 +87,10 @@ std::uint64_t scalar_u64(const json::Value& spec, const std::string& key,
 /// FNV-1a over the raw spec text: a resumed campaign must be driven by the
 /// byte-identical spec, otherwise cell indices could mean different runs.
 std::string fingerprint(std::string_view text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(fnv1a(text)));
   return buf;
-}
-
-bool read_file(const fs::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-/// Atomic write: a reader (or a resumed campaign) never observes a
-/// half-written document, even if the process dies mid-write.
-bool write_file_atomic(const fs::path& path, const std::string& text) {
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << text;
-    out.flush();
-    if (!out) return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  return !ec;
 }
 
 std::string cell_filename(std::size_t index) {

@@ -376,8 +376,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   }
   mem::MemorySystem& memory = *inst.memory;
   std::vector<std::unique_ptr<engine::RopEngine>>& engines = inst.engines;
-  std::vector<std::unique_ptr<workload::SyntheticTrace>>& traces =
-      inst.traces;
   cpu::System& system = *inst.system;
   result.cpu_ratio = inst.cpu_ratio;
 
@@ -407,12 +405,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     // surface from the file. A segment stop is exact (see
     // System::advance_until), so extra heartbeat boundaries never perturb
     // the simulated behavior.
-    SnapshotContext ctx;
-    ctx.system = &system;
-    ctx.memory = &memory;
-    ctx.stats = &result.stats;
-    for (const auto& eng : engines) ctx.engines.push_back(eng.get());
-    for (const auto& tr : traces) ctx.traces.push_back(tr.get());
+    SnapshotContext ctx = inst.snapshot_context();
     ctx.sampler = result.epochs.get();
     ctx.trace = result.trace.get();
     for (const auto& checker : checkers) ctx.checkers.push_back(checker.get());

@@ -1,10 +1,10 @@
 #include "sim/snapshot.h"
 
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "check/sim_checker.h"
+#include "common/file_io.h"
+#include "common/fnv1a.h"
 #include "common/snapshot_io.h"
 #include "common/types.h"
 #include "cpu/system.h"
@@ -27,15 +27,6 @@ constexpr std::uint64_t kCheckerTag = 0x3152454B43454843ULL;
 // that ends a snapshot file.
 constexpr std::size_t kHeaderBytes = 20;
 constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
-
-std::uint64_t fnv1a(const char* data, std::size_t size) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= static_cast<std::uint8_t>(data[i]);
-    h *= 1099511628211ULL;  // FNV prime
-  }
-  return h;
-}
 
 template <class Ar>
 void serialize_sections(Ar& ar, const SnapshotContext& ctx) {
@@ -130,7 +121,7 @@ std::string spec_canonical(const ExperimentSpec& spec) {
 }
 
 std::uint64_t config_fingerprint(const std::string& canonical) {
-  return fnv1a(canonical.data(), canonical.size());
+  return fnv1a(canonical);
 }
 
 std::string save_snapshot_buffer(const SnapshotContext& ctx,
@@ -177,11 +168,9 @@ bool load_snapshot_buffer(const std::string& buf, const SnapshotContext& ctx,
 }
 
 bool snapshot_compatible(const std::string& path, std::uint64_t fingerprint) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return false;
-  char header[kHeaderBytes];
-  if (!is.read(header, sizeof header)) return false;
-  snap::Reader r(header, sizeof header);
+  std::string bytes;
+  if (!read_file(path, &bytes)) return false;
+  snap::Reader r(bytes);
   return read_header(r, fingerprint, nullptr);
 }
 
@@ -189,31 +178,19 @@ bool write_snapshot_file(const std::string& path, const SnapshotContext& ctx,
                          std::uint64_t fingerprint) {
   std::string bytes = save_snapshot_buffer(ctx, fingerprint);
   snap::Writer tail;
-  std::uint64_t sum = fnv1a(bytes.data(), bytes.size());
+  std::uint64_t sum = fnv1a(bytes);
   tail(sum);
   bytes += tail.take();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!os) return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  return !ec;
+  return write_file_atomic(path, bytes);
 }
 
 bool read_snapshot_file(const std::string& path, const SnapshotContext& ctx,
                         std::uint64_t fingerprint, std::string* error) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
+  std::string bytes;
+  if (!read_file(path, &bytes)) {
     if (error != nullptr) *error = "cannot open snapshot file";
     return false;
   }
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  std::string bytes = std::move(ss).str();
   // Nothing is restored until the header and the checksum both hold. A
   // header that reads leaves at least kHeaderBytes >= kChecksumBytes.
   snap::Reader header(bytes);
@@ -222,7 +199,8 @@ bool read_snapshot_file(const std::string& path, const SnapshotContext& ctx,
   std::uint64_t sum = 0;
   snap::Reader tail(bytes.data() + payload, kChecksumBytes);
   tail(sum);
-  if (payload < kHeaderBytes || sum != fnv1a(bytes.data(), payload)) {
+  if (payload < kHeaderBytes ||
+      sum != fnv1a(std::string_view(bytes).substr(0, payload))) {
     if (error != nullptr) *error = "snapshot checksum mismatch";
     return false;
   }

@@ -69,7 +69,11 @@ struct ExperimentSpec;
 ///   v4: only the LLCs a run uses (the shared one, or one per core).
 ///   v5: one stat registry (no per-channel registries), the channel clocks
 ///       always present, no memory dirty flag; files end in a checksum.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
+///   v6: the controller writes one record of primary state per rank and
+///       rebuilds its queue-derived counts and lists on load; the checksum
+///       and spec fingerprint are true FNV-1a (v5 used a basis one digit
+///       short).
+inline constexpr std::uint32_t kSnapshotFormatVersion = 6;
 
 /// Everything a snapshot touches. Engine/trace/checker vectors follow
 /// channel / core order; sampler and trace may be null (their presence is
@@ -106,7 +110,7 @@ struct SnapshotContext {
                                         std::uint64_t fingerprint,
                                         std::string* error);
 
-/// Cheap header probe: true when `path` exists, is a ROPSNAP1 file of the
+/// Header probe: true when `path` exists, is a ROPSNAP1 file of the
 /// current format version, and was written under a spec with this
 /// fingerprint. Lets a resuming campaign ignore stale checkpoints from an
 /// earlier, different sweep without aborting mid-restore.

@@ -5,12 +5,20 @@
 #include <set>
 #include <vector>
 
+#include "common/fnv1a.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
 
 namespace rop {
 namespace {
+
+TEST(Fnv1a, MatchesReferenceVectors) {
+  // 64-bit FNV-1a reference values (offset basis 14695981039346656037).
+  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ULL);
+}
 
 TEST(Rng, DeterministicForEqualSeeds) {
   Rng a(42), b(42);

@@ -2,10 +2,15 @@
 // forwarding, and the listener hook protocol.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "common/rng.h"
+#include "common/snapshot_io.h"
 #include "mem/controller.h"
+#include "telemetry/trace_sink.h"
 
 namespace rop::mem {
 namespace {
@@ -351,6 +356,151 @@ TEST_F(ControllerTest, RequestConservationUnderLoad) {
   }
   EXPECT_EQ(completed, accepted);
   c->finalize(now);
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot round trip of a bare controller. The split suites cut whole runs
+// at fixed fractions of their length, which may land where no rank holds
+// any refresh state; these cut each scheme where its per-rank state is
+// live, and require the loaded record and the next 2,000 ticks to match.
+
+/// Every field of a rank's record, primary and derived, as text.
+std::string describe(const RankState& s) {
+  std::ostringstream os;
+  os << "phase " << static_cast<int>(s.phase) << " locked_at " << s.locked_at
+     << " last_arrival " << s.last_arrival << " remaining " << s.remaining
+     << " started " << s.started << " opened " << s.window_opened
+     << " next_bank " << s.next_bank << " darp_mask " << s.darp_round_mask
+     << " writes " << s.writes << " prefetches " << s.queued_prefetches << "/"
+     << s.inflight_prefetches << " drain " << s.drain_pending << " reads";
+  for (const RequestIndex idx : s.reads) os << " " << idx;
+  for (const BankRecord& b : s.banks) {
+    os << " | sub " << b.next_sub << " r " << b.reads << " w " << b.writes;
+  }
+  return os.str();
+}
+
+class ControllerSnapshotTest : public ControllerTest {
+ protected:
+  ControllerSnapshotTest() { org.ranks = 2; }
+
+  /// One cycle of a fixed demand stream (a read, or one time in four a
+  /// write, every `period` cycles to a random rank, bank and row spread
+  /// over the subarrays), then one tick.
+  void step(Controller& c, Cycle now, Rng& rng, std::vector<Request>* done) {
+    if (now % period == 0) {
+      const auto rank = static_cast<RankId>(rng.next_below(org.ranks));
+      const auto bank = static_cast<BankId>(rng.next_below(org.banks));
+      const auto row = static_cast<RowId>(rng.next_below(8) * (org.rows / 8) +
+                                          rng.next_below(4));
+      const bool write = rng.next_below(4) == 0;
+      const Address line = (Address{rank} << 40) | (Address{bank} << 32) |
+                           (Address{row} << 8) | rng.next_below(16);
+      Request req = write ? write_req(line, rank, bank, row)
+                          : read_req(line, rank, bank, row);
+      req.id = now;  // both controllers of a round trip see the same ids
+      if (c.can_accept(req.type)) c.enqueue(req, now);
+    }
+    c.tick(now);
+    for (const Request& r : c.drain_completed()) done->push_back(r);
+  }
+
+  Cycle period = 3;
+
+  /// Run `cfg` until `reached`, save the controller, load it into a fresh
+  /// one, and compare the records and the next 2,000 ticks.
+  void round_trip(ControllerConfig cfg,
+                  const std::function<bool(const Controller&)>& reached) {
+    auto saved = make(cfg);
+    Rng rng(7);
+    std::vector<Request> done_saved;
+    Cycle now = 0;
+    for (; now < 40 * t.tREFI && !reached(*saved); ++now) {
+      step(*saved, now, rng, &done_saved);
+    }
+    ASSERT_TRUE(reached(*saved)) << "state not reached by cycle " << now;
+
+    snap::Writer w;
+    w.field(*saved);
+    const std::string bytes = w.take();
+    StatRegistry loaded_stats;
+    Controller loaded(0, t, org, cfg, &loaded_stats);
+    snap::Reader r(bytes);
+    r.field(loaded);
+    ASSERT_TRUE(r.at_end());
+    for (RankId k = 0; k < org.ranks; ++k) {
+      EXPECT_EQ(describe(loaded.rank_state(k)),
+                describe(saved->rank_state(k)))
+          << "rank " << k;
+    }
+
+    telemetry::TraceConfig tc;
+    tc.categories = telemetry::kCatCmds | telemetry::kCatRefresh;
+    telemetry::TraceSink trace_saved(tc);
+    telemetry::TraceSink trace_loaded(tc);
+    saved->set_trace(&trace_saved);
+    loaded.set_trace(&trace_loaded);
+    Rng rng_loaded = rng;
+    std::vector<Request> after_saved;
+    std::vector<Request> after_loaded;
+    for (const Cycle end = now + 2000; now < end; ++now) {
+      step(*saved, now, rng, &after_saved);
+      step(loaded, now, rng_loaded, &after_loaded);
+    }
+    EXPECT_GT(trace_saved.size(), 0u);
+    EXPECT_EQ(trace_loaded.format_recent(trace_loaded.size()),
+              trace_saved.format_recent(trace_saved.size()));
+    ASSERT_EQ(after_loaded.size(), after_saved.size());
+    for (std::size_t i = 0; i < after_saved.size(); ++i) {
+      EXPECT_EQ(after_loaded[i].id, after_saved[i].id);
+      EXPECT_EQ(after_loaded[i].completion, after_saved[i].completion);
+    }
+    for (RankId k = 0; k < org.ranks; ++k) {
+      EXPECT_EQ(describe(loaded.rank_state(k)),
+                describe(saved->rank_state(k)))
+          << "rank " << k << " after 2000 ticks";
+    }
+  }
+};
+
+TEST_F(ControllerSnapshotTest, RopRankDraining) {
+  ControllerConfig cfg;
+  cfg.refresh = RefreshScheme::kRop;
+  round_trip(cfg, [](const Controller& c) {
+    const RankState& s = c.rank_state(1);
+    return s.phase == RefreshPhase::kDraining && s.drain_pending > 0;
+  });
+}
+
+TEST_F(ControllerSnapshotTest, PausingRefreshInProgress) {
+  ControllerConfig cfg;
+  cfg.refresh = RefreshScheme::kPausing;
+  // Sparse demand, so a segment can run and the next arrival pause it.
+  period = 20;
+  round_trip(cfg, [](const Controller& c) {
+    const RankState& s = c.rank_state(0);
+    return s.remaining > 0 && s.window_opened && !s.started;
+  });
+}
+
+TEST_F(ControllerSnapshotTest, DarpRoundMask) {
+  ControllerConfig cfg;
+  cfg.refresh = RefreshScheme::kDarp;
+  round_trip(cfg, [](const Controller& c) {
+    const RankState& s = c.rank_state(0);
+    return s.darp_round_mask != 0 && c.rank_state(1).darp_round_mask != 0 &&
+           !s.reads.empty();
+  });
+}
+
+TEST_F(ControllerSnapshotTest, SarpCursors) {
+  org.subarrays = 8;
+  ControllerConfig cfg;
+  cfg.refresh = RefreshScheme::kSarp;
+  round_trip(cfg, [](const Controller& c) {
+    const RankState& s = c.rank_state(1);
+    return s.next_bank > 1 && s.banks[0].next_sub > 0 && !s.reads.empty();
+  });
 }
 
 }  // namespace

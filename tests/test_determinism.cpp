@@ -131,12 +131,13 @@ std::string dump_memory_state(
     dump_queue("inflight", c.in_flight());
     const dram::Channel& dch = c.channel();
     for (RankId r = 0; r < dch.num_ranks(); ++r) {
-      os << " rank" << r << " phase=" << static_cast<int>(c.refresh_phase(r))
-         << " locked_at=" << c.locked_at(r)
-         << " drain_pending=" << c.drain_pending(r)
-         << " pending=" << c.pending_reads(r) << "/" << c.pending_writes(r)
-         << "/" << c.queued_prefetches(r) << "/" << c.inflight_prefetches(r)
-         << " refresh_remaining=" << c.refresh_remaining(r) << "\n";
+      const mem::RankState& s = c.rank_state(r);
+      os << " rank" << r << " phase=" << static_cast<int>(s.phase)
+         << " locked_at=" << s.locked_at
+         << " drain_pending=" << s.drain_pending
+         << " pending=" << s.reads.size() << "/" << s.writes << "/"
+         << s.queued_prefetches << "/" << s.inflight_prefetches
+         << " refresh_remaining=" << s.remaining << "\n";
       const dram::Rank& rank = dch.rank(r);
       os << "  rank_timing next_act=" << rank.next_activate()
          << " next_col=" << rank.next_column()

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/fnv1a.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
 
@@ -56,15 +57,6 @@ std::string observable_dump(const ExperimentResult& r) {
   }
   s += "violations " + std::to_string(r.checker_violations) + '\n';
   return s;
-}
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 std::string digest_hex(std::uint64_t d) {

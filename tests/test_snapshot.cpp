@@ -261,14 +261,16 @@ TEST(SnapshotHeader, FingerprintCoversBehaviorShapingFields) {
 // Golden values: any drift in the canonical string (a renamed field, a
 // renumbered enum such as cpu::LoopMode) would orphan every snapshot
 // already on disk, so it must fail here first. (Format v5 dropped the
-// ignored shard count from the string.)
+// ignored shard count from the string; v6 moved the hash to true FNV-1a,
+// and these values are FNV-1a of the canonical strings computed outside
+// this code base.)
 TEST(SnapshotHeader, FingerprintIsPinned) {
   EXPECT_EQ(config_fingerprint(spec_canonical(
                 single_core_spec("lbm", MemoryMode::kRop))),
-            0x43b75c92cd5d1b11ULL);
+            0xb4ce81cbfc601d9fULL);
   EXPECT_EQ(config_fingerprint(spec_canonical(
                 multi_core_spec(1, MemoryMode::kDarp, true))),
-            0xbdd4acf9364e8270ULL);
+            0xc3a9bcd387d1d856ULL);
 }
 
 // ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ file(READ "${dir}/out/manifest.json" manifest)
 if(NOT manifest MATCHES "\"completed\":\\[0\\],\"failed\":\\[{\"index\":1,")
   message(FATAL_ERROR "manifest does not list cell 1 as failed:\n${manifest}")
 endif()
+# The checkpoint that could not be renamed into place is not left behind.
+if(EXISTS "${dir}/out/cell_000001.snap.tmp")
+  message(FATAL_ERROR "failed cell left cell_000001.snap.tmp behind")
+endif()
 
 # With the path clear, cell 1 runs; then an edited cell 0 document (a
 # counter that is not an integer) fails the merge.
