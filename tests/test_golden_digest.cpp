@@ -25,6 +25,8 @@
 #include "common/fnv1a.h"
 #include "sim/campaign.h"
 #include "sim/experiment.h"
+#include "sim/sim_instance.h"
+#include "sim/snapshot.h"
 
 namespace rop::sim {
 namespace {
@@ -144,6 +146,48 @@ TEST(GoldenDigestMultiChannel, Wl1DarpMatchesCapturedDigest) {
   const ExperimentResult r = run_experiment(spec);
   ASSERT_TRUE(r.error.empty()) << r.error;
   EXPECT_EQ(digest_hex(fnv1a(observable_dump(r))), "39c78a9b01ec4cc7");
+}
+
+/// The snapshot buffer of `spec` cut at CPU cycle `stop_cpu`: every io()
+/// field of every section, in order. Pinning its digest catches a refactor
+/// that reorders, drops or re-encodes a serialized field, which no stats
+/// digest sees.
+std::string snapshot_at(const ExperimentSpec& spec, std::uint64_t stop_cpu) {
+  SimInstance inst = build_sim_instance(spec);
+  inst.system->begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+  EXPECT_FALSE(inst.system->advance_until(stop_cpu));
+  return save_snapshot_buffer(inst.snapshot_context(),
+                              config_fingerprint(spec_canonical(spec)));
+}
+
+/// `ropsim`'s defaults: 10M instructions per core, capped cycles, a
+/// 2 MiB LLC.
+ExperimentSpec at_ropsim_defaults(ExperimentSpec spec) {
+  spec.llc_bytes = 2ull << 20;
+  spec.instructions_per_core = 10'000'000;
+  spec.max_cpu_cycles =
+      spec.instructions_per_core * kCpuCyclesPerInstructionCap;
+  return spec;
+}
+
+TEST(GoldenDigestSnapshot, LbmRopBufferAt40001) {
+  // `ropsim --benchmark lbm --mode rop --snapshot-stop-at 40001` writes
+  // these bytes plus an 8-byte checksum, which is this digest.
+  const std::string buf = snapshot_at(
+      at_ropsim_defaults(single_core_spec("lbm", MemoryMode::kRop)), 40'001);
+  EXPECT_EQ(buf.size(), 346'688u);
+  EXPECT_EQ(digest_hex(fnv1a(buf)), "712a7b85717b55e4");
+}
+
+TEST(GoldenDigestSnapshot, Wl1Darp4ChannelBufferAt120001) {
+  // `ropsim --benchmark wl1 --mode darp --channels 4
+  // --snapshot-stop-at 120001`: four cores, four channels of four ranks
+  // each.
+  ExperimentSpec spec = multi_core_spec(1, MemoryMode::kDarp, false);
+  spec.channels = 4;
+  const std::string buf = snapshot_at(at_ropsim_defaults(spec), 120'001);
+  EXPECT_EQ(buf.size(), 357'641u);
+  EXPECT_EQ(digest_hex(fnv1a(buf)), "bf81f2637e4d0a76");
 }
 
 TEST(GoldenDigestCampaign, MergedDocumentMatchesCapturedDigest) {
