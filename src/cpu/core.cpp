@@ -107,12 +107,12 @@ void Core::cycle() {
     // cycle() every cycle in every loop mode (next_event_cycle == cycles
     // while mem_op_pending_), so this per-cycle billing is loop-invariant.
     if (block_reason_ == BlockReason::kMlp) {
-      ++stats_.stall_mlp_cycles;
+      ++stats_.cpi[CpiCategory::kStallMlp];
     } else {
-      ++stats_.stall_port_cycles;
+      ++stats_.cpi[CpiCategory::kStallPort];
     }
   } else {
-    ++stats_.retire_cycles;
+    ++stats_.cpi[CpiCategory::kRetire];
   }
   block_reason_ = BlockReason::kNone;
 }
@@ -148,7 +148,8 @@ std::uint64_t Core::charge_functional(std::uint64_t instructions,
   const std::uint64_t cycles = slots / cfg_.issue_width + op_cycles;
   stats_.instructions += instructions;
   stats_.cycles += cycles;
-  stats_.other_cycles += cycles;  // estimated, not micro-architecturally billed
+  // Estimated, not micro-architecturally billed.
+  stats_.cpi[CpiCategory::kOther] += cycles;
   return cycles;
 }
 

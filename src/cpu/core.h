@@ -18,9 +18,12 @@
 #include "common/rng.h"
 #include "common/types.h"
 #include "cpu/record_walk.h"
+#include "telemetry/attribution.h"
 #include "workload/trace.h"
 
 namespace rop::cpu {
+
+using telemetry::CpiCategory;
 
 struct CoreConfig {
   std::uint32_t issue_width = 4;
@@ -42,25 +45,13 @@ struct CoreStats {
   std::uint64_t mem_fills = 0;      // write-allocate fills sent to memory
   std::uint64_t mem_writebacks = 0;
 
-  // CPI-stack ledger (telemetry/attribution.h): a disjoint decomposition
-  // of `cycles`. Every executed cycle bills exactly one category; the span
-  // spent asleep on a critical load is billed at wake, decomposed from the
-  // fill's lifecycle stamps (Core::on_read_complete). Invariant — enforced
-  // by SimChecker::audit_cpi and the attribution tests:
-  //   sum(categories) + unresolved critical span == cycles, always.
-  std::uint64_t retire_cycles = 0;            // >= 1 instruction retired
-  std::uint64_t stall_mlp_cycles = 0;         // outstanding-miss budget full
-  std::uint64_t stall_port_cycles = 0;        // memory queue rejected the op
-  std::uint64_t stall_mem_queue_cycles = 0;   // critical fill: queue wait
-  std::uint64_t stall_mem_bank_cycles = 0;    // critical fill: ACT wait
-  std::uint64_t stall_mem_cas_cycles = 0;     // critical fill: CAS latency
-  std::uint64_t stall_mem_bus_cycles = 0;     // critical fill: data burst
-  std::uint64_t stall_refresh_rank_cycles = 0;      // rank REF lock
-  std::uint64_t stall_refresh_bank_cycles = 0;      // per-bank REFpb lock
-  std::uint64_t stall_refresh_subarray_cycles = 0;  // subarray lock
-  std::uint64_t stall_refresh_pause_cycles = 0;     // pausing segments
-  std::uint64_t stall_rop_sram_cycles = 0;    // residual wait of SRAM fills
-  std::uint64_t other_cycles = 0;  // align/functional jumps, end-of-run
+  // CPI-stack ledger: a disjoint decomposition of `cycles`. Every
+  // executed cycle bills exactly one category; the span spent asleep on a
+  // critical load is billed at wake, decomposed from the fill's lifecycle
+  // stamps (Core::on_read_complete). Invariant — enforced by
+  // SimChecker::audit_cpi and the attribution tests:
+  //   cpi.sum() + unresolved critical span == cycles, always.
+  telemetry::CpiStack cpi;
 
   [[nodiscard]] double ipc() const {
     return cycles ? static_cast<double>(instructions) /
@@ -68,26 +59,11 @@ struct CoreStats {
                   : 0.0;
   }
 
-  /// Sum of the CPI-stack categories; equals `cycles` minus the span of a
-  /// still-unresolved critical load (see Core::unresolved_stall_cycles).
-  [[nodiscard]] std::uint64_t cpi_category_sum() const {
-    return retire_cycles + stall_mlp_cycles + stall_port_cycles +
-           stall_mem_queue_cycles + stall_mem_bank_cycles +
-           stall_mem_cas_cycles + stall_mem_bus_cycles +
-           stall_refresh_rank_cycles + stall_refresh_bank_cycles +
-           stall_refresh_subarray_cycles + stall_refresh_pause_cycles +
-           stall_rop_sram_cycles + other_cycles;
-  }
-
   /// Snapshot serialization (see common/snapshot_io.h).
   template <class Ar>
   void io(Ar& ar) {
     ar(instructions, cycles, stall_cycles, mem_reads, mem_fills,
-       mem_writebacks, retire_cycles, stall_mlp_cycles, stall_port_cycles,
-       stall_mem_queue_cycles, stall_mem_bank_cycles, stall_mem_cas_cycles,
-       stall_mem_bus_cycles, stall_refresh_rank_cycles,
-       stall_refresh_bank_cycles, stall_refresh_subarray_cycles,
-       stall_refresh_pause_cycles, stall_rop_sram_cycles, other_cycles);
+       mem_writebacks, cpi);
   }
 };
 
@@ -198,7 +174,7 @@ class Core {
     ROP_ASSERT(front_.have_record);
     ROP_ASSERT(front_.remaining_gap / cfg_.issue_width >= n);
     stats_.instructions += n * cfg_.issue_width;
-    stats_.retire_cycles += n;
+    stats_.cpi[CpiCategory::kRetire] += n;
     front_.remaining_gap -= static_cast<std::uint32_t>(n * cfg_.issue_width);
   }
 
@@ -226,12 +202,15 @@ class Core {
   }
   [[nodiscard]] const Rng& rng() const { return rng_; }
 
-  /// Cycles of a still-pending critical load not yet attributed to any
-  /// CPI-stack category (the span is decomposed at wake). Exports fold
-  /// this into `other_cycles` at copy time so the published stack always
-  /// sums to `cycles`, without mutating live core state.
-  [[nodiscard]] std::uint64_t unresolved_stall_cycles() const {
-    return critical_pending_ ? stats_.cycles - critical_since_ : 0;
+  /// The CPI stack as exported: the ledger with the span of a
+  /// still-pending critical load (decomposed only at wake) folded into
+  /// `other`, so it sums to `cycles` without mutating live core state.
+  [[nodiscard]] telemetry::CpiStack settled_cpi() const {
+    telemetry::CpiStack cpi = stats_.cpi;
+    if (critical_pending_) {
+      cpi[CpiCategory::kOther] += stats_.cycles - critical_since_;
+    }
+    return cpi;
   }
 
   /// Functional warming for the sampled loop: retire `instructions` without
@@ -291,7 +270,7 @@ class Core {
     const std::uint64_t span = target_cycle - stats_.cycles;
     stats_.stall_cycles += span;
     // An estimated jump has no micro-architectural cause to blame.
-    if (!critical_pending_) stats_.other_cycles += span;
+    if (!critical_pending_) stats_.cpi[CpiCategory::kOther] += span;
     stats_.cycles = target_cycle;
   }
 
@@ -347,19 +326,20 @@ class Core {
       rem -= take;
       return take;
     };
-    stats_.stall_refresh_rank_cycles += clip(fill.refresh_rank);
-    stats_.stall_refresh_bank_cycles += clip(fill.refresh_bank);
-    stats_.stall_refresh_subarray_cycles += clip(fill.refresh_sub);
-    stats_.stall_refresh_pause_cycles += clip(fill.refresh_pause);
+    telemetry::CpiStack& cpi = stats_.cpi;
+    cpi[CpiCategory::kRefreshRank] += clip(fill.refresh_rank);
+    cpi[CpiCategory::kRefreshBank] += clip(fill.refresh_bank);
+    cpi[CpiCategory::kRefreshSubarray] += clip(fill.refresh_sub);
+    cpi[CpiCategory::kRefreshPause] += clip(fill.refresh_pause);
     if (fill.sram) {
       // Everything past the refresh locks was spent waiting on the SRAM
       // buffer path — the revived-service residual.
-      stats_.stall_rop_sram_cycles += rem;
+      cpi[CpiCategory::kRopSram] += rem;
     } else {
-      stats_.stall_mem_bank_cycles += clip(fill.act_wait);
-      stats_.stall_mem_cas_cycles += clip(fill.cas);
-      stats_.stall_mem_bus_cycles += clip(fill.bus);
-      stats_.stall_mem_queue_cycles += rem;
+      cpi[CpiCategory::kMemBank] += clip(fill.act_wait);
+      cpi[CpiCategory::kMemCas] += clip(fill.cas);
+      cpi[CpiCategory::kMemBus] += clip(fill.bus);
+      cpi[CpiCategory::kMemQueue] += rem;
     }
   }
   CoreId id_;

@@ -36,20 +36,10 @@ System::System(const SystemConfig& cfg, mem::MemorySystem& memory,
     h.mem_reads = reg.counter_handle(prefix + "mem_reads");
     h.mem_fills = reg.counter_handle(prefix + "mem_fills");
     h.mem_writebacks = reg.counter_handle(prefix + "mem_writebacks");
-    h.cpi_retire = reg.counter_handle(prefix + "cpi.retire");
-    h.cpi_stall_mlp = reg.counter_handle(prefix + "cpi.stall_mlp");
-    h.cpi_stall_port = reg.counter_handle(prefix + "cpi.stall_port");
-    h.cpi_mem_queue = reg.counter_handle(prefix + "cpi.mem_queue");
-    h.cpi_mem_bank = reg.counter_handle(prefix + "cpi.mem_bank");
-    h.cpi_mem_cas = reg.counter_handle(prefix + "cpi.mem_cas");
-    h.cpi_mem_bus = reg.counter_handle(prefix + "cpi.mem_bus");
-    h.cpi_refresh_rank = reg.counter_handle(prefix + "cpi.refresh_rank");
-    h.cpi_refresh_bank = reg.counter_handle(prefix + "cpi.refresh_bank");
-    h.cpi_refresh_subarray =
-        reg.counter_handle(prefix + "cpi.refresh_subarray");
-    h.cpi_refresh_pause = reg.counter_handle(prefix + "cpi.refresh_pause");
-    h.cpi_rop_sram = reg.counter_handle(prefix + "cpi.rop_sram");
-    h.cpi_other = reg.counter_handle(prefix + "cpi.other");
+    for (std::size_t k = 0; k < telemetry::kCpiCategoryCount; ++k) {
+      h.cpi[k] = reg.counter_handle(prefix + "cpi." +
+                                    telemetry::kCpiCategoryKeys[k]);
+    }
     core_stat_handles_.push_back(h);
   }
 
@@ -178,34 +168,23 @@ FillInfo System::make_fill(const mem::Request& req) const {
   return f;
 }
 
-void System::freeze_cpi_stack(std::size_t c, CoreResult& r) const {
-  const CoreStats& s = cores_[c]->stats();
-  r.retire_cycles = s.retire_cycles;
-  r.stall_mlp_cycles = s.stall_mlp_cycles;
-  r.stall_port_cycles = s.stall_port_cycles;
-  r.stall_mem_queue_cycles = s.stall_mem_queue_cycles;
-  r.stall_mem_bank_cycles = s.stall_mem_bank_cycles;
-  r.stall_mem_cas_cycles = s.stall_mem_cas_cycles;
-  r.stall_mem_bus_cycles = s.stall_mem_bus_cycles;
-  r.stall_refresh_rank_cycles = s.stall_refresh_rank_cycles;
-  r.stall_refresh_bank_cycles = s.stall_refresh_bank_cycles;
-  r.stall_refresh_subarray_cycles = s.stall_refresh_subarray_cycles;
-  r.stall_refresh_pause_cycles = s.stall_refresh_pause_cycles;
-  r.stall_rop_sram_cycles = s.stall_rop_sram_cycles;
-  r.other_cycles = s.other_cycles + cores_[c]->unresolved_stall_cycles();
-}
-
-void System::record_crossing(std::size_t c) {
-  loop_.crossed[c] = true;
-  --loop_.remaining;
-  CoreResult& r = loop_.partial[c];
-  const CoreStats& s = cores_[c]->stats();
+CoreResult System::freeze(std::size_t c) const {
+  const Core& core = *cores_[c];
+  const CoreStats& s = core.stats();
+  CoreResult r;
   r.instructions = s.instructions;
   r.cpu_cycles = s.cycles;
   r.ipc = s.ipc();
   r.mem_reads = s.mem_reads + s.mem_fills;
   r.mem_writebacks = s.mem_writebacks;
-  freeze_cpi_stack(c, r);
+  r.cpi = core.settled_cpi();
+  return r;
+}
+
+void System::record_crossing(std::size_t c) {
+  loop_.crossed[c] = true;
+  --loop_.remaining;
+  loop_.partial[c] = freeze(c);
 }
 
 void System::begin_run(std::uint64_t target_instructions,
@@ -348,15 +327,7 @@ RunResult System::finish_run() {
 
   // Freeze any core that never crossed (cycle-limit safety net).
   for (std::size_t c = 0; c < cores_.size(); ++c) {
-    if (loop_.crossed[c]) continue;
-    CoreResult& r = result.cores[c];
-    const CoreStats& s = cores_[c]->stats();
-    r.instructions = s.instructions;
-    r.cpu_cycles = s.cycles;
-    r.ipc = s.ipc();
-    r.mem_reads = s.mem_reads + s.mem_fills;
-    r.mem_writebacks = s.mem_writebacks;
-    freeze_cpi_stack(c, r);
+    if (!loop_.crossed[c]) result.cores[c] = freeze(c);
   }
 
   // Mirror the final per-core counters into the registry (handles resolved
@@ -372,19 +343,10 @@ RunResult System::finish_run() {
     h.mem_reads->inc(s.mem_reads);
     h.mem_fills->inc(s.mem_fills);
     h.mem_writebacks->inc(s.mem_writebacks);
-    h.cpi_retire->inc(s.retire_cycles);
-    h.cpi_stall_mlp->inc(s.stall_mlp_cycles);
-    h.cpi_stall_port->inc(s.stall_port_cycles);
-    h.cpi_mem_queue->inc(s.stall_mem_queue_cycles);
-    h.cpi_mem_bank->inc(s.stall_mem_bank_cycles);
-    h.cpi_mem_cas->inc(s.stall_mem_cas_cycles);
-    h.cpi_mem_bus->inc(s.stall_mem_bus_cycles);
-    h.cpi_refresh_rank->inc(s.stall_refresh_rank_cycles);
-    h.cpi_refresh_bank->inc(s.stall_refresh_bank_cycles);
-    h.cpi_refresh_subarray->inc(s.stall_refresh_subarray_cycles);
-    h.cpi_refresh_pause->inc(s.stall_refresh_pause_cycles);
-    h.cpi_rop_sram->inc(s.stall_rop_sram_cycles);
-    h.cpi_other->inc(s.other_cycles + cores_[c]->unresolved_stall_cycles());
+    const telemetry::CpiStack cpi = cores_[c]->settled_cpi();
+    for (std::size_t k = 0; k < telemetry::kCpiCategoryCount; ++k) {
+      h.cpi[k]->inc(cpi.cycles[k]);
+    }
   }
 
   result.cpu_cycles = cpu_cycle;

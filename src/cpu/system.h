@@ -4,6 +4,7 @@
 // per the paper's 4-core methodology).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,41 +57,15 @@ struct CoreResult {
   std::uint64_t mem_writebacks = 0;
 
   /// CPI stack frozen with the rest of the metrics. Disjoint categories
-  /// summing exactly to cpu_cycles: any still-unresolved critical span is
-  /// folded into `other_cycles` at freeze time (see
-  /// Core::unresolved_stall_cycles).
-  std::uint64_t retire_cycles = 0;
-  std::uint64_t stall_mlp_cycles = 0;
-  std::uint64_t stall_port_cycles = 0;
-  std::uint64_t stall_mem_queue_cycles = 0;
-  std::uint64_t stall_mem_bank_cycles = 0;
-  std::uint64_t stall_mem_cas_cycles = 0;
-  std::uint64_t stall_mem_bus_cycles = 0;
-  std::uint64_t stall_refresh_rank_cycles = 0;
-  std::uint64_t stall_refresh_bank_cycles = 0;
-  std::uint64_t stall_refresh_subarray_cycles = 0;
-  std::uint64_t stall_refresh_pause_cycles = 0;
-  std::uint64_t stall_rop_sram_cycles = 0;
-  std::uint64_t other_cycles = 0;
+  /// summing exactly to cpu_cycles (see Core::settled_cpi).
+  telemetry::CpiStack cpi;
 
-  [[nodiscard]] std::uint64_t cpi_stack_sum() const {
-    return retire_cycles + stall_mlp_cycles + stall_port_cycles +
-           stall_mem_queue_cycles + stall_mem_bank_cycles +
-           stall_mem_cas_cycles + stall_mem_bus_cycles +
-           stall_refresh_rank_cycles + stall_refresh_bank_cycles +
-           stall_refresh_subarray_cycles + stall_refresh_pause_cycles +
-           stall_rop_sram_cycles + other_cycles;
-  }
+  [[nodiscard]] std::uint64_t cpi_stack_sum() const { return cpi.sum(); }
 
   /// Snapshot serialization (see common/snapshot_io.h).
   template <class Ar>
   void io(Ar& ar) {
-    ar(instructions, cpu_cycles, ipc, mem_reads, mem_writebacks,
-       retire_cycles, stall_mlp_cycles, stall_port_cycles,
-       stall_mem_queue_cycles, stall_mem_bank_cycles, stall_mem_cas_cycles,
-       stall_mem_bus_cycles, stall_refresh_rank_cycles,
-       stall_refresh_bank_cycles, stall_refresh_subarray_cycles,
-       stall_refresh_pause_cycles, stall_rop_sram_cycles, other_cycles);
+    ar(instructions, cpu_cycles, ipc, mem_reads, mem_writebacks, cpi);
   }
 };
 
@@ -220,9 +195,8 @@ class System final : public MemoryPort {
   /// Freeze core `c`'s metrics at its instruction-target crossing.
   void record_crossing(std::size_t c);
 
-  /// Copy core `c`'s CPI-stack ledger into `r`, folding any unresolved
-  /// critical span into `other` so the published stack sums to cpu_cycles.
-  void freeze_cpi_stack(std::size_t c, CoreResult& r) const;
+  /// Core `c`'s metrics as they stand now, CPI stack settled.
+  [[nodiscard]] CoreResult freeze(std::size_t c) const;
 
   /// Decompose a completed fill into CPU-cycle blame components for
   /// Core::attribute_critical_span (pure function of the request).
@@ -254,20 +228,8 @@ class System final : public MemoryPort {
     Counter* mem_reads = nullptr;
     Counter* mem_fills = nullptr;
     Counter* mem_writebacks = nullptr;
-    // CPI-stack mirrors ("coreN.cpi.*"), published once at finish_run.
-    Counter* cpi_retire = nullptr;
-    Counter* cpi_stall_mlp = nullptr;
-    Counter* cpi_stall_port = nullptr;
-    Counter* cpi_mem_queue = nullptr;
-    Counter* cpi_mem_bank = nullptr;
-    Counter* cpi_mem_cas = nullptr;
-    Counter* cpi_mem_bus = nullptr;
-    Counter* cpi_refresh_rank = nullptr;
-    Counter* cpi_refresh_bank = nullptr;
-    Counter* cpi_refresh_subarray = nullptr;
-    Counter* cpi_refresh_pause = nullptr;
-    Counter* cpi_rop_sram = nullptr;
-    Counter* cpi_other = nullptr;
+    // CPI-stack mirrors ("coreN.cpi.<key>"), in CpiCategory order.
+    std::array<Counter*, telemetry::kCpiCategoryCount> cpi{};
   };
 
   SystemConfig cfg_;

@@ -131,7 +131,7 @@ std::string ExperimentResult::to_json() const {
   w.end_array();
 
   // Attribution (schema v3): per-core CPI stacks — a disjoint decomposition
-  // of cpu_cycles, categories in telemetry::cpi_category_keys order — plus
+  // of cpu_cycles, categories in telemetry::kCpiCategoryKeys order — plus
   // the controller-side per-request blocked-cycle totals and the ROP
   // revived-cycles credit. cpi_stack values always sum to `cycles`.
   w.key("attribution");
@@ -142,21 +142,6 @@ std::string ExperimentResult::to_json() const {
   w.begin_array();
   for (std::size_t i = 0; i < run.cores.size(); ++i) {
     const cpu::CoreResult& c = run.cores[i];
-    const std::array<std::uint64_t, telemetry::kCpiCategoryCount> vals = {
-        c.retire_cycles,
-        c.stall_mlp_cycles,
-        c.stall_port_cycles,
-        c.stall_mem_queue_cycles,
-        c.stall_mem_bank_cycles,
-        c.stall_mem_cas_cycles,
-        c.stall_mem_bus_cycles,
-        c.stall_refresh_rank_cycles,
-        c.stall_refresh_bank_cycles,
-        c.stall_refresh_subarray_cycles,
-        c.stall_refresh_pause_cycles,
-        c.stall_rop_sram_cycles,
-        c.other_cycles,
-    };
     w.begin_object();
     w.key("core");
     w.value(static_cast<std::uint64_t>(i));
@@ -164,9 +149,9 @@ std::string ExperimentResult::to_json() const {
     w.value(c.cpu_cycles);
     w.key("cpi_stack");
     w.begin_object();
-    for (std::size_t k = 0; k < vals.size(); ++k) {
-      w.key(telemetry::cpi_category_keys()[k]);
-      w.value(vals[k]);
+    for (std::size_t k = 0; k < telemetry::kCpiCategoryCount; ++k) {
+      w.key(telemetry::kCpiCategoryKeys[k]);
+      w.value(c.cpi.cycles[k]);
     }
     w.end_object();
     w.end_object();

@@ -6,22 +6,6 @@ namespace rop::telemetry {
 
 namespace {
 
-constexpr std::array<const char*, kCpiCategoryCount> kKeys = {
-    "retire",           //
-    "stall_mlp",        //
-    "stall_port",       //
-    "mem_queue",        //
-    "mem_bank",         //
-    "mem_cas",          //
-    "mem_bus",          //
-    "refresh_rank",     //
-    "refresh_bank",     //
-    "refresh_subarray", //
-    "refresh_pause",    //
-    "rop_sram",         //
-    "other",            //
-};
-
 /// Minimal JSON string escaping for cell labels (quote, backslash,
 /// control characters; labels are ASCII identifiers in practice).
 void append_escaped(std::string& out, const std::string& s) {
@@ -40,14 +24,6 @@ void append_escaped(std::string& out, const std::string& s) {
 }
 
 }  // namespace
-
-const char* cpi_category_key(CpiCategory c) {
-  return kKeys[static_cast<std::size_t>(c)];
-}
-
-const std::array<const char*, kCpiCategoryCount>& cpi_category_keys() {
-  return kKeys;
-}
 
 ProgressWriter::ProgressWriter(const std::string& path) {
   out_ = std::fopen(path.c_str(), "w");

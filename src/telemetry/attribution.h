@@ -4,10 +4,10 @@
 // The CPI stack is a disjoint decomposition of every core's cycles — each
 // executed cycle bills exactly one category, and a critical-load sleep span
 // is decomposed at wake from the fill's lifecycle stamps (see
-// cpu::CoreStats and Core::attribute_critical_span). This header owns the
-// category order and JSON key names so the stats exporter, the schema
-// validator (tools/check_stats_schema.py), and the renderer
-// (tools/report_cpi.py) agree on one vocabulary.
+// cpu::CoreStats and Core::attribute_critical_span). This header names
+// the categories once: their order, their export keys and the CpiStack
+// that holds them. The schema validator (tools/check_stats_schema.py) and
+// the renderer (tools/report_cpi.py) check the keys the exporter writes.
 //
 // ProgressWriter is the JSONL heartbeat behind `ropsim --progress FILE` and
 // `campaign --progress FILE`: one self-contained JSON object per line
@@ -25,8 +25,8 @@
 
 namespace rop::telemetry {
 
-/// CPI-stack categories in canonical export order. Keep in sync with the
-/// cpu::CoreStats ledger fields and docs/OBSERVABILITY.md.
+/// CPI-stack categories in canonical export order. The enum order is the
+/// snapshot byte order of every CpiStack, so append, never reorder.
 enum class CpiCategory : std::uint8_t {
   kRetire = 0,        // >= 1 instruction retired this cycle
   kStallMlp,          // outstanding-miss budget full
@@ -43,16 +43,30 @@ enum class CpiCategory : std::uint8_t {
   kOther,             // align/functional jumps, end-of-run residue
 };
 
-inline constexpr std::size_t kCpiCategoryCount = 13;
+inline constexpr std::size_t kCpiCategoryCount =
+    static_cast<std::size_t>(CpiCategory::kOther) + 1;
 
-/// JSON key for a category (e.g. "refresh_rank"). Stable export names.
-[[nodiscard]] const char* cpi_category_key(CpiCategory c);
+/// Stable export name of each category, in enum order: the stats JSON
+/// `cpi_stack` keys and the registry's "coreN.cpi.<key>" counters.
+inline constexpr std::array<const char*, kCpiCategoryCount> kCpiCategoryKeys = {
+    "retire",
+    "stall_mlp",
+    "stall_port",
+    "mem_queue",
+    "mem_bank",
+    "mem_cas",
+    "mem_bus",
+    "refresh_rank",
+    "refresh_bank",
+    "refresh_subarray",
+    "refresh_pause",
+    "rop_sram",
+    "other",
+};
 
-/// All keys in canonical order, for iteration.
-[[nodiscard]] const std::array<const char*, kCpiCategoryCount>&
-cpi_category_keys();
-
-/// One core's CPI stack as a plain value array in canonical order.
+/// One core's CPI stack: cycles per category, indexed by CpiCategory. This
+/// is the whole ledger; cpu::CoreStats bills it, cpu::CoreResult freezes
+/// it, and every export iterates it with kCpiCategoryKeys.
 struct CpiStack {
   std::array<std::uint64_t, kCpiCategoryCount> cycles{};
 
@@ -66,6 +80,12 @@ struct CpiStack {
     std::uint64_t s = 0;
     for (const std::uint64_t v : cycles) s += v;
     return s;
+  }
+
+  /// Snapshot serialization: the categories in enum order, no length.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(cycles);
   }
 };
 

@@ -18,23 +18,6 @@
 namespace rop::sim {
 namespace {
 
-std::array<std::uint64_t, telemetry::kCpiCategoryCount> stack_of(
-    const cpu::CoreResult& c) {
-  return {c.retire_cycles,
-          c.stall_mlp_cycles,
-          c.stall_port_cycles,
-          c.stall_mem_queue_cycles,
-          c.stall_mem_bank_cycles,
-          c.stall_mem_cas_cycles,
-          c.stall_mem_bus_cycles,
-          c.stall_refresh_rank_cycles,
-          c.stall_refresh_bank_cycles,
-          c.stall_refresh_subarray_cycles,
-          c.stall_refresh_pause_cycles,
-          c.stall_rop_sram_cycles,
-          c.other_cycles};
-}
-
 void expect_stack_total(const ExperimentResult& r, const std::string& what) {
   ASSERT_FALSE(r.run.cores.empty()) << what;
   for (std::size_t c = 0; c < r.run.cores.size(); ++c) {
@@ -68,8 +51,8 @@ TEST(CpiStack, SumsToCyclesOnEveryModeAndLoop) {
     for (std::size_t l = 1; l < per_loop.size(); ++l) {
       ASSERT_EQ(per_loop[l].run.cores.size(), per_loop[0].run.cores.size());
       for (std::size_t c = 0; c < per_loop[l].run.cores.size(); ++c) {
-        EXPECT_EQ(stack_of(per_loop[l].run.cores[c]),
-                  stack_of(per_loop[0].run.cores[c]))
+        EXPECT_EQ(per_loop[l].run.cores[c].cpi.cycles,
+                  per_loop[0].run.cores[c].cpi.cycles)
             << "loop " << l << " core " << c;
       }
     }
@@ -96,9 +79,12 @@ TEST(CpiStack, MulticoreRefreshStallsAreAttributed) {
   std::uint64_t refresh = 0;
   std::uint64_t retire = 0;
   for (const cpu::CoreResult& c : r.run.cores) {
-    refresh += c.stall_refresh_rank_cycles + c.stall_refresh_bank_cycles +
-               c.stall_refresh_subarray_cycles + c.stall_refresh_pause_cycles;
-    retire += c.retire_cycles;
+    using telemetry::CpiCategory;
+    refresh += c.cpi[CpiCategory::kRefreshRank] +
+               c.cpi[CpiCategory::kRefreshBank] +
+               c.cpi[CpiCategory::kRefreshSubarray] +
+               c.cpi[CpiCategory::kRefreshPause];
+    retire += c.cpi[CpiCategory::kRetire];
   }
   EXPECT_GT(retire, 0u);
   // Rank-wide REF on a contended 4-core mix must surface as refresh stall.
@@ -109,13 +95,12 @@ TEST(CpiStack, RegistryMirrorsMatchCoreResults) {
   ExperimentSpec spec = single_core_spec("lbm", MemoryMode::kRop);
   spec.instructions_per_core = 120'000;
   const ExperimentResult r = run_experiment(spec);
-  const auto& keys = telemetry::cpi_category_keys();
   for (std::size_t c = 0; c < r.run.cores.size(); ++c) {
-    const auto stack = stack_of(r.run.cores[c]);
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      const std::string name =
-          "core" + std::to_string(c) + ".cpi." + keys[k];
-      EXPECT_EQ(r.stats.counter_value(name), stack[k]) << name;
+    for (std::size_t k = 0; k < telemetry::kCpiCategoryCount; ++k) {
+      const std::string name = "core" + std::to_string(c) + ".cpi." +
+                               telemetry::kCpiCategoryKeys[k];
+      EXPECT_EQ(r.stats.counter_value(name), r.run.cores[c].cpi.cycles[k])
+          << name;
     }
   }
 }
@@ -129,7 +114,7 @@ TEST(AttributionJson, CarriesStacksAndRequestTotals) {
   EXPECT_NE(json.find("\"attribution\""), std::string::npos);
   EXPECT_NE(json.find("\"cpu_ratio\""), std::string::npos);
   EXPECT_NE(json.find("\"cpi_stack\""), std::string::npos);
-  for (const char* key : telemetry::cpi_category_keys()) {
+  for (const char* key : telemetry::kCpiCategoryKeys) {
     std::string quoted = "\"";
     quoted += key;
     quoted += '"';
