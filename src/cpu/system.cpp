@@ -378,7 +378,8 @@ std::uint64_t System::functional_window(const FunctionalStep& step) {
 
   // 1. Every caller (the sampling planner's backbone) enters on a
   // memory-window boundary with no demand reads in flight, so there is
-  // nothing to drain. The entry boundary itself is left unticked.
+  // nothing to drain. The entry boundary is visited like any other: an
+  // event due there (a refresh step) runs on time.
   ROP_ASSERT(start_cpu % cfg_.cpu_ratio == 0 &&
              "functional windows start on a memory-window boundary");
   for (const auto& core : cores_) {
@@ -386,7 +387,7 @@ std::uint64_t System::functional_window(const FunctionalStep& step) {
                "functional windows start with no reads in flight");
   }
   const Cycle m = start_cpu / cfg_.cpu_ratio;
-  clocks_.pass(m);
+  clocks_.advance_to(m);
 
   // 2. Functional warming: every core retires the window's instructions
   // with no memory requests (see Core::functional_advance).

@@ -63,16 +63,6 @@ void ChannelClocks::catch_up(Cycle target) {
   advanced_to_ = target;
 }
 
-void ChannelClocks::pass(Cycle m) {
-  if (m > 0) catch_up(m - 1);
-  for (auto& cs : channels_) {
-    if (cs.next_due > m) continue;
-    cs.next_due = cs.ctrl->next_event_cycle(m);
-    cs.bound_stale = true;
-  }
-  advanced_to_ = m;
-}
-
 Cycle ChannelClocks::note_enqueue(ChannelId ch, Cycle now) {
   ChannelState& cs = channels_.at(ch);
   // The first tick that can observe an arrival stamped `now` is now + 1

@@ -67,11 +67,6 @@ class ChannelClocks {
   /// no further tick).
   void sample_to(Cycle target);
 
-  /// Treat boundary `m` as visited without ticking it: catch up with every
-  /// due tick < m, then move each channel due at m to its next event after
-  /// m. A functional window entered on a window boundary starts this way.
-  void pass(Cycle m);
-
   /// A request was accepted by channel `ch` at memory cycle `now`: its
   /// first observing tick is now + 1. Returns the channel's fresh delivery
   /// bound (completion_lower_bound(now)), which the caller folds into its

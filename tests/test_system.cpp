@@ -2,7 +2,11 @@
 // multi-core runs.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cpu/system.h"
+#include "mem/channel_clocks.h"
 #include "workload/synthetic.h"
 
 namespace rop::cpu {
@@ -148,6 +152,64 @@ TEST(System, LlcMissesCountTheSingleCoreLlc) {
   sys.functional_window(100'000, 200);
   EXPECT_GT(sys.llc_misses(), 0u);
   EXPECT_EQ(sys.llc_misses(), sys.core(0).llc().stats().misses);
+}
+
+/// The controller cycles at which refresh commands (REF or REFpb) issue.
+class RefreshLog final : public mem::ControllerAuditor {
+ public:
+  explicit RefreshLog(const StatRegistry& stats) : stats_(stats) {}
+  void on_tick_end(const mem::Controller&, Cycle now) override {
+    const std::uint64_t issued = stats_.counter_value("mem.refreshes") +
+                                 stats_.counter_value("mem.bank_refreshes");
+    for (; seen_ < issued; ++seen_) cycles.push_back(now);
+  }
+  void on_retired(const mem::Request&) override {}
+  std::vector<Cycle> cycles;
+
+ private:
+  const StatRegistry& stats_;
+  std::uint64_t seen_ = 0;
+};
+
+TEST(System, BackToBackFunctionalWindowsRefreshOnTheIdleSchedule) {
+  // Functional windows issue no requests, so the memory they advance
+  // through is idle: every refresh must issue on the cycle an idle memory
+  // system advanced through the same span issues it. One-instruction
+  // windows last one memory cycle, so nearly every boundary is some
+  // window's entry; an entry that is not ticked delays whatever is due
+  // there.
+  for (const mem::RefreshScheme scheme :
+       {mem::RefreshScheme::kBaseline, mem::RefreshScheme::kPerBank,
+        mem::RefreshScheme::kDarp}) {
+    SCOPED_TRACE(std::string(mem::scheme_info(scheme).name));
+    mem::MemoryConfig mcfg = mem_config(2);
+    mcfg.ctrl.refresh = scheme;
+    StatRegistry stats;
+    mem::MemorySystem memory(mcfg, &stats);
+    workload::SyntheticTrace trace(stream_workload(3));
+    std::vector<workload::TraceSource*> traces{&trace};
+    System sys(sys_config(), memory, traces);
+    RefreshLog log(stats);
+    memory.controller(0).set_auditor(&log);
+    sys.begin_run(1'000'000'000, 100'000'000'000);
+    constexpr std::uint64_t kWindows[] = {1, 1, 1, 3, 40, 600, 2'500};
+    const Cycle span = 3 * static_cast<Cycle>(mcfg.timings.tREFI);
+    for (std::size_t i = 0; sys.mem_now() < span; ++i) {
+      sys.functional_window(kWindows[i % std::size(kWindows)], 200);
+    }
+
+    StatRegistry idle_stats;
+    mem::MemorySystem idle(mcfg, &idle_stats);
+    RefreshLog idle_log(idle_stats);
+    idle.controller(0).set_auditor(&idle_log);
+    mem::ChannelClocks clocks(idle);
+    clocks.advance_to(sys.mem_now() - 1);
+
+    EXPECT_GE(idle_log.cycles.size(), 2u);
+    EXPECT_EQ(log.cycles, idle_log.cycles);
+    memory.controller(0).set_auditor(nullptr);
+    idle.controller(0).set_auditor(nullptr);
+  }
 }
 
 TEST(System, LlcMissesSumPrivateLlcsOfAMix) {
