@@ -31,6 +31,7 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace rop::snap {
@@ -171,6 +172,17 @@ class Reader {
     return static_cast<std::size_t>(end_ - pos_);
   }
 
+  /// Poison the archive because a section read a value it must not trust
+  /// (an index past its container, say). Fields read afterwards zero-fill,
+  /// as after an underflow; the first reason sticks.
+  void fail(std::string why) {
+    if (!ok_) return;
+    ok_ = false;
+    error_ = std::move(why);
+  }
+  /// The reason given to fail(); empty after a plain underflow.
+  [[nodiscard]] const std::string& error() const { return error_; }
+
   template <class... Ts>
   void operator()(Ts&... fields) {
     (field(fields), ...);
@@ -287,6 +299,7 @@ class Reader {
   const unsigned char* pos_;
   const unsigned char* end_;
   bool ok_ = true;
+  std::string error_;
 };
 
 }  // namespace rop::snap

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
+#include <utility>
 
 #include "telemetry/trace_sink.h"
 
@@ -286,6 +288,54 @@ void Controller::on_read_leaves_queue(RankState& rs, const Request& req) {
     ROP_ASSERT(rs.drain_pending > 0);
     --rs.drain_pending;
   }
+}
+
+std::string Controller::loaded_state_error() const {
+  const std::string where = "snapshot channel " + std::to_string(id_) + ": ";
+  // Per arena slot: 0 unseen, 1 on the free list, 2 queued.
+  std::vector<std::uint8_t> seen(arena_.capacity(), 0);
+  const auto slot = [&](const char* list, RequestIndex idx) {
+    return where + list + " index " + std::to_string(idx);
+  };
+  for (const RequestIndex idx : arena_.free_list()) {
+    if (idx >= seen.size()) return slot("free-list", idx) + " past the arena";
+    if (seen[idx] != 0) return slot("free-list", idx) + " listed twice";
+    seen[idx] = 1;
+  }
+  const std::pair<const char*, const std::vector<RequestIndex>*> queues[] = {
+      {"read-queue", &read_q_},  {"write-queue", &write_q_},
+      {"prefetch-queue", &prefetch_q_}, {"in-flight", &in_flight_},
+      {"completed", &completed_}};
+  for (const auto& [list, queue] : queues) {
+    for (const RequestIndex idx : *queue) {
+      if (idx >= seen.size()) return slot(list, idx) + " past the arena";
+      if (seen[idx] == 1) return slot(list, idx) + " on the free list";
+      if (seen[idx] == 2) return slot(list, idx) + " queued twice";
+      seen[idx] = 2;
+      const DramCoord& at = arena_[idx].coord;
+      if (at.rank >= ranks_.size()) {
+        return slot(list, idx) + " names rank " + std::to_string(at.rank);
+      }
+      if (at.bank >= ranks_[at.rank].banks.size()) {
+        return slot(list, idx) + " names bank " + std::to_string(at.bank);
+      }
+    }
+  }
+  for (RankId r = 0; r < ranks_.size(); ++r) {
+    const RankState& rs = ranks_[r];
+    if (rs.next_bank >= rs.banks.size()) {
+      return where + "rank " + std::to_string(r) + " bank cursor " +
+             std::to_string(rs.next_bank) + " out of range";
+    }
+    for (BankId b = 0; b < rs.banks.size(); ++b) {
+      const std::uint32_t subs = channel_.rank(r).bank(b).subarrays();
+      if (rs.banks[b].next_sub >= std::max<std::uint32_t>(1, subs)) {
+        return where + "rank " + std::to_string(r) + " bank " +
+               std::to_string(b) + " subarray cursor out of range";
+      }
+    }
+  }
+  return {};
 }
 
 void Controller::rebuild_derived() {

@@ -390,6 +390,14 @@ class Controller {
       // rescan, even if the counts the table was keyed on happen to match.
       sched_stale_ = true;
       refresh_quiet_until_ = 0;
+      // The rebuild indexes the arena and the rank records with values
+      // read from the bytes: check them first (a failed load leaves the
+      // controller unusable, as every failed load does).
+      if (!ar.ok()) return;
+      if (std::string bad = loaded_state_error(); !bad.empty()) {
+        ar.fail(std::move(bad));
+        return;
+      }
       rebuild_derived();
     }
   }
@@ -527,6 +535,11 @@ class Controller {
   void on_read_leaves_queue(RankState& rs, const Request& req);
   /// Recount every derived field from the queues (snapshot load).
   void rebuild_derived();
+  /// Why the just-loaded queues or refresh cursors cannot be trusted, or
+  /// empty: a queued index past the arena, on its free list or queued
+  /// twice; a request to a rank or bank outside the organisation; a bank
+  /// or subarray cursor out of range.
+  [[nodiscard]] std::string loaded_state_error() const;
 
   /// Hot-path statistics, resolved to stable pointers once at construction.
   /// Event code must go through these — a string-keyed registry lookup per

@@ -101,6 +101,12 @@ class RequestArena {
   [[nodiscard]] std::size_t live() const {
     return slots_.size() - free_.size();
   }
+  /// Number of slots, live or free: every valid index is below it.
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
+  /// The released slots, next to be recycled last.
+  [[nodiscard]] const std::vector<RequestIndex>& free_list() const {
+    return free_;
+  }
 
   /// Snapshot serialization: slots and the free list verbatim, so every
   /// RequestIndex held by the controller's queues stays valid and future

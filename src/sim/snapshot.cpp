@@ -146,11 +146,14 @@ bool load_snapshot_buffer(const std::string& buf, const SnapshotContext& ctx,
   snap::Reader r(buf);
   if (!read_header(r, fingerprint, error)) return false;
   serialize_sections(r, ctx);
-  const auto fail = [error](const char* why) {
-    if (error != nullptr) *error = why;
+  const auto fail = [error](std::string why) {
+    if (error != nullptr) *error = std::move(why);
     return false;
   };
-  if (!r.ok()) return fail("snapshot truncated or corrupt");
+  if (!r.ok()) {
+    return fail(r.error().empty() ? "snapshot truncated or corrupt"
+                                  : r.error());
+  }
   if (r.at_end()) return true;  // no checker section
   std::uint64_t tag = 0;
   std::uint32_t count = 0;

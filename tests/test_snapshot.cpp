@@ -556,6 +556,87 @@ TEST(SnapshotFile, CorruptFilesFailTheRestoreCleanly) {
   std::remove(path.c_str());
 }
 
+// The controller section is trusted only after its indices check out: an
+// in-memory buffer carries no checksum, and the load rebuilds the rank
+// counts by indexing the arena and the rank records with values read from
+// the bytes. A bad index must fail the load with a reason, never abort or
+// read out of bounds.
+TEST(SnapshotBuffer, LoadRejectsQueueIndicesItCannotTrust) {
+  ExperimentSpec spec = single_core_spec("lbm", MemoryMode::kRop);
+  spec.instructions_per_core = 400'000;
+  const std::uint64_t fp = config_fingerprint(spec_canonical(spec));
+  SimInstance backbone = build_sim_instance(spec);
+  backbone.system->begin_run(spec.instructions_per_core,
+                             spec.max_cpu_cycles);
+  const mem::Controller& ctrl = backbone.memory->controller(0);
+  // Step to a cut with at least two queued reads.
+  std::uint64_t cut = 10'001;
+  while (ctrl.read_queue().size() < 2) {
+    ASSERT_FALSE(backbone.system->advance_until(cut));
+    cut += 97;
+  }
+  const std::string good =
+      save_snapshot_buffer(backbone.snapshot_context(), fp);
+
+  // The serialized read queue: its length, then its arena indices.
+  snap::Writer queue;
+  std::uint64_t queued = ctrl.read_queue().size();
+  queue(queued);
+  for (std::size_t i = 0; i < queued; ++i) {
+    mem::RequestIndex idx = ctrl.read_queue().index(i);
+    queue(idx);
+  }
+  const std::size_t queue_at = good.find(queue.buffer());
+  ASSERT_NE(queue_at, std::string::npos);
+  ASSERT_EQ(good.find(queue.buffer(), queue_at + 1), std::string::npos);
+
+  // The first queued request's bytes, and where its rank field sits: the
+  // bytes that change when only the rank does.
+  mem::Request req = *ctrl.read_queue().begin();
+  snap::Writer before;
+  before.field(req);
+  req.coord.rank = 0xff;
+  snap::Writer after;
+  after.field(req);
+  const std::size_t req_at = good.find(before.buffer());
+  ASSERT_NE(req_at, std::string::npos);
+  ASSERT_EQ(good.find(before.buffer(), req_at + 1), std::string::npos);
+  std::size_t rank_at = 0;
+  while (before.buffer()[rank_at] == after.buffer()[rank_at]) ++rank_at;
+
+  const auto load = [&](const std::string& bytes, std::string* err) {
+    SimInstance inst = build_sim_instance(spec);
+    inst.system->begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+    return load_snapshot_buffer(bytes, inst.snapshot_context(), fp, err);
+  };
+  std::string err;
+  ASSERT_TRUE(load(good, &err)) << err;
+
+  std::string past_arena = good;
+  past_arena.replace(queue_at + sizeof(std::uint64_t), sizeof(std::uint32_t),
+                     std::string(4, '\x7f'));
+  err.clear();
+  EXPECT_FALSE(load(past_arena, &err));
+  EXPECT_NE(err.find("read-queue index 2139062143 past the arena"),
+            std::string::npos)
+      << err;
+
+  std::string twice = good;
+  twice.replace(queue_at + sizeof(std::uint64_t) + sizeof(std::uint32_t),
+                sizeof(std::uint32_t),
+                good.substr(queue_at + sizeof(std::uint64_t),
+                            sizeof(std::uint32_t)));
+  err.clear();
+  EXPECT_FALSE(load(twice, &err));
+  EXPECT_NE(err.find("queued twice"), std::string::npos) << err;
+
+  std::string bad_rank = good;
+  bad_rank[req_at + rank_at] = '\x05';
+  err.clear();
+  EXPECT_FALSE(load(bad_rank, &err));
+  EXPECT_NE(err.find("names rank 5"), std::string::npos) << err;
+}
+
 // Splitting twice (restore, run, checkpoint again, restore again) composes:
 // the second restore starts from a snapshot written by a restored run.
 TEST(SnapshotSplit, DoubleSplitComposes) {
