@@ -30,8 +30,9 @@ Checks, per document:
     least one window, and the document declares schema_version >= 2
   - the attribution section (schema_version 3), when present: cpu_ratio is
     a positive integer, every core's cpi_stack carries exactly the 13
-    canonical categories as non-negative integers summing bit-exactly to
-    that core's cycles, and rop_recovered_cycles plus the four per-cause
+    canonical categories, in canonical (export) order, as non-negative
+    integers summing bit-exactly to that core's cycles, and
+    rop_recovered_cycles plus the four per-cause
     requests.blocked_*_cycles totals are non-negative integers
   - the epochs section's dropped_epochs (when present) is a non-negative
     integer equal to first_epoch_index
@@ -102,10 +103,10 @@ def check_attribution(doc, where, errors, require_attribution):
         if not isinstance(stack, dict):
             fail(errors, where, f"{label} has no cpi_stack object")
             continue
-        if sorted(stack) != sorted(CPI_KEYS):
+        if list(stack) != CPI_KEYS:
             fail(errors, where,
-                 f"{label} cpi_stack keys {sorted(stack)} != canonical "
-                 f"category set")
+                 f"{label} cpi_stack keys {list(stack)} != canonical "
+                 f"categories in order {CPI_KEYS}")
             continue
         bad = [k for k, v in stack.items()
                if not isinstance(v, int) or v < 0]
