@@ -26,9 +26,11 @@
 // Snapshot files end in a 64-bit FNV-1a checksum of everything before it,
 // so a truncated or bit-flipped file fails the restore with an error
 // instead of feeding corrupt state to the simulator. In-memory buffers
-// (save/load_snapshot_buffer) carry no checksum. Writes are atomic (tmp
-// file + rename), so a kill mid-write leaves the previous checkpoint
-// intact — what the campaign resume path relies on.
+// (save/load_snapshot_buffer) carry no checksum; either way a controller
+// checks the queue indices and refresh cursors it read before it rebuilds
+// anything from them, and fails the load with the reason. Writes are
+// atomic (tmp file + rename), so a kill mid-write leaves the previous
+// checkpoint intact — what the campaign resume path relies on.
 #pragma once
 
 #include <cstdint>
@@ -103,8 +105,9 @@ struct SnapshotContext {
                                                std::uint64_t fingerprint);
 
 /// Restore from a buffer. Returns false (context partially written — the
-/// caller must abort the run) on magic/version/fingerprint mismatch or a
-/// short/long buffer; `error` gets a one-line reason.
+/// caller must abort the run) on magic/version/fingerprint mismatch, a
+/// short/long buffer, or a queue index or refresh cursor out of range;
+/// `error` gets a one-line reason.
 [[nodiscard]] bool load_snapshot_buffer(const std::string& buf,
                                         const SnapshotContext& ctx,
                                         std::uint64_t fingerprint,
