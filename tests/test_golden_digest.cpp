@@ -190,6 +190,29 @@ TEST(GoldenDigestSnapshot, Wl1Darp4ChannelBufferAt120001) {
   EXPECT_EQ(digest_hex(fnv1a(buf)), "bf81f2637e4d0a76");
 }
 
+// The two buffers above carry only zero pause and subarray refresh-blocking
+// accumulators. These cuts were chosen so that queued reads carry nonzero
+// ones (four reads blocked by a pausing segment at 26001; one read blocked
+// by a subarray refresh at 17001), so a reordered or re-encoded
+// per-cause accumulator changes their bytes.
+TEST(GoldenDigestSnapshot, LbmPausingBufferAt26001) {
+  // `ropsim --benchmark lbm --mode pausing --snapshot-stop-at 26001`.
+  const std::string buf = snapshot_at(
+      at_ropsim_defaults(single_core_spec("lbm", MemoryMode::kPausing)),
+      26'001);
+  EXPECT_EQ(buf.size(), 341'819u);
+  EXPECT_EQ(digest_hex(fnv1a(buf)), "a026d35ef67c03f2");
+}
+
+TEST(GoldenDigestSnapshot, LbmSarpBufferAt17001) {
+  // `ropsim --benchmark lbm --mode sarp --snapshot-stop-at 17001`.
+  const std::string buf = snapshot_at(
+      at_ropsim_defaults(single_core_spec("lbm", MemoryMode::kSarp)),
+      17'001);
+  EXPECT_EQ(buf.size(), 342'269u);
+  EXPECT_EQ(digest_hex(fnv1a(buf)), "7eed02fcf9ed8597");
+}
+
 TEST(GoldenDigestCampaign, MergedDocumentMatchesCapturedDigest) {
   // The whole merged.json of a fixed 12-cell campaign: per-cell rows, the
   // registry fold under "aggregate" (counters, exact scalar sums,
