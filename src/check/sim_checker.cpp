@@ -269,12 +269,19 @@ void SimChecker::check_conservation() {
   std::uint64_t queued_pf = 0;
   std::uint64_t inflight_demand = 0;
   std::uint64_t inflight_pf = 0;
+  std::uint64_t live_blocked = 0;
+  const auto carried = [](const mem::Request& r) -> std::uint64_t {
+    return std::uint64_t{r.blocked_rank} + r.blocked_bank + r.blocked_sub +
+           r.blocked_pause;
+  };
   for (ChannelId ch = 0; ch < mem_->num_channels(); ++ch) {
     const auto& c = mem_->controller(ch);
     queued_reads += c.read_queue().size();
     queued_writes += c.write_queue().size();
     queued_pf += c.prefetch_queue().size();
+    for (const auto& r : c.read_queue()) live_blocked += carried(r);
     for (const auto& r : c.in_flight()) {
+      live_blocked += carried(r);
       if (r.type == mem::ReqType::kPrefetch) {
         ++inflight_pf;
       } else {
@@ -316,6 +323,25 @@ void SimChecker::check_conservation() {
            stats.counter_value("rop.prefetch_completed") +
                stats.counter_value("rop.prefetch_dropped_stale") +
                inflight_pf);
+
+  // Refresh blocking: every span charged to mem.refresh_blocked_cycles is
+  // also charged to one read's per-cause accumulator, which folds into
+  // attr.blocked_<cause>_cycles when the read completes. So the aggregate
+  // is the folded ledger plus what the live reads still carry.
+  const std::uint64_t folded =
+      stats.counter_value("attr.blocked_rank_cycles") +
+      stats.counter_value("attr.blocked_bank_cycles") +
+      stats.counter_value("attr.blocked_subarray_cycles") +
+      stats.counter_value("attr.blocked_pause_cycles");
+  const std::uint64_t charged =
+      stats.counter_value("mem.refresh_blocked_cycles");
+  if (charged != folded + live_blocked) {
+    std::ostringstream os;
+    os << "[conservation] refresh blocking: mem.refresh_blocked_cycles "
+       << charged << " != per-cause ledger " << folded
+       << " + live accumulators " << live_blocked;
+    violate(os.str());
+  }
 }
 
 void SimChecker::audit_cpi(std::uint32_t core, std::uint64_t cycles,

@@ -24,8 +24,9 @@
 //      subarrays is locked at a time, and an open row never lives in the
 //      locked subarray;
 //  (d) request conservation — enqueued == completed + still-queued +
-//      in-flight per request class, and completion >= arrival for every
-//      retired request;
+//      in-flight per request class, completion >= arrival for every
+//      retired request, and mem.refresh_blocked_cycles == the per-cause
+//      attr.blocked_*_cycles ledger + the accumulators of live reads;
 //  (f) scheduler table — the controller's cached FR-FCFS candidate table
 //      gives the same pick and horizon as a scan from scratch (a missing
 //      rescan trigger shows up here).

@@ -221,6 +221,26 @@ TEST_F(SimCheckerTest, ReportsRetiredRequestWithCompletionBeforeArrival) {
   EXPECT_NE(checker.summary().find("FAILED"), std::string::npos);
 }
 
+TEST_F(SimCheckerTest, ReportsRefreshBlockingMissingFromThePerCauseLedger) {
+  // One blocked cycle charged to the aggregate but to no read: the
+  // refresh-blocking identity of the conservation audit must catch it.
+  StatRegistry stats;
+  mem::MemorySystem mem(config(mem::RefreshScheme::kPausing), &stats);
+  SimChecker checker;
+  checker.attach(mem);
+  const Cycle trefi = mem.config().timings.tREFI;
+  run_random_load(mem, 5, 10 * trefi, 5);
+  ASSERT_GT(stats.counter_value("mem.refresh_blocked_cycles"), 0u);
+  ASSERT_TRUE(checker.ok()) << checker.summary();
+  stats.counter("mem.refresh_blocked_cycles").inc();
+  checker.finalize();
+  EXPECT_EQ(checker.violation_count(), 1u);
+  ASSERT_EQ(checker.reports().size(), 1u);
+  EXPECT_NE(checker.reports()[0].find("[conservation] refresh blocking"),
+            std::string::npos)
+      << checker.reports()[0];
+}
+
 TEST_F(SimCheckerTest, ExperimentWiringRunsCheckedEndToEnd) {
   for (const auto mode : {sim::MemoryMode::kBaseline, sim::MemoryMode::kRop,
                           sim::MemoryMode::kPausing, sim::MemoryMode::kDarp,
