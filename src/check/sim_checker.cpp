@@ -1,6 +1,7 @@
 #include "check/sim_checker.h"
 
 #include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <unordered_set>
 
@@ -270,9 +271,9 @@ void SimChecker::check_conservation() {
   std::uint64_t inflight_demand = 0;
   std::uint64_t inflight_pf = 0;
   std::uint64_t live_blocked = 0;
-  const auto carried = [](const mem::Request& r) -> std::uint64_t {
-    return std::uint64_t{r.blocked_rank} + r.blocked_bank + r.blocked_sub +
-           r.blocked_pause;
+  const auto carried = [](const mem::Request& r) {
+    return std::accumulate(r.blocked.begin(), r.blocked.end(),
+                           std::uint64_t{0});
   };
   for (ChannelId ch = 0; ch < mem_->num_channels(); ++ch) {
     const auto& c = mem_->controller(ch);
@@ -328,11 +329,11 @@ void SimChecker::check_conservation() {
   // also charged to one read's per-cause accumulator, which folds into
   // attr.blocked_<cause>_cycles when the read completes. So the aggregate
   // is the folded ledger plus what the live reads still carry.
-  const std::uint64_t folded =
-      stats.counter_value("attr.blocked_rank_cycles") +
-      stats.counter_value("attr.blocked_bank_cycles") +
-      stats.counter_value("attr.blocked_subarray_cycles") +
-      stats.counter_value("attr.blocked_pause_cycles");
+  std::uint64_t folded = 0;
+  for (const char* cause : telemetry::kRefreshCauseKeys) {
+    folded += stats.counter_value(std::string("attr.blocked_") + cause +
+                                  "_cycles");
+  }
   const std::uint64_t charged =
       stats.counter_value("mem.refresh_blocked_cycles");
   if (charged != folded + live_blocked) {

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -74,10 +75,8 @@ struct CoreStats {
 /// span, so over-approximation (ratio rounding, forward-charged refresh
 /// blocking) never breaks the cycles invariant.
 struct FillInfo {
-  std::uint64_t refresh_rank = 0;   // rank REF lock wait
-  std::uint64_t refresh_bank = 0;   // per-bank REFpb lock wait
-  std::uint64_t refresh_sub = 0;    // subarray lock wait
-  std::uint64_t refresh_pause = 0;  // pausing-segment wait
+  /// Refresh-lock wait per telemetry::RefreshCause.
+  std::array<std::uint64_t, telemetry::kRefreshCauseCount> refresh{};
   std::uint64_t act_wait = 0;       // row activation (bank/row conflict)
   std::uint64_t cas = 0;            // column-access latency
   std::uint64_t bus = 0;            // data-burst transfer
@@ -314,11 +313,11 @@ class Core {
 
   /// Decompose the just-ended critical span [critical_since_, now_cycle)
   /// across the CPI-stack categories. Components are clipped sequentially:
-  /// refresh causes first (the headline metric gets full credit), then the
-  /// SRAM-fill residual or the ACT/CAS/bus chain, with whatever remains
-  /// billed as queue wait. Clipping absorbs cpu-ratio rounding and the
-  /// forward-charged over-approximation of refresh blocking, so the sum
-  /// never exceeds the actual span.
+  /// refresh causes first, in RefreshCause order (the headline metric gets
+  /// full credit), then the SRAM-fill residual or the ACT/CAS/bus chain,
+  /// with whatever remains billed as queue wait. Clipping absorbs
+  /// cpu-ratio rounding and the forward-charged over-approximation of
+  /// refresh blocking, so the sum never exceeds the actual span.
   void attribute_critical_span(std::uint64_t now_cycle, const FillInfo& fill) {
     std::uint64_t rem = now_cycle - critical_since_;
     const auto clip = [&rem](std::uint64_t want) {
@@ -327,10 +326,9 @@ class Core {
       return take;
     };
     telemetry::CpiStack& cpi = stats_.cpi;
-    cpi[CpiCategory::kRefreshRank] += clip(fill.refresh_rank);
-    cpi[CpiCategory::kRefreshBank] += clip(fill.refresh_bank);
-    cpi[CpiCategory::kRefreshSubarray] += clip(fill.refresh_sub);
-    cpi[CpiCategory::kRefreshPause] += clip(fill.refresh_pause);
+    for (std::size_t k = 0; k < telemetry::kRefreshCauseCount; ++k) {
+      cpi.cycles[telemetry::kRefreshCategoryBase + k] += clip(fill.refresh[k]);
+    }
     if (fill.sram) {
       // Everything past the refresh locks was spent waiting on the SRAM
       // buffer path — the revived-service residual.

@@ -150,10 +150,9 @@ std::uint64_t System::skip_target(std::uint64_t cpu_cycle,
 FillInfo System::make_fill(const mem::Request& req) const {
   FillInfo f;
   const std::uint64_t r = cfg_.cpu_ratio;
-  f.refresh_rank = static_cast<std::uint64_t>(req.blocked_rank) * r;
-  f.refresh_bank = static_cast<std::uint64_t>(req.blocked_bank) * r;
-  f.refresh_sub = static_cast<std::uint64_t>(req.blocked_sub) * r;
-  f.refresh_pause = static_cast<std::uint64_t>(req.blocked_pause) * r;
+  for (std::size_t k = 0; k < telemetry::kRefreshCauseCount; ++k) {
+    f.refresh[k] = static_cast<std::uint64_t>(req.blocked[k]) * r;
+  }
   f.sram = req.serviced_by == mem::ServicedBy::kSramBuffer;
   if (req.serviced_by == mem::ServicedBy::kDram) {
     if (req.act != kNeverCycle && req.issued != kNeverCycle &&

@@ -9,6 +9,8 @@
 
 namespace rop::mem {
 
+using telemetry::RefreshCause;
+
 Controller::Controller(ChannelId id, const dram::DramTimings& timings,
                        const dram::DramOrganization& org, ControllerConfig cfg,
                        StatRegistry* stats)
@@ -51,19 +53,13 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
   // 8-cycle buckets out to 1024 cycles (beyond 2x tRFC), overflow above.
   h_.read_latency_hist =
       stats->histogram_handle("mem.read_latency_hist", 8, 128);
-  h_.attr_blocked_rank = stats->counter_handle("attr.blocked_rank_cycles");
-  h_.attr_blocked_bank = stats->counter_handle("attr.blocked_bank_cycles");
-  h_.attr_blocked_sub = stats->counter_handle("attr.blocked_subarray_cycles");
-  h_.attr_blocked_pause = stats->counter_handle("attr.blocked_pause_cycles");
+  for (std::size_t k = 0; k < telemetry::kRefreshCauseCount; ++k) {
+    const std::string prefix =
+        std::string("attr.blocked_") + telemetry::kRefreshCauseKeys[k];
+    h_.attr_blocked[k] = stats->counter_handle(prefix + "_cycles");
+    h_.attr_blocked_hist[k] = stats->histogram_handle(prefix + "_hist", 8, 128);
+  }
   h_.attr_rop_recovered = stats->counter_handle("attr.rop_recovered_cycles");
-  h_.attr_blocked_rank_hist =
-      stats->histogram_handle("attr.blocked_rank_hist", 8, 128);
-  h_.attr_blocked_bank_hist =
-      stats->histogram_handle("attr.blocked_bank_hist", 8, 128);
-  h_.attr_blocked_sub_hist =
-      stats->histogram_handle("attr.blocked_subarray_hist", 8, 128);
-  h_.attr_blocked_pause_hist =
-      stats->histogram_handle("attr.blocked_pause_hist", 8, 128);
   h_.attr_queue_wait_hist =
       stats->histogram_handle("attr.queue_wait_hist", 8, 128);
   h_.attr_act_wait_hist =
@@ -76,21 +72,10 @@ void Controller::record_read_latency(const Request& req) {
   h_.read_latency_hist->record(latency);
   // Fold the per-request attribution accumulators into the ledger. The
   // zero-skips keep the common unblocked read at four integer compares.
-  if (req.blocked_rank != 0) {
-    h_.attr_blocked_rank->inc(req.blocked_rank);
-    h_.attr_blocked_rank_hist->record(req.blocked_rank);
-  }
-  if (req.blocked_bank != 0) {
-    h_.attr_blocked_bank->inc(req.blocked_bank);
-    h_.attr_blocked_bank_hist->record(req.blocked_bank);
-  }
-  if (req.blocked_sub != 0) {
-    h_.attr_blocked_sub->inc(req.blocked_sub);
-    h_.attr_blocked_sub_hist->record(req.blocked_sub);
-  }
-  if (req.blocked_pause != 0) {
-    h_.attr_blocked_pause->inc(req.blocked_pause);
-    h_.attr_blocked_pause_hist->record(req.blocked_pause);
+  for (std::size_t k = 0; k < telemetry::kRefreshCauseCount; ++k) {
+    if (req.blocked[k] == 0) continue;
+    h_.attr_blocked[k]->inc(req.blocked[k]);
+    h_.attr_blocked_hist[k]->record(req.blocked[k]);
   }
   if (req.issued != kNeverCycle) {
     h_.attr_queue_wait_hist->record(req.issued - req.arrival);
@@ -195,37 +180,27 @@ bool Controller::enqueue(Request req, Cycle now) {
     sched_stale_ = true;
     count_read(idx);
     // Refresh-blocking metric: a read arriving mid-lock is charged the
-    // remaining lock span (issue-time charges cover the reads already
-    // queued when the lock began). The per-request accumulator records the
-    // same span under its cause, and `eligible` moves to the lock release.
+    // remaining lock span under its cause (issue-time charges cover the
+    // reads already queued when the lock began), and `eligible` moves to
+    // the lock release.
     Request& qr = arena_[idx];
+    const auto blocked_until = [&](RefreshCause cause, Cycle release) {
+      if (release <= now) return;
+      block(qr, cause, release - now);
+      qr.eligible = release;
+    };
     const dram::Rank& rank = channel_.rank(r);
     const dram::Bank& bank = rank.bank(req.coord.bank);
     if (rank.refreshing()) {
-      if (rank.refresh_done() > now) {
-        const Cycle span = rank.refresh_done() - now;
-        charge_refresh_blocking(1, span);
-        if (cfg_.refresh == RefreshScheme::kPausing) {
-          qr.blocked_pause += static_cast<std::uint32_t>(span);
-        } else {
-          qr.blocked_rank += static_cast<std::uint32_t>(span);
-        }
-        qr.eligible = rank.refresh_done();
-      }
+      blocked_until(cfg_.refresh == RefreshScheme::kPausing
+                        ? RefreshCause::kPause
+                        : RefreshCause::kRank,
+                    rank.refresh_done());
     } else if (bank.state() == dram::BankState::kRefreshing) {
-      if (bank.next_activate() > now) {
-        const Cycle span = bank.next_activate() - now;
-        charge_refresh_blocking(1, span);
-        qr.blocked_bank += static_cast<std::uint32_t>(span);
-        qr.eligible = bank.next_activate();
-      }
-    } else if (const auto sub = bank.refreshing_subarray(now)) {
-      if (bank.subarray_of(req.coord.row) == *sub) {
-        const Cycle span = bank.subarray_busy_until(*sub) - now;
-        charge_refresh_blocking(1, span);
-        qr.blocked_sub += static_cast<std::uint32_t>(span);
-        qr.eligible = bank.subarray_busy_until(*sub);
-      }
+      blocked_until(RefreshCause::kBank, bank.next_activate());
+    } else if (const auto sub = bank.refreshing_subarray(now);
+               sub && bank.subarray_of(req.coord.row) == *sub) {
+      blocked_until(RefreshCause::kSubarray, bank.subarray_busy_until(*sub));
     }
   } else {
     h_.writes->inc();
@@ -722,10 +697,8 @@ void Controller::issue_rank_refresh(RankId r, Cycle now) {
   rm_.on_refresh_issued(r);
   blocking_.on_refresh_start(r, now);
   // Every read still queued to the rank is frozen for the full tRFC.
-  charge_refresh_blocking(rs.reads.size(), channel_.timings().tRFC);
   for (const RequestIndex qidx : rs.reads) {
-    arena_[qidx].blocked_rank +=
-        static_cast<std::uint32_t>(channel_.timings().tRFC);
+    block(arena_[qidx], RefreshCause::kRank, channel_.timings().tRFC);
   }
   h_.refreshes->inc();
   rs.phase = RefreshPhase::kIdle;
@@ -764,9 +737,8 @@ void Controller::issue_refresh_segment(RankId r, Cycle now) {
     }
   }
   channel_.begin_refresh_segment(r, now, duration);
-  charge_refresh_blocking(rs.reads.size(), duration);
   for (const RequestIndex qidx : rs.reads) {
-    arena_[qidx].blocked_pause += static_cast<std::uint32_t>(duration);
+    block(arena_[qidx], RefreshCause::kPause, duration);
   }
   rs.started = true;
   rs.remaining -= duration;
@@ -788,20 +760,20 @@ void Controller::issue_bank_refresh(RankId r, const RefreshStep& s,
   const dram::Rank& rank = channel_.rank(r);
   const dram::Bank& bank = rank.bank(b);
   const Cycle trfcpb = channel_.timings().tRFCpb;
-  if (scheme_info(cfg_.refresh).subarrays > 1) {
-    // Only reads into the locked subarray are blocked; the rest of the
-    // bank keeps serving (that asymmetry vs. whole-bank REFpb is SARP's
-    // win).
-    std::uint64_t blocked = 0;
-    for (const RequestIndex idx : rs.reads) {
-      Request& req = arena_[idx];
-      if (req.coord.bank != b || bank.subarray_of(req.coord.row) != sub) {
-        continue;
-      }
-      req.blocked_sub += static_cast<std::uint32_t>(trfcpb);
-      ++blocked;
+  // Whole-bank REFpb blocks every read queued to the bank for tRFCpb. A
+  // subarray REFpb blocks only reads into the locked subarray; the rest of
+  // the bank keeps serving (that asymmetry is SARP's win).
+  const bool per_subarray = scheme_info(cfg_.refresh).subarrays > 1;
+  for (const RequestIndex idx : rs.reads) {
+    Request& req = arena_[idx];
+    if (req.coord.bank != b) continue;
+    if (!per_subarray) {
+      block(req, RefreshCause::kBank, trfcpb);
+    } else if (bank.subarray_of(req.coord.row) == sub) {
+      block(req, RefreshCause::kSubarray, trfcpb);
     }
-    charge_refresh_blocking(blocked, trfcpb);
+  }
+  if (per_subarray) {
     if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
       telemetry::TraceEvent e;
       e.ts = now;
@@ -819,12 +791,6 @@ void Controller::issue_bank_refresh(RankId r, const RefreshStep& s,
         (sub + 1) % std::max<std::uint32_t>(1, bank.subarrays());
     rs.next_bank = static_cast<BankId>((b + 1) % rank.num_banks());
     return;
-  }
-  // Whole-bank REFpb: every read queued to the bank waits out tRFCpb.
-  charge_refresh_blocking(rs.banks[b].reads, trfcpb);
-  for (const RequestIndex qidx : rs.reads) {
-    if (arena_[qidx].coord.bank != b) continue;
-    arena_[qidx].blocked_bank += static_cast<std::uint32_t>(trfcpb);
   }
   if (cfg_.refresh == RefreshScheme::kDarp) {
     rs.darp_round_mask |= 1u << b;
@@ -860,12 +826,6 @@ BankId Controller::darp_pick_bank(RankId r, bool urgent) const {
     if (fallback == nb) fallback = b;
   }
   return urgent ? fallback : static_cast<BankId>(nb);
-}
-
-void Controller::charge_refresh_blocking(std::uint64_t requests,
-                                         Cycle cycles) {
-  if (requests == 0 || cycles == 0) return;
-  h_.refresh_blocked_cycles->inc(requests * cycles);
 }
 
 void Controller::issue_pick(const SchedulerPick& pick, Cycle now) {

@@ -515,9 +515,15 @@ class Controller {
   /// while the controller drains writes.
   [[nodiscard]] bool darp_bank_idle(RankId r, BankId b) const;
 
-  /// Charge `cycles` of refresh-induced demand blocking for each of
-  /// `requests` queued reads (see mem.refresh_blocked_cycles).
-  void charge_refresh_blocking(std::uint64_t requests, Cycle cycles);
+  /// Charge `span` cycles of refresh blocking under `cause` to the queued
+  /// read `req`: to mem.refresh_blocked_cycles and to the read's
+  /// accumulator, which folds into attr.blocked_<cause>_cycles when the
+  /// read completes. Every blocking charge goes through here.
+  void block(Request& req, telemetry::RefreshCause cause, Cycle span) {
+    h_.refresh_blocked_cycles->inc(span);
+    req.blocked[static_cast<std::size_t>(cause)] +=
+        static_cast<std::uint32_t>(span);
+  }
 
   /// End of the refresh-quiet window starting at `now`: the earliest next
   /// tREFI boundary over the ranks when no rank owes a refresh or has a
@@ -575,16 +581,10 @@ class Controller {
     /// mem.refresh_blocked_cycles for demand reads), matching per-cause
     /// latency histograms, queue/activation wait spans, and the residual
     /// refresh-window cycles SRAM service recovered (the paper's revived
-    /// frozen cycles).
-    Counter* attr_blocked_rank = nullptr;
-    Counter* attr_blocked_bank = nullptr;
-    Counter* attr_blocked_sub = nullptr;
-    Counter* attr_blocked_pause = nullptr;
+    /// frozen cycles). The per-cause arrays are indexed by RefreshCause.
+    std::array<Counter*, telemetry::kRefreshCauseCount> attr_blocked{};
+    std::array<Histogram*, telemetry::kRefreshCauseCount> attr_blocked_hist{};
     Counter* attr_rop_recovered = nullptr;
-    Histogram* attr_blocked_rank_hist = nullptr;
-    Histogram* attr_blocked_bank_hist = nullptr;
-    Histogram* attr_blocked_sub_hist = nullptr;
-    Histogram* attr_blocked_pause_hist = nullptr;
     Histogram* attr_queue_wait_hist = nullptr;
     Histogram* attr_act_wait_hist = nullptr;
   };

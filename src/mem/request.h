@@ -2,11 +2,13 @@
 // that backs every controller queue.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "common/types.h"
+#include "telemetry/attribution.h"
 
 namespace rop::mem {
 
@@ -45,14 +47,12 @@ struct Request {
   Cycle act = kNeverCycle;
   Cycle issued = kNeverCycle;
 
-  // Per-cause refresh-blocked sub-intervals (controller cycles), charged
-  // at the same refresh-issue/arrival events that feed the aggregate
-  // mem.refresh_blocked_cycles counter — their sum over live reads equals
-  // that counter's growth by construction.
-  std::uint32_t blocked_rank = 0;    // whole-rank REF lock
-  std::uint32_t blocked_bank = 0;    // per-bank REFpb lock
-  std::uint32_t blocked_sub = 0;     // subarray REFpb lock (SARP/HiRA)
-  std::uint32_t blocked_pause = 0;   // pausing-segment lock
+  // Refresh-blocked controller cycles per cause, indexed by
+  // telemetry::RefreshCause. Controller::block charges a span here and to
+  // mem.refresh_blocked_cycles in one call, and the read folds its
+  // accumulators into attr.blocked_<cause>_cycles when it completes, so the
+  // two ledgers agree by construction (SimChecker audits it).
+  std::array<std::uint32_t, telemetry::kRefreshCauseCount> blocked{};
 
   [[nodiscard]] bool is_read() const { return type != ReqType::kWrite; }
 
@@ -60,8 +60,7 @@ struct Request {
   template <class Ar>
   void io(Ar& ar) {
     ar(id, type, line_addr, coord, core, arrival, completion, serviced_by,
-       eligible, act, issued, blocked_rank, blocked_bank, blocked_sub,
-       blocked_pause);
+       eligible, act, issued, blocked);
   }
 };
 

@@ -161,14 +161,11 @@ std::string ExperimentResult::to_json() const {
   w.value(stats.counter_value("attr.rop_recovered_cycles"));
   w.key("requests");
   w.begin_object();
-  w.key("blocked_rank_cycles");
-  w.value(stats.counter_value("attr.blocked_rank_cycles"));
-  w.key("blocked_bank_cycles");
-  w.value(stats.counter_value("attr.blocked_bank_cycles"));
-  w.key("blocked_subarray_cycles");
-  w.value(stats.counter_value("attr.blocked_subarray_cycles"));
-  w.key("blocked_pause_cycles");
-  w.value(stats.counter_value("attr.blocked_pause_cycles"));
+  for (const char* cause : telemetry::kRefreshCauseKeys) {
+    const std::string key = std::string("blocked_") + cause + "_cycles";
+    w.key(key);
+    w.value(stats.counter_value("attr." + key));
+  }
   w.end_object();
   w.end_object();
 

@@ -6,8 +6,11 @@
 // is decomposed at wake from the fill's lifecycle stamps (see
 // cpu::CoreStats and Core::attribute_critical_span). This header names
 // the categories once: their order, their export keys and the CpiStack
-// that holds them. The schema validator (tools/check_stats_schema.py) and
-// the renderer (tools/report_cpi.py) check the keys the exporter writes.
+// that holds them. It names the four refresh locks that can freeze a read
+// (RefreshCause) once too; the controller charges each lock span through
+// one call, and every per-cause stat, array and JSON key follows that
+// list. The schema validator (tools/check_stats_schema.py) and the
+// renderer (tools/report_cpi.py) check the keys the exporter writes.
 //
 // ProgressWriter is the JSONL heartbeat behind `ropsim --progress FILE` and
 // `campaign --progress FILE`: one self-contained JSON object per line
@@ -88,6 +91,34 @@ struct CpiStack {
     ar(cycles);
   }
 };
+
+/// The locks that can hold a demand read behind a refresh, in the order of
+/// their CPI categories. The enum order is the snapshot byte order of every
+/// per-cause array (mem::Request::blocked, cpu::FillInfo::refresh), so
+/// append, never reorder.
+enum class RefreshCause : std::uint8_t {
+  kRank = 0,  // whole-rank REF lock
+  kBank,      // per-bank REFpb lock
+  kSubarray,  // subarray REFpb lock (SARP/HiRA)
+  kPause,     // pausing-segment lock
+};
+
+inline constexpr std::size_t kRefreshCauseCount =
+    static_cast<std::size_t>(RefreshCause::kPause) + 1;
+
+/// Stable export name of each cause, in enum order: the registry's
+/// "attr.blocked_<key>_cycles" / "attr.blocked_<key>_hist" stats and the
+/// stats JSON "blocked_<key>_cycles" keys.
+inline constexpr std::array<const char*, kRefreshCauseCount> kRefreshCauseKeys =
+    {"rank", "bank", "subarray", "pause"};
+
+/// A critical fill's wait under cause k bills CPI category
+/// kRefreshRank + k.
+inline constexpr std::size_t kRefreshCategoryBase =
+    static_cast<std::size_t>(CpiCategory::kRefreshRank);
+static_assert(kRefreshCategoryBase + kRefreshCauseCount - 1 ==
+                  static_cast<std::size_t>(CpiCategory::kRefreshPause),
+              "one refresh CPI category per RefreshCause, in cause order");
 
 /// JSONL heartbeat file. Construction truncates the target; every write_*
 /// appends one line and flushes. A writer that failed to open is inert

@@ -29,8 +29,7 @@ CPI_KEYS = ["retire", "stall_mlp", "stall_port", "mem_queue", "mem_bank",
             "mem_cas", "mem_bus", "refresh_rank", "refresh_bank",
             "refresh_subarray", "refresh_pause", "rop_sram", "other"]
 
-REFRESH_KEYS = ["refresh_rank", "refresh_bank", "refresh_subarray",
-                "refresh_pause"]
+REFRESH_KEYS = [k for k in CPI_KEYS if k.startswith("refresh_")]
 
 BAR_WIDTH = 40
 BAR_GLYPHS = {
