@@ -1038,17 +1038,8 @@ void Controller::audit_quiet_window(Cycle now) const {
 
 std::vector<Request> Controller::drain_completed() {
   std::vector<Request> out;
-  if (!completed_.empty()) {
-    out.reserve(completed_.size());
-    for (const RequestIndex idx : completed_) {
-      out.push_back(arena_[idx]);
-      arena_.release(idx);
-    }
-    completed_.clear();
-  }
-  if (auditor_ != nullptr) {
-    for (const Request& req : out) auditor_->on_retired(req);
-  }
+  out.reserve(completed_.size());
+  drain_completed_into([&out](const Request& req) { out.push_back(req); });
   return out;
 }
 

@@ -87,7 +87,7 @@ class ControllerAuditor {
   /// for `now` has finished; the controller's state is stable.
   virtual void on_tick_end(const Controller& ctrl, Cycle now) = 0;
 
-  /// A demand read left the controller through drain_completed().
+  /// A demand read left the controller through drain_completed_into().
   virtual void on_retired(const Request& req) = 0;
 
   /// Opt in to the scheduler-table audit: the controller then rescans its
@@ -234,29 +234,23 @@ class Controller {
   /// issue at most one command.
   void tick(Cycle now);
 
-  /// Completed demand reads since the last drain (writes are posted and do
-  /// not appear here). The caller takes ownership.
-  std::vector<Request> drain_completed();
-
-  /// Allocation-free drain: invokes `fn(const Request&)` for each completed
-  /// demand read, in the same order drain_completed() would return them,
-  /// and releases the arena slots. With an auditor attached this falls back
-  /// to the vector path so the retired-audit ordering (all releases, then
-  /// all audits, then delivery) matches the vector API exactly.
+  /// The drain: for each demand read completed since the last drain, in
+  /// completion order, release its arena slot, report it to the auditor,
+  /// then invoke `fn(const Request&)`. Writes are posted and never appear.
   template <typename Fn>
   void drain_completed_into(Fn&& fn) {
     if (completed_.empty()) return;
-    if (auditor_ != nullptr) {
-      for (const Request& req : drain_completed()) fn(req);
-      return;
-    }
     for (const RequestIndex idx : completed_) {
       const Request req = arena_[idx];
       arena_.release(idx);
+      if (auditor_ != nullptr) auditor_->on_retired(req);
       fn(req);
     }
     completed_.clear();
   }
+
+  /// drain_completed_into, collected into a vector the caller owns.
+  std::vector<Request> drain_completed();
 
   /// Remove queued demand reads to `rank` that `probe` can service (SRAM
   /// buffer hits at refresh start); each serviced request completes at the

@@ -46,10 +46,7 @@ void MemorySystem::tick(Cycle now) {
 
 std::vector<Request> MemorySystem::drain_completed() {
   std::vector<Request> out;
-  for (auto& ctrl : controllers_) {
-    auto part = ctrl->drain_completed();
-    out.insert(out.end(), part.begin(), part.end());
-  }
+  for_each_completed([&out](const Request& req) { out.push_back(req); });
   return out;
 }
 

@@ -51,17 +51,17 @@ class MemorySystem {
   /// Advance all channels one controller clock (the naive loop's step).
   void tick(Cycle now);
 
-  /// All demand reads completed since the last call (any channel).
-  std::vector<Request> drain_completed();
-
-  /// Allocation-free variant of drain_completed: invokes
-  /// `fn(const Request&)` per completed read, channels in order, requests
-  /// in completion-drain order within each channel — the same sequence the
-  /// vector API yields. This is the simulation loop's per-tick path.
+  /// Drain every channel: invokes `fn(const Request&)` per completed read,
+  /// channels in order, requests in completion-drain order within each
+  /// channel (Controller::drain_completed_into). This is the simulation
+  /// loop's per-tick path.
   template <typename Fn>
   void for_each_completed(Fn&& fn) {
     for (auto& ctrl : controllers_) ctrl->drain_completed_into(fn);
   }
+
+  /// for_each_completed, collected into a vector (any channel).
+  std::vector<Request> drain_completed();
 
   [[nodiscard]] const AddressMap& address_map() const { return map_; }
   [[nodiscard]] const MemoryConfig& config() const { return cfg_; }

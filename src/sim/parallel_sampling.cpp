@@ -364,17 +364,13 @@ cpu::RunResult run_parallel_sampled(const ExperimentSpec& spec,
                                 : SamplingPlacement::kUniform;
     out->workers = s.jobs;
     out->strata = strata;
-    if (strata > 0) {
-      out->ipc = stratified_estimate(ipc_obs, obs_stratum, stratum_cycles);
-      out->energy_mj_per_mcycle =
-          stratified_estimate(energy_obs, obs_stratum, stratum_cycles);
-      out->refresh_blocked_per_mem_cycle =
-          stratified_estimate(blocked_obs, obs_stratum, stratum_cycles);
-    } else {
-      out->ipc = estimate_from(ipc_obs);
-      out->energy_mj_per_mcycle = estimate_from(energy_obs);
-      out->refresh_blocked_per_mem_cycle = estimate_from(blocked_obs);
-    }
+    // Without strata every window is in stratum 0, which stratified_estimate
+    // reduces to the plain i.i.d. estimate_from.
+    out->ipc = stratified_estimate(ipc_obs, obs_stratum, stratum_cycles);
+    out->energy_mj_per_mcycle =
+        stratified_estimate(energy_obs, obs_stratum, stratum_cycles);
+    out->refresh_blocked_per_mem_cycle =
+        stratified_estimate(blocked_obs, obs_stratum, stratum_cycles);
     out->observations = std::move(observations);
   }
   return result;
