@@ -5,10 +5,12 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 
 #include "common/file_io.h"
 #include "common/fnv1a.h"
@@ -75,10 +77,45 @@ std::optional<bool> bool_entry(const json::Value& e) {
   return e.is_bool() ? std::optional(e.as_bool()) : std::nullopt;
 }
 
-std::uint64_t scalar_u64(const json::Value& spec, const std::string& key,
-                         std::uint64_t fallback) {
-  const json::Value* v = spec.find(key);
-  return (v != nullptr && v->has_u64()) ? v->as_u64() : fallback;
+/// Known key `key` of `obj` into `*out`; an absent key keeps the default.
+/// A present value must be of `T`'s JSON type: a string, true or false, a
+/// non-negative number (double), or a non-negative integer that fits `T`.
+/// Anything else fails with `*error` naming the key (after `prefix`, the
+/// path of a nested object).
+template <class T>
+bool known_key(const json::Value& obj, const std::string& prefix,
+               const std::string& key, T* out, std::string* error) {
+  const json::Value* v = obj.find(key);
+  if (v == nullptr) return true;
+  std::string want;
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (v->is_string()) {
+      *out = v->as_string();
+      return true;
+    }
+    want = "a string";
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (v->is_bool()) {
+      *out = v->as_bool();
+      return true;
+    }
+    want = "true or false";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    if (v->is_number() && v->as_double() >= 0.0) {
+      *out = v->as_double();
+      return true;
+    }
+    want = "a non-negative number";
+  } else {
+    if (v->has_u64() && v->as_u64() <= std::numeric_limits<T>::max()) {
+      *out = static_cast<T>(v->as_u64());
+      return true;
+    }
+    want = "an integer in [0, " +
+           std::to_string(std::numeric_limits<T>::max()) + "]";
+  }
+  *error = "'" + prefix + key + "' must be " + want;
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -288,14 +325,23 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
     return std::nullopt;
   }
 
-  const std::uint64_t instructions =
-      scalar_u64(spec, "instructions_per_core", 200'000);
-  const std::uint64_t epoch_cycles = scalar_u64(spec, "epoch_cycles", 0);
-  const std::uint64_t shard_channels = scalar_u64(spec, "shard_channels", 0);
-  const std::uint64_t snapshot_every = scalar_u64(spec, "snapshot_every", 0);
-  const json::Value* check_v = spec.find("check");
-  const bool check = check_v != nullptr && check_v->is_bool() &&
-                     check_v->as_bool();
+  // Known top-level keys (unknown keys are ignored). `name` is only
+  // type-checked here; run_campaign reads it.
+  std::string name;
+  std::uint64_t instructions = 200'000;
+  std::uint64_t epoch_cycles = 0;
+  std::uint32_t shard_channels = 0;
+  std::uint64_t snapshot_every = 0;
+  bool check = false;
+  if (!known_key(spec, "", "name", &name, &err) ||
+      !known_key(spec, "", "instructions_per_core", &instructions, &err) ||
+      !known_key(spec, "", "epoch_cycles", &epoch_cycles, &err) ||
+      !known_key(spec, "", "shard_channels", &shard_channels, &err) ||
+      !known_key(spec, "", "snapshot_every", &snapshot_every, &err) ||
+      !known_key(spec, "", "check", &check, &err)) {
+    if (error != nullptr) *error = err;
+    return std::nullopt;
+  }
 
   // Top-level "sampling" object: its presence switches every cell to
   // sampled execution (sim/sampling.h knobs; without
@@ -309,23 +355,19 @@ std::optional<std::vector<CampaignCell>> expand_campaign(
       return std::nullopt;
     }
     sampling.enabled = true;
-    sampling.warmup_cycles =
-        scalar_u64(*sv, "warmup_cycles", sampling.warmup_cycles);
-    sampling.detail_cycles =
-        scalar_u64(*sv, "detail_cycles", sampling.detail_cycles);
-    sampling.functional_instructions = scalar_u64(
-        *sv, "functional_instructions", sampling.functional_instructions);
-    sampling.min_windows = static_cast<std::uint32_t>(
-        scalar_u64(*sv, "min_windows", sampling.min_windows));
-    sampling.max_windows = static_cast<std::uint32_t>(
-        scalar_u64(*sv, "max_windows", sampling.max_windows));
-    sampling.jobs =
-        static_cast<std::uint32_t>(scalar_u64(*sv, "jobs", sampling.jobs));
-    sampling.strata = static_cast<std::uint32_t>(
-        scalar_u64(*sv, "strata", sampling.strata));
-    if (const json::Value* ci = sv->find("target_ci");
-        ci != nullptr && ci->is_number()) {
-      sampling.target_ci_frac = ci->as_double();
+    const std::string in = "sampling.";
+    SamplingSpec& s = sampling;
+    if (!known_key(*sv, in, "warmup_cycles", &s.warmup_cycles, &err) ||
+        !known_key(*sv, in, "detail_cycles", &s.detail_cycles, &err) ||
+        !known_key(*sv, in, "functional_instructions",
+                   &s.functional_instructions, &err) ||
+        !known_key(*sv, in, "min_windows", &s.min_windows, &err) ||
+        !known_key(*sv, in, "max_windows", &s.max_windows, &err) ||
+        !known_key(*sv, in, "jobs", &s.jobs, &err) ||
+        !known_key(*sv, in, "strata", &s.strata, &err) ||
+        !known_key(*sv, in, "target_ci", &s.target_ci_frac, &err)) {
+      if (error != nullptr) *error = err;
+      return std::nullopt;
     }
   }
 

@@ -209,6 +209,47 @@ TEST(CampaignExpand, NamesTheMalformedAxis) {
   EXPECT_EQ(error_of(R"({"refresh": ["8x"]})"), "unknown refresh mode '8x'");
 }
 
+TEST(CampaignExpand, KnownKeysOfTheWrongTypeFailAndNameTheKey) {
+  // Each of these used to expand silently with the key's default: 200,000
+  // instructions, an unchecked run, one sampling worker, and a min_windows
+  // of 2^32 + 8 truncated to 8.
+  const auto error_of = [](const std::string& text) {
+    std::string err;
+    const auto spec = json::parse(text);
+    EXPECT_TRUE(spec.has_value()) << text;
+    EXPECT_FALSE(expand_campaign(*spec, &err).has_value()) << text;
+    return err;
+  };
+  EXPECT_NE(error_of(R"({"instructions_per_core": "5"})")
+                .find("'instructions_per_core'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"check": 1})").find("'check'"), std::string::npos);
+  EXPECT_NE(error_of(R"({"sampling": {"jobs": "2"}})").find("'sampling.jobs'"),
+            std::string::npos);
+  EXPECT_EQ(error_of(R"({"sampling": {"min_windows": 4294967304}})"),
+            "'sampling.min_windows' must be an integer in [0, 4294967295]");
+  // Negative values and the other value types fail the same way.
+  EXPECT_EQ(error_of(R"({"epoch_cycles": -1})"),
+            "'epoch_cycles' must be an integer in [0, 18446744073709551615]");
+  EXPECT_EQ(error_of(R"({"name": 7})"), "'name' must be a string");
+  EXPECT_EQ(error_of(R"({"sampling": {"target_ci": -0.1}})"),
+            "'sampling.target_ci' must be a non-negative number");
+  // Unknown keys stay accepted, and well-typed known keys are read.
+  std::string err;
+  const auto ok = json::parse(
+      R"({"name": "n", "check": true, "comment": [1, "x"],
+          "sampling": {"jobs": 2, "min_windows": 9, "target_ci": 0.05,
+                       "note": "free-form"}})");
+  ASSERT_TRUE(ok.has_value());
+  const auto cells = expand_campaign(*ok, &err);
+  ASSERT_TRUE(cells.has_value()) << err;
+  const ExperimentSpec& e = (*cells)[0].spec;
+  EXPECT_TRUE(e.check);
+  EXPECT_EQ(e.sampling.jobs, 2u);
+  EXPECT_EQ(e.sampling.min_windows, 9u);
+  EXPECT_DOUBLE_EQ(e.sampling.target_ci_frac, 0.05);
+}
+
 TEST(CampaignRun, InterruptedThenResumedMatchesUninterrupted) {
   const std::string base = ::testing::TempDir() + "rop_campaign_test";
   fs::remove_all(base);
