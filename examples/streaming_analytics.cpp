@@ -62,8 +62,8 @@ ScanResult run(rop::sim::MemoryMode mode, std::uint64_t instructions) {
     out.max_latency = lat->max();
   }
   if (const auto* hist = stats.find_histogram("mem.read_latency_hist")) {
-    out.p95_latency = static_cast<double>(hist->quantile(0.95));
-    out.p99_latency = static_cast<double>(hist->quantile(0.99));
+    out.p95_latency = hist->percentile(95.0);
+    out.p99_latency = hist->percentile(99.0);
   }
   const double reads =
       static_cast<double>(stats.counter_value("mem.reads"));

@@ -54,11 +54,6 @@ struct LlcStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t writebacks = 0;
-
-  [[nodiscard]] double hit_rate() const {
-    return accesses ? static_cast<double>(hits) / static_cast<double>(accesses)
-                    : 0.0;
-  }
 };
 
 class Llc {

@@ -149,10 +149,10 @@ class Histogram {
   [[nodiscard]] std::uint64_t bucket_width() const { return width_; }
 
   /// Percentile estimate from the buckets with linear interpolation inside
-  /// the containing bucket, `p` in [0, 100]. Continuous counterpart of
-  /// quantile(): p50/p95/p99 for reports and the JSON export. Samples in
-  /// the overflow bucket interpolate within one further bucket width — an
-  /// approximation, so a percentile that lands there is a lower bound.
+  /// the containing bucket, `p` in [0, 100]: p50/p95/p99 for reports and
+  /// the JSON export. Samples in the overflow bucket interpolate within one
+  /// further bucket width — an approximation, so a percentile that lands
+  /// there is a lower bound.
   [[nodiscard]] double percentile(double p) const {
     if (count_ == 0) return 0.0;
     const double target = (p / 100.0) * static_cast<double>(count_);
@@ -170,20 +170,6 @@ class Histogram {
       }
     }
     return static_cast<double>(buckets_.size() * width_);
-  }
-
-  /// Smallest v such that at least `q` fraction of samples are <= v
-  /// (bucket-upper-bound approximation).
-  [[nodiscard]] std::uint64_t quantile(double q) const {
-    if (count_ == 0) return 0;
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(count_));
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-      acc += buckets_[i];
-      if (acc >= target) return (i + 1) * width_;
-    }
-    return buckets_.size() * width_;
   }
 
   void reset() {

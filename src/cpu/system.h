@@ -127,7 +127,6 @@ class System final : public MemoryPort {
   using FunctionalStep = std::function<void(Core& core)>;
   std::uint64_t functional_window(const FunctionalStep& step);
 
-  [[nodiscard]] bool run_active() const { return loop_.active; }
   [[nodiscard]] std::uint64_t cpu_cycle() const { return loop_.cpu_cycle; }
   [[nodiscard]] std::uint64_t max_cpu_cycles() const {
     return loop_.max_cpu_cycles;

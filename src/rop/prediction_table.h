@@ -108,10 +108,9 @@ class PredictionTable {
 
   void clear();
 
-  /// Bank the last access went to, and the predicted next bank assuming
-  /// the most recent inter-bank transition stride repeats (how a strided
-  /// stream walks banks under page interleaving).
-  [[nodiscard]] std::optional<BankId> last_bank() const { return last_bank_; }
+  /// The predicted next bank assuming the most recent inter-bank
+  /// transition stride repeats (how a strided stream walks banks under
+  /// page interleaving).
   [[nodiscard]] std::optional<BankId> predicted_next_bank() const;
 
   /// Snapshot serialization: entries plus the inter-bank stride tracker.
