@@ -17,7 +17,7 @@ using namespace rop;
 void BM_AddressMapRoundTrip(benchmark::State& state) {
   dram::DramOrganization org;
   org.ranks = 4;
-  const mem::AddressMap map(org, mem::MapScheme::kRowRankBankColumn);
+  const mem::AddressMap map(org);
   Rng rng(1);
   const std::uint64_t total = org.total_lines();
   for (auto _ : state) {
@@ -58,7 +58,7 @@ void BM_PredictionTablePredict(benchmark::State& state) {
     table.on_access(static_cast<BankId>(i % 8), i / 8, i);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.predict(64, false, 0, 20'000, 1'000));
+    benchmark::DoNotOptimize(table.predict(64, false, 20'000, 1'000));
   }
 }
 BENCHMARK(BM_PredictionTablePredict);

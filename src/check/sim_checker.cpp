@@ -9,8 +9,6 @@
 
 namespace rop::check {
 
-SimChecker::SimChecker(CheckerConfig cfg) : cfg_(cfg) {}
-
 SimChecker::~SimChecker() {
   // Defensive detach: a controller must never hold a dangling auditor.
   if (mem_ == nullptr) return;
@@ -47,9 +45,12 @@ void SimChecker::set_trace(const telemetry::TraceSink* trace,
   trace_context_ = context_events;
 }
 
+/// Violation messages kept verbatim; every violation is still counted.
+constexpr std::size_t kMaxReports = 16;
+
 void SimChecker::violate(std::string msg) {
   ++violation_count_;
-  if (reports_.size() < cfg_.max_reports) reports_.push_back(std::move(msg));
+  if (reports_.size() < kMaxReports) reports_.push_back(std::move(msg));
   // Snapshot the trace tail at the *first* violation: that is the timeline
   // that led into the bug; later violations are usually fallout.
   if (violation_count_ == 1 && trace_ != nullptr) {

@@ -46,14 +46,9 @@
 
 namespace rop::check {
 
-struct CheckerConfig {
-  /// Keep the first N violation messages verbatim (all are still counted).
-  std::uint32_t max_reports = 16;
-};
-
 class SimChecker final : public mem::ControllerAuditor {
  public:
-  explicit SimChecker(CheckerConfig cfg = {});
+  SimChecker() = default;
   ~SimChecker() override;
 
   SimChecker(const SimChecker&) = delete;
@@ -127,7 +122,6 @@ class SimChecker final : public mem::ControllerAuditor {
   void check_buffer_coherence(const mem::Controller& c, Cycle now);
   void check_conservation();
 
-  CheckerConfig cfg_;
   mem::MemorySystem* mem_ = nullptr;
   /// Channel this checker audits; kInvalidChannel = all of them.
   static constexpr ChannelId kAllChannels = ~ChannelId{0};

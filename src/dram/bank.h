@@ -93,8 +93,6 @@ class Bank {
   /// Used by WR issue on *sibling* banks in the same rank: defer reads by
   /// the write-to-read turnaround.
   void defer_read_until(Cycle c) { next_read_ = std::max(next_read_, c); }
-  /// And the symmetric case for read-to-write turnaround.
-  void defer_write_until(Cycle c) { next_write_ = std::max(next_write_, c); }
 
   /// Snapshot serialization (see common/snapshot_io.h). The subarray
   /// geometry (sub_count_/rows_per_sub_) is reconstructed by

@@ -14,8 +14,7 @@ std::uint64_t take(std::uint64_t& v, std::uint64_t count) {
 
 }  // namespace
 
-AddressMap::AddressMap(const dram::DramOrganization& org, MapScheme scheme)
-    : org_(org), scheme_(scheme) {
+AddressMap::AddressMap(const dram::DramOrganization& org) : org_(org) {
   ROP_ASSERT(org.channels > 0 && org.ranks > 0 && org.banks > 0);
   ROP_ASSERT(org.rows > 0 && org.columns > 0);
 }
@@ -24,46 +23,18 @@ DramCoord AddressMap::map(Address byte_addr) const {
   std::uint64_t line = byte_addr >> kLineShift;
   DramCoord c;
   c.channel = static_cast<ChannelId>(take(line, org_.channels));
-  switch (scheme_) {
-    case MapScheme::kRowRankBankColumn:
-      c.column = static_cast<ColumnId>(take(line, org_.columns));
-      c.bank = static_cast<BankId>(take(line, org_.banks));
-      c.rank = static_cast<RankId>(take(line, org_.ranks));
-      break;
-    case MapScheme::kRowBankRankColumn:
-      c.column = static_cast<ColumnId>(take(line, org_.columns));
-      c.rank = static_cast<RankId>(take(line, org_.ranks));
-      c.bank = static_cast<BankId>(take(line, org_.banks));
-      break;
-    case MapScheme::kRowColumnRankBank:
-      c.bank = static_cast<BankId>(take(line, org_.banks));
-      c.rank = static_cast<RankId>(take(line, org_.ranks));
-      c.column = static_cast<ColumnId>(take(line, org_.columns));
-      break;
-  }
+  c.column = static_cast<ColumnId>(take(line, org_.columns));
+  c.bank = static_cast<BankId>(take(line, org_.banks));
+  c.rank = static_cast<RankId>(take(line, org_.ranks));
   c.row = static_cast<RowId>(line % org_.rows);
   return c;
 }
 
 Address AddressMap::unmap(const DramCoord& coord) const {
   std::uint64_t line = coord.row;
-  switch (scheme_) {
-    case MapScheme::kRowRankBankColumn:
-      line = line * org_.ranks + coord.rank;
-      line = line * org_.banks + coord.bank;
-      line = line * org_.columns + coord.column;
-      break;
-    case MapScheme::kRowBankRankColumn:
-      line = line * org_.banks + coord.bank;
-      line = line * org_.ranks + coord.rank;
-      line = line * org_.columns + coord.column;
-      break;
-    case MapScheme::kRowColumnRankBank:
-      line = line * org_.columns + coord.column;
-      line = line * org_.ranks + coord.rank;
-      line = line * org_.banks + coord.bank;
-      break;
-  }
+  line = line * org_.ranks + coord.rank;
+  line = line * org_.banks + coord.bank;
+  line = line * org_.columns + coord.column;
   line = line * org_.channels + coord.channel;
   return line << kLineShift;
 }
@@ -91,19 +62,10 @@ Address AddressMap::compose_in_rank(RankId rank,
   DramCoord c;
   c.rank = rank;
   c.channel = static_cast<ChannelId>(take(v, org_.channels));
-  // Mirror the scheme's bank/column digit order so rank-partitioned
-  // traffic keeps the same interleaving behaviour as the flat layout.
-  switch (scheme_) {
-    case MapScheme::kRowRankBankColumn:
-    case MapScheme::kRowBankRankColumn:
-      c.column = static_cast<ColumnId>(take(v, org_.columns));
-      c.bank = static_cast<BankId>(take(v, org_.banks));
-      break;
-    case MapScheme::kRowColumnRankBank:
-      c.bank = static_cast<BankId>(take(v, org_.banks));
-      c.column = static_cast<ColumnId>(take(v, org_.columns));
-      break;
-  }
+  // The flat layout's bank/column digit order, so rank-partitioned traffic
+  // keeps the same interleaving behaviour.
+  c.column = static_cast<ColumnId>(take(v, org_.columns));
+  c.bank = static_cast<BankId>(take(v, org_.banks));
   c.row = static_cast<RowId>(v % org_.rows);
   return unmap(c);
 }

@@ -1,22 +1,15 @@
-// Physical-address interleaving schemes.
+// Physical-address interleaving.
 //
 // The mapper translates line-granular physical addresses to DRAM coordinates
-// and back. Two schemes are provided:
+// and back with one page-interleaved layout, [row | rank | bank | column |
+// channel] from the top bit down: consecutive lines fill a row inside one
+// bank before moving to the next bank (bank locality per [22]). A
+// unit-stride stream then advances each bank's line offset by exactly one
+// per visit, the small-delta trail the ROP prediction table learns from.
 //
-//  * kRowColumnRankBank — line-interleaved across banks (the default, and
-//    what DRAMSim2-style controllers typically use): consecutive lines
-//    rotate through the banks, maximizing bank-level parallelism. A strided
-//    stream then leaves a clean small-delta trail in *every* bank's
-//    prediction-table entry, which is the regime the paper's per-bank
-//    table and Eq. 3 budget split are designed for.
-//  * kRowRankBankColumn — page-interleaved: consecutive lines fill a row
-//    inside one bank before moving to the next bank (stronger bank
-//    locality per [22], weaker parallelism).
-//  * kRowBankRankColumn — as page-interleaved but with rank below bank.
-//
-// Rank-aware mapping (paper §IV-A "Rank-aware Mapping") is expressed by
-// taking the rank not from address bits but from a per-core assignment; see
-// RankPartitioning below.
+// Rank-aware mapping (paper §IV-A "Rank-aware Mapping") takes the rank not
+// from address bits but from a per-core home rank (core % ranks); see
+// compose_in_rank and cpu::System::relocate.
 #pragma once
 
 #include <cstdint>
@@ -26,16 +19,9 @@
 
 namespace rop::mem {
 
-enum class MapScheme : std::uint8_t {
-  kRowRankBankColumn,  // [row | rank | bank | column | channel]
-  kRowBankRankColumn,  // [row | bank | rank | column | channel]
-  kRowColumnRankBank,  // [row | column | rank | bank | channel]
-};
-
 class AddressMap {
  public:
-  AddressMap(const dram::DramOrganization& org,
-             MapScheme scheme = MapScheme::kRowRankBankColumn);
+  explicit AddressMap(const dram::DramOrganization& org);
 
   /// Decompose a byte address (any alignment; low 6 bits ignored).
   [[nodiscard]] DramCoord map(Address byte_addr) const;
@@ -70,22 +56,9 @@ class AddressMap {
   [[nodiscard]] const dram::DramOrganization& organization() const {
     return org_;
   }
-  [[nodiscard]] MapScheme scheme() const { return scheme_; }
 
  private:
   dram::DramOrganization org_;
-  MapScheme scheme_;
-};
-
-/// Rank partitioning assigns each core a home rank; the system remaps the
-/// rank field of every address a core emits to its home rank, so concurrent
-/// applications do not interleave within a rank (paper §IV-A, §V-A).
-struct RankPartitioning {
-  bool enabled = false;
-
-  [[nodiscard]] RankId home_rank(CoreId core, std::uint32_t num_ranks) const {
-    return core % num_ranks;
-  }
 };
 
 }  // namespace rop::mem

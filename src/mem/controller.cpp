@@ -460,6 +460,10 @@ Controller::RefreshStep Controller::baseline_step(RankId r, Cycle now) const {
   return RefreshStep::of(Action::kLock, now);
 }
 
+/// Elastic refresh's rank-idle threshold at zero backlog; the threshold
+/// decays linearly to zero as owed refreshes approach the JEDEC budget.
+constexpr Cycle kElasticBaseIdle = 96;
+
 Controller::RefreshStep Controller::elastic_step(RankId r, Cycle now) const {
   if (ranks_[r].phase != RefreshPhase::kIdle) return seal_step(r, now);
   // Lock once the rank has been idle for a threshold that shrinks linearly
@@ -469,7 +473,7 @@ Controller::RefreshStep Controller::elastic_step(RankId r, Cycle now) const {
   const std::uint32_t owed = rm_.owed(r, now);
   const std::uint32_t budget = channel_.timings().max_postponed_refreshes;
   const std::uint32_t slack = owed >= budget ? 0 : budget - owed;
-  const Cycle threshold = cfg_.elastic_base_idle * slack / budget;
+  const Cycle threshold = kElasticBaseIdle * slack / budget;
   if (now - ranks_[r].last_arrival >= threshold) {
     return RefreshStep::of(Action::kLock, now);
   }

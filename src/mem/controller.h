@@ -111,9 +111,6 @@ struct ControllerConfig {
   RefreshScheme refresh = RefreshScheme::kBaseline;
   /// kRop: bound on the drain+staging window past due time.
   Cycle drain_bound = 1024;
-  /// kElastic: rank-idle threshold at zero backlog; the threshold decays
-  /// linearly to zero as owed refreshes approach the JEDEC budget.
-  Cycle elastic_base_idle = 96;
   /// kPausing: refresh segment length (~60 ns) and re-lock overhead per
   /// resume.
   Cycle pause_quantum = 48;

@@ -5,7 +5,7 @@
 namespace rop::mem {
 
 MemorySystem::MemorySystem(const MemoryConfig& cfg, StatRegistry* stats)
-    : cfg_(cfg), map_(cfg_.org, cfg_.scheme), stats_(stats) {
+    : cfg_(cfg), map_(cfg_.org), stats_(stats) {
   ROP_ASSERT(stats != nullptr);
   ROP_ASSERT(dram::validate(cfg_.timings));
   controllers_.reserve(cfg_.org.channels);

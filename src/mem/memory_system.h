@@ -25,7 +25,6 @@ namespace rop::mem {
 struct MemoryConfig {
   dram::DramTimings timings{};
   dram::DramOrganization org{};
-  MapScheme scheme = MapScheme::kRowRankBankColumn;
   ControllerConfig ctrl{};
 };
 

@@ -108,7 +108,6 @@ std::uint64_t PredictionTable::total_weight() const {
 
 void PredictionTable::generate_offsets(const TableEntry& e,
                                        std::uint32_t budget,
-                                       std::uint32_t skip,
                                        std::vector<std::uint64_t>& out) const {
   if (budget == 0 || !e.last_addr) return;
   const auto last = static_cast<std::int64_t>(*e.last_addr);
@@ -146,7 +145,7 @@ void PredictionTable::generate_offsets(const TableEntry& e,
   {
     const Delta raw = e.delta1_valid ? e.delta1 : Delta{1};
     const Delta step = raw == 0 ? Delta{1} : raw;
-    std::int64_t addr = last + step * static_cast<Delta>(skip);
+    std::int64_t addr = last;
     for (std::uint32_t k = 0; k < share[0]; ++k) {
       addr += step;
       push(addr);
@@ -155,26 +154,24 @@ void PredictionTable::generate_offsets(const TableEntry& e,
   // Pattern 2: cycle the two-delta tuple.
   if (e.delta2_valid) {
     std::int64_t addr = last;
-    for (std::uint32_t k = 0; k < skip; ++k) addr += e.delta2[k % 2];
     for (std::uint32_t k = 0; k < share[1]; ++k) {
-      addr += e.delta2[(skip + k) % 2];
+      addr += e.delta2[k % 2];
       push(addr);
     }
   }
   // Pattern 3: cycle the three-delta tuple.
   if (e.delta3_valid) {
     std::int64_t addr = last;
-    for (std::uint32_t k = 0; k < skip; ++k) addr += e.delta3[k % 3];
     for (std::uint32_t k = 0; k < share[2]; ++k) {
-      addr += e.delta3[(skip + k) % 3];
+      addr += e.delta3[k % 3];
       push(addr);
     }
   }
 }
 
 std::vector<BankPrediction> PredictionTable::predict(
-    std::uint32_t capacity, bool uniform, std::uint32_t skip_per_bank,
-    Cycle now, Cycle recency_horizon) const {
+    std::uint32_t capacity, bool uniform, Cycle now,
+    Cycle recency_horizon) const {
   const std::size_t n = entries_.size();
   std::vector<BankPrediction> out(n);
   for (std::size_t b = 0; b < n; ++b) {
@@ -263,8 +260,7 @@ std::vector<BankPrediction> PredictionTable::predict(
   }
 
   for (std::size_t b = 0; b < n; ++b) {
-    generate_offsets(entries_[b], out[b].budget, skip_per_bank,
-                     out[b].offsets);
+    generate_offsets(entries_[b], out[b].budget, out[b].offsets);
   }
   return out;
 }

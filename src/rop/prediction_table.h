@@ -89,16 +89,12 @@ class PredictionTable {
   /// pattern weight (Eq. 3) and generate candidate offsets per bank by
   /// walking each delta pattern from LastAddr, proportionally to its
   /// frequency. `uniform` replaces Eq. 3 with an even split (ablation).
-  /// `skip_per_bank` is the prefetch distance: each pattern walk first
-  /// advances that many steps without emitting, so the candidates land
-  /// where the stream will be once staging completes, not where it is now.
   /// When `recency_horizon` is non-zero, banks whose last access is older
   /// than `now - recency_horizon` get zero budget: a bank idle for longer
   /// than a staging+refresh freeze cannot receive requests during one, so
   /// spending buffer lines there only dilutes the hot banks.
   [[nodiscard]] std::vector<BankPrediction> predict(
-      std::uint32_t capacity, bool uniform = false,
-      std::uint32_t skip_per_bank = 0, Cycle now = 0,
+      std::uint32_t capacity, bool uniform = false, Cycle now = 0,
       Cycle recency_horizon = 0) const;
 
   /// Halve every frequency (called once per refresh of the owning rank):
@@ -121,7 +117,6 @@ class PredictionTable {
 
  private:
   void generate_offsets(const TableEntry& e, std::uint32_t budget,
-                        std::uint32_t skip,
                         std::vector<std::uint64_t>& out) const;
 
   std::vector<TableEntry> entries_;

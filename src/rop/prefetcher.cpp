@@ -23,11 +23,11 @@ void Prefetcher::on_access(const DramCoord& coord, Cycle now) {
 }
 
 std::vector<mem::Request> Prefetcher::make_prefetches(
-    RankId rank, std::uint32_t capacity, std::uint32_t skip_per_bank,
-    Cycle now, Cycle recency_horizon) const {
+    RankId rank, std::uint32_t capacity, Cycle now,
+    Cycle recency_horizon) const {
   std::vector<mem::Request> out;
   const auto predictions = tables_.at(rank).predict(
-      capacity, uniform_budget_, skip_per_bank, now, recency_horizon);
+      capacity, uniform_budget_, now, recency_horizon);
   for (const BankPrediction& bp : predictions) {
     for (const std::uint64_t offset : bp.offsets) {
       mem::Request req;

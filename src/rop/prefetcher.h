@@ -27,11 +27,10 @@ class Prefetcher {
   void on_access(const DramCoord& coord, Cycle now);
 
   /// Build up to `capacity` prefetch requests for `rank` from the current
-  /// prediction table contents. `skip_per_bank` is the prefetch distance in
-  /// pattern steps (see PredictionTable::predict).
+  /// prediction table contents (see PredictionTable::predict).
   [[nodiscard]] std::vector<mem::Request> make_prefetches(
-      RankId rank, std::uint32_t capacity, std::uint32_t skip_per_bank = 0,
-      Cycle now = 0, Cycle recency_horizon = 0) const;
+      RankId rank, std::uint32_t capacity, Cycle now = 0,
+      Cycle recency_horizon = 0) const;
 
   [[nodiscard]] const PredictionTable& table(RankId rank) const {
     return tables_.at(rank);

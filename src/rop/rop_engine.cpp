@@ -85,7 +85,7 @@ std::optional<Cycle> RopEngine::on_enqueue(const mem::Request& req,
         trace_rop(telemetry::EventKind::kLockServed, rank, req.line_addr,
                   now);
       }
-      return now + cfg_.sram_latency;
+      return now + kSramLatency;
     }
     if (in_refresh) h_.buffer_misses->inc();
   }
@@ -155,20 +155,7 @@ void RopEngine::on_rank_locked(RankId rank, Cycle now) {
   if (cfg_.adaptive_count) {
     const double want = 1.5 * ema_freeze_demand_[rank] + 8.0;
     count = std::clamp<std::uint32_t>(static_cast<std::uint32_t>(want),
-                                      cfg_.min_prefetch, cfg_.buffer_lines);
-  }
-
-  // Prefetch distance: while the round is staging (roughly tBL cycles of
-  // bus time per line plus slack), the demand stream keeps consuming
-  // lines; start the pattern walks where the stream will be at REF time.
-  std::uint32_t skip_per_bank = 0;
-  if (cfg_.distance_scale > 0.0) {
-    const double staging_cycles =
-        static_cast<double>(ctrl_.channel().timings().tBL) * count + 64.0;
-    const double consumed =
-        cfg_.distance_scale * staging_cycles / ema_interarrival_[rank];
-    skip_per_bank = static_cast<std::uint32_t>(
-        consumed / prefetcher_.table(rank).num_banks());
+                                      kMinPrefetch, cfg_.buffer_lines);
   }
 
   // Active-bank horizon: banks touched within the last ~8 demand
@@ -179,7 +166,7 @@ void RopEngine::on_rank_locked(RankId rank, Cycle now) {
 
   buffer_.begin_round(rank);
   auto requests = prefetcher_.make_prefetches(
-      rank, count, skip_per_bank, now,
+      rank, count, now,
       cfg_.bank_recency_horizon == 0 ? 0 : horizon);
   if (requests.empty()) {
     h_.rounds_empty->inc();
@@ -246,7 +233,7 @@ void RopEngine::on_refresh_issued(RankId rank, Cycle start, Cycle /*done*/) {
             h_.lock_window_served->inc();
             trace_rop(telemetry::EventKind::kLockServed, rank, req.line_addr,
                       start);
-            return start + cfg_.sram_latency;
+            return start + kSramLatency;
           }
           return std::nullopt;
         });
@@ -269,14 +256,14 @@ void RopEngine::evaluate_phase() {
   // refill) must not mask rounds full of unconsumed fills, so consumed is
   // bounded by fills and accuracy by 1.0; repeat traffic is reported
   // separately as hits-per-fill.
-  if (phase_fills_ >= cfg_.eval_min_opportunities) {
+  if (phase_fills_ >= kEvalMinOpportunities) {
     const double accuracy = static_cast<double>(phase_consumed_) /
                             static_cast<double>(phase_fills_);
     ROP_ASSERT(accuracy <= 1.0);
     h_.phase_accuracy->record(accuracy);
     h_.phase_hits_per_fill->record(static_cast<double>(phase_hits_) /
                                    static_cast<double>(phase_fills_));
-    if (accuracy < cfg_.hit_rate_threshold) {
+    if (accuracy < kHitRateThreshold) {
       // Patterns drifted: retrain lambda/beta from scratch (paper §IV-C).
       h_.retrain_events->inc();
       profiler_.restart();
@@ -318,7 +305,7 @@ void RopEngine::on_prefetch_filled(const mem::Request& req, Cycle now) {
         h_.lock_window_served->inc();
         trace_rop(telemetry::EventKind::kLockServed, queued.coord.rank,
                   queued.line_addr, now);
-        return now + cfg_.sram_latency;
+        return now + kSramLatency;
       });
 }
 

@@ -15,8 +15,9 @@
 //    controller's drain window and the JEDEC postponement budget).
 //
 // While a rank is locked or frozen by REF, demand reads that hit the buffer
-// complete at SRAM latency instead of blocking. If the phase hit rate drops
-// below `hit_rate_threshold` the engine falls back to Training.
+// complete at SRAM latency instead of blocking. If the phase prefetch
+// accuracy drops below `kHitRateThreshold` the engine falls back to
+// Training.
 #pragma once
 
 #include <algorithm>
@@ -43,27 +44,28 @@ enum class GatingMode : std::uint8_t {
   kNeverPrefetch,   // ablation: never prefetch (isolates drain effects)
 };
 
+/// Phase prefetch accuracy below which the engine retrains (paper §V-A).
+inline constexpr double kHitRateThreshold = 0.6;
+/// A buffer hit completes in one controller cycle (about 3 CPU cycles).
+inline constexpr Cycle kSramLatency = 1;
+/// Fills a phase needs before its accuracy is judged.
+inline constexpr std::uint32_t kEvalMinOpportunities = 16;
+/// Floor of the adaptive prefetch count.
+inline constexpr std::uint32_t kMinPrefetch = 8;
+
 struct RopConfig {
   std::uint32_t buffer_lines = 64;        // SRAM capacity (paper default)
   std::uint32_t training_refreshes = 50;  // paper §V-A
-  double hit_rate_threshold = 0.6;        // paper §V-A
   std::uint32_t window_multiple = 1;      // W = multiple x tREFI (paper §III-C)
-  Cycle sram_latency = 1;                 // 3 CPU cycles ~ 1 controller cycle
   std::uint32_t eval_period_refreshes = 50;
-  std::uint32_t eval_min_opportunities = 16;
   std::uint64_t seed = 0x20160816ULL;
   GatingMode gating = GatingMode::kProbabilistic;
   bool uniform_budget = false;  // ablation: even split instead of Eq. 3
   /// Adapt the prefetch count to the demand observed during
-  /// recent freeze windows (1.5x EMA + margin, clamped to [min_prefetch,
+  /// recent freeze windows (1.5x EMA + margin, clamped to [kMinPrefetch,
   /// buffer_lines]) instead of always staging the full buffer (set false
   /// to follow the paper literally: Eq. 3 distributes the whole capacity).
   bool adaptive_count = true;
-  std::uint32_t min_prefetch = 8;
-  /// Ablation: prefetch distance in expected lines consumed while staging.
-  /// The default 0 matches the seal-time staging design, where demand is
-  /// frozen during staging and no overshoot is needed.
-  double distance_scale = 0.0;
   /// Zero-budget banks that have been idle longer than this many cycles at
   /// staging time (they cannot receive requests during the freeze). 0
   /// disables the recency filter (ablation).
@@ -171,7 +173,7 @@ class RopEngine final : public mem::ControllerListener {
 
   RopState state_ = RopState::kTraining;
   std::vector<Cycle> last_access_;  // per-rank: last demand arrival
-  /// Exponential averages driving the adaptive count / prefetch distance.
+  /// Exponential averages driving the adaptive count and bank horizon.
   std::vector<double> ema_interarrival_;    // per-rank demand inter-arrival
   double ema_channel_interarrival_ = 1e6;   // channel-wide (bus pressure)
   Cycle last_channel_arrival_ = kNeverCycle;

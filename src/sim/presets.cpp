@@ -26,11 +26,6 @@ mem::MemoryConfig make_memory_config(std::uint32_t ranks, MemoryMode mode,
   cfg.org.channels = channels;
   cfg.org.ranks = ranks;
   cfg.org.banks = 8;
-  // Page-interleaved: a stream resides in one bank for a whole row (128
-  // lines), so concurrent streams separate into different banks and each
-  // per-bank prediction-table entry sees a clean single-stream delta trail
-  // (the "bank locality" the paper's table organization relies on, §IV-C).
-  cfg.scheme = mem::MapScheme::kRowRankBankColumn;
   cfg.org.subarrays = mem::scheme_info(mode).subarrays;
   cfg.ctrl.refresh = mode;
   return cfg;

@@ -83,17 +83,19 @@ std::string spec_canonical(const ExperimentSpec& spec) {
      << ";instr=" << spec.instructions_per_core
      << ";max=" << spec.max_cpu_cycles << ";salt=" << spec.seed_salt
      << ";loop=" << static_cast<int>(spec.loop);
+  // The retired RopConfig fields keep their slots, now holding the
+  // constants (and 0, the old prefetch-distance default), so existing
+  // fingerprints keep their bytes.
   const engine::RopConfig& r = spec.rop;
   os << ";rop=" << r.buffer_lines << ',' << r.training_refreshes << ','
-     << r.hit_rate_threshold << ',' << r.window_multiple << ','
-     << r.sram_latency << ',' << r.eval_period_refreshes << ','
-     << r.eval_min_opportunities << ',' << r.seed << ','
+     << engine::kHitRateThreshold << ',' << r.window_multiple << ','
+     << engine::kSramLatency << ',' << r.eval_period_refreshes << ','
+     << engine::kEvalMinOpportunities << ',' << r.seed << ','
      << static_cast<int>(r.gating) << ',' << r.uniform_budget << ','
-     << r.adaptive_count << ',' << r.min_prefetch << ',' << r.distance_scale
-     << ',' << r.bank_recency_horizon << ',' << r.saturation_guard_bursts;
+     << r.adaptive_count << ',' << engine::kMinPrefetch << ',' << 0 << ','
+     << r.bank_recency_horizon << ',' << r.saturation_guard_bursts;
   os << ";epoch=" << spec.telemetry.sampler.epoch_cycles << ','
      << spec.telemetry.sampler.max_epochs << ',';
-  for (const std::string& c : spec.telemetry.sampler.counters) os << c << '+';
   os << ";trace=" << spec.telemetry.trace.categories << ','
      << spec.telemetry.trace.capacity;
   // The resolved stride: a spec that names none and one that names the

@@ -12,18 +12,11 @@ EpochSampler::EpochSampler(const SamplerConfig& cfg, StatRegistry* stats)
     closed_ = true;  // advance_to stays a no-op forever
     return;
   }
-  if (cfg_.counters.empty()) {
-    for (const auto& [name, counter] : stats->counters()) {
-      names_.push_back(name);
-      handles_.push_back(&counter);
-    }
-  } else {
-    for (const std::string& name : cfg_.counters) {
-      names_.push_back(name);
-      // Registers the counter when absent so a configured name is always
-      // sampled (it simply stays zero until something records into it).
-      handles_.push_back(stats->counter_handle(name));
-    }
+  // Every registered counter: construct the sampler after the full system
+  // so all subsystems have registered.
+  for (const auto& [name, counter] : stats->counters()) {
+    names_.push_back(name);
+    handles_.push_back(&counter);
   }
   prev_.assign(handles_.size(), 0);
   deltas_.assign(cfg_.max_epochs * handles_.size(), 0);

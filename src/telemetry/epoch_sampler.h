@@ -1,7 +1,7 @@
 // EpochSampler: delta time-series of StatRegistry counters.
 //
-// Every `epoch_cycles` controller cycles the sampler snapshots a configured
-// set of counters and stores the per-epoch deltas in a preallocated ring —
+// Every `epoch_cycles` controller cycles the sampler snapshots every counter
+// registered at its construction and stores the per-epoch deltas in a preallocated ring —
 // the raw material for the paper's time-resolved figures (blocked-request
 // bursts around tRFC windows, hit-rate evolution) without any per-event
 // hooks in the simulator.
@@ -33,10 +33,6 @@ struct SamplerConfig {
   /// Sampling period in controller cycles; 0 disables the sampler.
   /// tREFI (6240 at DDR4-1600 1x) gives one sample per refresh interval.
   Cycle epoch_cycles = 0;
-  /// Counters to sample. Empty = every counter registered in the registry
-  /// at sampler construction time (construct the sampler after the full
-  /// system so all subsystems have registered).
-  std::vector<std::string> counters;
   /// Ring capacity in epochs; when exceeded the oldest epochs are dropped
   /// (first_epoch_index() reports how many).
   std::size_t max_epochs = 4096;
@@ -81,8 +77,9 @@ class EpochSampler {
   [[nodiscard]] std::uint64_t delta(std::size_t i, std::size_t c) const;
 
   /// Snapshot serialization: last-boundary values, the delta ring, and the
-  /// boundary cursor. Names/handles are config-derived (the counter set is
-  /// fixed by the spec, and the sampler is constructed before restore).
+  /// boundary cursor. Names/handles are rebuilt at construction (the
+  /// registered counter set is fixed by the spec, and the sampler is
+  /// constructed before restore).
   template <class Ar>
   void io(Ar& ar) {
     ar(prev_, deltas_, ends_, rows_, first_row_, first_epoch_,

@@ -1,4 +1,5 @@
-// Address mapping tests: bijectivity, scheme layouts, rank partitioning.
+// Address mapping tests: bijectivity, the page-interleaved layout, and the
+// rank-pinned relocation.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -17,10 +18,8 @@ dram::DramOrganization org4() {
   return org;
 }
 
-class AddressMapParam : public ::testing::TestWithParam<MapScheme> {};
-
-TEST_P(AddressMapParam, MapUnmapRoundTripsRandomAddresses) {
-  const AddressMap map(org4(), GetParam());
+TEST(AddressMap, MapUnmapRoundTripsRandomAddresses) {
+  const AddressMap map(org4());
   Rng rng(99);
   const std::uint64_t total = map.organization().total_lines();
   for (int i = 0; i < 5000; ++i) {
@@ -34,13 +33,13 @@ TEST_P(AddressMapParam, MapUnmapRoundTripsRandomAddresses) {
   }
 }
 
-TEST_P(AddressMapParam, SubLineBitsIgnored) {
-  const AddressMap map(org4(), GetParam());
+TEST(AddressMap, SubLineBitsIgnored) {
+  const AddressMap map(org4());
   EXPECT_EQ(map.map(0x1000), map.map(0x1000 + 63));
 }
 
-TEST_P(AddressMapParam, BankOffsetRoundTrips) {
-  const AddressMap map(org4(), GetParam());
+TEST(AddressMap, BankOffsetRoundTrips) {
+  const AddressMap map(org4());
   Rng rng(7);
   for (int i = 0; i < 2000; ++i) {
     const std::uint64_t off = rng.next_below(map.organization().lines_per_bank());
@@ -51,15 +50,15 @@ TEST_P(AddressMapParam, BankOffsetRoundTrips) {
   }
 }
 
-TEST_P(AddressMapParam, BankOffsetWrapsBeyondCapacity) {
-  const AddressMap map(org4(), GetParam());
+TEST(AddressMap, BankOffsetWrapsBeyondCapacity) {
+  const AddressMap map(org4());
   const std::uint64_t n = map.organization().lines_per_bank();
   EXPECT_EQ(map.coord_from_bank_offset(0, 0, 0, n + 17),
             map.coord_from_bank_offset(0, 0, 0, 17));
 }
 
-TEST_P(AddressMapParam, ComposeInRankPinsRankAndIsBijective) {
-  const AddressMap map(org4(), GetParam());
+TEST(AddressMap, ComposeInRankPinsRankAndIsBijective) {
+  const AddressMap map(org4());
   Rng rng(3);
   std::vector<Address> seen;
   for (int i = 0; i < 2000; ++i) {
@@ -76,13 +75,8 @@ TEST_P(AddressMapParam, ComposeInRankPinsRankAndIsBijective) {
   EXPECT_EQ(std::adjacent_find(addrs.begin(), addrs.end()), addrs.end());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSchemes, AddressMapParam,
-                         ::testing::Values(MapScheme::kRowRankBankColumn,
-                                           MapScheme::kRowBankRankColumn,
-                                           MapScheme::kRowColumnRankBank));
-
 TEST(AddressMap, PageInterleaveKeepsRowsInOneBank) {
-  const AddressMap map(org4(), MapScheme::kRowRankBankColumn);
+  const AddressMap map(org4());
   // 128 consecutive lines share bank/rank/row (one DRAM row).
   const DramCoord first = map.map(0);
   for (std::uint64_t line = 0; line < 128; ++line) {
@@ -99,7 +93,7 @@ TEST(AddressMap, PageInterleaveKeepsRowsInOneBank) {
 TEST(AddressMap, PageInterleaveBankOffsetsAreStreamContinuous) {
   // The ROP prediction table depends on this: a unit-stride stream's
   // per-bank offsets advance by exactly +1 across successive visits.
-  const AddressMap map(org4(), MapScheme::kRowRankBankColumn);
+  const AddressMap map(org4());
   std::vector<std::uint64_t> last_offset(8 * 4, 0);
   std::vector<bool> seen(8 * 4, false);
   for (std::uint64_t line = 0; line < 128 * 8 * 4 * 3; ++line) {
@@ -112,20 +106,6 @@ TEST(AddressMap, PageInterleaveBankOffsetsAreStreamContinuous) {
     last_offset[key] = off;
     seen[key] = true;
   }
-}
-
-TEST(AddressMap, LineInterleaveRotatesBanksEveryLine) {
-  const AddressMap map(org4(), MapScheme::kRowColumnRankBank);
-  for (std::uint64_t line = 0; line < 64; ++line) {
-    EXPECT_EQ(map.map(line << kLineShift).bank, line % 8);
-  }
-}
-
-TEST(AddressMap, RankPartitioningHomeRank) {
-  const RankPartitioning rp{true};
-  EXPECT_EQ(rp.home_rank(0, 4), 0u);
-  EXPECT_EQ(rp.home_rank(3, 4), 3u);
-  EXPECT_EQ(rp.home_rank(5, 4), 1u);
 }
 
 }  // namespace

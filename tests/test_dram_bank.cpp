@@ -90,9 +90,6 @@ TEST_F(BankTest, DeferHelpersOnlyTighten) {
   EXPECT_EQ(bank.next_read(), before);
   bank.defer_read_until(before + 100);
   EXPECT_EQ(bank.next_read(), before + 100);
-  const Cycle wr_before = bank.next_write();
-  bank.defer_write_until(wr_before + 7);
-  EXPECT_EQ(bank.next_write(), wr_before + 7);
 }
 
 // --- Subarray-aware model (SARP / HiRA substrate) ---------------------

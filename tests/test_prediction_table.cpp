@@ -130,14 +130,6 @@ TEST(PredictionTable, GeneratedOffsetsFollowSingleDelta) {
   }
 }
 
-TEST(PredictionTable, SkipShiftsTheWalk) {
-  PredictionTable t(1, kBankLines);
-  for (std::uint64_t i = 0; i < 20; ++i) t.on_access(0, 100 + i);
-  const auto preds = t.predict(4, false, /*skip_per_bank=*/10);
-  ASSERT_GE(preds[0].offsets.size(), 1u);
-  EXPECT_EQ(preds[0].offsets[0], 119u + 10 + 1);
-}
-
 TEST(PredictionTable, OffsetsWrapAroundBankCapacity) {
   PredictionTable t(1, 1000);
   t.on_access(0, 995);
@@ -198,7 +190,7 @@ TEST(PredictionTable, RecencyFilterZeroesStaleBanks) {
   // At now=5100 with a 200-cycle horizon, bank 0 (last access 109) is
   // stale: it keeps at most the small crossing reserve while the active
   // bank takes the bulk of the budget.
-  const auto preds = t.predict(32, false, 0, 5100, 200);
+  const auto preds = t.predict(32, false, 5100, 200);
   EXPECT_LE(preds[0].budget, 4u);
   EXPECT_GE(preds[1].budget, 28u);
 }

@@ -10,7 +10,7 @@ namespace {
 class PrefetcherTest : public ::testing::Test {
  protected:
   PrefetcherTest()
-      : map(make_org(), mem::MapScheme::kRowRankBankColumn),
+      : map(make_org()),
         pf(map, 0, 2) {}
 
   static dram::DramOrganization make_org() {
@@ -58,7 +58,7 @@ TEST_F(PrefetcherTest, RankTablesAreIndependent) {
 }
 
 TEST_F(PrefetcherTest, OtherChannelsIgnored) {
-  mem::AddressMap map2(make_org(), mem::MapScheme::kRowRankBankColumn);
+  mem::AddressMap map2(make_org());
   Prefetcher pf_ch1(map2, /*channel=*/1, 2);
   DramCoord c = map2.map(0x40);
   c.channel = 0;  // not this prefetcher's channel
@@ -91,7 +91,7 @@ TEST_F(PrefetcherTest, RecencyHorizonFocusesHotBank) {
     touch(line << kLineShift, 10'000 + line);  // bank 1
   }
   const auto reqs =
-      pf.make_prefetches(0, 16, 0, /*now=*/10'200, /*recency_horizon=*/300);
+      pf.make_prefetches(0, 16, /*now=*/10'200, /*recency_horizon=*/300);
   ASSERT_FALSE(reqs.empty());
   std::size_t bank1 = 0;
   for (const auto& r : reqs) {

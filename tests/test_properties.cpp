@@ -158,10 +158,8 @@ TEST_P(TableProperty, BudgetsNeverExceedCapacityAndOffsetsInRange) {
     if (i % 97 == 0) {
       const std::uint32_t cap = 1 + static_cast<std::uint32_t>(
                                         rng.next_below(128));
-      const auto preds = t.predict(cap, rng.next_bool(0.5),
-                                   static_cast<std::uint32_t>(
-                                       rng.next_below(20)),
-                                   i, rng.next_below(2) * 500);
+      const auto preds =
+          t.predict(cap, rng.next_bool(0.5), i, rng.next_below(2) * 500);
       std::uint32_t total = 0;
       for (const auto& bp : preds) {
         total += bp.budget;

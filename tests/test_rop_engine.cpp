@@ -14,7 +14,6 @@ class RopEngineTest : public ::testing::Test {
     mem::MemoryConfig cfg;
     cfg.timings = dram::make_ddr4_1600_timings();
     cfg.org.ranks = 1;
-    cfg.scheme = mem::MapScheme::kRowRankBankColumn;
     cfg.ctrl.refresh = mem::RefreshScheme::kRop;
     return cfg;
   }
