@@ -265,6 +265,12 @@ std::optional<std::string> validate(const ExperimentSpec& spec) {
              "heartbeat)";
     }
   }
+  if (spec.instructions_per_core > kMaxInstructionsPerCore) {
+    return "instructions_per_core must be at most " +
+           std::to_string(kMaxInstructionsPerCore) +
+           " (UINT64_MAX / " + std::to_string(kCpuCyclesPerInstructionCap) +
+           ", so the CPU-cycle cap does not wrap)";
+  }
   // The controller keeps one bit per rank in its scheduler masks.
   if (spec.ranks < 1 || spec.ranks > 32) return "ranks must be in [1, 32]";
   if (spec.channels < 1) return "channels must be at least 1";

@@ -43,6 +43,10 @@ struct SnapshotSpec {
 /// CPU cycles per instruction at which ropsim and campaign cells cut a run
 /// short: their max_cpu_cycles is instructions_per_core times this.
 inline constexpr std::uint64_t kCpuCyclesPerInstructionCap = 256;
+/// The largest instructions_per_core validate() accepts: the product above
+/// must not wrap.
+inline constexpr std::uint64_t kMaxInstructionsPerCore =
+    ~std::uint64_t{0} / kCpuCyclesPerInstructionCap;
 
 struct ExperimentSpec {
   /// One benchmark name per core (see workload::kBenchmarkNames); with

@@ -234,6 +234,11 @@ TEST(CampaignExpand, KnownKeysOfTheWrongTypeFailAndNameTheKey) {
   EXPECT_EQ(error_of(R"({"name": 7})"), "'name' must be a string");
   EXPECT_EQ(error_of(R"({"sampling": {"target_ci": -0.1}})"),
             "'sampling.target_ci' must be a non-negative number");
+  // An integer the key holds but whose cycle cap would wrap.
+  EXPECT_NE(error_of(R"({"instructions_per_core": 72057594037927937})")
+                .find("instructions_per_core must be at most "
+                      "72057594037927935"),
+            std::string::npos);
   // Unknown keys stay accepted, and well-typed known keys are read.
   std::string err;
   const auto ok = json::parse(

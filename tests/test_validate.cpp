@@ -104,6 +104,16 @@ const std::vector<Row>& rows() {
          s.check = true;
        },
        nullptr},
+      {"instructions whose cycle cap would wrap",
+       [](ExperimentSpec& s) {
+         s.instructions_per_core = kMaxInstructionsPerCore + 1;
+       },
+       "instructions_per_core must be at most 72057594037927935"},
+      {"the most instructions the cycle cap holds",
+       [](ExperimentSpec& s) {
+         s.instructions_per_core = kMaxInstructionsPerCore;
+       },
+       nullptr},
       {"zero ranks", [](ExperimentSpec& s) { s.ranks = 0; }, "ranks"},
       {"33 ranks", [](ExperimentSpec& s) { s.ranks = 33; }, "ranks"},
       {"32 ranks", [](ExperimentSpec& s) { s.ranks = 32; }, nullptr},

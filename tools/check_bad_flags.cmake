@@ -43,6 +43,7 @@ set(cases
   "--instructions|12abc"
   "--instructions|abc"
   "--instructions|99999999999999999999"
+  "--benchmark|lbm|--mode|rop|--instructions|72057594037927937"
   "--channels|2x"
   "--sample-target-ci|nan"
   "--sample-target-ci|0.05x"
