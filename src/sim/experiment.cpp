@@ -384,20 +384,24 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     // single-threaded ring state and the backbone never runs a detailed
     // cycle, so validate() keeps them off.
     result.run = run_parallel_sampled(spec, inst, &result.sampling);
-  } else if (!snap_active && !progress_active) {
-    result.run = system.run(spec.instructions_per_core, spec.max_cpu_cycles);
   } else {
-    // Segmented run: checkpoint traffic and/or the progress heartbeat. The
-    // restore side re-runs the whole construction above (everything
-    // config-derived is rebuilt from the spec), then overwrites the mutable
-    // surface from the file. A segment stop is exact (see
-    // System::advance_until), so extra heartbeat boundaries never perturb
-    // the simulated behavior.
-    SnapshotContext ctx = inst.snapshot_context();
-    ctx.sampler = result.epochs.get();
-    ctx.trace = result.trace.get();
-    for (const auto& checker : checkers) ctx.checkers.push_back(checker.get());
-    const std::uint64_t fp = config_fingerprint(spec_canonical(spec));
+    // Exact run, in segments when there are checkpoints or a progress
+    // heartbeat to stop for (one segment otherwise). The restore side
+    // re-runs the whole construction above (everything config-derived is
+    // rebuilt from the spec), then overwrites the mutable surface from the
+    // file. A segment stop is exact (see System::advance_until), so extra
+    // heartbeat boundaries never perturb the simulated behavior.
+    SnapshotContext ctx;
+    std::uint64_t fp = 0;
+    if (snap_active) {
+      ctx = inst.snapshot_context();
+      ctx.sampler = result.epochs.get();
+      ctx.trace = result.trace.get();
+      for (const auto& checker : checkers) {
+        ctx.checkers.push_back(checker.get());
+      }
+      fp = config_fingerprint(spec_canonical(spec));
+    }
     const auto write_snapshot = [&] {
       if (write_snapshot_file(spec.snapshot.out, ctx, fp)) return true;
       result.error = "cannot write snapshot " + spec.snapshot.out;
