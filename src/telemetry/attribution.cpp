@@ -2,28 +2,9 @@
 
 #include <cinttypes>
 
+#include "telemetry/stats_json.h"
+
 namespace rop::telemetry {
-
-namespace {
-
-/// Minimal JSON string escaping for cell labels (quote, backslash,
-/// control characters; labels are ASCII identifiers in practice).
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
 
 ProgressWriter::ProgressWriter(const std::string& path) {
   out_ = std::fopen(path.c_str(), "w");
@@ -50,8 +31,7 @@ void ProgressWriter::write_run(const RunHeartbeat& h) {
 
 void ProgressWriter::write_campaign(const CampaignHeartbeat& h) {
   if (out_ == nullptr) return;
-  std::string label;
-  append_escaped(label, h.last_cell);
+  const std::string label = JsonWriter::escape(h.last_cell);
   std::fprintf(out_,
                "{\"kind\":\"campaign\",\"done\":%" PRIu64
                ",\"failed\":%" PRIu64 ",\"running\":%" PRIu64
