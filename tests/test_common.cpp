@@ -212,6 +212,18 @@ TEST(Stats, HistogramBucketsAndOverflow) {
 TEST(Stats, HistogramQuantileMonotone) {
   Histogram h(1, 100);
   for (std::uint64_t v = 0; v < 100; ++v) h.record(v);
+  // Samples 0..99 fill buckets [0, 1) .. [99, 100): every percentile lies
+  // between the lowest bucket's lower edge and the highest one's upper
+  // edge, and none falls as p rises.
+  double prev = h.percentile(0.0);
+  EXPECT_DOUBLE_EQ(prev, 0.0);
+  for (int p = 1; p <= 100; ++p) {
+    const double q = h.percentile(static_cast<double>(p));
+    EXPECT_GE(q, prev) << "p" << p;
+    EXPECT_LE(q, 100.0) << "p" << p;
+    prev = q;
+  }
+  EXPECT_DOUBLE_EQ(prev, 100.0);
 }
 
 TEST(Stats, HistogramPercentileEmpty) {

@@ -76,7 +76,7 @@ TEST(Integration, BlockedRequestCountsAreSmall) {
   EXPECT_LT(base.mean_blocked_per_blocking_refresh[0], 40.0);
 }
 
-TEST(Integration, RankPartitioningNotWorseOnMix) {
+TEST(Integration, RankPartitionNotWorseOnMix) {
   ExperimentSpec base = multi_core_spec(2, MemoryMode::kBaseline, false);
   ExperimentSpec rp = multi_core_spec(2, MemoryMode::kBaseline, true);
   base.instructions_per_core = 800'000;
