@@ -51,8 +51,8 @@ System::System(const SystemConfig& cfg, mem::MemorySystem& memory,
 
   // Relocation bases, hoisted out of the per-request path. Flat layout:
   // carve the physical space into equal per-core regions so footprints
-  // never alias; every region spans all ranks/banks (the default
-  // interleaving cycles through them in the low address bits).
+  // never alias; every region spans all ranks/banks (the address map
+  // cycles through them below the row bits).
   const auto& map = memory_.address_map();
   region_lines_ = map.organization().total_lines() / cores_.size();
   ROP_ASSERT(region_lines_ > 0);

@@ -83,9 +83,9 @@ std::string spec_canonical(const ExperimentSpec& spec) {
      << ";instr=" << spec.instructions_per_core
      << ";max=" << spec.max_cpu_cycles << ";salt=" << spec.seed_salt
      << ";loop=" << static_cast<int>(spec.loop);
-  // The retired RopConfig fields keep their slots, now holding the
-  // constants (and 0, the old prefetch-distance default), so existing
-  // fingerprints keep their bytes.
+  // The ROP constants, and a 0 for the prefetch distance, fill slots that
+  // once held RopConfig fields: fingerprints of snapshots on disk stay
+  // valid.
   const engine::RopConfig& r = spec.rop;
   os << ";rop=" << r.buffer_lines << ',' << r.training_refreshes << ','
      << engine::kHitRateThreshold << ',' << r.window_multiple << ','
