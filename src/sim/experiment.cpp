@@ -367,8 +367,8 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   cpu::System& system = *inst.system;
   result.cpu_ratio = inst.cpu_ratio;
 
-  // Epoch sampler: constructed after the full system so an empty counter
-  // list captures everything the subsystems registered.
+  // Epoch sampler: constructed after the full system so it samples every
+  // counter the subsystems registered.
   if (spec.telemetry.sampling()) {
     result.epochs = std::make_shared<telemetry::EpochSampler>(
         spec.telemetry.sampler, &result.stats);
