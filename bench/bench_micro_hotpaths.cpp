@@ -246,4 +246,42 @@ void BM_ControllerTickQueued(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerTickQueued);
 
+void BM_ControllerTickWriteStream(benchmark::State& state) {
+  // The same event-loop tick in the write-stream regime of lbm/ROP: the
+  // read queue is mostly empty and about 8 writes wait, 8 lines to a row
+  // and bank, so the scheduler views the write queue on every rebuild.
+  // One read joins per 16 writes and flips the view order while it waits.
+  const dram::DramTimings t = dram::make_ddr4_1600_timings();
+  dram::DramOrganization org;  // 1 rank, 8 banks
+  mem::ControllerConfig cfg;   // auto-refresh on
+  StatRegistry stats;
+  mem::Controller ctrl(0, t, org, cfg, &stats);
+  constexpr std::size_t kQueued = 8;
+  std::uint64_t line = 0;
+  const auto top_up = [&](Cycle now) {
+    bool enqueued = false;
+    while (ctrl.write_queue_depth() < kQueued) {
+      const bool read = line % 16 == 15;
+      mem::Request req = make_request(
+          read ? 1'000'000 + line : line,
+          read ? mem::ReqType::kRead : mem::ReqType::kWrite, org);
+      req.coord.bank = static_cast<BankId>((line / 8) % org.banks);
+      req.coord.row = static_cast<RowId>(line / 64);
+      req.id = ++line;
+      (void)ctrl.enqueue(req, now);
+      enqueued = true;
+    }
+    return enqueued;
+  };
+  Cycle due = 0;
+  (void)top_up(due);
+  for (auto _ : state) {
+    ctrl.tick(due);
+    ctrl.drain_completed_into(
+        [](const mem::Request& req) { benchmark::DoNotOptimize(req.id); });
+    due = top_up(due) ? due + 1 : ctrl.next_event_cycle(due);
+  }
+}
+BENCHMARK(BM_ControllerTickWriteStream);
+
 }  // namespace

@@ -19,11 +19,6 @@ void Bank::configure_subarrays(std::uint32_t count, std::uint32_t rows_per_bank)
   sub_last_row_.assign(count, std::nullopt);
 }
 
-std::uint32_t Bank::subarray_of(RowId row) const {
-  if (sub_count_ <= 1) return 0;
-  return std::min<std::uint32_t>(row / rows_per_sub_, sub_count_ - 1);
-}
-
 RowId Bank::subarray_row(std::uint32_t sub) const {
   return sub_count_ <= 1 ? 0 : static_cast<RowId>(sub) * rows_per_sub_;
 }
@@ -88,47 +83,6 @@ bool Bank::can_issue(CmdType type, RowId row, Cycle now) const {
              subarray_of(*open_row_) != subarray_of(row);
   }
   return false;
-}
-
-Cycle Bank::earliest_issue(CmdType type, RowId row) const {
-  switch (type) {
-    case CmdType::kActivate:
-      // kPrecharged waits out tRP/tRC recovery; kRefreshing is released at
-      // next_activate_ (see complete_refresh), after which ACT is legal the
-      // same cycle; a refresh-locked subarray is released when its busy
-      // interval ends. Only an open row blocks ACT until someone precharges.
-      if (state_ == BankState::kActive) return kNeverCycle;
-      return sub_count_ <= 1
-                 ? next_activate_
-                 : std::max(next_activate_, sub_busy_until_[subarray_of(row)]);
-    case CmdType::kPrecharge:
-      return state_ == BankState::kActive ? next_precharge_ : kNeverCycle;
-    case CmdType::kRead:
-      return state_ == BankState::kActive && open_row_ && *open_row_ == row
-                 ? next_read_
-                 : kNeverCycle;
-    case CmdType::kWrite:
-      return state_ == BankState::kActive && open_row_ && *open_row_ == row
-                 ? next_write_
-                 : kNeverCycle;
-    case CmdType::kRefresh:
-      return state_ == BankState::kActive
-                 ? kNeverCycle
-                 : std::max(next_activate_, any_subarray_busy_until());
-    case CmdType::kRefreshBank:
-      if (state_ != BankState::kActive || sub_count_ <= 1) {
-        return state_ == BankState::kActive
-                   ? kNeverCycle
-                   : std::max(next_activate_, any_subarray_busy_until());
-      }
-      // HiRA overlap path: legal once the last ACT's tRC and any in-flight
-      // subarray refresh have elapsed, unless the open row shares the
-      // target subarray.
-      return open_row_ && subarray_of(*open_row_) != subarray_of(row)
-                 ? std::max(next_activate_, any_subarray_busy_until())
-                 : kNeverCycle;
-  }
-  return kNeverCycle;
 }
 
 void Bank::issue(CmdType type, RowId row, Cycle now, const DramTimings& t) {

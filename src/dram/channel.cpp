@@ -31,15 +31,6 @@ Channel::Channel(const DramTimings& timings, const DramOrganization& org)
   }
 }
 
-Cycle Channel::data_bus_free(CmdType type, RankId rank) const {
-  if (!bus_used_) return 0;
-  Cycle free = bus_busy_until_;
-  // Switching drivers (rank change) or direction (read<->write) needs a
-  // switch gap on top of plain occupancy.
-  if (rank != last_bus_rank_ || type != last_bus_op_) free += t_.tRTRS;
-  return free;
-}
-
 bool Channel::can_issue(const Command& cmd, Cycle now) const {
   // Data-bus occupancy first: it is the cheapest check and, on a saturated
   // bus, the one that vetoes almost every candidate the scheduler probes.
@@ -49,19 +40,6 @@ bool Channel::can_issue(const Command& cmd, Cycle now) const {
     if (data_start < data_bus_free(cmd.type, cmd.coord.rank)) return false;
   }
   return ranks_.at(cmd.coord.rank).can_issue(cmd, now);
-}
-
-Cycle Channel::earliest_issue(const Command& cmd) const {
-  Cycle when = ranks_.at(cmd.coord.rank).earliest_issue(cmd);
-  if (when == kNeverCycle) return kNeverCycle;
-  if (cmd.is_column()) {
-    // The data burst starts CL/CWL after the command; the command must wait
-    // until the bus (plus any switch gap) is free at that point.
-    const Cycle lat = cmd.type == CmdType::kRead ? t_.CL : t_.CWL;
-    const Cycle bus_free = data_bus_free(cmd.type, cmd.coord.rank);
-    if (bus_free > lat) when = std::max(when, bus_free - lat);
-  }
-  return when;
 }
 
 Cycle Channel::issue(const Command& cmd, Cycle now) {

@@ -6,6 +6,7 @@
 // the energy model.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -115,5 +116,28 @@ class Channel {
   telemetry::TraceSink* trace_ = nullptr;
   ChannelId trace_channel_ = 0;
 };
+
+// Inline for the scheduler, like Bank::earliest_issue.
+inline Cycle Channel::data_bus_free(CmdType type, RankId rank) const {
+  if (!bus_used_) return 0;
+  Cycle free = bus_busy_until_;
+  // Switching drivers (rank change) or direction (read<->write) needs a
+  // switch gap on top of plain occupancy.
+  if (rank != last_bus_rank_ || type != last_bus_op_) free += t_.tRTRS;
+  return free;
+}
+
+inline Cycle Channel::earliest_issue(const Command& cmd) const {
+  Cycle when = ranks_.at(cmd.coord.rank).earliest_issue(cmd);
+  if (when == kNeverCycle) return kNeverCycle;
+  if (cmd.is_column()) {
+    // The data burst starts CL/CWL after the command; the command must wait
+    // until the bus (plus any switch gap) is free at that point.
+    const Cycle lat = cmd.type == CmdType::kRead ? t_.CL : t_.CWL;
+    const Cycle bus_free = data_bus_free(cmd.type, cmd.coord.rank);
+    if (bus_free > lat) when = std::max(when, bus_free - lat);
+  }
+  return when;
+}
 
 }  // namespace rop::dram

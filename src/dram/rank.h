@@ -6,6 +6,7 @@
 // model turns into background power.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -124,5 +125,32 @@ class Rank {
   Cycle accounted_until_ = 0;
   RankActivity activity_;
 };
+
+// Inline for the scheduler, like Bank::earliest_issue.
+inline Cycle Rank::earliest_issue(const Command& cmd) const {
+  const Bank& bank = banks_.at(cmd.coord.bank);
+  Cycle when = bank.earliest_issue(cmd.type, cmd.coord.row);
+  if (when == kNeverCycle) return kNeverCycle;
+  switch (cmd.type) {
+    case CmdType::kActivate:
+      when = std::max(when, next_activate_);
+      if (recent_activates_.size() >= 4) {
+        when = std::max(when, recent_activates_.front() + t_.tFAW);
+      }
+      break;
+    case CmdType::kRead:
+    case CmdType::kWrite:
+      when = std::max(when, next_column_);
+      break;
+    case CmdType::kRefreshBank:
+      if (bank.subarrays() > 1) when = std::max(when, next_activate_);
+      break;
+    case CmdType::kPrecharge:
+    case CmdType::kRefresh:
+      break;
+  }
+  if (refreshing_) when = std::max(when, refresh_done_);
+  return when;
+}
 
 }  // namespace rop::dram

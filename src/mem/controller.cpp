@@ -20,7 +20,7 @@ Controller::Controller(ChannelId id, const dram::DramTimings& timings,
       rm_(timings, org.ranks,
           scheme_info(cfg.refresh).unit == RefreshUnit::kBank ? org.banks : 1,
           stats),
-      scheduler_(channel_),
+      scheduler_(channel_, arena_),
       blocking_(org.ranks, timings.tRFC),
       stats_(stats),
       ranks_(org.ranks) {
@@ -177,7 +177,7 @@ bool Controller::enqueue(Request req, Cycle now) {
     const RankId r = req.coord.rank;
     const RequestIndex idx = arena_.alloc(req);
     read_q_.push_back(idx);
-    sched_stale_ = true;
+    scheduler_.push(0, idx);
     count_read(idx);
     // Refresh-blocking metric: a read arriving mid-lock is charged the
     // remaining lock span under its cause (issue-time charges cover the
@@ -216,8 +216,9 @@ bool Controller::enqueue(Request req, Cycle now) {
       h_.write_coalesced->inc();
       return true;
     }
-    write_q_.push_back(arena_.alloc(req));
-    sched_stale_ = true;
+    const RequestIndex idx = arena_.alloc(req);
+    write_q_.push_back(idx);
+    scheduler_.push(1, idx);
     count_write(req);
   }
   return true;
@@ -231,8 +232,9 @@ bool Controller::enqueue_prefetch(Request req, Cycle now) {
   }
   req.arrival = now;
   h_.prefetch_enqueued->inc();
-  prefetch_q_.push_back(arena_.alloc(req));
-  sched_stale_ = true;
+  const RequestIndex idx = arena_.alloc(req);
+  prefetch_q_.push_back(idx);
+  scheduler_.push(2, idx);
   ++ranks_[req.coord.rank].queued_prefetches;
   return true;
 }
@@ -320,6 +322,9 @@ void Controller::rebuild_derived() {
   for (const RequestIndex idx : prefetch_q_) {
     ++ranks_[arena_[idx].coord.rank].queued_prefetches;
   }
+  const QueueView queues[] = {
+      {&read_q_, 0}, {&write_q_, 1}, {&prefetch_q_, 2}};
+  scheduler_.reset(queues);
   inflight_min_completion_ = kNeverCycle;
   for (const RequestIndex idx : in_flight_) {
     const Request& req = arena_[idx];
@@ -349,15 +354,13 @@ void Controller::drop_prefetches(RankId rank) {
         trace_->record(e);
       }
       --ranks_[rank].queued_prefetches;
+      scheduler_.erase(idx);
       arena_.release(idx);
     } else {
       prefetch_q_[out++] = idx;
     }
   }
-  if (out != prefetch_q_.size()) {
-    prefetch_q_.resize(out);
-    sched_stale_ = true;
-  }
+  prefetch_q_.resize(out);
 }
 
 void Controller::complete_bursts(Cycle now) {
@@ -840,7 +843,7 @@ void Controller::issue_pick(const SchedulerPick& pick, Cycle now) {
     // row-hitting followers see pure queue wait. PRE picks (conflict
     // closes) carry request context too but stamp nothing.
     if (pick.cmd.type == dram::CmdType::kActivate && pick.queue_id == 0) {
-      Request& req = arena_[read_q_[pick.request_index]];
+      Request& req = arena_[pick.slot];
       if (req.act == kNeverCycle) req.act = now;
     }
     return;
@@ -853,9 +856,13 @@ void Controller::issue_pick(const SchedulerPick& pick, Cycle now) {
     case 2: q = &prefetch_q_; break;
     default: ROP_ASSERT(false);
   }
-  const RequestIndex idx = (*q)[pick.request_index];
-  q->erase(q->begin() + static_cast<std::ptrdiff_t>(pick.request_index));
-  sched_stale_ = true;
+  // The pick names its request by arena slot; its queue position is
+  // resolved here, once it issues.
+  const RequestIndex idx = pick.slot;
+  const auto at = std::find(q->begin(), q->end(), idx);
+  ROP_ASSERT(at != q->end());
+  q->erase(at);
+  scheduler_.erase(idx);
   Request& req = arena_[idx];
   RankState& rs = ranks_[req.coord.rank];
   switch (pick.queue_id) {
@@ -950,28 +957,20 @@ std::span<const QueueView> Controller::scheduler_views(
   // against latency-critical reads.
   std::size_t n = 0;
   if (drain) {
-    storage[n++] = QueueView{&arena_, &write_q_, 1};
-    storage[n++] = QueueView{&arena_, &read_q_, 0};
+    storage[n++] = QueueView{&write_q_, 1};
+    storage[n++] = QueueView{&read_q_, 0};
   } else {
-    storage[n++] = QueueView{&arena_, &read_q_, 0};
-    if (read_q_.empty()) storage[n++] = QueueView{&arena_, &write_q_, 1};
+    storage[n++] = QueueView{&read_q_, 0};
+    if (read_q_.empty()) storage[n++] = QueueView{&write_q_, 1};
   }
-  storage[n++] = QueueView{&arena_, &prefetch_q_, 2};
+  storage[n++] = QueueView{&prefetch_q_, 2};
   return {storage.data(), n};
 }
 
 const Scheduler& Controller::synced_scheduler(
     bool drain, const BlockedRanks& blocked) const {
-  const std::uint64_t commands = channel_.events().total();
-  if (sched_stale_ || drain != sched_drain_ || !(blocked == sched_blocked_) ||
-      commands != sched_commands_) {
-    std::array<QueueView, 3> views;
-    scheduler_.scan(scheduler_views(drain, views), blocked);
-    sched_stale_ = false;
-    sched_drain_ = drain;
-    sched_blocked_ = blocked;
-    sched_commands_ = commands;
-  }
+  std::array<QueueView, 3> views;
+  scheduler_.sync(scheduler_views(drain, views), blocked);
   return scheduler_;
 }
 
@@ -983,8 +982,8 @@ std::string describe(const std::optional<SchedulerPick>& pick) {
   return std::string(dram::to_string(pick->cmd.type)) + " r" +
          std::to_string(c.rank) + " b" + std::to_string(c.bank) + " row " +
          std::to_string(c.row) + " req " + std::to_string(pick->cmd.request) +
-         " (queue " + std::to_string(pick->queue_id) + " #" +
-         std::to_string(pick->request_index) + ")";
+         " (queue " + std::to_string(pick->queue_id) + " slot " +
+         std::to_string(pick->slot) + ")";
 }
 
 }  // namespace
@@ -993,7 +992,7 @@ void Controller::set_auditor(ControllerAuditor* auditor) {
   auditor_ = auditor;
   if (auditor != nullptr && auditor->audits_scheduler()) {
     if (audit_scheduler_ == nullptr) {
-      audit_scheduler_ = std::make_unique<Scheduler>(channel_);
+      audit_scheduler_ = std::make_unique<Scheduler>(channel_, arena_);
     }
   } else {
     audit_scheduler_.reset();
@@ -1066,7 +1065,7 @@ void Controller::complete_matching_reads(
     const auto it = std::find(read_q_.begin(), read_q_.end(), idx);
     ROP_ASSERT(it != read_q_.end());
     read_q_.erase(it);
-    sched_stale_ = true;
+    scheduler_.erase(idx);
     on_read_leaves_queue(rs, req);
     req.completion = *done;
     req.serviced_by = ServicedBy::kSramBuffer;

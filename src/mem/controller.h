@@ -366,9 +366,10 @@ class Controller {
   /// Snapshot serialization (see common/snapshot_io.h): the channel, the
   /// refresh bookkeeping, the arena-backed queues and each rank's primary
   /// state. Whatever the queues determine (each rank's read list and
-  /// counts, the drain count, write_index_, the in-flight minimum) is
-  /// rebuilt on load instead: unordered containers have no canonical byte
-  /// order, and a count that travels could disagree with its queue. Stat
+  /// counts, the drain count, write_index_, the in-flight minimum, the
+  /// scheduler's lists) is rebuilt on load instead: unordered containers
+  /// have no canonical byte order, and a count that travels could disagree
+  /// with its queue. Stat
   /// handles, the listener/auditor and the trace sink are runtime wiring
   /// and do not ride.
   template <class Ar>
@@ -377,9 +378,6 @@ class Controller {
        in_flight_, completed_, draining_writes_);
     for (RankState& rs : ranks_) rs.io(ar);
     if constexpr (Ar::kIsReader) {
-      // The candidate table is never serialized: a restored state must
-      // rescan, even if the counts the table was keyed on happen to match.
-      sched_stale_ = true;
       refresh_quiet_until_ = 0;
       // The rebuild indexes the arena and the rank records with values
       // read from the bytes: check them first (a failed load leaves the
@@ -406,10 +404,8 @@ class Controller {
   /// The queues the scheduler draws from, in priority order.
   [[nodiscard]] std::span<const QueueView> scheduler_views(
       bool drain, std::array<QueueView, 3>& storage) const;
-  /// The scheduler with its candidate table up to date for `drain` and
-  /// `blocked`: rescanned only when a queue, the channel's command count,
-  /// the blocked ranks or the drain flag changed since the last scan.
-  /// Time alone never invalidates it (see Scheduler).
+  /// The scheduler with its candidate table synced to `drain`'s view order
+  /// and `blocked` (Scheduler::sync).
   const Scheduler& synced_scheduler(bool drain,
                                     const BlockedRanks& blocked) const;
   /// Scheduler-table audit (auditor opted in): rescan from scratch and
@@ -530,7 +526,8 @@ class Controller {
   /// the rank's counts. The one removal path of issue_pick and
   /// complete_matching_reads.
   void on_read_leaves_queue(RankState& rs, const Request& req);
-  /// Recount every derived field from the queues (snapshot load).
+  /// Recount every derived field from the queues, the scheduler's lists
+  /// included (snapshot load).
   void rebuild_derived();
   /// Why the just-loaded queues or refresh cursors cannot be trusted, or
   /// empty: a queued index past the arena, on its free list or queued
@@ -584,16 +581,12 @@ class Controller {
   ControllerConfig cfg_;
   dram::Channel channel_;
   RefreshManager rm_;
-  /// FR-FCFS candidate table; next_event_cycle() may rescan it, hence
-  /// mutable. Always read through synced_scheduler().
+  /// FR-FCFS candidate table over per-bank lists of the three queues:
+  /// every push to or erase from a queue below goes to it too, and the
+  /// snapshot load resets it (rebuild_derived). next_event_cycle() may
+  /// rebuild the table, hence mutable. Always read through
+  /// synced_scheduler().
   mutable Scheduler scheduler_;
-  /// Scan inputs beyond the queue contents: the drain flag (view order),
-  /// the blocked ranks and the channel's command count it was built from.
-  /// sched_stale_ is set wherever a queue changes and on snapshot load.
-  mutable bool sched_stale_ = true;
-  mutable bool sched_drain_ = false;
-  mutable BlockedRanks sched_blocked_{};
-  mutable std::uint64_t sched_commands_ = 0;
   /// Refresh-quiet window: while now < refresh_quiet_until_, no rank owes
   /// a refresh, so step() skips refresh management and next_event_cycle()
   /// takes this one cycle for every rank's next refresh step. Recomputed each

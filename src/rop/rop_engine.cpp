@@ -154,14 +154,14 @@ void RopEngine::on_rank_locked(RankId rank, Cycle now) {
   std::uint32_t count = cfg_.buffer_lines;
   if (cfg_.adaptive_count) {
     const double want = 1.5 * ema_freeze_demand_[rank] + 8.0;
-    count = std::clamp<std::uint32_t>(static_cast<std::uint32_t>(want),
-                                      kMinPrefetch, cfg_.buffer_lines);
+    count = std::min(static_cast<std::uint32_t>(want), cfg_.buffer_lines);
   }
 
   // Active-bank horizon: banks touched within the last ~8 demand
-  // inter-arrivals are where the freeze-window demand will land.
-  const Cycle horizon = std::clamp<Cycle>(
-      static_cast<Cycle>(8.0 * ema_interarrival_[rank]), 32,
+  // inter-arrivals are where the freeze-window demand will land. The
+  // configured horizon caps it, even below the 32-cycle floor.
+  const Cycle horizon = std::min(
+      std::max(static_cast<Cycle>(8.0 * ema_interarrival_[rank]), Cycle{32}),
       cfg_.bank_recency_horizon);
 
   buffer_.begin_round(rank);

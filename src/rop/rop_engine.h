@@ -50,8 +50,6 @@ inline constexpr double kHitRateThreshold = 0.6;
 inline constexpr Cycle kSramLatency = 1;
 /// Fills a phase needs before its accuracy is judged.
 inline constexpr std::uint32_t kEvalMinOpportunities = 16;
-/// Floor of the adaptive prefetch count.
-inline constexpr std::uint32_t kMinPrefetch = 8;
 
 struct RopConfig {
   std::uint32_t buffer_lines = 64;        // SRAM capacity (paper default)
@@ -62,8 +60,8 @@ struct RopConfig {
   GatingMode gating = GatingMode::kProbabilistic;
   bool uniform_budget = false;  // ablation: even split instead of Eq. 3
   /// Adapt the prefetch count to the demand observed during
-  /// recent freeze windows (1.5x EMA + margin, clamped to [kMinPrefetch,
-  /// buffer_lines]) instead of always staging the full buffer (set false
+  /// recent freeze windows (1.5x EMA + 8 lines, at most buffer_lines)
+  /// instead of always staging the full buffer (set false
   /// to follow the paper literally: Eq. 3 distributes the whole capacity).
   bool adaptive_count = true;
   /// Zero-budget banks that have been idle longer than this many cycles at

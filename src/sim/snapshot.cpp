@@ -83,16 +83,16 @@ std::string spec_canonical(const ExperimentSpec& spec) {
      << ";instr=" << spec.instructions_per_core
      << ";max=" << spec.max_cpu_cycles << ";salt=" << spec.seed_salt
      << ";loop=" << static_cast<int>(spec.loop);
-  // The ROP constants, and a 0 for the prefetch distance, fill slots that
-  // once held RopConfig fields: fingerprints of snapshots on disk stay
-  // valid.
+  // The ROP constants, an 8 for the retired adaptive-count floor and a 0
+  // for the prefetch distance fill slots that once held RopConfig fields:
+  // fingerprints of snapshots on disk stay valid.
   const engine::RopConfig& r = spec.rop;
   os << ";rop=" << r.buffer_lines << ',' << r.training_refreshes << ','
      << engine::kHitRateThreshold << ',' << r.window_multiple << ','
      << engine::kSramLatency << ',' << r.eval_period_refreshes << ','
      << engine::kEvalMinOpportunities << ',' << r.seed << ','
      << static_cast<int>(r.gating) << ',' << r.uniform_budget << ','
-     << r.adaptive_count << ',' << engine::kMinPrefetch << ',' << 0 << ','
+     << r.adaptive_count << ',' << 8 << ',' << 0 << ','
      << r.bank_recency_horizon << ',' << r.saturation_guard_bursts;
   os << ";epoch=" << spec.telemetry.sampler.epoch_cycles << ','
      << spec.telemetry.sampler.max_epochs << ',';

@@ -258,5 +258,46 @@ TEST_F(RopEngineTest, SaturationGuardSkipsSaturatedRounds) {
   EXPECT_GT(stats.counter_value("rop.skipped_saturated"), 0u);
 }
 
+TEST_F(RopEngineTest, FourLineBufferStagesAtMostFourPrefetchesPerRound) {
+  StatRegistry stats;
+  mem::MemorySystem mem(config(), &stats);
+  RopConfig rc = rop_config();
+  rc.buffer_lines = 4;
+  rc.gating = GatingMode::kAlwaysPrefetch;
+  rc.saturation_guard_bursts = 0.0;
+  RopEngine engine(rc, mem.controller(0), mem.address_map(), &stats);
+  const Counter* enqueued = stats.counter_handle("rop.prefetch_enqueued");
+  std::uint64_t cursor = 0;
+  std::uint64_t max_round = 0;
+  for (Cycle now = 0; now < 20 * config().timings.tREFI; ++now) {
+    const std::uint64_t before = enqueued->value();
+    run_stream(mem, now + 1, 16, cursor, now);
+    // A round stages all its prefetches within one tick.
+    max_round = std::max(max_round, enqueued->value() - before);
+    ASSERT_LE(mem.controller(0).pending_prefetches(0), 4u) << "cycle " << now;
+    ASSERT_LE(engine.buffer().size(), 4u) << "cycle " << now;
+  }
+  EXPECT_GT(stats.counter_value("rop.decisions_prefetch"), 10u);
+  EXPECT_GT(max_round, 0u);
+  EXPECT_LE(max_round, 4u);
+}
+
+TEST_F(RopEngineTest, RecencyHorizonBelowThirtyTwoCyclesRuns) {
+  // A dense stream keeps 8x the inter-arrival under 32 cycles, so the
+  // round's horizon is the floor, capped by the configured 16 cycles.
+  StatRegistry stats;
+  mem::MemorySystem mem(config(), &stats);
+  RopConfig rc = rop_config();
+  rc.bank_recency_horizon = 16;
+  rc.gating = GatingMode::kAlwaysPrefetch;
+  rc.saturation_guard_bursts = 0.0;
+  RopEngine engine(rc, mem.controller(0), mem.address_map(), &stats);
+  std::uint64_t cursor = 0;
+  const auto res = run_stream(mem, 20 * config().timings.tREFI, 3, cursor);
+  EXPECT_GT(res.completed, 0u);
+  EXPECT_GT(stats.counter_value("rop.decisions_prefetch"), 10u);
+  EXPECT_GT(stats.counter_value("rop.prefetch_enqueued"), 0u);
+}
+
 }  // namespace
 }  // namespace rop::engine

@@ -14,12 +14,14 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Reference: the two-pass FR-FCFS scheduler the candidate table replaced,
-// kept verbatim as the oracle of the differential test below. pick() and
-// earliest_issue_cycle() rescan every queued request on every call.
+// kept as the oracle of the differential tests below. pick() and
+// earliest_issue_cycle() rescan every queued request of `arena` on every
+// call.
 
 class TwoPassScheduler {
  public:
-  explicit TwoPassScheduler(SchedulerConfig cfg) : cfg_(cfg) {}
+  TwoPassScheduler(SchedulerConfig cfg, const RequestArena& arena)
+      : cfg_(cfg), arena_(arena) {}
 
   [[nodiscard]] const SchedulerConfig& config() const { return cfg_; }
 
@@ -57,6 +59,7 @@ class TwoPassScheduler {
 
  private:
   SchedulerConfig cfg_;
+  const RequestArena& arena_;
 
   // Channel state is frozen for the duration of one pick() call, and bank
   // command legality barely depends on which request asked: pass-1 column
@@ -88,11 +91,12 @@ inline dram::CmdType column_cmd_for(const Request& req) {
 
 /// True when any request in any queue would row-hit bank `coord`'s
 /// currently open row (used to avoid closing rows that still have takers).
-inline bool open_row_has_taker(std::span<const QueueView> queues,
+inline bool open_row_has_taker(const RequestArena& arena,
+                               std::span<const QueueView> queues,
                                const DramCoord& coord, RowId open_row) {
   for (const QueueView& qv : queues) {
     for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
+      const Request& req = arena[ri];
       if (req.coord.rank == coord.rank && req.coord.bank == coord.bank &&
           req.coord.row == open_row) {
         return true;
@@ -116,10 +120,8 @@ std::optional<SchedulerPick> TwoPassScheduler::pick(
 
   // Pass 1: first-ready column commands, in queue priority then age order.
   for (const QueueView& qv : queues) {
-    std::size_t i = 0;
     for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      const std::size_t at = i++;
+      const Request& req = arena_[ri];
       if (blocked(req, qv.id)) continue;
       const dram::Bank& bank =
           channel.rank(req.coord.rank).bank(req.coord.bank);
@@ -136,17 +138,15 @@ std::optional<SchedulerPick> TwoPassScheduler::pick(
       }
       if (v == Verdict::kYes) {
         return SchedulerPick{dram::Command{type, req.coord, req.id}, qv.id,
-                             at};
+                             ri};
       }
     }
   }
 
   // Pass 2: row commands (ACT / PRE) for the oldest requests.
   for (const QueueView& qv : queues) {
-    std::size_t i = 0;
     for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
-      const std::size_t at = i++;
+      const Request& req = arena_[ri];
       if (blocked(req, qv.id)) continue;
       const dram::Bank& bank =
           channel.rank(req.coord.rank).bank(req.coord.bank);
@@ -163,7 +163,7 @@ std::optional<SchedulerPick> TwoPassScheduler::pick(
           if (v == Verdict::kYes) {
             return SchedulerPick{
                 dram::Command{dram::CmdType::kActivate, req.coord, req.id},
-                qv.id, at};
+                qv.id, ri};
           }
           break;
         }
@@ -173,7 +173,7 @@ std::optional<SchedulerPick> TwoPassScheduler::pick(
             BankMemo& m = memo_for(req.coord);
             if (m.taker == Verdict::kUnknown) {
               m.taker = two_pass_detail::open_row_has_taker(
-                            queues, req.coord, *bank.open_row())
+                            arena_, queues, req.coord, *bank.open_row())
                             ? Verdict::kYes
                             : Verdict::kNo;
             }
@@ -187,7 +187,7 @@ std::optional<SchedulerPick> TwoPassScheduler::pick(
               if (m.pre == Verdict::kYes) {
                 return SchedulerPick{
                     dram::Command{dram::CmdType::kPrecharge, req.coord, 0},
-                    qv.id, at};
+                    qv.id, ri};
               }
             }
           }
@@ -222,7 +222,7 @@ Cycle TwoPassScheduler::earliest_issue_cycle(std::span<const QueueView> queues,
 
   for (const QueueView& qv : queues) {
     for (const RequestIndex ri : *qv.indices) {
-      const Request& req = (*qv.arena)[ri];
+      const Request& req = arena_[ri];
       if (blocked(req, qv.id)) continue;
       const dram::Bank& bank =
           channel.rank(req.coord.rank).bank(req.coord.bank);
@@ -241,7 +241,7 @@ Cycle TwoPassScheduler::earliest_issue_cycle(std::span<const QueueView> queues,
             BankMemo& m = memo_for(req.coord);
             if (m.taker == Verdict::kUnknown) {
               m.taker = two_pass_detail::open_row_has_taker(
-                            queues, req.coord, *bank.open_row())
+                            arena_, queues, req.coord, *bank.open_row())
                             ? Verdict::kYes
                             : Verdict::kNo;
             }
@@ -287,30 +287,29 @@ class SchedulerTest : public ::testing::Test {
     q.push_back(arena.alloc(r));
   }
 
-  [[nodiscard]] QueueView view(const std::vector<RequestIndex>& q,
-                               int id) const {
-    return QueueView{&arena, &q, id};
+  [[nodiscard]] static QueueView view(const std::vector<RequestIndex>& q,
+                                      int id) {
+    return QueueView{&q, id};
   }
 
   /// A scheduler bound to `ch` with its table scanned from `views`.
-  static Scheduler scanned(const dram::Channel& ch,
-                           std::span<const QueueView> views,
-                           const BlockedRanks& blocked = {}) {
-    Scheduler s(ch);
+  [[nodiscard]] Scheduler scanned(const dram::Channel& ch,
+                                  std::span<const QueueView> views,
+                                  const BlockedRanks& blocked = {}) const {
+    Scheduler s(ch, arena);
     s.scan(views, blocked);
     return s;
   }
 
-  static std::optional<SchedulerPick> pick(const dram::Channel& ch,
-                                           std::span<const QueueView> views,
-                                           Cycle now,
-                                           const BlockedRanks& blocked = {}) {
+  [[nodiscard]] std::optional<SchedulerPick> pick(
+      const dram::Channel& ch, std::span<const QueueView> views, Cycle now,
+      const BlockedRanks& blocked = {}) const {
     return scanned(ch, views, blocked).pick(now);
   }
 
-  static Cycle horizon(const dram::Channel& ch,
-                       std::span<const QueueView> views, Cycle now,
-                       const BlockedRanks& blocked = {}) {
+  [[nodiscard]] Cycle horizon(const dram::Channel& ch,
+                              std::span<const QueueView> views, Cycle now,
+                              const BlockedRanks& blocked = {}) const {
     return scanned(ch, views, blocked).horizon(now);
   }
 
@@ -353,7 +352,7 @@ TEST_F(SchedulerTest, RowHitBeatsOlderRowMiss) {
   EXPECT_EQ(p->cmd.type, dram::CmdType::kRead);
   EXPECT_EQ(p->cmd.request, 2u);
   EXPECT_TRUE(p->services_request());
-  EXPECT_EQ(p->request_index, 1u);
+  EXPECT_EQ(p->slot, 1u);
 }
 
 TEST_F(SchedulerTest, RowConflictPrechargesWhenNoTakerRemains) {
@@ -568,7 +567,7 @@ TEST_F(SchedulerTest, RefreshLockedSubarrayDoesNotVetoActToAnotherSubarray) {
   EXPECT_EQ(p->cmd.type, dram::CmdType::kActivate);
   EXPECT_EQ(p->cmd.request, 2u);
   EXPECT_EQ(p->cmd.coord.row, sub1_row);
-  EXPECT_EQ(p->request_index, 1u);
+  EXPECT_EQ(p->slot, 1u);
   // On frozen state, the next tick that can act is the one right after.
   EXPECT_EQ(s.horizon(now - 1), now);
 }
@@ -693,15 +692,15 @@ TEST_P(SchedulerDifferential, TableMatchesTwoPassReference) {
     // Both view orders the controller uses, plus prefetches.
     std::vector<QueueView> views;
     if (rng.next_below(2) == 0) {
-      views.push_back(QueueView{&arena, &queues[1], 1});
-      views.push_back(QueueView{&arena, &queues[0], 0});
+      views.push_back(QueueView{&queues[1], 1});
+      views.push_back(QueueView{&queues[0], 0});
     } else {
-      views.push_back(QueueView{&arena, &queues[0], 0});
+      views.push_back(QueueView{&queues[0], 0});
       if (queues[0].empty() || rng.next_below(2) == 0) {
-        views.push_back(QueueView{&arena, &queues[1], 1});
+        views.push_back(QueueView{&queues[1], 1});
       }
     }
-    views.push_back(QueueView{&arena, &queues[2], 2});
+    views.push_back(QueueView{&queues[2], 2});
 
     BlockedRanks blocked;
     for (std::uint32_t& mask : blocked.by_queue) {
@@ -716,9 +715,9 @@ TEST_P(SchedulerDifferential, TableMatchesTwoPassReference) {
     };
 
     ch.tick(now);
-    Scheduler table(ch);
+    Scheduler table(ch, arena);
     table.scan(views, blocked);
-    const TwoPassScheduler reference{SchedulerConfig{}};
+    const TwoPassScheduler reference{SchedulerConfig{}, arena};
     const Cycle horizon = table.horizon(now);
     ASSERT_EQ(horizon,
               reference.earliest_issue_cycle(views, ch, now, blocked_fn))
@@ -739,8 +738,7 @@ TEST_P(SchedulerDifferential, TableMatchesTwoPassReference) {
       EXPECT_EQ(got->cmd.coord, want->cmd.coord) << "trial " << trial;
       EXPECT_EQ(got->cmd.request, want->cmd.request) << "trial " << trial;
       EXPECT_EQ(got->queue_id, want->queue_id) << "trial " << trial;
-      EXPECT_EQ(got->request_index, want->request_index)
-          << "trial " << trial;
+      EXPECT_EQ(got->slot, want->slot) << "trial " << trial;
     }
     if (horizon != kNeverCycle) {
       EXPECT_TRUE(table.pick(horizon).has_value()) << "trial " << trial;
@@ -749,6 +747,147 @@ TEST_P(SchedulerDifferential, TableMatchesTwoPassReference) {
   // The states must exercise both outcomes, not just empty tables.
   EXPECT_GT(picks, 100u);
   EXPECT_GT(cycles_compared, picks);
+}
+
+// Mutation-sequence differential test: one scheduler kept in step with
+// its queues through push() and erase() follows a random walk over the
+// controller's mutations (enqueue, issuing the pick, an SRAM service
+// erasing from mid-queue, dropping a rank's prefetches) mixed with
+// commands from elsewhere on the channel, view-order flips and blocked-rank
+// flips. After every step its horizon must be the reference's, and its pick
+// the reference's at every cycle of a window after it. The queue depth cap
+// changes every 500 steps (1 to 16): in shallow queues a request the table
+// missed is often the one picked, or the one that sets the horizon.
+TEST_P(SchedulerDifferential, MutationSequenceMatchesTwoPassReference) {
+  const Geometry g = GetParam();
+  const dram::DramTimings t = dram::make_ddr4_1600_timings();
+  dram::DramOrganization org;
+  org.ranks = g.ranks;
+  org.banks = 8;
+  org.rows = 64;
+  org.subarrays = g.subarrays;
+
+  Rng rng(0x3a7e0000u + g.ranks * 16u + g.subarrays);
+  dram::Channel ch(t, org);
+  RequestArena arena;
+  std::vector<RequestIndex> queues[3];
+  Scheduler table(ch, arena);
+  const TwoPassScheduler reference{SchedulerConfig{}, arena};
+  bool drain = false;
+  BlockedRanks blocked;
+  const auto blocked_fn = [&blocked](const Request& req, int queue_id) {
+    const std::uint32_t mask =
+        blocked.by_queue[static_cast<std::size_t>(queue_id)];
+    return ((mask >> req.coord.rank) & 1u) != 0;
+  };
+  // The controller's view order (Controller::scheduler_views).
+  const auto views = [&]() {
+    std::vector<QueueView> v;
+    if (drain) {
+      v.push_back(QueueView{&queues[1], 1});
+      v.push_back(QueueView{&queues[0], 0});
+    } else {
+      v.push_back(QueueView{&queues[0], 0});
+      if (queues[0].empty()) v.push_back(QueueView{&queues[1], 1});
+    }
+    v.push_back(QueueView{&queues[2], 2});
+    return v;
+  };
+  const auto remove = [&](std::size_t q, std::size_t pos) {
+    const RequestIndex idx = queues[q][pos];
+    queues[q].erase(queues[q].begin() + static_cast<std::ptrdiff_t>(pos));
+    table.erase(idx);
+    arena.release(idx);
+  };
+
+  Cycle now = 0;
+  RequestId next_id = 1;
+  std::uint64_t issued = 0;
+  std::uint64_t erased_mid = 0;
+  std::uint64_t picks = 0;
+  std::size_t depth = 16;
+  for (int step = 0; step < 20000; ++step) {
+    if (step % 500 == 0) depth = std::size_t{1} << rng.next_below(5);
+    const std::uint64_t roll = rng.next_below(100);
+    if (roll < 40) {
+      // Enqueue: reads, writes and prefetches, half of them on the open
+      // row (takers) and the rest on a few rows over the subarrays.
+      const std::uint64_t kind = rng.next_below(20);
+      const std::size_t q = kind < 10 ? 0 : kind < 16 ? 1 : 2;
+      if (queues[q].size() < depth) {
+        Request req;
+        req.id = next_id++;
+        req.type = q == 0   ? ReqType::kRead
+                   : q == 1 ? ReqType::kWrite
+                            : ReqType::kPrefetch;
+        const auto r = static_cast<RankId>(rng.next_below(org.ranks));
+        const BankId b = random_bank(org, rng);
+        const auto open = ch.rank(r).bank(b).open_row();
+        const RowId row = open && rng.next_below(2) == 0
+                              ? *open
+                              : static_cast<RowId>(rng.next_below(org.rows));
+        req.coord = DramCoord{0, r, b, row, 0};
+        const RequestIndex idx = arena.alloc(req);
+        queues[q].push_back(idx);
+        table.push(static_cast<int>(q), idx);
+      }
+    } else if (roll < 60) {
+      // Issue the pick, as Controller::issue_pick does.
+      const auto v = views();
+      table.sync(v, blocked);
+      if (const auto p = table.pick(now)) {
+        ch.issue(p->cmd, now);
+        ++issued;
+        if (p->services_request()) {
+          const auto q = static_cast<std::size_t>(p->queue_id);
+          const auto it =
+              std::find(queues[q].begin(), queues[q].end(), p->slot);
+          ASSERT_NE(it, queues[q].end()) << "step " << step;
+          remove(q, static_cast<std::size_t>(it - queues[q].begin()));
+        }
+      }
+    } else if (roll < 68) {
+      // An SRAM buffer hit services a queued read from mid-queue.
+      if (!queues[0].empty()) {
+        remove(0, rng.next_below(queues[0].size()));
+        ++erased_mid;
+      }
+    } else if (roll < 72) {
+      // An urgent refresh drops one rank's queued prefetches.
+      const auto r = static_cast<RankId>(rng.next_below(org.ranks));
+      for (std::size_t i = queues[2].size(); i-- > 0;) {
+        if (arena[queues[2][i]].coord.rank == r) remove(2, i);
+      }
+    } else if (roll < 84) {
+      now = randomize_channel(ch, org, rng, now);
+    } else if (roll < 92) {
+      drain = !drain;
+    } else {
+      std::uint32_t& mask = blocked.by_queue[rng.next_below(3)];
+      mask ^= 1u << rng.next_below(org.ranks);
+    }
+
+    now += rng.next_below(4);
+    ch.tick(now);
+    const auto v = views();
+    table.sync(v, blocked);
+    const Cycle horizon = table.horizon(now);
+    ASSERT_EQ(horizon, reference.earliest_issue_cycle(v, ch, now, blocked_fn))
+        << "step " << step;
+    const Cycle last = std::min(horizon, now + 24);
+    for (Cycle c = now; c <= last; ++c) {
+      ch.tick(c);
+      const auto want = reference.pick(v, ch, c, blocked_fn);
+      table.sync(v, blocked);
+      ASSERT_EQ(table.pick(c), want) << "step " << step << " cycle " << c;
+      if (want) ++picks;
+    }
+    now = last;
+  }
+  // The walk must reach every mutation and real picks, not idle queues.
+  EXPECT_GT(issued, 2000u);
+  EXPECT_GT(erased_mid, 1000u);
+  EXPECT_GT(picks, 20000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
