@@ -284,4 +284,40 @@ void BM_ControllerTickWriteStream(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerTickWriteStream);
 
+void BM_ControllerTickMultiRank(benchmark::State& state) {
+  // The event-loop tick in the wl1 regime of the 4-channel DARP runs: 4
+  // ranks of 8 banks, per-bank refresh out of order, and about 2 reads
+  // queued, spread over the ranks and banks. With shallow queues the
+  // per-tick refresh and blocked-rank work weighs as much as the pick.
+  const dram::DramTimings t = dram::make_ddr4_1600_timings();
+  dram::DramOrganization org;
+  org.ranks = 4;
+  mem::ControllerConfig cfg;
+  cfg.refresh = mem::RefreshScheme::kDarp;
+  StatRegistry stats;
+  mem::Controller ctrl(0, t, org, cfg, &stats);
+  constexpr std::size_t kQueued = 2;
+  std::uint64_t line = 0;
+  const auto top_up = [&](Cycle now) {
+    bool enqueued = false;
+    while (ctrl.read_queue_depth() < kQueued) {
+      mem::Request req = make_request(line, mem::ReqType::kRead, org);
+      req.coord.row = static_cast<RowId>(line / 256);
+      req.id = ++line;
+      (void)ctrl.enqueue(req, now);
+      enqueued = true;
+    }
+    return enqueued;
+  };
+  Cycle due = 0;
+  (void)top_up(due);
+  for (auto _ : state) {
+    ctrl.tick(due);
+    ctrl.drain_completed_into(
+        [](const mem::Request& req) { benchmark::DoNotOptimize(req.id); });
+    due = top_up(due) ? due + 1 : ctrl.next_event_cycle(due);
+  }
+}
+BENCHMARK(BM_ControllerTickMultiRank);
+
 }  // namespace

@@ -65,6 +65,7 @@ void SimChecker::on_tick_end(const mem::Controller& ctrl, Cycle now) {
   check_refresh_deadlines(ctrl, now);
   check_subarray_locks(ctrl, now);
   check_buffer_coherence(ctrl, now);
+  check_refresh_summaries(ctrl, now);
 }
 
 void SimChecker::on_retired(const mem::Request& req) {
@@ -237,6 +238,72 @@ void SimChecker::check_subarray_locks(const mem::Controller& c, Cycle now) {
       }
     }
   }
+}
+
+void SimChecker::check_refresh_summaries(const mem::Controller& c,
+                                         Cycle now) {
+  const auto mismatch = [&](const char* what, std::uint64_t cached,
+                            std::uint64_t scanned, RankId rank = ~RankId{0}) {
+    if (cached == scanned) return;
+    std::ostringstream os;
+    os << "[summary] ch " << c.id() << " cycle " << now << ": ";
+    if (rank != ~RankId{0}) os << "rank " << rank << " ";
+    os << what << " " << cached << " != " << scanned << " scanned";
+    violate(os.str());
+  };
+  const dram::Channel& ch = c.channel();
+  std::uint32_t refreshing = 0;
+  std::uint32_t sealing = 0;
+  std::uint32_t paused = 0;
+  Cycle release = kNeverCycle;
+  for (RankId r = 0; r < ch.num_ranks(); ++r) {
+    const dram::Rank& rank = ch.rank(r);
+    std::uint32_t active = 0;
+    std::uint32_t precharged = 0;
+    Cycle ready = 0;
+    Cycle pb_release = kNeverCycle;
+    for (BankId b = 0; b < rank.num_banks(); ++b) {
+      const dram::Bank& bank = rank.bank(b);
+      if (bank.state() == dram::BankState::kActive) active |= 1u << b;
+      if (bank.state() == dram::BankState::kPrecharged) ++precharged;
+      ready = std::max(ready, bank.next_activate());
+      if (!rank.refreshing() && bank.state() == dram::BankState::kRefreshing) {
+        pb_release = std::min(pb_release, bank.next_activate());
+      }
+    }
+    mismatch("active banks", rank.active_banks(), active, r);
+    mismatch("all banks precharged", rank.all_banks_precharged(),
+             precharged == rank.num_banks(), r);
+    mismatch("refresh ready", rank.earliest_refresh_ready(),
+             active != 0         ? kNeverCycle
+             : rank.refreshing() ? std::max(ready, rank.refresh_done())
+                                 : ready,
+             r);
+    mismatch("REFpb release", rank.earliest_pb_release(), pb_release, r);
+    mismatch("REFpb flag", rank.pb_refreshing(), pb_release != kNeverCycle,
+             r);
+    if (rank.refreshing()) {
+      refreshing |= 1u << r;
+      release = std::min(release, rank.refresh_done());
+    } else {
+      release = std::min(release, pb_release);
+    }
+    if (c.rank_state(r).phase == mem::RefreshPhase::kSealing) {
+      sealing |= 1u << r;
+    }
+    if (c.config().refresh == mem::RefreshScheme::kPausing &&
+        c.refresh_manager().urgent(r, now)) {
+      paused |= 1u << r;
+    }
+  }
+  mismatch("refreshing ranks", ch.refreshing_ranks(), refreshing);
+  mismatch("earliest release", ch.next_release(), release);
+  mismatch("sealing ranks", c.sealing_ranks(), sealing);
+  const mem::BlockedRanks blocked = c.blocked_ranks(now);
+  const std::uint32_t held = refreshing | paused;
+  mismatch("blocked ranks (reads)", blocked.by_queue[0], held | sealing);
+  mismatch("blocked ranks (writes)", blocked.by_queue[1], held | sealing);
+  mismatch("blocked ranks (prefetches)", blocked.by_queue[2], held);
 }
 
 void SimChecker::check_buffer_coherence(const mem::Controller& c,

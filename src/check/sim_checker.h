@@ -29,9 +29,14 @@
 //      attr.blocked_*_cycles ledger + the accumulators of live reads;
 //  (f) scheduler table — the controller's cached FR-FCFS candidate table
 //      gives the same pick and horizon as a scan from scratch (a missing
-//      rescan trigger shows up here).
+//      rescan trigger shows up here);
+//  (h) refresh summaries — each rank's active-bank mask, bank recovery
+//      point and earliest REFpb release, the channel's refreshing mask and
+//      earliest release, the controller's sealing mask and the blocked
+//      ranks it reuses equal a scan of the banks, ranks and phases (a
+//      missing update shows up here).
 //
-// (a)-(c') and (f) run on every controller tick via the ControllerAuditor
+// (a)-(c'), (f) and (h) run on every controller tick via the ControllerAuditor
 // hook; (d) runs at end of run in finalize(). A detached checker costs one
 // null-check per tick (see bench_micro_hotpaths).
 #pragma once
@@ -120,6 +125,7 @@ class SimChecker final : public mem::ControllerAuditor {
   void check_refresh_deadlines(const mem::Controller& c, Cycle now);
   void check_subarray_locks(const mem::Controller& c, Cycle now);
   void check_buffer_coherence(const mem::Controller& c, Cycle now);
+  void check_refresh_summaries(const mem::Controller& c, Cycle now);
   void check_conservation();
 
   mem::MemorySystem* mem_ = nullptr;

@@ -89,6 +89,11 @@ class Writer {
   [[nodiscard]] const std::string& buffer() const { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
 
+  /// Reader::enter / leave name the part being read; writing needs no
+  /// names, so an io() that calls them stays one body for both archives.
+  void enter(const char* /*part*/, std::uint64_t /*index*/) {}
+  void leave() {}
+
   template <class T>
   void field(const T& v) {
     if constexpr (std::is_same_v<T, bool>) {
@@ -174,12 +179,29 @@ class Reader {
 
   /// Poison the archive because a section read a value it must not trust
   /// (an index past its container, say). Fields read afterwards zero-fill,
-  /// as after an underflow; the first reason sticks.
-  void fail(std::string why) {
+  /// as after an underflow; the first reason sticks, prefixed with the
+  /// parts entered (see enter()).
+  void fail(const std::string& why) {
     if (!ok_) return;
     ok_ = false;
-    error_ = std::move(why);
+    for (const auto& [part, index] : scope_) {
+      error_ += std::string(part) + " " + std::to_string(index) + " ";
+    }
+    if (!error_.empty()) {
+      error_.back() = ':';
+      error_ += ' ';
+    }
+    error_ += why;
   }
+
+  /// Name the part about to be read ("rank", 2) until the matching leave():
+  /// a fail() reason given in between starts with every part entered
+  /// ("snapshot channel 0 rank 2 bank 3: ..."), so a rejected load says
+  /// where the value it distrusts sits.
+  void enter(const char* part, std::uint64_t index) {
+    scope_.emplace_back(part, index);
+  }
+  void leave() { scope_.pop_back(); }
   /// The reason given to fail(); empty after a plain underflow.
   [[nodiscard]] const std::string& error() const { return error_; }
 
@@ -300,6 +322,7 @@ class Reader {
   const unsigned char* end_;
   bool ok_ = true;
   std::string error_;
+  std::vector<std::pair<const char*, std::uint64_t>> scope_;
 };
 
 }  // namespace rop::snap

@@ -44,6 +44,23 @@ Cycle Bank::any_subarray_busy_until() const {
   return latest;
 }
 
+std::string Bank::loaded_state_error() const {
+  if (state_ > BankState::kRefreshing) {
+    return "state " + std::to_string(static_cast<unsigned>(state_)) +
+           " outside the bank state enum";
+  }
+  if (state_ == BankState::kActive && !open_row_) {
+    return "active without an open row";
+  }
+  const std::size_t subs = sub_count_ > 1 ? sub_count_ : 0;
+  if (sub_busy_until_.size() != subs || sub_last_row_.size() != subs) {
+    return "subarray records sized " + std::to_string(sub_busy_until_.size()) +
+           "/" + std::to_string(sub_last_row_.size()) + " for " +
+           std::to_string(subs) + " subarrays";
+  }
+  return {};
+}
+
 bool Bank::can_issue(CmdType type, RowId row, Cycle now) const {
   switch (type) {
     case CmdType::kActivate:

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -102,9 +103,19 @@ class Bank {
   void io(Ar& ar) {
     ar(state_, open_row_, next_activate_, next_read_, next_write_,
        next_precharge_, sub_busy_until_, sub_last_row_);
+    if constexpr (Ar::kIsReader) {
+      if (const std::string bad = loaded_state_error(); !bad.empty()) {
+        ar.fail(bad);
+      }
+    }
   }
 
  private:
+  /// Why just-loaded bytes cannot be a bank's state, or empty: a state
+  /// outside the enum, kActive without an open row (the scheduler reads
+  /// it), or subarray records that do not match the configured geometry.
+  [[nodiscard]] std::string loaded_state_error() const;
+
   /// End of the latest subarray busy interval (kRefreshBank legality: only
   /// one subarray refresh may be in flight per bank).
   [[nodiscard]] Cycle any_subarray_busy_until() const;

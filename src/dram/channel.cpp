@@ -25,6 +25,8 @@ telemetry::EventKind cmd_event_kind(CmdType type) {
 Channel::Channel(const DramTimings& timings, const DramOrganization& org)
     : t_(timings) {
   ROP_ASSERT(validate(timings));
+  // refreshing_ holds one bit per rank.
+  ROP_ASSERT(org.ranks <= 32);
   ranks_.reserve(org.ranks);
   for (std::uint32_t r = 0; r < org.ranks; ++r) {
     ranks_.emplace_back(t_, org.banks, org.subarrays, org.rows);
@@ -73,10 +75,12 @@ Cycle Channel::issue(const Command& cmd, Cycle now) {
     case CmdType::kRefresh:
       ++events_.refreshes;
       done = now + t_.tRFC;
+      note_lock(cmd.coord.rank);
       break;
     case CmdType::kRefreshBank:
       ++events_.bank_refreshes;
       done = now + t_.tRFCpb;
+      note_lock(cmd.coord.rank);
       break;
   }
   if (trace_ != nullptr && trace_->wants(telemetry::kCatCmds)) {
@@ -96,6 +100,7 @@ Cycle Channel::issue(const Command& cmd, Cycle now) {
 void Channel::begin_refresh_segment(RankId rank, Cycle now, Cycle duration) {
   ++events_.refresh_segments;
   ranks_.at(rank).begin_refresh_segment(now, duration);
+  note_lock(rank);
   if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
     telemetry::TraceEvent e;
     e.ts = now;
@@ -108,8 +113,24 @@ void Channel::begin_refresh_segment(RankId rank, Cycle now, Cycle duration) {
   }
 }
 
-void Channel::tick(Cycle now) {
+void Channel::note_lock(RankId r) {
+  const Rank& rank = ranks_[r];
+  if (rank.refreshing()) refreshing_ |= 1u << r;
+  release_ = std::min(release_, rank.next_release());
+}
+
+void Channel::release(Cycle now) {
   for (Rank& r : ranks_) r.tick(now);
+  recount();
+}
+
+void Channel::recount() {
+  refreshing_ = 0;
+  release_ = kNeverCycle;
+  for (RankId r = 0; r < ranks_.size(); ++r) {
+    if (ranks_[r].refreshing()) refreshing_ |= 1u << r;
+    release_ = std::min(release_, ranks_[r].next_release());
+  }
 }
 
 void Channel::settle_accounting(Cycle now) {

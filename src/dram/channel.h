@@ -47,8 +47,16 @@ class Channel {
   [[nodiscard]] std::uint32_t num_ranks() const {
     return static_cast<std::uint32_t>(ranks_.size());
   }
+  /// Ranks change only through the channel (issue, begin_refresh_segment,
+  /// tick), which keeps the summaries below in step with them.
   [[nodiscard]] const Rank& rank(RankId r) const { return ranks_.at(r); }
-  [[nodiscard]] Rank& rank(RankId r) { return ranks_.at(r); }
+
+  /// Ranks with a REF or pausing segment in flight: bit r is set while
+  /// rank(r).refreshing().
+  [[nodiscard]] std::uint32_t refreshing_ranks() const { return refreshing_; }
+  /// The earliest Rank::next_release() over the ranks: the next cycle at
+  /// which tick() ends a REF or a REFpb lock. kNeverCycle when none runs.
+  [[nodiscard]] Cycle next_release() const { return release_; }
 
   /// Full legality check: bank + rank + data-bus scope.
   [[nodiscard]] bool can_issue(const Command& cmd, Cycle now) const;
@@ -69,8 +77,11 @@ class Channel {
   /// Begin a Refresh Pausing segment on `rank` (see Rank).
   void begin_refresh_segment(RankId rank, Cycle now, Cycle duration);
 
-  /// Advance per-rank bookkeeping (refresh completion).
-  void tick(Cycle now);
+  /// Advance per-rank bookkeeping (refresh completion). One compare
+  /// before next_release().
+  void tick(Cycle now) {
+    if (now >= release_) release(now);
+  }
 
   void settle_accounting(Cycle now);
   [[nodiscard]] const ChannelEvents& events() const { return events_; }
@@ -87,18 +98,30 @@ class Channel {
   [[nodiscard]] telemetry::TraceSink* trace() const { return trace_; }
 
   /// Snapshot serialization: ranks, data-bus state, and command tallies.
-  /// The trace sink attachment is runtime wiring and does not ride.
+  /// The trace sink attachment is runtime wiring and does not ride; the
+  /// rank summaries (refreshing_, release_) are rebuilt on load.
   template <class Ar>
   void io(Ar& ar) {
     // Ranks are not default-constructible (they reference the timing
     // tables), so they serialize in place; the count is fixed by config.
-    for (Rank& r : ranks_) ar.field(r);
+    for (RankId r = 0; r < ranks_.size(); ++r) {
+      ar.enter("rank", r);
+      ar.field(ranks_[r]);
+      ar.leave();
+    }
     ar(bus_busy_until_, last_bus_op_, last_bus_rank_, bus_used_,
        events_.activates, events_.precharges, events_.reads, events_.writes,
        events_.refreshes, events_.bank_refreshes, events_.refresh_segments);
+    if constexpr (Ar::kIsReader) recount();
   }
 
  private:
+  /// tick() at or past next_release(): tick every rank, then recount.
+  void release(Cycle now);
+  /// Recompute refreshing_ and release_ from the ranks.
+  void recount();
+  /// A refresh command or segment just went to rank `r`: fold its lock.
+  void note_lock(RankId r);
   /// First cycle at which a new burst by `type` on `rank` may occupy the
   /// data bus.
   [[nodiscard]] Cycle data_bus_free(CmdType type, RankId rank) const;
@@ -113,6 +136,12 @@ class Channel {
   bool bus_used_ = false;
 
   ChannelEvents events_;
+
+  // Summaries of the ranks, derived (not serialized): folded in at every
+  // refresh command, recounted at each release and on load.
+  std::uint32_t refreshing_ = 0;  // bit r: rank r refreshing
+  Cycle release_ = kNeverCycle;   // min Rank::next_release()
+
   telemetry::TraceSink* trace_ = nullptr;
   ChannelId trace_channel_ = 0;
 };

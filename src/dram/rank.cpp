@@ -8,21 +8,11 @@ Rank::Rank(const DramTimings& timings, std::uint32_t num_banks,
            std::uint32_t subarrays, std::uint32_t rows_per_bank)
     : t_(timings), banks_(num_banks) {
   ROP_ASSERT(num_banks > 0);
+  // active_ holds one bit per bank.
+  ROP_ASSERT(num_banks <= 32);
   if (subarrays > 1) {
     for (Bank& b : banks_) b.configure_subarrays(subarrays, rows_per_bank);
   }
-}
-
-bool Rank::all_banks_precharged() const {
-  return std::all_of(banks_.begin(), banks_.end(), [](const Bank& b) {
-    return b.state() == BankState::kPrecharged;
-  });
-}
-
-bool Rank::any_bank_active() const {
-  return std::any_of(banks_.begin(), banks_.end(), [](const Bank& b) {
-    return b.state() == BankState::kActive;
-  });
 }
 
 bool Rank::can_issue(const Command& cmd, Cycle now) const {
@@ -32,8 +22,7 @@ bool Rank::can_issue(const Command& cmd, Cycle now) const {
     case CmdType::kActivate: {
       if (now < next_activate_) return false;
       // tFAW: at most 4 activates within any rolling tFAW window.
-      if (recent_activates_.size() >= 4 &&
-          now < recent_activates_.front() + t_.tFAW) {
+      if (faw_count_ == faw_.size() && now < faw_.front() + t_.tFAW) {
         return false;
       }
       return bank.can_issue(cmd.type, cmd.coord.row, now);
@@ -44,13 +33,9 @@ bool Rank::can_issue(const Command& cmd, Cycle now) const {
       return bank.can_issue(cmd.type, cmd.coord.row, now);
     case CmdType::kPrecharge:
       return bank.can_issue(cmd.type, cmd.coord.row, now);
-    case CmdType::kRefresh: {
-      if (!all_banks_precharged()) return false;
-      // Every bank must be past its precharge-recovery point.
-      return std::all_of(banks_.begin(), banks_.end(), [now](const Bank& b) {
-        return now >= b.next_activate();
-      });
-    }
+    case CmdType::kRefresh:
+      // Every bank precharged and past its precharge-recovery point.
+      return all_banks_precharged() && now >= banks_ready_;
     case CmdType::kRefreshBank:
       // Subarray-targeted refresh performs a hidden activation internally:
       // space it tRRD from other activates in the rank (the tFAW window is
@@ -62,42 +47,26 @@ bool Rank::can_issue(const Command& cmd, Cycle now) const {
   return false;
 }
 
-Cycle Rank::earliest_refresh_ready() const {
-  Cycle ready = 0;
-  for (const Bank& b : banks_) {
-    // An open row never precharges by itself: REF cannot become legal
-    // through the passage of time alone.
-    if (b.state() == BankState::kActive) return kNeverCycle;
-    ready = std::max(ready, b.next_activate());
-  }
-  if (refreshing_) ready = std::max(ready, refresh_done_);
-  return ready;
-}
-
-Cycle Rank::earliest_pb_release() const {
-  Cycle release = kNeverCycle;
-  if (!pb_refreshing_) return release;
-  for (const Bank& b : banks_) {
-    if (b.state() == BankState::kRefreshing) {
-      release = std::min(release, b.next_activate());
-    }
-  }
-  return release;
-}
-
 void Rank::issue(const Command& cmd, Cycle now) {
   ROP_ASSERT(can_issue(cmd, now));
   account_until(now);
-  Bank& bank = banks_.at(cmd.coord.bank);
+  const BankId b = cmd.coord.bank;
+  Bank& bank = banks_.at(b);
   switch (cmd.type) {
     case CmdType::kActivate:
       bank.issue(cmd.type, cmd.coord.row, now, t_);
+      active_ |= 1u << b;
       next_activate_ = std::max(next_activate_, now + t_.tRRD);
-      recent_activates_.push_back(now);
-      while (recent_activates_.size() > 4) recent_activates_.pop_front();
+      if (faw_count_ < faw_.size()) {
+        faw_[faw_count_++] = now;
+      } else {
+        std::copy(faw_.begin() + 1, faw_.end(), faw_.begin());
+        faw_.back() = now;
+      }
       break;
     case CmdType::kPrecharge:
       bank.issue(cmd.type, cmd.coord.row, now, t_);
+      active_ &= ~(1u << b);
       break;
     case CmdType::kRead:
       bank.issue(cmd.type, cmd.coord.row, now, t_);
@@ -108,14 +77,17 @@ void Rank::issue(const Command& cmd, Cycle now) {
       next_column_ = std::max(next_column_, now + t_.tCCD);
       // Write-to-read turnaround applies rank-wide.
       const Cycle rd_ok = t_.write_data_done(now) + t_.tWTR;
-      for (Bank& b : banks_) b.defer_read_until(rd_ok);
+      for (Bank& other : banks_) other.defer_read_until(rd_ok);
       break;
     }
     case CmdType::kRefresh:
-      for (Bank& b : banks_) b.issue(CmdType::kRefresh, 0, now, t_);
+      for (Bank& each : banks_) {
+        each.issue(CmdType::kRefresh, 0, now, t_);
+        banks_ready_ = std::max(banks_ready_, each.next_activate());
+      }
       refreshing_ = true;
       refresh_done_ = now + t_.tRFC;
-      break;
+      return;
     case CmdType::kRefreshBank:
       bank.issue(CmdType::kRefreshBank, cmd.coord.row, now, t_);
       activity_.bank_refresh_cycles += t_.tRFCpb;
@@ -124,42 +96,80 @@ void Rank::issue(const Command& cmd, Cycle now) {
         // refreshes are purely time-based (no kRefreshing transition), but
         // their hidden activation counts against tRRD like an ACT.
         pb_refreshing_ = true;
+        pb_release_ = std::min(pb_release_, bank.next_activate());
       } else {
         next_activate_ = std::max(next_activate_, now + t_.tRRD);
       }
       break;
   }
+  banks_ready_ = std::max(banks_ready_, bank.next_activate());
 }
 
 void Rank::begin_refresh_segment(Cycle now, Cycle duration) {
   ROP_ASSERT(can_issue(Command{CmdType::kRefresh, DramCoord{}, 0}, now));
   account_until(now);
-  for (Bank& b : banks_) b.begin_refresh(now, duration);
+  for (Bank& b : banks_) {
+    b.begin_refresh(now, duration);
+    banks_ready_ = std::max(banks_ready_, b.next_activate());
+  }
   refreshing_ = true;
   refresh_done_ = now + duration;
 }
 
-void Rank::tick(Cycle now) {
+void Rank::release(Cycle now) {
   if (refreshing_) {
-    if (now >= refresh_done_) {
-      account_until(refresh_done_);
-      refreshing_ = false;
-      for (Bank& b : banks_) b.complete_refresh(refresh_done_);
-    }
+    account_until(refresh_done_);
+    refreshing_ = false;
+    for (Bank& b : banks_) b.complete_refresh(refresh_done_);
     return;
   }
-  if (!pb_refreshing_) return;
-  // Release any per-bank refresh locks that have elapsed (REFpb).
-  bool still_locked = false;
+  // Release the per-bank refresh locks (REFpb) that have elapsed.
+  pb_release_ = kNeverCycle;
   for (Bank& b : banks_) {
     if (b.state() != BankState::kRefreshing) continue;
     if (now >= b.next_activate()) {
       b.complete_refresh(b.next_activate());
     } else {
-      still_locked = true;
+      pb_release_ = std::min(pb_release_, b.next_activate());
     }
   }
-  pb_refreshing_ = still_locked;
+  pb_refreshing_ = pb_release_ != kNeverCycle;
+}
+
+std::string Rank::loaded_state_error() const {
+  for (std::uint32_t i = 1; i < faw_count_; ++i) {
+    if (faw_[i] < faw_[i - 1]) return "tFAW history out of cycle order";
+  }
+  bool pb_locked = false;
+  for (BankId b = 0; b < banks_.size(); ++b) {
+    const bool frozen = banks_[b].state() == BankState::kRefreshing;
+    if (refreshing_ && !frozen) {
+      return "bank " + std::to_string(b) + " not frozen under a rank REF";
+    }
+    if (!refreshing_ && frozen && !pb_refreshing_) {
+      return "bank " + std::to_string(b) +
+             " refresh-locked with the REFpb flag clear";
+    }
+    pb_locked = pb_locked || (!refreshing_ && frozen);
+  }
+  if (pb_refreshing_ && !pb_locked) {
+    return "REFpb flag set with no bank refresh-locked";
+  }
+  return {};
+}
+
+void Rank::rebuild_summaries() {
+  active_ = 0;
+  banks_ready_ = 0;
+  pb_release_ = kNeverCycle;
+  for (BankId b = 0; b < banks_.size(); ++b) {
+    const Bank& bank = banks_[b];
+    if (bank.state() == BankState::kActive) active_ |= 1u << b;
+    banks_ready_ = std::max(banks_ready_, bank.next_activate());
+    if (pb_refreshing_ && bank.state() == BankState::kRefreshing) {
+      pb_release_ = std::min(pb_release_, bank.next_activate());
+    }
+  }
 }
 
 void Rank::settle_accounting(Cycle now) { account_until(now); }
@@ -177,7 +187,7 @@ void Rank::account_until(Cycle now) {
       activity_.refresh_cycles += refresh_done_ - accounted_until_;
       activity_.precharged_cycles += now - refresh_done_;
     }
-  } else if (any_bank_active()) {
+  } else if (active_ != 0) {
     activity_.active_cycles += span;
   } else {
     activity_.precharged_cycles += span;

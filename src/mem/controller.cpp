@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <string>
 #include <utility>
 
@@ -322,6 +323,10 @@ void Controller::rebuild_derived() {
   for (const RequestIndex idx : prefetch_q_) {
     ++ranks_[arena_[idx].coord.rank].queued_prefetches;
   }
+  sealing_ = 0;
+  for (RankId r = 0; r < ranks_.size(); ++r) {
+    if (ranks_[r].phase == RefreshPhase::kSealing) sealing_ |= 1u << r;
+  }
   const QueueView queues[] = {
       {&read_q_, 0}, {&write_q_, 1}, {&prefetch_q_, 2}};
   scheduler_.reset(queues);
@@ -543,8 +548,9 @@ Controller::RefreshStep Controller::rank_refresh_step(RankId r, Cycle now,
   // legal now, else the one legal soonest. REF needs every bank closed.
   const dram::Rank& rank = channel_.rank(r);
   RefreshStep pre = RefreshStep::wait_until(kNeverCycle);
-  for (BankId b = 0; b < rank.num_banks(); ++b) {
-    if (rank.bank(b).state() != dram::BankState::kActive) continue;
+  for (std::uint32_t open = rank.active_banks(); open != 0;
+       open &= open - 1) {
+    const auto b = static_cast<BankId>(std::countr_zero(open));
     const RefreshStep s = bank_step(Action::kPrecharge, r, b);
     if (s.at <= now) return s;
     if (s.at < pre.at) pre = s;
@@ -634,8 +640,12 @@ void Controller::run_refresh_step(RankId r, const RefreshStep& s, Cycle now) {
       break;
     case Action::kLock:
       rs.locked_at = now;
-      rs.phase = cfg_.refresh == RefreshScheme::kRop ? RefreshPhase::kDraining
-                                                     : RefreshPhase::kSealing;
+      if (cfg_.refresh == RefreshScheme::kRop) {
+        rs.phase = RefreshPhase::kDraining;
+      } else {
+        rs.phase = RefreshPhase::kSealing;
+        sealing_ |= 1u << r;
+      }
       // Snapshot the drain target: every queued read to this rank arrived
       // strictly before `now`, so all of them predate the lock (same-cycle
       // arrivals land after this tick and bump the counter in enqueue).
@@ -645,6 +655,7 @@ void Controller::run_refresh_step(RankId r, const RefreshStep& s, Cycle now) {
       // Demand freezes here: the moment the ROP engine stages its prefetch
       // round.
       rs.phase = RefreshPhase::kSealing;
+      sealing_ |= 1u << r;
       if (listener_ != nullptr) listener_->on_rank_locked(r, now);
       break;
     case Action::kDropPrefetches:
@@ -709,6 +720,7 @@ void Controller::issue_rank_refresh(RankId r, Cycle now) {
   }
   h_.refreshes->inc();
   rs.phase = RefreshPhase::kIdle;
+  sealing_ &= ~(1u << r);
   rs.locked_at = kNeverCycle;
   rs.drain_pending = 0;
   if (listener_ != nullptr) {
@@ -910,6 +922,7 @@ void Controller::tick(Cycle now) {
 }
 
 void Controller::step(Cycle now) {
+  blocked_at_ = kNeverCycle;
   channel_.tick(now);
   complete_bursts(now);
   if (listener_ != nullptr) listener_->on_tick(now);
@@ -927,27 +940,26 @@ void Controller::step(Cycle now) {
   }
 
   if (read_q_.empty() && write_q_.empty() && prefetch_q_.empty()) return;
-  const BlockedRanks blocked = blocked_ranks(now);
+  blocked_ = held_ranks(now);
+  blocked_at_ = now;
   const std::optional<SchedulerPick> pick =
-      synced_scheduler(draining_writes_, blocked).pick(now);
+      synced_scheduler(draining_writes_, blocked_).pick(now);
   if (audit_scheduler_ != nullptr) {
-    audit_pick(now, draining_writes_, blocked, pick);
+    audit_pick(now, draining_writes_, blocked_, pick);
   }
   if (pick) issue_pick(*pick, now);
 }
 
-BlockedRanks Controller::blocked_ranks(Cycle now) const {
-  std::uint32_t held = 0;     // every queue
-  std::uint32_t sealing = 0;  // demand only: prefetches flow through the lock
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    if (channel_.rank(r).refreshing() || pausing_holds(r, now)) {
-      held |= 1u << r;
+BlockedRanks Controller::held_ranks(Cycle now) const {
+  std::uint32_t held = channel_.refreshing_ranks();  // every queue
+  if (cfg_.refresh == RefreshScheme::kPausing) {
+    for (RankId r = 0; r < channel_.num_ranks(); ++r) {
+      if (pausing_holds(r, now)) held |= 1u << r;
     }
-    // Demand is held only while the rank seals for the REF command
-    // (baseline enters sealing immediately at due time).
-    if (ranks_[r].phase == RefreshPhase::kSealing) sealing |= 1u << r;
   }
-  return BlockedRanks{{held | sealing, held | sealing, held}};
+  // Demand is also held while the rank seals for the REF command (baseline
+  // enters sealing immediately at due time); prefetches flow through.
+  return BlockedRanks{{held | sealing_, held | sealing_, held}};
 }
 
 std::span<const QueueView> Controller::scheduler_views(
@@ -1121,19 +1133,20 @@ Cycle Controller::next_event_cycle(Cycle now) const {
   consider(inflight_min_completion_);
   if (next == soonest) return next;
 
-  for (RankId r = 0; r < channel_.num_ranks(); ++r) {
-    const dram::Rank& rank = channel_.rank(r);
-    if (rank.refreshing()) {
-      // The thaw is observable (demand resumes, the ROP window closes,
-      // pausing re-evaluates) and must land on its exact cycle.
-      consider(rank.refresh_done());
-      continue;  // the refresh machinery skips refreshing ranks
+  // Every refresh release (a REF's thaw, a REFpb lock's end) is observable
+  // (demand resumes, the ROP window closes, pausing re-evaluates) and must
+  // land on its exact cycle: the channel keeps the earliest.
+  consider(channel_.next_release());
+  if (quiet) {
+    consider(refresh_quiet_until_);
+  } else {
+    for (RankId r = 0; r < channel_.num_ranks(); ++r) {
+      // The refresh machinery skips refreshing ranks.
+      if (channel_.rank(r).refreshing()) continue;
+      consider(next_refresh_step(r, now).at);
+      if (next == soonest) return next;
     }
-    if (rank.pb_refreshing()) consider(rank.earliest_pb_release());
-    if (!quiet) consider(next_refresh_step(r, now).at);
-    if (next == soonest) return next;
   }
-  if (quiet) consider(refresh_quiet_until_);
 
   if (read_q_.empty() && write_q_.empty() && prefetch_q_.empty()) {
     return next;

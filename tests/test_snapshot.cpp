@@ -9,8 +9,10 @@
 // JSON diff.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -635,6 +637,133 @@ TEST(SnapshotBuffer, LoadRejectsQueueIndicesItCannotTrust) {
   err.clear();
   EXPECT_FALSE(load(bad_rank, &err));
   EXPECT_NE(err.find("names rank 5"), std::string::npos) << err;
+}
+
+// The dram sections are trusted only after the bank states, the tFAW
+// history and the refresh flags check out: the load rebuilds each rank's
+// summaries (active banks, REFpb release) and the channel's from them, and
+// the scheduler dereferences an active bank's open row. A bad value must
+// fail the load with a reason naming the channel, rank and bank.
+TEST(SnapshotBuffer, LoadRejectsDramStateItCannotTrust) {
+  ExperimentSpec spec = multi_core_spec(1, MemoryMode::kDarp, false);
+  spec.channels = 2;
+  spec.instructions_per_core = 400'000;
+  const std::uint64_t fp = config_fingerprint(spec_canonical(spec));
+  SimInstance backbone = build_sim_instance(spec);
+  backbone.system->begin_run(spec.instructions_per_core,
+                             spec.max_cpu_cycles);
+  const dram::Channel& ch = backbone.memory->controller(1).channel();
+  // Step to a cut where channel 1 has a REFpb lock in flight on one rank,
+  // another rank with no lock, and a precharged bank on that one.
+  const auto find_rank = [&](bool pb_locked) {
+    for (RankId r = 0; r < ch.num_ranks(); ++r) {
+      const dram::Rank& rank = ch.rank(r);
+      if (!rank.refreshing() && rank.pb_refreshing() == pb_locked &&
+          (pb_locked || rank.active_banks() != 0xffu)) {
+        return r;
+      }
+    }
+    return RankId{~0u};
+  };
+  std::uint64_t cut = 20'001;
+  while (find_rank(true) == ~0u || find_rank(false) == ~0u) {
+    ASSERT_FALSE(backbone.system->advance_until(cut));
+    cut += 97;
+  }
+  const RankId locked = find_rank(true);
+  const RankId idle = find_rank(false);
+  const auto idle_bank = static_cast<BankId>(
+      std::countr_one(ch.rank(idle).active_banks()));
+  BankId locked_bank = 0;
+  while (ch.rank(locked).bank(locked_bank).state() !=
+         dram::BankState::kRefreshing) {
+    ++locked_bank;
+  }
+  const std::string good =
+      save_snapshot_buffer(backbone.snapshot_context(), fp);
+
+  // Where each field sits: the channel section is found by its bytes, and
+  // a rank or bank starts after the serialized sizes of those before it.
+  const auto size_of = [](const auto& part) {
+    snap::Writer w;
+    w.field(part);
+    return w.buffer().size();
+  };
+  snap::Writer section;
+  section.field(ch);
+  const std::size_t ch_at = good.find(section.buffer());
+  ASSERT_NE(ch_at, std::string::npos);
+  const auto bank_at = [&](RankId r, BankId b) {
+    std::size_t at = ch_at;
+    for (RankId k = 0; k < r; ++k) at += size_of(ch.rank(k));
+    for (BankId k = 0; k < b; ++k) at += size_of(ch.rank(r).bank(k));
+    return at;
+  };
+  const BankId banks = ch.rank(0).num_banks();
+  // The tFAW history's length word follows the banks and the tRRD / tCCD
+  // registers; the REF and REFpb flags follow the history.
+  const auto faw_at = [&](RankId r) {
+    return bank_at(r, banks) + 2 * sizeof(Cycle);
+  };
+  const auto word_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, good.data() + at, sizeof v);
+    return v;
+  };
+  const auto flags_at = [&](RankId r) {
+    return faw_at(r) + sizeof(std::uint64_t) * (1 + word_at(faw_at(r)));
+  };
+  const auto with_word = [&](std::size_t at, std::uint64_t v) {
+    std::string bytes = good;
+    bytes.replace(at, sizeof v, reinterpret_cast<const char*>(&v), sizeof v);
+    return bytes;
+  };
+  const auto with_byte = [&](std::size_t at, char v) {
+    std::string bytes = good;
+    bytes[at] = v;
+    return bytes;
+  };
+
+  const auto load = [&](const std::string& bytes, std::string* err) {
+    SimInstance inst = build_sim_instance(spec);
+    inst.system->begin_run(spec.instructions_per_core, spec.max_cpu_cycles);
+    return load_snapshot_buffer(bytes, inst.snapshot_context(), fp, err);
+  };
+  std::string err;
+  ASSERT_TRUE(load(good, &err)) << err;
+  const auto rejects = [&](const std::string& bytes, const std::string& why) {
+    std::string error;
+    EXPECT_FALSE(load(bytes, &error));
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+  };
+  const std::string in_locked =
+      "snapshot channel 1 rank " + std::to_string(locked) + ": ";
+  const std::string in_idle =
+      "snapshot channel 1 rank " + std::to_string(idle) + ": ";
+
+  // A bank's state byte comes first.
+  rejects(with_byte(bank_at(idle, 3), '\x07'),
+          "snapshot channel 1 rank " + std::to_string(idle) +
+              " bank 3: state 7 outside the bank state enum");
+  rejects(with_byte(bank_at(idle, idle_bank), '\x01'),
+          "snapshot channel 1 rank " + std::to_string(idle) + " bank " +
+              std::to_string(idle_bank) + ": active without an open row");
+
+  ASSERT_GE(word_at(faw_at(idle)), 2u);
+  rejects(with_word(faw_at(idle), 5),
+          in_idle + "tFAW history of 5 activates (at most 4)");
+  const std::size_t first_act = faw_at(idle) + sizeof(std::uint64_t);
+  rejects(with_word(first_act, word_at(first_act + sizeof(Cycle)) + 1),
+          in_idle + "tFAW history out of cycle order");
+
+  rejects(with_byte(flags_at(idle), '\x01'),
+          in_idle + "bank 0 not frozen under a rank REF");
+  const std::size_t pb_flag = 1 + sizeof(Cycle);
+  rejects(with_byte(flags_at(idle) + pb_flag, '\x01'),
+          in_idle + "REFpb flag set with no bank refresh-locked");
+  rejects(with_byte(flags_at(locked) + pb_flag, '\x00'),
+          in_locked + "bank " + std::to_string(locked_bank) +
+              " refresh-locked with the REFpb flag clear");
 }
 
 // Splitting twice (restore, run, checkpoint again, restore again) composes:
