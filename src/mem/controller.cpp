@@ -922,6 +922,8 @@ void Controller::tick(Cycle now) {
 }
 
 void Controller::step(Cycle now) {
+  // The blocked ranks are rebuilt below once refresh management has run;
+  // until then no earlier answer holds for `now`.
   blocked_at_ = kNeverCycle;
   channel_.tick(now);
   complete_bursts(now);
