@@ -266,7 +266,8 @@ void SimChecker::check_refresh_summaries(const mem::Controller& c,
       const dram::Bank& bank = rank.bank(b);
       if (bank.state() == dram::BankState::kActive) active |= 1u << b;
       if (bank.state() == dram::BankState::kPrecharged) ++precharged;
-      ready = std::max(ready, bank.next_activate());
+      ready = std::max(
+          {ready, bank.next_activate(), bank.any_subarray_busy_until()});
       if (!rank.refreshing() && bank.state() == dram::BankState::kRefreshing) {
         pb_release = std::min(pb_release, bank.next_activate());
       }

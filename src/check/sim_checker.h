@@ -33,8 +33,8 @@
 //  (h) refresh summaries — each rank's active-bank mask, bank recovery
 //      point and earliest REFpb release, the channel's refreshing mask and
 //      earliest release, the controller's sealing mask and the blocked
-//      ranks it reuses equal a scan of the banks, ranks and phases (a
-//      missing update shows up here).
+//      ranks built from them equal a scan of the banks, ranks and phases
+//      (a missing update shows up here).
 //
 // (a)-(c'), (f) and (h) run on every controller tick via the ControllerAuditor
 // hook; (d) runs at end of run in finalize(). A detached checker costs one

@@ -58,6 +58,9 @@ class Bank {
   [[nodiscard]] RowId subarray_row(std::uint32_t sub) const;
   /// End of the busy interval for `sub` (0 when never refreshed).
   [[nodiscard]] Cycle subarray_busy_until(std::uint32_t sub) const;
+  /// End of the latest subarray busy interval (kRefreshBank legality: only
+  /// one subarray refresh may be in flight per bank; a REF waits for it).
+  [[nodiscard]] Cycle any_subarray_busy_until() const;
   /// The subarray still refresh-locked at `now`, if any (at most one REFpb
   /// is in flight per bank at a time).
   [[nodiscard]] std::optional<std::uint32_t> refreshing_subarray(
@@ -115,10 +118,6 @@ class Bank {
   /// outside the enum, kActive without an open row (the scheduler reads
   /// it), or subarray records that do not match the configured geometry.
   [[nodiscard]] std::string loaded_state_error() const;
-
-  /// End of the latest subarray busy interval (kRefreshBank legality: only
-  /// one subarray refresh may be in flight per bank).
-  [[nodiscard]] Cycle any_subarray_busy_until() const;
 
   BankState state_ = BankState::kPrecharged;
   std::optional<RowId> open_row_;

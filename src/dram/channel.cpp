@@ -75,12 +75,12 @@ Cycle Channel::issue(const Command& cmd, Cycle now) {
     case CmdType::kRefresh:
       ++events_.refreshes;
       done = now + t_.tRFC;
-      note_lock(cmd.coord.rank);
+      recount();
       break;
     case CmdType::kRefreshBank:
       ++events_.bank_refreshes;
       done = now + t_.tRFCpb;
-      note_lock(cmd.coord.rank);
+      recount();
       break;
   }
   if (trace_ != nullptr && trace_->wants(telemetry::kCatCmds)) {
@@ -100,7 +100,7 @@ Cycle Channel::issue(const Command& cmd, Cycle now) {
 void Channel::begin_refresh_segment(RankId rank, Cycle now, Cycle duration) {
   ++events_.refresh_segments;
   ranks_.at(rank).begin_refresh_segment(now, duration);
-  note_lock(rank);
+  recount();
   if (trace_ != nullptr && trace_->wants(telemetry::kCatRefresh)) {
     telemetry::TraceEvent e;
     e.ts = now;
@@ -111,12 +111,6 @@ void Channel::begin_refresh_segment(RankId rank, Cycle now, Cycle duration) {
     e.rank = static_cast<std::uint16_t>(rank);
     trace_->record(e);
   }
-}
-
-void Channel::note_lock(RankId r) {
-  const Rank& rank = ranks_[r];
-  if (rank.refreshing()) refreshing_ |= 1u << r;
-  release_ = std::min(release_, rank.next_release());
 }
 
 void Channel::release(Cycle now) {

@@ -120,8 +120,6 @@ class Channel {
   void release(Cycle now);
   /// Recompute refreshing_ and release_ from the ranks.
   void recount();
-  /// A refresh command or segment just went to rank `r`: fold its lock.
-  void note_lock(RankId r);
   /// First cycle at which a new burst by `type` on `rank` may occupy the
   /// data bus.
   [[nodiscard]] Cycle data_bus_free(CmdType type, RankId rank) const;
@@ -137,8 +135,8 @@ class Channel {
 
   ChannelEvents events_;
 
-  // Summaries of the ranks, derived (not serialized): folded in at every
-  // refresh command, recounted at each release and on load.
+  // Summaries of the ranks, derived (not serialized): recounted at every
+  // refresh command, at each release and on load.
   std::uint32_t refreshing_ = 0;  // bit r: rank r refreshing
   Cycle release_ = kNeverCycle;   // min Rank::next_release()
 

@@ -34,7 +34,8 @@ bool Rank::can_issue(const Command& cmd, Cycle now) const {
     case CmdType::kPrecharge:
       return bank.can_issue(cmd.type, cmd.coord.row, now);
     case CmdType::kRefresh:
-      // Every bank precharged and past its precharge-recovery point.
+      // Every bank precharged and past its precharge-recovery point and its
+      // subarray refresh locks.
       return all_banks_precharged() && now >= banks_ready_;
     case CmdType::kRefreshBank:
       // Subarray-targeted refresh performs a hidden activation internally:
@@ -99,6 +100,8 @@ void Rank::issue(const Command& cmd, Cycle now) {
         pb_release_ = std::min(pb_release_, bank.next_activate());
       } else {
         next_activate_ = std::max(next_activate_, now + t_.tRRD);
+        // A REF must wait for the subarray lock to end.
+        banks_ready_ = std::max(banks_ready_, bank.any_subarray_busy_until());
       }
       break;
   }
@@ -165,7 +168,8 @@ void Rank::rebuild_summaries() {
   for (BankId b = 0; b < banks_.size(); ++b) {
     const Bank& bank = banks_[b];
     if (bank.state() == BankState::kActive) active_ |= 1u << b;
-    banks_ready_ = std::max(banks_ready_, bank.next_activate());
+    banks_ready_ = std::max({banks_ready_, bank.next_activate(),
+                             bank.any_subarray_busy_until()});
     if (pb_refreshing_ && bank.state() == BankState::kRefreshing) {
       pb_release_ = std::min(pb_release_, bank.next_activate());
     }

@@ -75,8 +75,9 @@ class Rank {
   [[nodiscard]] Cycle earliest_issue(const Command& cmd) const;
 
   /// Earliest cycle a full-rank REF (or pausing segment) could begin:
-  /// every bank precharged and past its recovery point. kNeverCycle while
-  /// any bank holds an open row (a PRE must land first).
+  /// every bank precharged and past its recovery point and its subarray
+  /// refresh locks. kNeverCycle while any bank holds an open row (a PRE
+  /// must land first).
   [[nodiscard]] Cycle earliest_refresh_ready() const {
     if (active_ != 0) return kNeverCycle;
     return refreshing_ ? std::max(banks_ready_, refresh_done_) : banks_ready_;
@@ -181,7 +182,8 @@ class Rank {
   // Summaries of the banks, derived (not serialized): updated where a
   // command or a release changes a bank, rebuilt from the banks on load.
   std::uint32_t active_ = 0;  // bit b: bank b is kActive
-  Cycle banks_ready_ = 0;     // max over the banks' next_activate()
+  // Max over the banks' next_activate() and any_subarray_busy_until().
+  Cycle banks_ready_ = 0;
   // Earliest next_activate() over the REFpb-locked banks; kNeverCycle
   // when none is locked.
   Cycle pb_release_ = kNeverCycle;

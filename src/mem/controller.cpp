@@ -922,9 +922,6 @@ void Controller::tick(Cycle now) {
 }
 
 void Controller::step(Cycle now) {
-  // The blocked ranks are rebuilt below once refresh management has run;
-  // until then no earlier answer holds for `now`.
-  blocked_at_ = kNeverCycle;
   channel_.tick(now);
   complete_bursts(now);
   if (listener_ != nullptr) listener_->on_tick(now);
@@ -942,17 +939,16 @@ void Controller::step(Cycle now) {
   }
 
   if (read_q_.empty() && write_q_.empty() && prefetch_q_.empty()) return;
-  blocked_ = held_ranks(now);
-  blocked_at_ = now;
+  const BlockedRanks blocked = blocked_ranks(now);
   const std::optional<SchedulerPick> pick =
-      synced_scheduler(draining_writes_, blocked_).pick(now);
+      synced_scheduler(draining_writes_, blocked).pick(now);
   if (audit_scheduler_ != nullptr) {
-    audit_pick(now, draining_writes_, blocked_, pick);
+    audit_pick(now, draining_writes_, blocked, pick);
   }
   if (pick) issue_pick(*pick, now);
 }
 
-BlockedRanks Controller::held_ranks(Cycle now) const {
+BlockedRanks Controller::blocked_ranks(Cycle now) const {
   std::uint32_t held = channel_.refreshing_ranks();  // every queue
   if (cfg_.refresh == RefreshScheme::kPausing) {
     for (RankId r = 0; r < channel_.num_ranks(); ++r) {

@@ -300,11 +300,8 @@ class Controller {
   /// Ranks whose requests the scheduler must skip at `now`, per queue: a
   /// refreshing rank or a pausing hold (pausing_holds) blocks every queue;
   /// demand is also held while the rank seals for its REF command. Built
-  /// from the channel's refreshing mask and sealing_ranks(); step(now)
-  /// keeps its answer, which next_event_cycle(now) then reuses.
-  [[nodiscard]] BlockedRanks blocked_ranks(Cycle now) const {
-    return now == blocked_at_ ? blocked_ : held_ranks(now);
-  }
+  /// from the channel's refreshing mask and sealing_ranks().
+  [[nodiscard]] BlockedRanks blocked_ranks(Cycle now) const;
 
   /// True when no demand work is queued, in flight, or awaiting drain.
   [[nodiscard]] bool idle() const {
@@ -394,7 +391,6 @@ class Controller {
     for (RankState& rs : ranks_) rs.io(ar);
     if constexpr (Ar::kIsReader) {
       refresh_quiet_until_ = 0;
-      blocked_at_ = kNeverCycle;
       // The rebuild indexes the arena and the rank records with values
       // read from the bytes: check them first (a failed load leaves the
       // controller unusable, as every failed load does).
@@ -413,8 +409,6 @@ class Controller {
   /// Runs every rank's due refresh steps; true when one put a command (PRE,
   /// REF, REFpb or a pausing segment) on the bus.
   bool manage_refresh(Cycle now);
-  /// blocked_ranks(now) built afresh from the masks.
-  [[nodiscard]] BlockedRanks held_ranks(Cycle now) const;
   /// The queues the scheduler draws from, in priority order.
   [[nodiscard]] std::span<const QueueView> scheduler_views(
       bool drain, std::array<QueueView, 3>& storage) const;
@@ -611,12 +605,6 @@ class Controller {
   /// phase changes (run_refresh_step, issue_rank_refresh), recounted on
   /// load.
   std::uint32_t sealing_ = 0;
-  /// step(now)'s blocked ranks, for next_event_cycle(now): between the two
-  /// only a demand command can land, and it changes neither the refreshing
-  /// nor the sealing mask. blocked_at_ is the cycle they hold for
-  /// (kNeverCycle: none).
-  BlockedRanks blocked_{};
-  Cycle blocked_at_ = kNeverCycle;
   RefreshBlockingStats blocking_;
   StatRegistry* stats_;
   StatHandles h_;

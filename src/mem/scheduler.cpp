@@ -28,7 +28,8 @@ void Scheduler::size_from_channel() {
       slot.rank = r;
     }
   }
-  marks_.assign((banks_.size() + 63) / 64, Marks{});
+  occupied_.assign((banks_.size() + 63) / 64, {});
+  dirty_.assign(occupied_.size(), 0);
   // One candidate per bank covers the queue depths the controller
   // usually holds; deeper queues grow the table on a later rebuild.
   table_.reserve(banks_.size());
@@ -56,9 +57,8 @@ void Scheduler::push(int queue_id, RequestIndex idx) {
   list.tail = idx;
   // A request joining at the back is the first hit only if none was.
   if (list.hit == kNoRequest && list.hit_row == at.row) list.hit = idx;
-  Marks& marks = marks_[b / 64];
-  marks.occupied[q] |= std::uint64_t{1} << (b % 64);
-  marks.dirty |= std::uint64_t{1} << (b % 64);
+  occupied_[b / 64][q] |= std::uint64_t{1} << (b % 64);
+  dirty_[b / 64] |= std::uint64_t{1} << (b % 64);
   changed_ = true;
 }
 
@@ -72,24 +72,23 @@ void Scheduler::erase(RequestIndex idx) {
     list.hit = kNoRequest;
     list.hit_row = kNoRow;
   }
-  Marks& marks = marks_[n.bank / 64];
   if (list.head == kNoRequest) {
-    marks.occupied[n.queue] &= ~(std::uint64_t{1} << (n.bank % 64));
+    occupied_[n.bank / 64][n.queue] &= ~(std::uint64_t{1} << (n.bank % 64));
   }
-  marks.dirty |= std::uint64_t{1} << (n.bank % 64);
+  dirty_[n.bank / 64] |= std::uint64_t{1} << (n.bank % 64);
   changed_ = true;
 }
 
 void Scheduler::reset(std::span<const QueueView> queues) {
   if (banks_.empty()) size_from_channel();
-  for (std::size_t w = 0; w < marks_.size(); ++w) {
-    auto& occ = marks_[w].occupied;
+  for (std::size_t w = 0; w < occupied_.size(); ++w) {
+    const auto& occ = occupied_[w];
     for (std::uint64_t bits = occ[0] | occ[1] | occ[2]; bits != 0;
          bits &= bits - 1) {
       banks_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))]
           .lists = {};
     }
-    occ = {};
+    occupied_[w] = {};
   }
   next_seq_ = {};
   for (const QueueView& qv : queues) {
@@ -122,7 +121,7 @@ void Scheduler::rebuild(std::span<const QueueView> queues,
   const auto viewed = [&](std::size_t w) {
     std::uint64_t bits = 0;
     for (const QueueView& qv : queues) {
-      bits |= marks_[w].occupied[static_cast<std::size_t>(qv.id)];
+      bits |= occupied_[w][static_cast<std::size_t>(qv.id)];
     }
     return bits;
   };
@@ -130,16 +129,15 @@ void Scheduler::rebuild(std::span<const QueueView> queues,
   // push() and erase() marked the banks whose lists changed. Mark every
   // bank too after a view or blocked change, and after a command each
   // viewed bank whose open row changed: a bank's choice reads nothing else.
-  for (std::size_t w = 0; w < marks_.size(); ++w) {
-    std::uint64_t& dirty = marks_[w].dirty;
+  for (std::size_t w = 0; w < dirty_.size(); ++w) {
     if (every) {
-      dirty = ~std::uint64_t{0};
+      dirty_[w] = ~std::uint64_t{0};
     } else if (retime) {
-      for (std::uint64_t bits = viewed(w) & ~dirty; bits != 0;
+      for (std::uint64_t bits = viewed(w) & ~dirty_[w]; bits != 0;
            bits &= bits - 1) {
         const int b = std::countr_zero(bits);
         const BankSlot& slot = banks_[w * 64 + static_cast<std::size_t>(b)];
-        if (slot.row != row_key(*slot.bank)) dirty |= std::uint64_t{1} << b;
+        if (slot.row != row_key(*slot.bank)) dirty_[w] |= std::uint64_t{1} << b;
       }
     }
   }
@@ -148,20 +146,20 @@ void Scheduler::rebuild(std::span<const QueueView> queues,
   min_earliest_ = kNeverCycle;
   std::size_t kept = 0;
   for (Candidate& c : table_) {
-    if (((marks_[c.bank / 64].dirty >> (c.bank % 64)) & 1u) != 0) continue;
+    if (((dirty_[c.bank / 64] >> (c.bank % 64)) & 1u) != 0) continue;
     if (retime) c.earliest = channel_.earliest_issue(c.cmd);
     min_earliest_ = std::min(min_earliest_, c.earliest);
     table_[kept++] = c;
   }
   table_.resize(kept);
 
-  for (std::size_t w = 0; w < marks_.size(); ++w) {
-    for (std::uint64_t bits = marks_[w].dirty & viewed(w); bits != 0;
+  for (std::size_t w = 0; w < dirty_.size(); ++w) {
+    for (std::uint64_t bits = dirty_[w] & viewed(w); bits != 0;
          bits &= bits - 1) {
       const auto b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
       select(banks_[b], static_cast<std::uint32_t>(b), queues, blocked);
     }
-    marks_[w].dirty = 0;
+    dirty_[w] = 0;
   }
 }
 

@@ -210,16 +210,13 @@ class Scheduler {
   const RequestArena& arena_;
   std::uint32_t banks_per_rank_ = 0;
   std::vector<BankSlot> banks_;  // rank-major, sized on first use
-  /// The marks of 64 banks, bit b % 64 for bank b, in one half line so
-  /// that a push or an erase updates both in one place.
-  struct alignas(32) Marks {
-    /// Per queue id: bank b's list of that queue is non-empty. A rebuild
-    /// visits only the banks holding a viewed request.
-    std::array<std::uint64_t, 3> occupied{};
-    /// Bank b's lists changed since its candidates were chosen.
-    std::uint64_t dirty = 0;
-  };
-  std::vector<Marks> marks_;
+  /// Per 64 banks and per queue id: bit b % 64 is set while bank b's list
+  /// of that queue is non-empty. A rebuild visits only the banks holding a
+  /// viewed request.
+  std::vector<std::array<std::uint64_t, 3>> occupied_;
+  /// Per 64 banks: bit b % 64 is set while bank b's lists changed since
+  /// its candidates were chosen.
+  std::vector<std::uint64_t> dirty_;
   std::vector<Node> nodes_;
   std::array<std::uint64_t, 3> next_seq_{};
   std::vector<Candidate> table_;

@@ -82,6 +82,19 @@ TEST_F(RankTest, RefreshRequiresAllBanksPrecharged) {
   EXPECT_TRUE(rank.can_issue(ref(0), t.tRAS + t.tRP));
 }
 
+TEST_F(RankTest, RefreshWaitsForSubarrayRefreshLock) {
+  Rank sub{t, 8, 8, 1u << 16};
+  const Command refpb{CmdType::kRefreshBank, DramCoord{0, 0, 5, 0, 0}, 0};
+  sub.issue(refpb, 100);
+  // The subarray lock keeps the bank precharged, but a REF must wait for
+  // it to end, as the bank's own REF legality does.
+  EXPECT_EQ(sub.earliest_refresh_ready(), 100 + t.tRFCpb);
+  EXPECT_FALSE(sub.can_issue(ref(0), 100 + t.tRFCpb - 1));
+  EXPECT_TRUE(sub.can_issue(ref(0), 100 + t.tRFCpb));
+  sub.issue(ref(0), 100 + t.tRFCpb);
+  EXPECT_TRUE(sub.refreshing());
+}
+
 TEST_F(RankTest, RefreshFreezesEveryBankUntilTrfc) {
   rank.issue(ref(0), 10);
   EXPECT_TRUE(rank.refreshing());
@@ -142,7 +155,8 @@ void expect_summaries_match_scan(const Rank& rank, std::uint32_t step) {
     const Bank& bank = rank.bank(b);
     if (bank.state() == BankState::kActive) active |= 1u << b;
     if (bank.state() == BankState::kPrecharged) ++precharged;
-    ready = std::max(ready, bank.next_activate());
+    ready = std::max(
+        {ready, bank.next_activate(), bank.any_subarray_busy_until()});
     if (!rank.refreshing() && bank.state() == BankState::kRefreshing) {
       pb_release = std::min(pb_release, bank.next_activate());
     }
@@ -222,15 +236,6 @@ void run_random_commands(std::uint32_t subarrays, std::uint64_t seed) {
     rank->tick(now);
     expect_summaries_match_scan(*rank, step);
     if (op == 7 || !rank->can_issue(cmd, now)) continue;
-    if ((op == 4 || op == 5) && subarrays > 1) {
-      // Rank-scope REF legality leaves subarray locks to the schemes that
-      // use them, none of which issues a full-rank refresh.
-      bool sub_locked = false;
-      for (BankId k = 0; k < rank->num_banks(); ++k) {
-        sub_locked = sub_locked || rank->bank(k).refreshing_subarray(now);
-      }
-      if (sub_locked) continue;
-    }
     if (op == 5) {
       // A Refresh Pausing segment, cut short or run long.
       rank->begin_refresh_segment(now, 16 + rng.next_below(t.tRFC));
